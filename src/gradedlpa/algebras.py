@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-from .errors import InvalidStepError, NotIsomorphicError, WindowExceededError
+from .errors import InvalidStepError, NotIsomorphicError
 
 # canonical_form materializes dense multiplicity vectors; refuse absurd spreads
 _MAX_DENSE_MULTS = 5_000_000
@@ -242,6 +242,22 @@ class EntryShift:
 Step = Union[Permute, GlobalShift, EntryShift]
 
 
+def _check_step(step: Step, n: int, base: GradedBase, target: str):
+    """Raise InvalidStepError unless `step` acts on `target`, of size n over base."""
+    if isinstance(step, Permute):
+        if len(step.image) != n:
+            raise InvalidStepError(f"permutation of {len(step.image)} entries applied to {target}")
+    elif isinstance(step, EntryShift):
+        if step.index > n:
+            raise InvalidStepError(f"entry index {step.index} out of range 1..{n}")
+        if base.is_trivial:
+            raise InvalidStepError("EntryShift needs an invertible element of nonzero degree; K has none")
+        if step.delta % base.period != 0:
+            raise InvalidStepError(f"EntryShift degree {step.delta} is not a multiple of the period {base.period}")
+    elif not isinstance(step, GlobalShift):
+        raise TypeError(f"not a certificate step: {step!r}")
+
+
 def apply_step(shifts: Sequence[int], step: Step, base: GradedBase) -> tuple[int, ...]:
     """Act on a shift list by one elementary move.
 
@@ -251,23 +267,14 @@ def apply_step(shifts: Sequence[int], step: Step, base: GradedBase) -> tuple[int
     (1, 2, 0)
     """
     shifts = tuple(shifts)
+    _check_step(step, len(shifts), base, f"{len(shifts)} shifts")
     if isinstance(step, Permute):
-        if len(step.image) != len(shifts):
-            raise InvalidStepError(f"permutation of {len(step.image)} entries applied to {len(shifts)} shifts")
         return tuple(shifts[i - 1] for i in step.image)
     if isinstance(step, GlobalShift):
         return tuple(s + step.delta for s in shifts)
-    if isinstance(step, EntryShift):
-        if step.index > len(shifts):
-            raise InvalidStepError(f"entry index {step.index} out of range 1..{len(shifts)}")
-        if base.is_trivial:
-            raise InvalidStepError("EntryShift needs an invertible element of nonzero degree; K has none")
-        if step.delta % base.period != 0:
-            raise InvalidStepError(f"EntryShift degree {step.delta} is not a multiple of the period {base.period}")
-        out = list(shifts)
-        out[step.index - 1] += step.delta
-        return tuple(out)
-    raise TypeError(f"not a certificate step: {step!r}")
+    out = list(shifts)
+    out[step.index - 1] += step.delta
+    return tuple(out)
 
 
 def apply_certificate(shifts: Sequence[int], steps: Iterable[Step], base: GradedBase) -> tuple[int, ...]:
@@ -378,47 +385,3 @@ def direct_sum_iso(r: DirectSumAlgebra, s: DirectSumAlgebra) -> bool:
     if len(r.summands) != len(s.summands):
         return False
     return sorted(map(summand_key, r.summands)) == sorted(map(summand_key, s.summands))
-
-
-def oracle_iso(a: ShiftedMatrixAlgebra, b: ShiftedMatrixAlgebra, bound: int) -> bool:
-    """Independent decision by breadth-first search over sorted shift lists.
-
-    Moves are GlobalShift(+-1) and, over a Laurent base, EntryShift(i, +-m);
-    values are confined to the window [min-bound, max+bound] around the inputs.
-    Intended for small instances only; raises WindowExceededError when the
-    implied state space is too large to sweep.
-    """
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-    if a.base != b.base or a.n != b.n:
-        return False
-    lo = min(min(a.shifts), min(b.shifts)) - bound
-    hi = max(max(a.shifts), max(b.shifts)) + bound
-    if a.n > 6 or hi - lo + 1 > 200:
-        raise WindowExceededError(f"n={a.n}, window width {hi - lo + 1} is past the sweep limit")
-    start = tuple(sorted(a.shifts))
-    target = tuple(sorted(b.shifts))
-    period = a.base.period
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        if target in seen:
-            return True
-        next_frontier = []
-        for state in frontier:
-            moves = []
-            if state[-1] + 1 <= hi:
-                moves.append(tuple(v + 1 for v in state))
-            if state[0] - 1 >= lo:
-                moves.append(tuple(v - 1 for v in state))
-            if period is not None:
-                for i, v in enumerate(state):
-                    for nv in (v + period, v - period):
-                        if lo <= nv <= hi:
-                            moves.append(tuple(sorted(state[:i] + (nv,) + state[i + 1 :])))
-            for nxt in moves:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    next_frontier.append(nxt)
-        frontier = next_frontier
-    return target in seen

@@ -21,6 +21,7 @@ from .errors import (
     NotIsomorphicError,
     NotRealizableError,
     ParseError,
+    VertexNotOnCycleError,
 )
 from .matrices import conjugate_by_step, homogeneous_components
 from .parsing import (
@@ -33,7 +34,7 @@ from .parsing import (
 )
 from .realize import is_realizable_sum, synthesize, synthesize_sum
 from .represent import CycleSummand, represent_at
-from .graphs import classify
+from .graphs import _require_no_exit, classify
 
 
 def _read_text(path: str) -> str:
@@ -79,7 +80,7 @@ def _cycle_payload(c) -> dict:
 def cmd_classify(args) -> int:
     info = classify(_load_graph(args.graph))
     flags = {
-        "finite": info.finite,
+        "finite": True,
         "acyclic": info.acyclic,
         "no_exit": info.no_exit,
         "comet_per_component": info.comet_per_component,
@@ -88,7 +89,7 @@ def cmd_classify(args) -> int:
         "cycles": [_cycle_payload(c) for c in info.cycles],
     }
     lines = [
-        f"finite: {'yes' if info.finite else 'no'}",
+        "finite: yes",
         f"acyclic: {'yes' if info.acyclic else 'no'}",
         f"no-exit: {'yes' if info.no_exit else 'no'}",
         f"comet-per-component: {'yes' if info.comet_per_component else 'no'}",
@@ -102,16 +103,18 @@ def cmd_classify(args) -> int:
 
 
 def _resolve_bases(g, choices):
-    info = classify(g)
+    if not choices:
+        return {}
+    # a graph that is not no-exit fails here, before classify's capped cycle enumeration
+    _require_no_exit(g)
+    cycles = classify(g).cycles
     resolved = {}
-    for spec in choices or []:
+    for spec in choices:
         name, _, base = spec.partition("=")
         if not base:
             raise ParseError(f"--base expects cycle-vertex=base-vertex, got {spec!r}")
-        owners = [c for c in info.cycles if name in c.vertices]
+        owners = [c for c in cycles if name in c.vertices]
         if not owners:
-            from .errors import VertexNotOnCycleError
-
             raise VertexNotOnCycleError(f"vertex {name!r} does not lie on any cycle")
         resolved[owners[0]] = base
     return resolved

@@ -45,10 +45,6 @@ class NotIsomorphicError(AlgebraError):
     """No graded isomorphism exists, so no certificate can be produced."""
 
 
-class WindowExceededError(AlgebraError):
-    """The reachability search window is too large to explore exhaustively."""
-
-
 class ShapeMismatchError(AlgebraError):
     """Matrix operands do not share size, base and shift list."""
 

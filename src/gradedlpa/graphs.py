@@ -16,7 +16,6 @@ from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .errors import (
-    EmptyGraphError,
     NotASinkError,
     NotNoExitError,
     TooManyCyclesError,
@@ -100,6 +99,25 @@ class DirectedGraph:
             table[e.range].append(e)
         return {v: tuple(es) for v, es in table.items()}
 
+    @cached_property
+    def _analysis(self) -> "_Analysis":
+        comps = strongly_connected_components(self)
+        comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+        # a vertex lies on a cycle iff its SCC contains an edge
+        cyclic = sorted({comp_of[e.source] for e in self.edges if comp_of[e.source] == comp_of[e.range]})
+        sinks = tuple(sorted(v for v in self.vertices if not self._out[v]))
+        exits = [v for i in cyclic for v in comps[i] if len(self._out[v]) != 1]
+        if exits:
+            return _Analysis(min(exits), sinks, ())
+        # in a no-exit graph a cyclic SCC is one cycle: follow the unique out-edges
+        cycles = []
+        for i in cyclic:
+            walk = [self._out[comps[i][0]][0]]
+            while walk[-1].range != comps[i][0]:
+                walk.append(self._out[walk[-1].range][0])
+            cycles.append(CycleDescriptor(tuple(e.source for e in walk), tuple(e.eid for e in walk)))
+        return _Analysis(None, sinks, tuple(cycles))
+
     def require_vertex(self, v: str):
         if v not in self._out:
             raise UnknownVertexError(f"unknown vertex {v!r}")
@@ -140,6 +158,14 @@ class CycleDescriptor:
         return len(self.edges)
 
 
+class _Analysis(NamedTuple):
+    """What one SCC pass tells about a graph."""
+
+    exit_vertex: str | None  # smallest cycle vertex not emitting exactly one edge
+    sinks: tuple[str, ...]
+    cycles: tuple[CycleDescriptor, ...]  # in find_cycles order; empty unless no-exit
+
+
 @dataclass(frozen=True)
 class PathLengthMultiset:
     """Multiset of path lengths, stored as (length, count) pairs, ascending."""
@@ -177,7 +203,6 @@ class PathLengthMultiset:
 
 @dataclass(frozen=True)
 class GraphClassification:
-    finite: bool
     acyclic: bool
     no_exit: bool
     comet_per_component: bool
@@ -238,24 +263,10 @@ def strongly_connected_components(g: DirectedGraph) -> list[tuple[str, ...]]:
     return components
 
 
-def _vertices_on_cycles(g: DirectedGraph) -> set[str]:
-    # a vertex lies on a cycle iff its SCC contains an edge
-    comp_of: dict[str, int] = {}
-    comps = strongly_connected_components(g)
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = i
-    cyclic = {comp_of[e.source] for e in g.edges if comp_of[e.source] == comp_of[e.range]}
-    out: set[str] = set()
-    for i in cyclic:
-        out.update(comps[i])
-    return out
-
-
 def _require_no_exit(g: DirectedGraph):
-    for v in _vertices_on_cycles(g):
-        if g.out_degree(v) != 1:
-            raise NotNoExitError(f"cycle vertex {v!r} emits {g.out_degree(v)} edges")
+    v = g._analysis.exit_vertex
+    if v is not None:
+        raise NotNoExitError(f"cycle vertex {v!r} emits {g.out_degree(v)} edges")
 
 
 def find_cycles(g: DirectedGraph, cap: int = DEFAULT_CYCLE_CAP) -> list[CycleDescriptor]:
@@ -306,17 +317,17 @@ def find_cycles(g: DirectedGraph, cap: int = DEFAULT_CYCLE_CAP) -> list[CycleDes
     return cycles
 
 
-def _weak_components(g: DirectedGraph) -> list[set[str]]:
+def _count_weak_components(g: DirectedGraph) -> int:
     neighbours: dict[str, set[str]] = {v: set() for v in g.vertices}
     for e in g.edges:
         neighbours[e.source].add(e.range)
         neighbours[e.range].add(e.source)
     seen: set[str] = set()
-    comps = []
+    count = 0
     for root in g.vertices:
         if root in seen:
             continue
-        comp = {root}
+        count += 1
         frontier = [root]
         seen.add(root)
         while frontier:
@@ -324,53 +335,30 @@ def _weak_components(g: DirectedGraph) -> list[set[str]]:
             for w in neighbours[v]:
                 if w not in seen:
                     seen.add(w)
-                    comp.add(w)
                     frontier.append(w)
-        comps.append(comp)
-    return comps
-
-
-def _reaches_backward(g: DirectedGraph, targets: Iterable[str]) -> set[str]:
-    reached = set(targets)
-    frontier = list(reached)
-    while frontier:
-        v = frontier.pop()
-        for e in g.in_edges(v):
-            if e.source not in reached:
-                reached.add(e.source)
-                frontier.append(e.source)
-    return reached
+    return count
 
 
 def classify(g: DirectedGraph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> GraphClassification:
     """Flags and inventories used by every downstream operation.
 
     A weakly connected component counts as a comet when it contains exactly
-    one cycle and every one of its vertices has a path to that cycle.
+    one cycle and every one of its vertices has a path to that cycle.  Only a
+    graph that is not no-exit needs general cycle enumeration, which raises
+    TooManyCyclesError past `cycle_cap`.
     """
-    on_cycle = _vertices_on_cycles(g)
-    acyclic = not on_cycle
-    no_exit = all(g.out_degree(v) == 1 for v in on_cycle)
-    sinks = tuple(sorted(v for v in g.vertices if g.out_degree(v) == 0))
-    regular = tuple(sorted(v for v in g.vertices if g.out_degree(v) > 0))
-    cycles = tuple(find_cycles(g, cap=cycle_cap))
-
-    comet = True
-    for comp in _weak_components(g):
-        local = [c for c in cycles if c.vertices[0] in comp]
-        if len(local) != 1:
-            comet = False
-            break
-        if not comp <= _reaches_backward(g, local[0].vertices):
-            comet = False
-            break
+    exit_vertex, sinks, cycles = g._analysis
+    if exit_vertex is not None:
+        cycles = tuple(find_cycles(g, cap=cycle_cap))
+    # every vertex reaches a sink or a cycle, so a component is a comet iff it
+    # has exactly one cycle and no sink; without sinks every component has a cycle
+    comet = not sinks and len(cycles) == _count_weak_components(g)
     return GraphClassification(
-        finite=True,
-        acyclic=acyclic,
-        no_exit=no_exit,
+        acyclic=not cycles,
+        no_exit=exit_vertex is None,
         comet_per_component=comet,
         sinks=sinks,
-        regular=regular,
+        regular=tuple(sorted(v for v in g.vertices if g.out_degree(v) > 0)),
         cycles=cycles,
     )
 
@@ -429,13 +417,10 @@ def paths_to_cycle_vertex(
 
 
 def _validate_cycle(g: DirectedGraph, cycle: CycleDescriptor):
-    by_id = {e.eid: e for e in g.edges}
     n = cycle.length
     for i, eid in enumerate(cycle.edges):
-        e = by_id.get(eid)
-        expected_src = cycle.vertices[i]
-        expected_dst = cycle.vertices[(i + 1) % n]
-        if e is None or e.source != expected_src or e.range != expected_dst:
+        edge = Edge(eid, cycle.vertices[i], cycle.vertices[(i + 1) % n])
+        if edge not in g._out.get(edge.source, ()):
             raise ValueError(f"descriptor edge {eid!r} is not a cycle edge of this graph")
 
 

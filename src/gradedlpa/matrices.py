@@ -9,8 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .algebras import EntryShift, GlobalShift, GradedBase, Permute, Step
-from .errors import InvalidStepError, ShapeMismatchError
+from .algebras import GlobalShift, GradedBase, Permute, Step, _check_step
+from .errors import ShapeMismatchError
 
 
 class LaurentElement:
@@ -255,9 +255,8 @@ def conjugate_by_step(matrix: GradedMatrix, step: Step) -> GradedMatrix:
     Homogeneous components land degree on degree in the new shift list.
     """
     n = matrix.n
+    _check_step(step, n, matrix.base, f"{n}x{n} matrix")
     if isinstance(step, Permute):
-        if len(step.image) != n:
-            raise InvalidStepError(f"permutation of {len(step.image)} entries applied to {n}x{n} matrix")
         img = step.image
         entries = tuple(
             tuple(matrix.entries[img[i] - 1][img[j] - 1] for j in range(n)) for i in range(n)
@@ -268,27 +267,17 @@ def conjugate_by_step(matrix: GradedMatrix, step: Step) -> GradedMatrix:
         return GradedMatrix(
             matrix.base, tuple(s + step.delta for s in matrix.shifts), matrix.entries
         )
-    if isinstance(step, EntryShift):
-        if step.index > n:
-            raise InvalidStepError(f"entry index {step.index} out of range 1..{n}")
-        if matrix.base.is_trivial:
-            raise InvalidStepError("EntryShift needs an invertible element of nonzero degree; K has none")
-        if step.delta % matrix.base.period != 0:
-            raise InvalidStepError(
-                f"EntryShift degree {step.delta} is not a multiple of the period {matrix.base.period}"
-            )
-        i0 = step.index - 1
-        down = LaurentElement.monomial(-step.delta)
-        up = LaurentElement.monomial(step.delta)
-        rows = [list(row) for row in matrix.entries]
-        for j in range(n):
-            if j != i0:
-                rows[i0][j] = rows[i0][j] * down
-                rows[j][i0] = rows[j][i0] * up
-        shifts = list(matrix.shifts)
-        shifts[i0] += step.delta
-        return GradedMatrix(matrix.base, tuple(shifts), tuple(tuple(r) for r in rows))
-    raise TypeError(f"not a certificate step: {step!r}")
+    i0 = step.index - 1
+    down = LaurentElement.monomial(-step.delta)
+    up = LaurentElement.monomial(step.delta)
+    rows = [list(row) for row in matrix.entries]
+    for j in range(n):
+        if j != i0:
+            rows[i0][j] = rows[i0][j] * down
+            rows[j][i0] = rows[j][i0] * up
+    shifts = list(matrix.shifts)
+    shifts[i0] += step.delta
+    return GradedMatrix(matrix.base, tuple(shifts), tuple(tuple(r) for r in rows))
 
 
 def conjugate_by_certificate(matrix: GradedMatrix, steps) -> GradedMatrix:

@@ -258,17 +258,6 @@ def parse_algebra(text: str) -> DirectSumAlgebra:
     return DirectSumAlgebra(tuple(summands))
 
 
-def format_algebra(value) -> str:
-    """Render a ShiftedMatrixAlgebra or DirectSumAlgebra in the grammar."""
-    if isinstance(value, (ShiftedMatrixAlgebra, DirectSumAlgebra)):
-        return str(value)
-    raise ValueError(f"cannot format {value!r} as an algebra expression")
-
-
-def format_canonical(form) -> str:
-    return str(form)
-
-
 # --- certificates ---
 
 

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .algebras import DirectSumAlgebra, GradedBase, ShiftedMatrixAlgebra
-from .errors import EmptyGraphError, NotNoExitError, VertexNotOnCycleError
+from .errors import EmptyGraphError
 from .graphs import (
     CycleDescriptor,
     DirectedGraph,
-    classify,
+    _require_no_exit,
     paths_to_cycle_vertex,
     paths_to_sink,
 )
@@ -73,26 +73,23 @@ def represent_at(
     """
     if not g.vertices:
         raise EmptyGraphError("the graph has no vertices")
-    info = classify(g)
-    if not info.no_exit:
-        raise NotNoExitError("representation requires a no-exit graph")
-    known = set(info.cycles)
+    _require_no_exit(g)
+    _, sinks, cycles = g._analysis
+    known = set(cycles)
     for key in base_choice:
         if key not in known:
             raise ValueError(f"base choice keyed by a cycle not in this graph: {key}")
 
     summands: list[ShiftedMatrixAlgebra] = []
     provenance: list[Provenance] = []
-    for sink in info.sinks:
+    for sink in sinks:
         paths = tuple(paths_to_sink(g, sink))
         summands.append(
             ShiftedMatrixAlgebra.from_shifts(GradedBase.trivial(), (l for _, l in paths))
         )
         provenance.append(SinkSummand(sink, paths))
-    for cycle in sorted(info.cycles, key=lambda c: c.vertices[0]):
+    for cycle in cycles:
         base = base_choice.get(cycle, cycle.vertices[0])
-        if base not in cycle.vertices:
-            raise VertexNotOnCycleError(f"vertex {base!r} is not on the cycle {cycle.vertices}")
         paths = tuple(paths_to_cycle_vertex(g, cycle, base))
         summands.append(
             ShiftedMatrixAlgebra.from_shifts(GradedBase.laurent(cycle.length), (l for _, l in paths))

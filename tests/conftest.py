@@ -2,7 +2,8 @@
 
 Everything here is deliberately independent of the library internals:
 rotations by explicit slicing, SCCs by mutual reachability, path counts
-by exhaustive walk enumeration.  Tests compare library output against
+by exhaustive walk enumeration, graded isomorphism by move-graph search,
+comets by backward reachability.  Tests compare library output against
 these slow references.
 """
 
@@ -15,10 +16,12 @@ from gradedlpa import (
     EntryShift,
     GlobalShift,
     GradedBase,
+    GraphClassification,
     GradedMatrix,
     LaurentElement,
     Permute,
     ShiftedMatrixAlgebra,
+    find_cycles,
 )
 
 
@@ -93,6 +96,48 @@ def naive_paths_to_cycle(g: DirectedGraph, cycle_eids, base: str):
     return sorted((src, len(edges)) for edges, src in walks if not contains_cycle(edges))
 
 
+def _reaches_backward(g: DirectedGraph, targets):
+    reached = set(targets)
+    frontier = list(reached)
+    while frontier:
+        v = frontier.pop()
+        for e in g.edges:
+            if e.range == v and e.source not in reached:
+                reached.add(e.source)
+                frontier.append(e.source)
+    return reached
+
+
+def _weak_components(g: DirectedGraph):
+    comp = {v: {v} for v in g.vertices}
+    for e in g.edges:
+        merged = comp[e.source] | comp[e.range]
+        for v in merged:
+            comp[v] = merged
+    return {frozenset(c) for c in comp.values()}
+
+
+def naive_classify(g: DirectedGraph) -> GraphClassification:
+    """classify by its definition: cycles by general enumeration, and a
+    component is a comet when it holds exactly one cycle and reaches it
+    backward from every vertex."""
+    cycles = tuple(find_cycles(g))
+    on_cycle = {v for c in cycles for v in c.vertices}
+    comet = True
+    for comp in _weak_components(g):
+        local = [c for c in cycles if c.vertices[0] in comp]
+        if len(local) != 1 or not comp <= _reaches_backward(g, local[0].vertices):
+            comet = False
+    return GraphClassification(
+        acyclic=not cycles,
+        no_exit=all(g.out_degree(v) == 1 for v in on_cycle),
+        comet_per_component=comet,
+        sinks=tuple(sorted(v for v in g.vertices if g.out_degree(v) == 0)),
+        regular=tuple(sorted(v for v in g.vertices if g.out_degree(v) > 0)),
+        cycles=cycles,
+    )
+
+
 def random_no_exit_graph(rng: random.Random, max_extra: int = 5, max_cycles: int = 2):
     """A random finite no-exit graph: disjoint cycles plus an acyclic layer
     feeding into them, with parallel edges and isolated vertices allowed."""
@@ -114,6 +159,54 @@ def random_no_exit_graph(rng: random.Random, max_extra: int = 5, max_cycles: int
     pool.extend(f"z{i}" for i in range(rng.randint(0, 1)))
     # pool lists every vertex; from_edges ignores the ones already mentioned
     return DirectedGraph.from_edges(pairs, isolated=pool)
+
+
+class WindowExceededError(Exception):
+    """The reachability search window is too large to explore exhaustively."""
+
+
+def oracle_iso(a: ShiftedMatrixAlgebra, b: ShiftedMatrixAlgebra, bound: int) -> bool:
+    """Independent decision by breadth-first search over sorted shift lists.
+
+    Moves are GlobalShift(+-1) and, over a Laurent base, EntryShift(i, +-m);
+    values are confined to the window [min-bound, max+bound] around the inputs.
+    Intended for small instances only; raises WindowExceededError when the
+    implied state space is too large to sweep.
+    """
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
+    if a.base != b.base or a.n != b.n:
+        return False
+    lo = min(min(a.shifts), min(b.shifts)) - bound
+    hi = max(max(a.shifts), max(b.shifts)) + bound
+    if a.n > 6 or hi - lo + 1 > 200:
+        raise WindowExceededError(f"n={a.n}, window width {hi - lo + 1} is past the sweep limit")
+    start = tuple(sorted(a.shifts))
+    target = tuple(sorted(b.shifts))
+    period = a.base.period
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        if target in seen:
+            return True
+        next_frontier = []
+        for state in frontier:
+            moves = []
+            if state[-1] + 1 <= hi:
+                moves.append(tuple(v + 1 for v in state))
+            if state[0] - 1 >= lo:
+                moves.append(tuple(v - 1 for v in state))
+            if period is not None:
+                for i, v in enumerate(state):
+                    for nv in (v + period, v - period):
+                        if lo <= nv <= hi:
+                            moves.append(tuple(sorted(state[:i] + (nv,) + state[i + 1 :])))
+            for nxt in moves:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    next_frontier.append(nxt)
+        frontier = next_frontier
+    return target in seen
 
 
 def random_base(rng: random.Random, max_period: int = 4) -> GradedBase:

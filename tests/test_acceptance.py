@@ -15,6 +15,7 @@ import pytest
 
 from conftest import (
     naive_least_rotation,
+    oracle_iso,
     random_certificate,
     random_matrix,
     random_realizable_summand,
@@ -42,7 +43,6 @@ from gradedlpa import (
     is_realizable,
     iso_certificate,
     multiply,
-    oracle_iso,
     represent,
     represent_at,
     synthesize,

@@ -3,7 +3,14 @@ import random
 
 import pytest
 
-from conftest import naive_least_rotation, random_base, random_certificate, random_realizable_summand
+from conftest import (
+    WindowExceededError,
+    naive_least_rotation,
+    oracle_iso,
+    random_base,
+    random_certificate,
+    random_realizable_summand,
+)
 from gradedlpa import (
     CyclicForm,
     DirectSumAlgebra,
@@ -15,7 +22,6 @@ from gradedlpa import (
     Permute,
     ShiftedMatrixAlgebra,
     TrivialForm,
-    WindowExceededError,
     apply_certificate,
     apply_step,
     canonical_form,
@@ -24,7 +30,6 @@ from gradedlpa import (
     is_graded_isomorphic,
     iso_certificate,
     least_rotation_index,
-    oracle_iso,
     summand_key,
 )
 
@@ -154,6 +159,8 @@ def test_apply_step_entry_shift():
         apply_step((0, 1), EntryShift(1, 3), L(2))
     with pytest.raises(InvalidStepError):
         apply_step((0, 1), EntryShift(3, 2), L(2))
+    with pytest.raises(TypeError):
+        apply_step((0, 1), "G 1", L(2))
     with pytest.raises(ValueError):
         EntryShift(0, 2)
 

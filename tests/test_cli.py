@@ -70,6 +70,15 @@ def test_represent_rejects_non_no_exit(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_represent_complete_graph_names_exit_vertex(tmp_path, capsys):
+    # K_8 has more cycles than classify's cap; represent needs none of them
+    p = tmp_path / "k8.graph"
+    p.write_text("".join(f"v{i} -> v{j}\n" for i in range(8) for j in range(8) if i != j))
+    for flags in ([], ["--base", "v1=v1"]):
+        assert main(["represent", *flags, str(p)]) == 3
+        assert capsys.readouterr().err == "error: cycle vertex 'v0' emits 7 edges\n"
+
+
 def test_represent_bad_base_flag(comet_file, capsys):
     assert main(["represent", "--base", "t=u", comet_file]) == 3
     assert main(["represent", "--base", "nonsense", comet_file]) == 2

@@ -1,8 +1,17 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_scc, naive_paths_to_cycle, naive_paths_to_sink, random_no_exit_graph
+from conftest import (
+    brute_scc,
+    naive_classify,
+    naive_paths_to_cycle,
+    naive_paths_to_sink,
+    random_no_exit_graph,
+)
 from gradedlpa import (
     CycleDescriptor,
     DirectedGraph,
@@ -105,7 +114,7 @@ def test_find_cycles_cap():
 
 def test_classify_line():
     info = classify(build_line(3))
-    assert info.finite and info.acyclic and info.no_exit
+    assert info.acyclic and info.no_exit
     assert not info.comet_per_component
     assert info.sinks == ("v3",)
     assert info.regular == ("v1", "v2")
@@ -144,7 +153,36 @@ def test_classify_comet_needs_every_vertex_connected():
 
 def test_classify_empty_graph():
     info = classify(DirectedGraph((), ()))
-    assert info.finite and info.acyclic and info.no_exit and info.comet_per_component
+    assert info.acyclic and info.no_exit and info.comet_per_component
+
+
+def test_classify_matches_definition_on_small_multigraphs():
+    # every multigraph on up to 3 vertices with edge multiplicity up to 2
+    count = 0
+    for n in range(4):
+        names = [f"v{i}" for i in range(n)]
+        pairs = list(itertools.product(names, repeat=2))
+        for mults in itertools.product(range(3), repeat=len(pairs)):
+            edges = [pair for pair, m in zip(pairs, mults) for _ in range(m)]
+            g = DirectedGraph.from_edges(edges, isolated=names)
+            assert classify(g) == naive_classify(g)
+            count += 1
+    assert count == 19_768
+
+
+multigraphs = st.integers(1, 7).flatmap(
+    lambda n: st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=14).map(
+        lambda pairs: DirectedGraph.from_edges(
+            [(f"v{a}", f"v{b}") for a, b in pairs], isolated=[f"v{i}" for i in range(n)]
+        )
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs)
+def test_classify_matches_definition_on_random_multigraphs(g):
+    assert classify(g) == naive_classify(g)
 
 
 def test_paths_to_sink_line():

@@ -206,3 +206,5 @@ def test_conjugation_rejects_invalid_step():
         conjugate_by_step(m, EntryShift(1, 1))
     with pytest.raises(InvalidStepError):
         conjugate_by_step(m, Permute((1, 2, 3)))
+    with pytest.raises(TypeError):
+        conjugate_by_step(m, "G 1")

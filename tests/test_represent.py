@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import gradedlpa.graphs
 from conftest import random_no_exit_graph
 from gradedlpa import (
     DirectedGraph,
@@ -12,6 +13,7 @@ from gradedlpa import (
     build_cycle_tail,
     build_line,
     classify,
+    corner_by_vertices,
     direct_sum_iso,
     paths_to_cycle_vertex,
     paths_to_sink,
@@ -95,6 +97,37 @@ def test_error_cases():
     rose = DirectedGraph.from_edges([("v", "v"), ("v", "v")])
     with pytest.raises(NotNoExitError):
         represent(rose)
+
+
+def test_many_disjoint_loops():
+    # more cycles than classify's cap; represent enumerates none
+    g = DirectedGraph.from_edges([(f"v{i}", f"v{i}") for i in range(10_001)])
+    rep = represent(g)
+    assert len(rep.sum.summands) == 10_001
+    assert all(a.base == GradedBase.laurent(1) and a.shifts == (0,) for a in rep.sum.summands)
+
+
+def test_complete_graph_names_exit_vertex():
+    names = [f"v{i}" for i in range(8)]
+    k8 = DirectedGraph.from_edges([(x, y) for x in names for y in names if x != y])
+    with pytest.raises(NotNoExitError, match="cycle vertex 'v0' emits 7 edges"):
+        represent(k8)
+
+
+def test_one_scc_pass_per_graph(monkeypatch):
+    original = gradedlpa.graphs.strongly_connected_components
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(gradedlpa.graphs, "strongly_connected_components", counting)
+    star = DirectedGraph.from_edges([("c", f"s{i}") for i in range(400)])
+    classify(star)
+    represent(star)
+    corner_by_vertices(star, ["c"])
+    assert len(calls) == 1
 
 
 def test_represent_at_validates_choice():
