@@ -24,7 +24,7 @@ from typing import Iterable, Sequence, Union
 
 from .errors import InvalidStepError, NotIsomorphicError
 
-# canonical_form materializes dense multiplicity vectors; refuse absurd spreads
+# canonical_form alone materializes dense multiplicity vectors; refuse absurd spreads
 _MAX_DENSE_MULTS = 5_000_000
 
 
@@ -182,31 +182,60 @@ def least_rotation_index(seq: Sequence[int]) -> int:
     return k
 
 
+def _class_form(a: ShiftedMatrixAlgebra) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The sparse invariant of a's graded isomorphism class, as (start, pairs).
+
+    Over K: start is the least shift, pairs the sorted (shift - start, count).
+    Over K[x^m]: each occupied residue is encoded as (-gap from the previous
+    occupied residue, count); pairs is the least rotation of that sequence,
+    which orders like the least rotation of the dense residue counts, and
+    start is the residue where its leading gap begins.
+    """
+    m = a.base.period
+    counts = Counter(a.shifts if m is None else (s % m for s in a.shifts))
+    keys = sorted(counts)
+    if m is None:
+        return keys[0], tuple((s - keys[0], counts[s]) for s in keys)
+    encoded = [(previous - r, counts[r]) for previous, r in zip([keys[-1] - m] + keys, keys)]
+    r = least_rotation_index(encoded)
+    return (keys[r - 1] + 1) % m, tuple(encoded[r:] + encoded[:r])
+
+
+def _nonzero_mults(a: ShiftedMatrixAlgebra) -> list[tuple[int, int]]:
+    """(position, count) for each nonzero entry of a's canonical multiplicity
+    vector, in increasing position."""
+    pairs = _class_form(a)[1]
+    if a.base.is_trivial:
+        return list(pairs)
+    out, position = [], -1
+    for neg_gap, count in pairs:
+        position -= neg_gap
+        out.append((position, count))
+    return out
+
+
 def canonical_form(a: ShiftedMatrixAlgebra) -> CanonicalForm:
-    """The canonical multiplicity form deciding graded isomorphism.
+    """The canonical multiplicity form, expanded from the sparse class form.
+
+    The one dense path: raises ValueError when the shift spread over K, or the
+    period, passes 5,000,000.  Isomorphism, summand keys and certificates have
+    no such limit.
 
     >>> str(canonical_form(ShiftedMatrixAlgebra.from_shifts(GradedBase.trivial(), (3, 1, 2, 1))))
     'trivial k=2 mults=(2,1,1)'
     >>> str(canonical_form(ShiftedMatrixAlgebra.from_shifts(GradedBase.laurent(2), (0, 1, 2))))
     'cyclic m=2 mults=(1,2)'
     """
-    if a.base.is_trivial:
-        low = min(a.shifts)
-        k = max(a.shifts) - low
-        if k > _MAX_DENSE_MULTS:
-            raise ValueError("shift spread too large to materialize a multiplicity vector")
-        counts = [0] * (k + 1)
-        for s in a.shifts:
-            counts[s - low] += 1
-        return TrivialForm(k, tuple(counts))
-    m = a.base.period
-    if m > _MAX_DENSE_MULTS:
-        raise ValueError("period too large to materialize a multiplicity vector")
-    counts = [0] * m
-    for s in a.shifts:
-        counts[s % m] += 1
-    r = least_rotation_index(counts)
-    return CyclicForm(m, tuple(counts[r:] + counts[:r]))
+    trivial = a.base.is_trivial
+    nonzero = _nonzero_mults(a)
+    size = nonzero[-1][0] + 1 if trivial else a.base.period
+    if size > _MAX_DENSE_MULTS:
+        what = "shift spread" if trivial else "period"
+        raise ValueError(f"{what} too large to materialize a multiplicity vector")
+    counts = [0] * size
+    for position, count in nonzero:
+        counts[position] = count
+    return TrivialForm(size - 1, tuple(counts)) if trivial else CyclicForm(size, tuple(counts))
 
 
 # --- certificate steps ---
@@ -258,30 +287,27 @@ def _check_step(step: Step, n: int, base: GradedBase, target: str):
         raise TypeError(f"not a certificate step: {step!r}")
 
 
-def apply_step(shifts: Sequence[int], step: Step, base: GradedBase) -> tuple[int, ...]:
-    """Act on a shift list by one elementary move.
+def apply_certificate(shifts: Sequence[int], steps: Iterable[Step], base: GradedBase) -> tuple[int, ...]:
+    """Act on a shift list by a sequence of elementary moves, validating each
+    step before it acts; an EntryShift costs O(1).
 
-    >>> apply_step((0, 1, 1), GlobalShift(1), GradedBase.laurent(2))
+    >>> apply_certificate((0, 1, 1), (GlobalShift(1),), GradedBase.laurent(2))
     (1, 2, 2)
-    >>> apply_step((1, 2, 2), EntryShift(3, -2), GradedBase.laurent(2))
+    >>> apply_certificate((0, 1, 1), (GlobalShift(1), EntryShift(3, -2)), GradedBase.laurent(2))
     (1, 2, 0)
     """
-    shifts = tuple(shifts)
-    _check_step(step, len(shifts), base, f"{len(shifts)} shifts")
-    if isinstance(step, Permute):
-        return tuple(shifts[i - 1] for i in step.image)
-    if isinstance(step, GlobalShift):
-        return tuple(s + step.delta for s in shifts)
-    out = list(shifts)
-    out[step.index - 1] += step.delta
-    return tuple(out)
-
-
-def apply_certificate(shifts: Sequence[int], steps: Iterable[Step], base: GradedBase) -> tuple[int, ...]:
-    cur = tuple(shifts)
+    cur = list(shifts)
+    n = len(cur)
+    target = f"{n} shifts"
     for step in steps:
-        cur = apply_step(cur, step, base)
-    return cur
+        _check_step(step, n, base, target)
+        if isinstance(step, Permute):
+            cur = [cur[i - 1] for i in step.image]
+        elif isinstance(step, GlobalShift):
+            cur = [s + step.delta for s in cur]
+        else:
+            cur[step.index - 1] += step.delta
+    return tuple(cur)
 
 
 def inverse_step(step: Step) -> Step:
@@ -301,18 +327,9 @@ def inverse_step(step: Step) -> Step:
 
 
 def is_graded_isomorphic(a: ShiftedMatrixAlgebra, b: ShiftedMatrixAlgebra) -> bool:
-    """True iff the two algebras are graded isomorphic.
-
-    Same base and size are necessary; then canonical forms decide.  Over K the
-    comparison avoids materializing the dense form, which matters for widely
-    spread shifts.
-    """
-    if a.base != b.base or a.n != b.n:
-        return False
-    if a.base.is_trivial:
-        la, lb = min(a.shifts), min(b.shifts)
-        return sorted(s - la for s in a.shifts) == sorted(s - lb for s in b.shifts)
-    return canonical_form(a) == canonical_form(b)
+    """True iff the two algebras are graded isomorphic: same base, same size
+    and same sparse class form."""
+    return summand_key(a) == summand_key(b)
 
 
 def _matching_image(source: Sequence[int], target: Sequence[int]) -> tuple[int, ...]:
@@ -325,59 +342,35 @@ def _matching_image(source: Sequence[int], target: Sequence[int]) -> tuple[int, 
 
 
 def iso_certificate(a: ShiftedMatrixAlgebra, b: ShiftedMatrixAlgebra) -> list[Step]:
-    """A step sequence carrying a.shifts exactly to b.shifts.
-
-    Both sides are normalized to canonical order and one normalization is
-    composed with the inverse of the other; no-op steps are dropped.  Raises
-    NotIsomorphicError when no certificate exists.
+    """A step sequence carrying a.shifts exactly to b.shifts, of at most n+2
+    steps: a GlobalShift that aligns the class forms' starts (modulo the
+    period over a Laurent base), one Permute that matches shifts (residues
+    over a Laurent base), then an EntryShift for each remaining nonzero gap.
+    No-op steps are dropped, so over K it is at most [GlobalShift, Permute].
+    Raises NotIsomorphicError when no certificate exists.
     """
     if not is_graded_isomorphic(a, b):
         raise NotIsomorphicError(f"{a} and {b} are not graded isomorphic")
-    if a.shifts == b.shifts:
-        return []
-    base = a.base
-    steps: list[Step] = []
-    cur = tuple(a.shifts)
-
-    def push(step: Step):
-        nonlocal cur
-        if isinstance(step, GlobalShift) and step.delta == 0:
-            return
-        if isinstance(step, EntryShift) and step.delta == 0:
-            return
-        if isinstance(step, Permute) and step.image == tuple(range(1, len(cur) + 1)):
-            return
-        steps.append(step)
-        cur = apply_step(cur, step, base)
-
-    if base.is_trivial:
-        push(GlobalShift(min(b.shifts) - min(a.shifts)))
-        push(Permute(_matching_image(cur, b.shifts)))
-    else:
-        m = base.period
-        for i, s in enumerate(cur, 1):
-            push(EntryShift(i, (s % m) - s))
-        target_residues = Counter(s % m for s in b.shifts)
-        rotation = next(
-            k for k in range(m) if Counter((s + k) % m for s in cur) == target_residues
-        )
-        push(GlobalShift(rotation))
-        for i, s in enumerate(tuple(cur), 1):
-            push(EntryShift(i, (s % m) - s))
-        push(Permute(_matching_image(cur, tuple(s % m for s in b.shifts))))
-        for i, (s, t) in enumerate(zip(tuple(cur), b.shifts), 1):
-            push(EntryShift(i, t - s))
-    if cur != tuple(b.shifts):
+    m = a.base.period
+    # GlobalShift and Permute match shifts over K, residues over K[x^m]
+    reduce = (lambda s: s) if m is None else (lambda s: s % m)
+    delta = reduce(_class_form(b)[0] - _class_form(a)[0])
+    moved = [s + delta for s in a.shifts]
+    image = _matching_image([reduce(s) for s in moved], [reduce(t) for t in b.shifts])
+    placed = [moved[i - 1] for i in image]
+    steps: list[Step] = [GlobalShift(delta)] if delta else []
+    if image != tuple(range(1, a.n + 1)):
+        steps.append(Permute(image))
+    steps.extend(EntryShift(i, t - s) for i, (s, t) in enumerate(zip(placed, b.shifts), 1) if t != s)
+    if apply_certificate(a.shifts, steps, a.base) != b.shifts:
         raise AssertionError("certificate construction failed to land on the target shifts")
     return steps
 
 
 def summand_key(a: ShiftedMatrixAlgebra):
-    """A total-order key constant on graded isomorphism classes."""
-    form = canonical_form(a)
-    if isinstance(form, TrivialForm):
-        return (0, 0, a.n, form.k, form.mults)
-    return (1, form.period, a.n, 0, form.mults)
+    """A total-order key constant on graded isomorphism classes:
+    (period or 0, n, the class form's pairs)."""
+    return (a.base.period or 0, a.n, _class_form(a)[1])
 
 
 def direct_sum_iso(r: DirectSumAlgebra, s: DirectSumAlgebra) -> bool:

@@ -9,13 +9,13 @@ disjoint union of the witness graphs.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .algebras import (
     CyclicForm,
     DirectSumAlgebra,
     ShiftedMatrixAlgebra,
+    _class_form,
     canonical_form,
 )
 from .errors import NotRealizableError
@@ -64,15 +64,13 @@ def is_realizable(a: ShiftedMatrixAlgebra) -> Verdict:
     Depends only on the graded isomorphism class of `a`.
     """
     if a.base.is_trivial:
-        low = min(a.shifts)
-        reduced = sorted(s - low for s in a.shifts)
-        counts = Counter(reduced)
-        if counts[0] != 1:
+        # (reduced shift, count) pairs in increasing order, starting at 0
+        pairs = _class_form(a)[1]
+        if pairs[0][1] != 1:
             return Verdict(
-                False, 0, f"l_0 = {counts[0]}, but only the trivial path has length 0"
+                False, 0, f"l_0 = {pairs[0][1]}, but only the trivial path has length 0"
             )
-        previous = 0
-        for value in sorted(counts):
+        for (previous, _), (value, _) in zip(pairs, pairs[1:]):
             if value > previous + 1:
                 return Verdict(
                     False,
@@ -80,7 +78,6 @@ def is_realizable(a: ShiftedMatrixAlgebra) -> Verdict:
                     f"l_{previous + 1} = 0: a path of length {value} to the sink"
                     f" forces one of length {previous + 1}",
                 )
-            previous = value
         return Verdict(True)
     m = a.base.period
     present = {s % m for s in a.shifts}

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 
 from gradedlpa import (
+    CyclicForm,
     DirectedGraph,
     EntryShift,
     GlobalShift,
@@ -21,6 +22,7 @@ from gradedlpa import (
     LaurentElement,
     Permute,
     ShiftedMatrixAlgebra,
+    TrivialForm,
     find_cycles,
 )
 
@@ -30,6 +32,23 @@ def naive_least_rotation(seq):
     seq = tuple(seq)
     n = len(seq)
     return min(range(n), key=lambda i: seq[i:] + seq[:i])
+
+
+def naive_canonical_form(a: ShiftedMatrixAlgebra):
+    """canonical_form by its definition: dense counts of the shifts less the
+    least one over K, of the residues over K[x^m] taken at their least
+    rotation by explicit slicing."""
+    if a.base.is_trivial:
+        low = min(a.shifts)
+        counts = [0] * (max(a.shifts) - low + 1)
+        for s in a.shifts:
+            counts[s - low] += 1
+        return TrivialForm(len(counts) - 1, tuple(counts))
+    m = a.base.period
+    counts = [0] * m
+    for s in a.shifts:
+        counts[s % m] += 1
+    return CyclicForm(m, min(tuple(counts[i:] + counts[:i]) for i in range(m)))
 
 
 def brute_scc(g: DirectedGraph):

@@ -29,7 +29,6 @@ from gradedlpa import (
     ShiftedMatrixAlgebra,
     TrivialForm,
     apply_certificate,
-    apply_step,
     build_cycle_tail,
     build_line,
     canonical_form,
@@ -82,7 +81,7 @@ def test_criterion_1_worked_comet_example(capsys):
         cert = iso_certificate(at_u, at_v)
         shifts = at_u.shifts
         for step in cert:
-            shifts = apply_step(shifts, step, at_u.base)
+            shifts = apply_certificate(shifts, (step,), at_u.base)
         assert shifts == at_v.shifts
 
         rng = random.Random(1001)

@@ -2,9 +2,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     WindowExceededError,
+    naive_canonical_form,
     naive_least_rotation,
     oracle_iso,
     random_base,
@@ -23,7 +26,6 @@ from gradedlpa import (
     ShiftedMatrixAlgebra,
     TrivialForm,
     apply_certificate,
-    apply_step,
     canonical_form,
     direct_sum_iso,
     inverse_step,
@@ -130,6 +132,38 @@ def test_canonical_form_cyclic_rotation():
     assert form.mults == (0, 1, 2, 1)
 
 
+@st.composite
+def same_size_pairs(draw):
+    """Two algebras over one base (K or K[x^m], m <= 12) with n <= 8 shifts;
+    in about half the pairs the second is the first carried by random moves."""
+    base = draw(st.one_of(st.just(K), st.integers(1, 12).map(L)))
+    n = draw(st.integers(1, 8))
+    shifts = st.lists(st.integers(-40, 40), min_size=n, max_size=n)
+    a = alg(base, *draw(shifts))
+    if not draw(st.booleans()):
+        return a, alg(base, *draw(shifts))
+    moved = draw(st.permutations(a.shifts))
+    if base.is_laurent:
+        moved = [s + base.period * draw(st.integers(-3, 3)) for s in moved]
+    delta = draw(st.integers(-40, 40))
+    return a, alg(base, *(s + delta for s in moved))
+
+
+@settings(max_examples=600, deadline=None)
+@given(same_size_pairs())
+def test_sparse_class_form_matches_dense_definition(pair):
+    a, b = pair
+    assert canonical_form(a) == naive_canonical_form(a)
+    assert canonical_form(b) == naive_canonical_form(b)
+    iso = naive_canonical_form(a) == naive_canonical_form(b)
+    assert is_graded_isomorphic(a, b) == iso
+    assert (summand_key(a) == summand_key(b)) == iso
+    if iso:
+        cert = iso_certificate(a, b)
+        assert len(cert) <= a.n + 2
+        assert apply_certificate(a.shifts, cert, a.base) == b.shifts
+
+
 def test_canonical_form_dense_guard():
     with pytest.raises(ValueError):
         canonical_form(alg(K, 0, 2**31))
@@ -139,28 +173,28 @@ def test_canonical_form_dense_guard():
 
 def test_apply_step_permute():
     # new shifts read through the image: new[i] = old[image[i]]
-    assert apply_step((10, 20, 30), Permute((2, 3, 1)), K) == (20, 30, 10)
+    assert apply_certificate((10, 20, 30), (Permute((2, 3, 1)),), K) == (20, 30, 10)
     with pytest.raises(InvalidStepError):
-        apply_step((0, 1), Permute((1, 2, 3)), K)
+        apply_certificate((0, 1), (Permute((1, 2, 3)),), K)
     with pytest.raises(ValueError):
         Permute((1, 1, 2))
 
 
 def test_apply_step_global_shift():
-    assert apply_step((0, 1, 1), GlobalShift(1), L(2)) == (1, 2, 2)
-    assert apply_step((5,), GlobalShift(-7), K) == (-2,)
+    assert apply_certificate((0, 1, 1), (GlobalShift(1),), L(2)) == (1, 2, 2)
+    assert apply_certificate((5,), (GlobalShift(-7),), K) == (-2,)
 
 
 def test_apply_step_entry_shift():
-    assert apply_step((1, 2, 2), EntryShift(3, -2), L(2)) == (1, 2, 0)
+    assert apply_certificate((1, 2, 2), (EntryShift(3, -2),), L(2)) == (1, 2, 0)
     with pytest.raises(InvalidStepError):
-        apply_step((0, 1), EntryShift(1, 2), K)
+        apply_certificate((0, 1), (EntryShift(1, 2),), K)
     with pytest.raises(InvalidStepError):
-        apply_step((0, 1), EntryShift(1, 3), L(2))
+        apply_certificate((0, 1), (EntryShift(1, 3),), L(2))
     with pytest.raises(InvalidStepError):
-        apply_step((0, 1), EntryShift(3, 2), L(2))
+        apply_certificate((0, 1), (EntryShift(3, 2),), L(2))
     with pytest.raises(TypeError):
-        apply_step((0, 1), "G 1", L(2))
+        apply_certificate((0, 1), ("G 1",), L(2))
     with pytest.raises(ValueError):
         EntryShift(0, 2)
 
@@ -172,8 +206,8 @@ def test_inverse_step_round_trip():
         n = rng.randint(1, 5)
         shifts = tuple(rng.randint(-6, 6) for _ in range(n))
         for step in random_certificate(rng, base, n, length=4):
-            forward = apply_step(shifts, step, base)
-            assert apply_step(forward, inverse_step(step), base) == shifts
+            forward = apply_certificate(shifts, (step,), base)
+            assert apply_certificate(forward, (inverse_step(step),), base) == shifts
 
 
 def test_is_graded_isomorphic_examples():
@@ -191,6 +225,14 @@ def test_is_graded_isomorphic_large_trivial_shifts():
     assert not is_graded_isomorphic(alg(K, 0, big), alg(K, 0, big - 1))
 
 
+def test_is_graded_isomorphic_huge_period():
+    m = 10_000_000
+    assert is_graded_isomorphic(alg(L(m), 0), alg(L(m), 5))
+    assert is_graded_isomorphic(alg(L(m), 0, 3, 3), alg(L(m), 5 + 4 * m, 8, 8 - m))
+    assert not is_graded_isomorphic(alg(L(m), 0, 3, 3), alg(L(m), 0, 0, 3))
+    assert not is_graded_isomorphic(alg(L(m), 0, 3), alg(L(m), 0, 4))
+
+
 def test_iso_certificate_on_scrambled_pairs():
     rng = random.Random(13)
     for _ in range(400):
@@ -206,6 +248,22 @@ def test_iso_certificate_trivial_is_shift_then_permute():
     assert cert == [GlobalShift(1)]
     cert = iso_certificate(alg(K, 2, 0), alg(K, 1, 3))
     assert apply_certificate((2, 0), cert, K) == (1, 3)
+
+
+def test_iso_certificate_large_period_half_rotation():
+    # residues moved by about m/2 and shifts far from their residues: one
+    # GlobalShift by the offset, one Permute, and at most n EntryShifts
+    m, n = 100_000, 60
+    rng = random.Random(29)
+    source = [rng.randrange(m) + m * rng.randint(-50, 50) for _ in range(n)]
+    offset = m // 2 + 3
+    target = [s + offset + m * rng.randint(-50, 50) for s in source]
+    rng.shuffle(target)
+    a, b = alg(L(m), *source), alg(L(m), *target)
+    cert = iso_certificate(a, b)
+    assert cert[0] == GlobalShift(offset)
+    assert len(cert) <= n + 2
+    assert apply_certificate(a.shifts, cert, a.base) == b.shifts
 
 
 def test_iso_certificate_identical_inputs_is_empty():
@@ -252,6 +310,13 @@ def test_direct_sum_iso_example():
     assert not direct_sum_iso(
         DirectSumAlgebra((alg(K, 0, 1),)), DirectSumAlgebra((alg(L(1), 0, 1),))
     )
+
+
+def test_direct_sum_iso_wide_trivial_spread():
+    wide = alg(K, 0, 2_000_000_000)
+    left = DirectSumAlgebra((wide, alg(K, 0)))
+    assert direct_sum_iso(left, DirectSumAlgebra((alg(K, 7), alg(K, -5, 1_999_999_995))))
+    assert not direct_sum_iso(left, DirectSumAlgebra((alg(K, 0), alg(K, 0, 2_000_000_001))))
 
 
 def test_direct_sum_iso_permuted_summands():

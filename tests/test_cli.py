@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from gradedlpa import GradedMatrix, cli
 from gradedlpa.cli import main
 
 COMET = "vertex t\nt -> u\nu -> v\nv -> u\n"
@@ -101,8 +102,28 @@ def test_iso_yes_with_certificate(capsys):
 def test_iso_no(capsys):
     assert main(["iso", "M2(K)(0,1)", "M2(K)(0,2)"]) == 1
     out = capsys.readouterr().out
-    assert out.startswith("no\n")
-    assert "reason: canonical forms differ" in out
+    assert out == "no\nreason: canonical forms differ: trivial k=1 mults=(1,1) vs trivial k=2 mults=(1,0,1)\n"
+
+
+def test_iso_no_past_the_dense_limit(capsys):
+    assert main(["iso", "M2(K)(0,2000000000)", "M2(K)(0,1)"]) == 1
+    out = capsys.readouterr().out
+    assert out == (
+        "no\nreason: canonical forms differ: trivial k=2000000000 mults={0:1,2000000000:1}"
+        " vs trivial k=1 mults=(1,1)\n"
+    )
+    assert main(["iso", "M2(K[x^10000000])(0,1)", "M2(K[x^10000000])(0,2)"]) == 1
+    assert "cyclic m=10000000 mults={9999998:1,9999999:1} vs" in capsys.readouterr().out
+
+
+def test_iso_yes_past_the_dense_limit(capsys):
+    wide = "M2(K)(0,2000000000)"
+    assert main(["iso", f"{wide} (+) M1(K)(0)", f"M1(K)(0) (+) {wide}"]) == 0
+    assert main(["iso", "M1(K[x^10000000])(0)", "M1(K[x^10000000])(5)"]) == 0
+    assert capsys.readouterr().out == "yes\nyes\n"
+    # the dense display keeps its documented limit
+    assert main(["canonical", wide]) == 2
+    assert "shift spread too large" in capsys.readouterr().err
 
 
 def test_iso_base_mismatch(capsys):
@@ -133,6 +154,23 @@ def test_verify_cert(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "verified"
     assert main(["verify-cert", "M3(K[x^2])(0,1,1)", "M3(K[x^2])(0,1,4)", str(cert)]) == 1
     assert "reason:" in capsys.readouterr().out
+
+
+def test_verify_cert_rejects_a_step_that_moves_a_component(tmp_path, monkeypatch, capsys):
+    # a forged conjugation that transposes the true result: on M2(K)(0,1)
+    # the degree set {-1, 0, 1} survives, but the components of degree -1
+    # and 1 trade places
+    real = cli.conjugate_by_step
+
+    def transposed(matrix, step):
+        out = real(matrix, step)
+        return GradedMatrix(out.base, out.shifts, tuple(zip(*out.entries)))
+
+    monkeypatch.setattr(cli, "conjugate_by_step", transposed)
+    cert = tmp_path / "c.cert"
+    cert.write_text("G 1\n")
+    assert main(["verify-cert", "M2(K)(0,1)", "M2(K)(1,2)", str(cert)]) == 1
+    assert "reason: a step moved a homogeneous component off its degree" in capsys.readouterr().out
 
 
 def test_verify_cert_invalid_step(tmp_path, capsys):
