@@ -141,8 +141,12 @@ class CyclicForm:
             raise ValueError("mults must list l_0..l_{m-1}")
         if any(c < 0 for c in self.mults) or sum(self.mults) < 1:
             raise ValueError("counts must be nonnegative and not all zero")
-        r = least_rotation_index(self.mults)
-        if r != 0:
+        # the dense vector is at its least rotation iff it ends in a nonzero count
+        # and its gap encoding, from its first occupied residue, is at its own
+        occupied = [r for r, c in enumerate(self.mults) if c]
+        encoded = _gap_encoding(occupied, self.mults, self.period)
+        r = least_rotation_index(encoded)
+        if self.mults[-1] == 0 or encoded[r:] + encoded[:r] != encoded:
             raise ValueError("mults must be stored at their least rotation")
 
     def __str__(self):
@@ -182,6 +186,12 @@ def least_rotation_index(seq: Sequence[int]) -> int:
     return k
 
 
+def _gap_encoding(occupied: list[int], counts, m: int) -> list[tuple[int, int]]:
+    """(-gap from the previous occupied residue, count) for each residue in
+    the ascending list `occupied`, cyclically modulo m."""
+    return [(previous - r, counts[r]) for previous, r in zip([occupied[-1] - m] + occupied, occupied)]
+
+
 def _class_form(a: ShiftedMatrixAlgebra) -> tuple[int, tuple[tuple[int, int], ...]]:
     """The sparse invariant of a's graded isomorphism class, as (start, pairs).
 
@@ -196,7 +206,7 @@ def _class_form(a: ShiftedMatrixAlgebra) -> tuple[int, tuple[tuple[int, int], ..
     keys = sorted(counts)
     if m is None:
         return keys[0], tuple((s - keys[0], counts[s]) for s in keys)
-    encoded = [(previous - r, counts[r]) for previous, r in zip([keys[-1] - m] + keys, keys)]
+    encoded = _gap_encoding(keys, counts, m)
     r = least_rotation_index(encoded)
     return (keys[r - 1] + 1) % m, tuple(encoded[r:] + encoded[:r])
 

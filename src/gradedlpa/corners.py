@@ -11,16 +11,15 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .algebras import DirectSumAlgebra, ShiftedMatrixAlgebra
+from .algebras import DirectSumAlgebra, GradedBase, ShiftedMatrixAlgebra
 from .errors import (
     EmptyIndexSetError,
     IndexOutOfRangeError,
     UnknownVertexError,
     ZeroCornerError,
 )
-from .graphs import DirectedGraph
+from .graphs import DirectedGraph, _summand_counts
 from .realize import SumVerdict, is_realizable_sum
-from .represent import represent
 
 
 def corner_by_indices(a: ShiftedMatrixAlgebra, idx: Iterable[int]) -> ShiftedMatrixAlgebra:
@@ -39,17 +38,25 @@ def corner_by_vertices(g: DirectedGraph, vs: Iterable[str]) -> DirectSumAlgebra:
 
     Keeps, in each summand, the path indices whose source lies in vs; summands
     left with no paths are dropped.
+
+    >>> line = DirectedGraph.from_edges([("u", "v"), ("v", "w")])
+    >>> str(corner_by_vertices(line, ["u", "w"]))
+    'M2(K)(0,2)'
     """
     chosen = set(vs)
-    report = represent(g)
+    tables = _summand_counts(g, {})
     unknown = chosen - set(g.vertices)
     if unknown:
         raise UnknownVertexError(f"unknown vertices: {sorted(unknown)}")
     summands = []
-    for summand, prov in zip(report.sum.summands, report.provenance):
-        kept = [i for i, (source, _) in enumerate(prov.paths, 1) if source in chosen]
-        if kept:
-            summands.append(corner_by_indices(summand, kept))
+    for cycle, _, table in tables:
+        shifts: list[int] = []
+        for length, source, count in table:
+            if source in chosen:
+                shifts += [length] * count
+        if shifts:
+            base = GradedBase.trivial() if cycle is None else GradedBase.laurent(cycle.length)
+            summands.append(ShiftedMatrixAlgebra.from_shifts(base, shifts))
     if not summands:
         raise ZeroCornerError("no path in any summand starts in the chosen vertex set")
     return DirectSumAlgebra(tuple(summands))

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
+    EmptyGraphError,
     NotASinkError,
     NotNoExitError,
     TooManyCyclesError,
@@ -363,26 +364,76 @@ def classify(g: DirectedGraph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> GraphClass
     )
 
 
-def _collect_levels(g: DirectedGraph, start: str, blocked_source: str | None, bound: int):
-    """Breadth-first reverse walk from `start`; one frontier entry per path.
+def _path_counts(g: DirectedGraph, end: str, cycle: CycleDescriptor | None = None):
+    """The paths of g ending at `end`, counted per (length, source).
 
-    Entries whose extending edge would start at `blocked_source` are dropped.
+    Returns (length, source, count) triples ascending by length, then source.
+    With `cycle`, counts only the paths not containing it: those never extend
+    backward through `end`.  A dynamic program over reversed edges: each level
+    maps a vertex to its number of paths of that length, and an in-edge adds
+    that number once, so parallel edges count once per path.  Costs one entry
+    per (vertex, length) pair, not one per path.  Raises NotNoExitError when a
+    path outgrows the no-exit bound.
+
+    A chain of two diamonds x -> {p, q} -> y -> {r, s} -> z:
+
+    >>> g = DirectedGraph.from_edges([("x", "p"), ("x", "q"), ("p", "y"), ("q", "y"),
+    ...                               ("y", "r"), ("y", "s"), ("r", "z"), ("s", "z")])
+    >>> _path_counts(g, "z")
+    [(0, 'z', 1), (1, 'r', 1), (1, 's', 1), (2, 'y', 2), (3, 'p', 2), (3, 'q', 2), (4, 'x', 4)]
     """
-    result: list[tuple[str, int]] = []
-    level = [start]
+    blocked = None if cycle is None else end
+    # no cycle vertex reaches a sink in a no-exit graph, and a path avoiding a
+    # cycle enters it at most once, so every counted path is this short
+    bound = len(g.vertices) + (0 if cycle is None else cycle.length)
+    table: list[tuple[int, str, int]] = []
+    level = {end: 1}
     length = 0
     while level:
-        result.extend((v, length) for v in sorted(level))
+        table.extend((length, v, level[v]) for v in sorted(level))
         length += 1
         if length > bound:
             raise NotNoExitError("path enumeration did not terminate; graph is not no-exit")
-        level = [
-            e.source
-            for v in level
-            for e in g.in_edges(v)
-            if e.source != blocked_source
-        ]
-    return result
+        nxt: dict[str, int] = {}
+        for v, count in level.items():
+            for e in g._in[v]:
+                if e.source != blocked:
+                    nxt[e.source] = nxt.get(e.source, 0) + count
+        level = nxt
+    return table
+
+
+def _expand(table) -> list[tuple[str, int]]:
+    """One (source, length) pair per path counted in a _path_counts table."""
+    paths: list[tuple[str, int]] = []
+    for length, source, count in table:
+        paths += [(source, length)] * count
+    return paths
+
+
+def _summand_counts(g: DirectedGraph, base_choice: Mapping[CycleDescriptor, str]):
+    """The path counts behind each summand of g's representation.
+
+    Returns (cycle, vertex, table) per summand: sinks first, with cycle None
+    and the sink as vertex, then cycles, with their base vertex from
+    `base_choice` or else their smallest vertex.  Raises EmptyGraphError,
+    NotNoExitError, ValueError for a choice keyed by a foreign cycle, then
+    VertexNotOnCycleError, in that order.
+    """
+    if not g.vertices:
+        raise EmptyGraphError("the graph has no vertices")
+    _require_no_exit(g)
+    _, sinks, cycles = g._analysis
+    known = set(cycles)
+    for key in base_choice:
+        if key not in known:
+            raise ValueError(f"base choice keyed by a cycle not in this graph: {key}")
+    out = [(None, sink, _path_counts(g, sink)) for sink in sinks]
+    for cycle in cycles:
+        base = base_choice.get(cycle, cycle.vertices[0])
+        _require_on_cycle(cycle, base)
+        out.append((cycle, base, _path_counts(g, base, cycle)))
+    return out
 
 
 def paths_to_sink(g: DirectedGraph, sink: str) -> list[tuple[str, int]]:
@@ -395,9 +446,7 @@ def paths_to_sink(g: DirectedGraph, sink: str) -> list[tuple[str, int]]:
     _require_no_exit(g)
     if g.out_degree(sink) != 0:
         raise NotASinkError(f"vertex {sink!r} emits edges")
-    # no cycle vertex reaches a sink in a no-exit graph, so every path here is
-    # simple and len(vertices) bounds the walk
-    return _collect_levels(g, sink, None, len(g.vertices))
+    return _expand(_path_counts(g, sink))
 
 
 def paths_to_cycle_vertex(
@@ -411,9 +460,13 @@ def paths_to_cycle_vertex(
     """
     _require_no_exit(g)
     _validate_cycle(g, cycle)
+    _require_on_cycle(cycle, base)
+    return _expand(_path_counts(g, base, cycle))
+
+
+def _require_on_cycle(cycle: CycleDescriptor, base: str):
     if base not in cycle.vertices:
         raise VertexNotOnCycleError(f"vertex {base!r} is not on the cycle {cycle.vertices}")
-    return _collect_levels(g, base, base, len(g.vertices) + cycle.length)
 
 
 def _validate_cycle(g: DirectedGraph, cycle: CycleDescriptor):

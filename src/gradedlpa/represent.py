@@ -14,14 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .algebras import DirectSumAlgebra, GradedBase, ShiftedMatrixAlgebra
-from .errors import EmptyGraphError
-from .graphs import (
-    CycleDescriptor,
-    DirectedGraph,
-    _require_no_exit,
-    paths_to_cycle_vertex,
-    paths_to_sink,
-)
+from .graphs import CycleDescriptor, DirectedGraph, _expand, _summand_counts
 
 
 @dataclass(frozen=True)
@@ -59,7 +52,13 @@ class RepresentationReport:
 
 
 def represent(g: DirectedGraph) -> RepresentationReport:
-    """Representation with default base vertices (smallest vertex per cycle)."""
+    """Representation with default base vertices (smallest vertex per cycle).
+
+    >>> comet = DirectedGraph.from_edges([("t", "u"), ("u", "v"), ("v", "u")])
+    >>> rep = represent(comet)
+    >>> str(rep.sum), rep.provenance[0].paths
+    ('M3(K[x^2])(0,1,1)', (('u', 0), ('t', 1), ('v', 1)))
+    """
     return represent_at(g, {})
 
 
@@ -71,28 +70,11 @@ def represent_at(
     Keys of `base_choice` must be cycles of g; any cycle not mentioned uses
     its lexicographically smallest vertex.
     """
-    if not g.vertices:
-        raise EmptyGraphError("the graph has no vertices")
-    _require_no_exit(g)
-    _, sinks, cycles = g._analysis
-    known = set(cycles)
-    for key in base_choice:
-        if key not in known:
-            raise ValueError(f"base choice keyed by a cycle not in this graph: {key}")
-
     summands: list[ShiftedMatrixAlgebra] = []
     provenance: list[Provenance] = []
-    for sink in sinks:
-        paths = tuple(paths_to_sink(g, sink))
-        summands.append(
-            ShiftedMatrixAlgebra.from_shifts(GradedBase.trivial(), (l for _, l in paths))
-        )
-        provenance.append(SinkSummand(sink, paths))
-    for cycle in cycles:
-        base = base_choice.get(cycle, cycle.vertices[0])
-        paths = tuple(paths_to_cycle_vertex(g, cycle, base))
-        summands.append(
-            ShiftedMatrixAlgebra.from_shifts(GradedBase.laurent(cycle.length), (l for _, l in paths))
-        )
-        provenance.append(CycleSummand(cycle, base, paths))
+    for cycle, vertex, table in _summand_counts(g, base_choice):
+        paths = tuple(_expand(table))
+        base = GradedBase.trivial() if cycle is None else GradedBase.laurent(cycle.length)
+        summands.append(ShiftedMatrixAlgebra.from_shifts(base, (l for _, l in paths)))
+        provenance.append(SinkSummand(vertex, paths) if cycle is None else CycleSummand(cycle, vertex, paths))
     return RepresentationReport(DirectSumAlgebra(tuple(summands)), tuple(provenance))

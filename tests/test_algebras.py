@@ -102,6 +102,22 @@ def test_form_validation():
         CyclicForm(3, (0, 1))
 
 
+def test_cyclic_form_validation_matches_naive_least_rotation():
+    # every residue vector with period <= 7 and counts <= 2
+    checked = 0
+    for m in range(1, 8):
+        for mults in itertools.product(range(3), repeat=m):
+            if not any(mults):
+                continue
+            checked += 1
+            if naive_least_rotation(mults) == 0:
+                assert CyclicForm(m, mults).mults == mults
+            else:
+                with pytest.raises(ValueError, match="least rotation"):
+                    CyclicForm(m, mults)
+    assert checked == 3272
+
+
 def test_canonical_form_trivial():
     form = canonical_form(alg(K, 3, 1, 2, 1))
     assert isinstance(form, TrivialForm)

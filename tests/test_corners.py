@@ -5,9 +5,11 @@ import pytest
 from conftest import random_no_exit_graph
 from gradedlpa import (
     DirectedGraph,
+    EmptyGraphError,
     EmptyIndexSetError,
     GradedBase,
     IndexOutOfRangeError,
+    NotNoExitError,
     ShiftedMatrixAlgebra,
     UnknownVertexError,
     ZeroCornerError,
@@ -91,6 +93,18 @@ def test_corner_by_vertices_errors():
         corner_by_vertices(line_uvw(), ["u", "nope"])
     with pytest.raises(ZeroCornerError):
         corner_by_vertices(line_uvw(), [])
+
+
+def test_corner_by_vertices_error_order():
+    # the graph is checked before the vertex set, an unknown vertex before a zero corner
+    names = [f"v{i}" for i in range(8)]
+    k8 = DirectedGraph.from_edges([(x, y) for x in names for y in names if x != y])
+    with pytest.raises(NotNoExitError, match="cycle vertex 'v0' emits 7 edges"):
+        corner_by_vertices(k8, ["v0", "nope"])
+    with pytest.raises(EmptyGraphError):
+        corner_by_vertices(DirectedGraph((), ()), ["nope"])
+    with pytest.raises(UnknownVertexError):
+        corner_by_vertices(line_uvw(), ["nope"])
 
 
 def test_corner_drops_untouched_summands():

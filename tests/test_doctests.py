@@ -1,14 +1,29 @@
 import doctest
+import importlib
 
-import gradedlpa.algebras
-import gradedlpa.parsing
+
+def run_doctests(name):
+    # by import path: the package's `represent` attribute is the function
+    failures, attempted = doctest.testmod(importlib.import_module(f"gradedlpa.{name}"))
+    assert attempted > 0
+    assert failures == 0
 
 
 def test_algebras_doctests():
-    failures, _ = doctest.testmod(gradedlpa.algebras)
-    assert failures == 0
+    run_doctests("algebras")
 
 
 def test_parsing_doctests():
-    failures, _ = doctest.testmod(gradedlpa.parsing)
-    assert failures == 0
+    run_doctests("parsing")
+
+
+def test_graphs_doctests():
+    run_doctests("graphs")
+
+
+def test_represent_doctests():
+    run_doctests("represent")
+
+
+def test_corners_doctests():
+    run_doctests("corners")

@@ -29,6 +29,7 @@ from gradedlpa import (
     paths_to_sink,
     strongly_connected_components,
 )
+from gradedlpa.graphs import _path_counts
 
 
 def test_from_edges_order_and_auto_ids():
@@ -228,6 +229,20 @@ def test_path_enumeration_against_walk_oracle():
             for base in cycle.vertices:
                 got = sorted(paths_to_cycle_vertex(g, cycle, base))
                 assert got == naive_paths_to_cycle(g, cycle.edges, base)
+
+
+def test_path_counts_of_a_60_diamond_chain():
+    # j0 -> {a1, b1} -> j1 -> ... -> j60: 2^62 - 3 paths end at j60, counted
+    # in one table row per vertex
+    k = 60
+    edges = []
+    for i in range(1, k + 1):
+        edges += [(f"j{i-1}", f"a{i}"), (f"j{i-1}", f"b{i}"), (f"a{i}", f"j{i}"), (f"b{i}", f"j{i}")]
+    table = _path_counts(DirectedGraph.from_edges(edges), f"j{k}")
+    assert len(table) == 3 * k + 1
+    joins = {v: (length, count) for length, v, count in table if v.startswith("j")}
+    assert joins == {f"j{i}": (2 * (k - i), 2 ** (k - i)) for i in range(k + 1)}
+    assert sum(count for _, _, count in table) == 2**62 - 3
 
 
 def test_paths_sorted_by_length_then_source():

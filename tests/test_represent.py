@@ -1,18 +1,22 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gradedlpa.graphs
-from conftest import random_no_exit_graph
+from conftest import naive_paths_to_cycle, naive_paths_to_sink, random_no_exit_graph
 from gradedlpa import (
     DirectedGraph,
     EmptyGraphError,
     GradedBase,
     NotNoExitError,
     VertexNotOnCycleError,
+    ZeroCornerError,
     build_cycle_tail,
     build_line,
     classify,
+    corner_by_indices,
     corner_by_vertices,
     direct_sum_iso,
     paths_to_cycle_vertex,
@@ -201,3 +205,63 @@ def test_size_accounting():
         assert len(trivial) == len(info.sinks)
         assert len(laurent) == len(info.cycles)
         assert sum(a.n for a in rep.sum.summands) == sum(len(p.paths) for p in rep.provenance)
+
+
+@st.composite
+def no_exit_multigraphs(draw):
+    """Disjoint cycles, isolated sinks, then vertices whose out-edges run to
+    earlier vertices, repeats allowed, so parallel edges occur; names are
+    shuffled so that id order differs from construction order."""
+    cycle_lengths = draw(st.lists(st.integers(1, 3), min_size=0, max_size=3))
+    n_sinks = draw(st.integers(0 if cycle_lengths else 1, 3))
+    n_extra = draw(st.integers(0, 5))
+    n = sum(cycle_lengths) + n_sinks + n_extra
+    names = draw(st.permutations([f"w{i}" for i in range(n)]))
+    pairs, pool = [], []
+    for length in cycle_lengths:
+        cycle = [names[len(pool) + j] for j in range(length)]
+        pairs += [(cycle[j], cycle[(j + 1) % length]) for j in range(length)]
+        pool += cycle
+    pool += names[len(pool) : len(pool) + n_sinks]
+    for v in names[len(pool) :]:
+        targets = draw(st.lists(st.sampled_from(pool), max_size=3)) if pool else []
+        pairs += [(v, w) for w in targets]
+        pool.append(v)
+    return DirectedGraph.from_edges(pairs, isolated=names)
+
+
+def assert_matches_walk_oracle(g, report):
+    for summand, prov in zip(report.sum.summands, report.provenance):
+        if hasattr(prov, "sink"):
+            expected = naive_paths_to_sink(g, prov.sink)
+        else:
+            expected = naive_paths_to_cycle(g, prov.cycle.edges, prov.base_vertex)
+        assert list(prov.paths) == sorted(expected, key=lambda p: (p[1], p[0]))
+        assert summand.shifts == tuple(length for _, length in prov.paths)
+
+
+@settings(max_examples=300, deadline=None)
+@given(no_exit_multigraphs(), st.data())
+def test_counted_representation_matches_walk_oracle(g, data):
+    info = classify(g)
+    rep = represent(g)
+    assert [p.sink for p in rep.provenance[: len(info.sinks)]] == list(info.sinks)
+    assert [p.cycle for p in rep.provenance[len(info.sinks) :]] == list(info.cycles)
+    assert_matches_walk_oracle(g, rep)
+
+    choice = {c: data.draw(st.sampled_from(c.vertices)) for c in info.cycles}
+    at = represent_at(g, choice)
+    assert [p.base_vertex for p in at.provenance[len(info.sinks) :]] == [choice[c] for c in info.cycles]
+    assert_matches_walk_oracle(g, at)
+
+    vs = data.draw(st.sets(st.sampled_from(g.vertices)))
+    expected = []
+    for summand, prov in zip(rep.sum.summands, rep.provenance):
+        kept = [i for i, (source, _) in enumerate(prov.paths, 1) if source in vs]
+        if kept:
+            expected.append(corner_by_indices(summand, kept))
+    if expected:
+        assert list(corner_by_vertices(g, vs).summands) == expected
+    else:
+        with pytest.raises(ZeroCornerError):
+            corner_by_vertices(g, vs)
