@@ -6,15 +6,27 @@ Graph files hold one statement per line; '#' starts a comment.
     vertex <id>              declare an isolated vertex
     <src> -> <dst> [<id>]    declare an edge; unnamed edges get e1, e2, ...
 
+A line 'vertex -> ...' is an edge whose source is the vertex named 'vertex'.
+
 Algebra expressions follow
 
     sum      := summand ( "(+)" summand )*
     summand  := "M" nat "(" base ")" "(" shiftlist ")"
     base     := "K" | "K[x^" nat "]"
     shiftlist:= item ("," item)*       item := int | nat "(" int ")"
+    nat      := [0-9]+                 int  := ["+" | "-"] nat
 
 where nat "(" int ")" repeats a shift, so M9(K)(4(0),3(1),2(2)) means the
-shift list (0,0,0,0,1,1,1,2,2).  Whitespace is insignificant.
+shift list (0,0,0,0,1,1,1,2,2).  Digits are ASCII.  Whitespace may appear
+between any two tokens, but not inside a number or the separator "(+)".
+
+Certificate files hold one step per line; '#' starts a comment.
+
+    P <i_1> ... <i_n>        permute: new shift k is old shift i_k (1-based)
+    G <delta>                add delta to every shift
+    E <index> <delta>        add delta to one shift
+
+Every argument is an ASCII integer [+-]?[0-9]+.
 """
 
 from __future__ import annotations
@@ -74,8 +86,8 @@ def parse_graph(text: str) -> DirectedGraph:
         if not tokens:
             continue
         head, head_col = tokens[0]
-        if head == "vertex":
-            if len(tokens) < 2 or tokens[1][0] == "->":
+        if head == "vertex" and (len(tokens) == 1 or tokens[1][0] != "->"):
+            if len(tokens) == 1:
                 raise ParseError("expected a vertex id after 'vertex'", lineno, head_col + len(head))
             if len(tokens) > 2:
                 raise ParseError(f"unexpected {tokens[2][0]!r} after vertex declaration", lineno, tokens[2][1])
@@ -122,125 +134,9 @@ def format_graph(g: DirectedGraph) -> str:
 # --- algebra expressions ---
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, message: str, pos: int | None = None):
-        pos = self.pos if pos is None else pos
-        consumed = self.text[:pos]
-        line = consumed.count("\n") + 1
-        column = pos - (consumed.rfind("\n") + 1) + 1
-        raise ParseError(message, line, column)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def try_literal(self, literal: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(literal, self.pos):
-            self.pos += len(literal)
-            return True
-        return False
-
-    def expect(self, literal: str):
-        if not self.try_literal(literal):
-            self.error(f"expected {literal!r}")
-
-    def nat(self, what: str) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.error(f"expected {what}")
-        return int(self.text[start : self.pos])
-
-    def int_(self, what: str) -> int:
-        self.skip_ws()
-        sign = 1
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            sign = -1 if self.text[self.pos] == "-" else 1
-            self.pos += 1
-        return sign * self.nat(what)
-
-
-def _parse_base(s: _Scanner) -> GradedBase:
-    s.expect("K")
-    if not s.try_literal("["):
-        return GradedBase.trivial()
-    s.expect("x")
-    s.expect("^")
-    pos = s.pos
-    m = s.nat("a Laurent period")
-    if m < 1:
-        s.error("the Laurent period must be positive (m = 0 is not a grading)", pos)
-    s.expect("]")
-    return GradedBase.laurent(m)
-
-
-def _parse_shift(s: _Scanner, shifts: list[int]):
-    s.skip_ws()
-    start = s.pos
-    ch = s.peek()
-    if ch in "+-":
-        value = s.int_("a shift integer")
-        _check_shift(s, value, start)
-        shifts.append(value)
-        return
-    value = s.nat("a shift integer")
-    if s.peek() == "(":
-        s.expect("(")
-        if value < 1:
-            s.error("a shift multiplicity must be positive", start)
-        inner_start = s.pos
-        shift = s.int_("a shift integer")
-        _check_shift(s, shift, inner_start)
-        s.expect(")")
-        if len(shifts) + value > _MAX_SIZE:
-            s.error("shift list too long", start)
-        shifts.extend([shift] * value)
-        return
-    _check_shift(s, value, start)
-    shifts.append(value)
-
-
-def _check_shift(s: _Scanner, value: int, pos: int):
-    if abs(value) > _MAX_SHIFT:
-        s.error(f"shift magnitude exceeds 2^31", pos)
-
-
-def _parse_summand(s: _Scanner) -> ShiftedMatrixAlgebra:
-    s.expect("M")
-    pos = s.pos
-    n = s.nat("a matrix size")
-    if n < 1:
-        s.error("the matrix size must be positive", pos)
-    if n > _MAX_SIZE:
-        s.error("matrix size too large", pos)
-    s.expect("(")
-    base = _parse_base(s)
-    s.expect(")")
-    s.expect("(")
-    list_pos = s.pos
-    shifts: list[int] = []
-    _parse_shift(s, shifts)
-    while s.try_literal(","):
-        _parse_shift(s, shifts)
-    s.expect(")")
-    if len(shifts) != n:
-        s.error(f"summand declares n={n} but lists {len(shifts)} shifts", list_pos)
-    return ShiftedMatrixAlgebra(base, n, tuple(shifts))
+# One token at the cursor: a run of ASCII digits or any other single
+# character, after whitespace.  The empty token marks the end of the text.
+_TOKEN_RE = re.compile(r"\s*([0-9]+|\S?)")
 
 
 def parse_algebra(text: str) -> DirectSumAlgebra:
@@ -249,16 +145,107 @@ def parse_algebra(text: str) -> DirectSumAlgebra:
     >>> str(parse_algebra("M9(K)(4(0),3(1),2(2))").summands[0])
     'M9(K)(0,0,0,0,1,1,1,2,2)'
     """
-    s = _Scanner(text)
-    summands = [_parse_summand(s)]
-    while s.try_literal("(+)"):
-        summands.append(_parse_summand(s))
-    if not s.at_end():
-        s.error("unexpected trailing input")
+    match = _TOKEN_RE.match
+    tok, at, end = "", 0, 0  # the lookahead token, its start and its end
+
+    def advance():
+        nonlocal tok, at, end
+        m = match(text, end)
+        tok, at, end = m[1], m.start(1), m.end()
+
+    def fail(message, pos):
+        raise ParseError(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
+
+    def expect(literal):
+        if tok != literal:
+            fail(f"expected {literal!r}", at)
+        advance()
+
+    def nat(what):
+        if not "0" <= tok[:1] <= "9":
+            fail(f"expected {what}", at)
+        value = int(tok)
+        advance()
+        return value
+
+    def integer():
+        sign = tok
+        if sign == "+" or sign == "-":
+            advance()
+        value = nat("a shift integer")
+        return -value if sign == "-" else value
+
+    def checked(value, pos):
+        if abs(value) > _MAX_SHIFT:
+            fail("shift magnitude exceeds 2^31", pos)
+        return value
+
+    # Size, period and shift-count errors, and a repeated shift's magnitude,
+    # point just after the 'M', '^' or '(' before them; the others point at
+    # the token or the shift item they concern.
+    def summand():
+        size_pos = at + 1
+        expect("M")
+        n = nat("a matrix size")
+        if n < 1:
+            fail("the matrix size must be positive", size_pos)
+        if n > _MAX_SIZE:
+            fail("matrix size too large", size_pos)
+        expect("(")
+        expect("K")
+        base = GradedBase.trivial()
+        if tok == "[":
+            advance()
+            expect("x")
+            period_pos = at + 1
+            expect("^")
+            m = nat("a Laurent period")
+            if m < 1:
+                fail("the Laurent period must be positive (m = 0 is not a grading)", period_pos)
+            expect("]")
+            base = GradedBase.laurent(m)
+        expect(")")
+        list_pos = at + 1
+        expect("(")
+        shifts: list[int] = []
+        while True:
+            start = at
+            signed = tok == "+" or tok == "-"
+            value = integer()
+            if signed or tok != "(":
+                shifts.append(checked(value, start))
+            else:
+                inner_pos = at + 1
+                advance()
+                if value < 1:
+                    fail("a shift multiplicity must be positive", start)
+                repeated = checked(integer(), inner_pos)
+                expect(")")
+                if len(shifts) + value > _MAX_SIZE:
+                    fail("shift list too long", start)
+                shifts.extend([repeated] * value)
+            if tok != ",":
+                break
+            advance()
+        expect(")")
+        if len(shifts) != n:
+            fail(f"summand declares n={n} but lists {len(shifts)} shifts", list_pos)
+        return ShiftedMatrixAlgebra(base, n, tuple(shifts))
+
+    advance()
+    summands = [summand()]
+    while tok == "(" and text.startswith("(+)", at):
+        end = at + 3
+        advance()
+        summands.append(summand())
+    if tok:
+        fail("unexpected trailing input", at)
     return DirectSumAlgebra(tuple(summands))
 
 
 # --- certificates ---
+
+_INT_RE = re.compile(r"[+-]?[0-9]+")
 
 
 def format_certificate(steps) -> str:
@@ -284,12 +271,11 @@ def parse_certificate(text: str) -> list[Step]:
             continue
         fields = line.split()
         kind, args = fields[0], fields[1:]
+        if not all(map(_INT_RE.fullmatch, args)):
+            raise ParseError("certificate arguments must be integers", lineno, 1)
         try:
             numbers = [int(x) for x in args]
-        except ValueError:
-            raise ParseError("certificate arguments must be integers", lineno, 1) from None
-        try:
-            if kind == "P":
+            if kind == "P" and numbers:
                 steps.append(Permute(tuple(numbers)))
             elif kind == "G" and len(numbers) == 1:
                 steps.append(GlobalShift(numbers[0]))

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import settings
+
 from gradedlpa import (
     CyclicForm,
     DirectedGraph,
@@ -25,6 +27,11 @@ from gradedlpa import (
     TrivialForm,
     find_cycles,
 )
+
+# Property tests draw the same examples on every run and carry no per-example
+# deadline, so a test run's outcome does not depend on the clock or the seed.
+settings.register_profile("reproducible", derandomize=True, deadline=None)
+settings.load_profile("reproducible")
 
 
 def naive_least_rotation(seq):

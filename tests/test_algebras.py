@@ -165,7 +165,7 @@ def same_size_pairs(draw):
     return a, alg(base, *(s + delta for s in moved))
 
 
-@settings(max_examples=600, deadline=None)
+@settings(max_examples=600)
 @given(same_size_pairs())
 def test_sparse_class_form_matches_dense_definition(pair):
     a, b = pair

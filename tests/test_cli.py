@@ -244,3 +244,8 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["canonical", "M2(K)(0)"]) == 2
     assert main(["classify", str(tmp_path / "missing.graph")]) == 2
+    capsys.readouterr()
+    assert main(["classify", str(tmp_path)]) == 2  # a directory
+    assert capsys.readouterr().err.startswith("error: [Errno")
+    assert main(["canonical", "M²(K)(0)"]) == 2
+    assert capsys.readouterr().err == "error: line 1, column 2: expected a matrix size\n"

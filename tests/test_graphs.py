@@ -180,7 +180,7 @@ multigraphs = st.integers(1, 7).flatmap(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(multigraphs)
 def test_classify_matches_definition_on_random_multigraphs(g):
     assert classify(g) == naive_classify(g)

@@ -1,14 +1,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_no_exit_graph
 from gradedlpa import (
+    DirectedGraph,
+    DirectSumAlgebra,
+    Edge,
     EntryShift,
     GlobalShift,
     GradedBase,
     ParseError,
     Permute,
+    ShiftedMatrixAlgebra,
     format_certificate,
     format_graph,
     graph_to_dot,
@@ -62,6 +68,15 @@ def test_parse_graph_errors_carry_position():
         parse_graph("a -> b c d\n")
 
 
+def test_parse_graph_vertex_named_vertex():
+    g = DirectedGraph.from_edges([("vertex", "b", "e1")])
+    assert format_graph(g) == "vertex vertex\nvertex b\nvertex -> b e1\n"
+    assert parse_graph(format_graph(g)) == g
+    assert parse_graph("vertex -> vertex\n").edges == (Edge("e1", "vertex", "vertex"),)
+    with pytest.raises(ParseError, match="expected a vertex id after 'vertex'"):
+        parse_graph("vertex  # no id\n")
+
+
 def test_graph_round_trip():
     rng = random.Random(71)
     for _ in range(100):
@@ -82,6 +97,9 @@ def test_parse_algebra_single():
     assert a.base == GradedBase.laurent(2)
     assert a.shifts == (0, 1, 1)
     assert parse_algebra("M1(K)(-7)").summands[0].shifts == (-7,)
+    # whitespace may separate any two tokens, newlines and a sign's digits too
+    spaced = parse_algebra(" M 3 ( K [ x ^ 3 ] ) ( - 1 , 2 ( + 5 ) ) (+)\n M1(K)(0)\t")
+    assert str(spaced) == "M3(K[x^3])(-1,5,5) (+) M1(K)(0)"
 
 
 def test_parse_algebra_multiplicity_items():
@@ -111,6 +129,10 @@ def test_parse_algebra_errors():
         "M2(K)(0) (+)",
         f"M1(K)({2**31 + 1})",
         f"M1(K)({-(2**31 + 1)})",
+        "M²(K)(0)",
+        "M1(K[x^³])(0)",
+        "M٣(K)(0,0,0)",
+        "M1(K)(１)",
     ]:
         with pytest.raises(ParseError):
             parse_algebra(bad)
@@ -124,10 +146,33 @@ def test_parse_algebra_size_caps():
 
 
 def test_parse_error_position_in_algebra():
-    with pytest.raises(ParseError) as err:
-        parse_algebra("M2(K)(0,\n      x)")
-    assert err.value.line == 2
-    assert "line 2" in str(err.value)
+    # size, period and shift-count errors point just after 'M', '^' or '('
+    for text, message in [
+        ("M2(K)(0,\n      x)", "line 2, column 7: expected a shift integer"),
+        ("M0(K)(0)", "line 1, column 2: the matrix size must be positive"),
+        ("M3000000(K)(1)", "line 1, column 2: matrix size too large"),
+        ("M1(K[x^ 0])(0)", "line 1, column 8: the Laurent period must be positive (m = 0 is not a grading)"),
+        ("M 2 (K)(0)", "line 1, column 9: summand declares n=2 but lists 1 shifts"),
+        ("M2(K)( 0)", "line 1, column 7: summand declares n=2 but lists 1 shifts"),
+        ("M1(K)( 0(-1))", "line 1, column 8: a shift multiplicity must be positive"),
+        ("M1(K)(-2147483649)", "line 1, column 7: shift magnitude exceeds 2^31"),
+        ("M1(K)(3( 2147483649))", "line 1, column 9: shift magnitude exceeds 2^31"),
+        ("M1(K)(2000000(0))", "line 1, column 7: shift list too long"),
+        ("M1(K)(-3(0))", "line 1, column 9: expected ')'"),
+        ("M1(K)(0) ( +) M1(K)(0)", "line 1, column 10: unexpected trailing input"),
+        ("M1(K)(0)\n  (+)\n M1(K)(- x)", "line 3, column 10: expected a shift integer"),
+        ("M1(K)(0)(+)", "line 1, column 12: expected 'M'"),
+        ("  ", "line 1, column 3: expected 'M'"),
+        # digits are ASCII
+        ("M²(K)(0)", "line 1, column 2: expected a matrix size"),
+        ("M٣(K)(0,0,0)", "line 1, column 2: expected a matrix size"),
+        ("M1(K[x^³])(0)", "line 1, column 8: expected a Laurent period"),
+        ("M2(K)(0,-٣)", "line 1, column 10: expected a shift integer"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_algebra(text)
+        assert str(err.value) == message
+        assert message.startswith(f"line {err.value.line}, column {err.value.column}: ")
 
 
 def test_format_algebra_round_trip():
@@ -152,7 +197,7 @@ def test_parse_certificate_comments_and_blanks():
 
 
 def test_parse_certificate_errors():
-    for bad in ["Q 1", "G", "G 1 2", "E 1", "P 1 x", "P 1 1 2", "E 0 2"]:
+    for bad in ["Q 1", "G", "G 1 2", "E 1", "P 1 x", "P 1 1 2", "E 0 2", "P", "G 1_0", "G ٣", "E 1 2.0"]:
         with pytest.raises(ParseError):
             parse_certificate(bad)
 
@@ -166,3 +211,115 @@ def test_graph_to_dot_quoting():
     assert '"edge";' in dot
     assert "  plain;" in dot
     assert dot.startswith("digraph {") and dot.endswith("}\n")
+
+
+# --- the parser contract: any text parses or raises ParseError at a real position ---
+
+
+def _fuzz(pieces, seeds):
+    """Text joined from grammar pieces and arbitrary characters, or a valid
+    text with up to three spans of 0..2 characters replaced by such pieces."""
+    piece = st.one_of(st.sampled_from(pieces), st.characters())
+    free = st.lists(piece, max_size=30).map("".join)
+
+    @st.composite
+    def edited(draw):
+        text = draw(st.sampled_from(seeds))
+        for _ in range(draw(st.integers(1, 3))):
+            i = draw(st.integers(0, len(text)))
+            j = draw(st.integers(i, min(len(text), i + 2)))
+            text = text[:i] + draw(st.one_of(st.just(""), piece)) + text[j:]
+        return text
+
+    return st.one_of(free, edited())
+
+
+ALGEBRA_TEXT = _fuzz(
+    list("M0123456789(K[x^])+-, \n\t") + ["(+)", "2147483648", "\u3000", "²", "٣"],
+    ["M1(K)(0)", "M2(K[x^3])(1,-2) (+) M9(K)(4(0),3(1),2(2))", "M 2 ( K ) ( 2 ( - 5 ) )"],
+)
+GRAPH_TEXT = _fuzz(
+    list("abvx_09->#\n\r \t") + ["vertex", "\u2028", "\x85"],
+    ["vertex t\nt -> u\nu -> v hop # c\nv -> u\n", "vertex -> b e1\n"],
+)
+CERTIFICATE_TEXT = _fuzz(
+    list("PGE0123456789+-_# \n") + ["\x0c", "٣"],
+    ["P 2 1 3\nG -4\nE 3 2\n", "# c\n\nG +1\n  E 1 2 # t\n"],
+)
+
+
+def _assert_position(err, lines):
+    assert 1 <= err.line <= len(lines)
+    assert 1 <= err.column <= len(lines[err.line - 1]) + 1
+
+
+@settings(max_examples=500)
+@given(ALGEBRA_TEXT)
+def test_parse_algebra_contract(text):
+    try:
+        total = parse_algebra(text)
+    except ParseError as err:
+        _assert_position(err, text.split("\n"))
+    else:
+        assert parse_algebra(str(total)) == total
+
+
+@settings(max_examples=500)
+@given(GRAPH_TEXT)
+def test_parse_graph_contract(text):
+    try:
+        g = parse_graph(text)
+    except ParseError as err:
+        _assert_position(err, text.splitlines())
+    else:
+        assert parse_graph(format_graph(g)) == g
+
+
+@settings(max_examples=500)
+@given(CERTIFICATE_TEXT)
+def test_parse_certificate_contract(text):
+    try:
+        steps = parse_certificate(text)
+    except ParseError as err:
+        _assert_position(err, text.splitlines())
+    else:
+        assert parse_certificate(format_certificate(steps)) == steps
+
+
+IDS = st.one_of(st.sampled_from(["vertex", "e1", "v"]), st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True))
+
+
+@st.composite
+def graphs(draw):
+    vertices = draw(st.lists(IDS, min_size=1, max_size=6, unique=True))
+    ends = st.sampled_from(vertices)
+    edges = draw(st.lists(st.tuples(IDS, ends, ends), max_size=8, unique_by=lambda e: e[0]))
+    return DirectedGraph(tuple(vertices), tuple(Edge(*e) for e in edges))
+
+
+@given(graphs())
+def test_format_graph_round_trip(g):
+    assert parse_graph(format_graph(g)) == g
+
+
+SHIFT = st.integers(-(2**31), 2**31)
+BASES = st.one_of(st.just(GradedBase.trivial()), st.integers(1, 10**6).map(GradedBase.laurent))
+SUMMANDS = st.builds(ShiftedMatrixAlgebra.from_shifts, BASES, st.lists(SHIFT, min_size=1, max_size=6))
+
+
+@given(st.lists(SUMMANDS, min_size=1, max_size=4))
+def test_algebra_str_round_trip(summands):
+    total = DirectSumAlgebra(tuple(summands))
+    assert parse_algebra(str(total)) == total
+
+
+STEPS = st.one_of(
+    st.integers(1, 6).flatmap(lambda n: st.permutations(range(1, n + 1))).map(Permute),
+    SHIFT.map(GlobalShift),
+    st.builds(EntryShift, st.integers(1, 10**6), SHIFT),
+)
+
+
+@given(st.lists(STEPS, max_size=6))
+def test_format_certificate_round_trip(steps):
+    assert parse_certificate(format_certificate(steps)) == steps

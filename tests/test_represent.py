@@ -240,7 +240,7 @@ def assert_matches_walk_oracle(g, report):
         assert summand.shifts == tuple(length for _, length in prov.paths)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(no_exit_multigraphs(), st.data())
 def test_counted_representation_matches_walk_oracle(g, data):
     info = classify(g)
