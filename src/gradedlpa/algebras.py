@@ -19,13 +19,24 @@ Certificate steps use 1-based indices, matching matrix-unit notation e_ii.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, compress, repeat, starmap
+from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 from .errors import InvalidStepError, NotIsomorphicError
 
 # canonical_form alone materializes dense multiplicity vectors; refuse absurd spreads
 _MAX_DENSE_MULTS = 5_000_000
+# the one limit on anything that holds an object per shift or per path
+_MAX_LISTED = 1_000_000
+_SHIFT, _COUNT = itemgetter(0), itemgetter(1)  # of a run
+
+
+def _require_listable(n: int):
+    if n > _MAX_LISTED:
+        raise ValueError(f"{n} shifts or paths are too many to list one by one (limit {_MAX_LISTED})")
 
 
 @dataclass(frozen=True)
@@ -63,26 +74,57 @@ class GradedBase:
 
 @dataclass(frozen=True)
 class ShiftedMatrixAlgebra:
-    """M_n(base) with suspension shifts g_1..g_n attached to the rows."""
+    """M_n(base) with suspension shifts g_1..g_n attached to the rows, held
+    as ordered runs (shift, count) like the expression syntax count(shift).
+    Runs are normalised (positive counts, adjacent shifts distinct), so
+    equality is that of the shift lists; n is the sum of the counts.
+
+    >>> a = ShiftedMatrixAlgebra(GradedBase.trivial(), [(0, 1), (2, 2), (2, 1)])
+    >>> a.runs, a.n, a.shifts, str(a)
+    (((0, 1), (2, 3)), 4, (0, 2, 2, 2), 'M4(K)(0,2,2,2)')
+    >>> str(ShiftedMatrixAlgebra(GradedBase.laurent(2), [(0, 1), (1, 1_000_000)]))
+    'M1000001(K[x^2])(1(0),1000000(1))'
+    """
 
     base: GradedBase
-    n: int
-    shifts: tuple[int, ...]
+    runs: tuple[tuple[int, int], ...]
+    n: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "shifts", tuple(self.shifts))
-        if self.n < 1:
-            raise ValueError("matrix size must be positive")
-        if len(self.shifts) != self.n:
-            raise ValueError(f"expected {self.n} shifts, got {len(self.shifts)}")
+        runs: list[tuple[int, int]] = []
+        for shift, count in self.runs:
+            if count < 1:
+                raise ValueError("every run needs a positive count")
+            if runs and runs[-1][0] == shift:
+                count += runs.pop()[1]
+            runs.append((shift, count))
+        if not runs:
+            raise ValueError("an algebra needs at least one run")
+        object.__setattr__(self, "runs", tuple(runs))
+        object.__setattr__(self, "n", sum(map(_COUNT, runs)))
+
+    @classmethod
+    def _from_normalised(cls, base: GradedBase, runs: tuple, n: int) -> "ShiftedMatrixAlgebra":
+        """Skip the checks of __post_init__ for runs built normalised, totalling n."""
+        algebra = cls.__new__(cls)
+        vars(algebra).update(base=base, runs=runs, n=n)
+        return algebra
 
     @classmethod
     def from_shifts(cls, base: GradedBase, shifts: Iterable[int]) -> "ShiftedMatrixAlgebra":
-        t = tuple(shifts)
-        return cls(base, len(t), t)
+        return cls(base, tuple(zip(shifts, repeat(1))))
+
+    @cached_property
+    def shifts(self) -> tuple[int, ...]:
+        """The shift list; raises ValueError past 1,000,000 shifts."""
+        _require_listable(self.n)
+        if self.n == len(self.runs):  # every run is a single shift
+            return tuple(map(_SHIFT, self.runs))
+        return tuple(chain.from_iterable(starmap(repeat, self.runs)))
 
     def __str__(self):
-        return f"M{self.n}({self.base})({','.join(str(s) for s in self.shifts)})"
+        items = self.shifts if self.n <= _MAX_LISTED else (f"{c}({s})" for s, c in self.runs)
+        return f"M{self.n}({self.base})({','.join(map(str, items))})"
 
 
 @dataclass(frozen=True)
@@ -202,10 +244,14 @@ def _class_form(a: ShiftedMatrixAlgebra) -> tuple[int, tuple[tuple[int, int], ..
     start is the residue where its leading gap begins.
     """
     m = a.base.period
-    counts = Counter(a.shifts if m is None else (s % m for s in a.shifts))
+    # one count per run, then the extra count of each run longer than one
+    counts = Counter(map(_SHIFT, a.runs) if m is None else [s % m for s, _ in a.runs])
+    if a.n > len(a.runs):
+        for s, count in compress(a.runs, map((1).__lt__, map(_COUNT, a.runs))):
+            counts[s if m is None else s % m] += count - 1
     keys = sorted(counts)
     if m is None:
-        return keys[0], tuple((s - keys[0], counts[s]) for s in keys)
+        return keys[0], tuple(zip(map(keys[0].__rsub__, keys), map(counts.__getitem__, keys)))
     encoded = _gap_encoding(keys, counts, m)
     r = least_rotation_index(encoded)
     return (keys[r - 1] + 1) % m, tuple(encoded[r:] + encoded[:r])
@@ -306,6 +352,7 @@ def apply_certificate(shifts: Sequence[int], steps: Iterable[Step], base: Graded
     >>> apply_certificate((0, 1, 1), (GlobalShift(1), EntryShift(3, -2)), GradedBase.laurent(2))
     (1, 2, 0)
     """
+    _require_listable(len(shifts))
     cur = list(shifts)
     n = len(cur)
     target = f"{n} shifts"
@@ -359,12 +406,13 @@ def iso_certificate(a: ShiftedMatrixAlgebra, b: ShiftedMatrixAlgebra) -> list[St
     No-op steps are dropped, so over K it is at most [GlobalShift, Permute].
     Raises NotIsomorphicError when no certificate exists.
     """
-    if not is_graded_isomorphic(a, b):
+    (start_a, pairs_a), (start_b, pairs_b) = _class_form(a), _class_form(b)
+    if (a.base, a.n, pairs_a) != (b.base, b.n, pairs_b):
         raise NotIsomorphicError(f"{a} and {b} are not graded isomorphic")
     m = a.base.period
     # GlobalShift and Permute match shifts over K, residues over K[x^m]
     reduce = (lambda s: s) if m is None else (lambda s: s % m)
-    delta = reduce(_class_form(b)[0] - _class_form(a)[0])
+    delta = reduce(start_b - start_a)
     moved = [s + delta for s in a.shifts]
     image = _matching_image([reduce(s) for s in moved], [reduce(t) for t in b.shifts])
     placed = [moved[i - 1] for i in image]

@@ -107,9 +107,8 @@ def cmd_classify(args) -> int:
 def _resolve_bases(g, choices):
     if not choices:
         return {}
-    # a graph that is not no-exit fails here, before classify's capped cycle enumeration
     _require_no_exit(g)
-    cycles = classify(g).cycles
+    cycles = g._analysis.cycles
     resolved = {}
     for spec in choices:
         name, _, base = spec.partition("=")
@@ -122,36 +121,31 @@ def _resolve_bases(g, choices):
     return resolved
 
 
+def _provenance_payload(summand, prov) -> dict:
+    paths = [{"source": s, "length": l} for s, l in prov.paths]
+    if isinstance(prov, CycleSummand):
+        cycle = _cycle_payload(prov.cycle)
+        return {"algebra": str(summand), "kind": "cycle", "cycle": cycle, "base": prov.base_vertex, "paths": paths}
+    return {"algebra": str(summand), "kind": "sink", "sink": prov.sink, "paths": paths}
+
+
 def cmd_represent(args) -> int:
     g = _load_graph(args.graph)
     report = represent_at(g, _resolve_bases(g, args.base))
+    if args.json:
+        pairs = zip(report.sum.summands, report.provenance)
+        _emit(args, None, {"sum": str(report.sum), "provenance": [_provenance_payload(a, p) for a, p in pairs]})
+        return 0
     lines = [str(report.sum)]
-    prov_payload = []
-    for summand, prov in zip(report.sum.summands, report.provenance):
+    for prov in report.provenance if args.provenance else ():
         if isinstance(prov, CycleSummand):
-            entry = {
-                "algebra": str(summand),
-                "kind": "cycle",
-                "cycle": _cycle_payload(prov.cycle),
-                "base": prov.base_vertex,
-                "paths": [{"source": s, "length": l} for s, l in prov.paths],
-            }
             target = prov.base_vertex
-            header = f"# cycle {' '.join(prov.cycle.vertices)} (base {prov.base_vertex})"
+            lines.append(f"# cycle {' '.join(prov.cycle.vertices)} (base {target})")
         else:
-            entry = {
-                "algebra": str(summand),
-                "kind": "sink",
-                "sink": prov.sink,
-                "paths": [{"source": s, "length": l} for s, l in prov.paths],
-            }
             target = prov.sink
-            header = f"# sink {prov.sink}"
-        prov_payload.append(entry)
-        if args.provenance:
-            lines.append(header)
-            lines.extend(f"{source} --({length})--> {target}" for source, length in prov.paths)
-    _emit(args, "\n".join(lines) + "\n", {"sum": str(report.sum), "provenance": prov_payload})
+            lines.append(f"# sink {target}")
+        lines.extend(f"{source} --({length})--> {target}" for source, length in prov.paths)
+    _emit(args, "\n".join(lines) + "\n", {})
     return 0
 
 
@@ -226,21 +220,24 @@ def cmd_verify_cert(args) -> int:
         print("error: verify-cert works on single matrix algebras", file=sys.stderr)
         return 2
     a, b = left.summands[0], right.summands[0]
-    steps = parse_certificate(_read_text(args.certfile))
+    reason = _certificate_failure(a, b, parse_certificate(_read_text(args.certfile)))
+    if reason is None:
+        _emit(args, "verified\n", {"verified": True})
+        return 0
+    _reason(args, {"verified": False, "reason": reason, "lines": ["no"]}, reason)
+    return 1
+
+
+def _certificate_failure(a, b, steps) -> str | None:
+    """Why `steps` does not carry a to b, or None when it does."""
     if a.base != b.base:
-        reason = f"bases differ: {a.base} vs {b.base}"
-        _reason(args, {"verified": False, "reason": reason, "lines": ["no"]}, reason)
-        return 1
+        return f"bases differ: {a.base} vs {b.base}"
     try:
         final = apply_certificate(a.shifts, steps, a.base)
     except InvalidStepError as exc:
-        reason = f"invalid step: {exc}"
-        _reason(args, {"verified": False, "reason": reason, "lines": ["no"]}, reason)
-        return 1
+        return f"invalid step: {exc}"
     if final != b.shifts:
-        reason = f"certificate lands on {final}, not on {b.shifts}"
-        _reason(args, {"verified": False, "reason": reason, "lines": ["no"]}, reason)
-        return 1
+        return f"certificate lands on {final}, not on {b.shifts}"
     # replay on sample matrices: every step must carry each homogeneous
     # component onto the component of the same degree
     rng = random.Random(20_000 + a.n)
@@ -266,15 +263,10 @@ def cmd_verify_cert(args) -> int:
             matrix = conjugate_by_step(matrix, step)
             moved = {degree: conjugate_by_step(part, step) for degree, part in before.items()}
             if moved != homogeneous_components(matrix):
-                reason = "a step moved a homogeneous component off its degree"
-                _reason(args, {"verified": False, "reason": reason, "lines": ["no"]}, reason)
-                return 1
+                return "a step moved a homogeneous component off its degree"
         if matrix.shifts != b.shifts:
-            reason = "matrix conjugation does not land on the target shifts"
-            _reason(args, {"verified": False, "reason": reason, "lines": ["no"]}, reason)
-            return 1
-    _emit(args, "verified\n", {"verified": True})
-    return 0
+            return "matrix conjugation does not land on the target shifts"
+    return None
 
 
 def cmd_realizable(args) -> int:

@@ -9,6 +9,8 @@ realizable on its own.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Iterable
 
 from .algebras import DirectSumAlgebra, GradedBase, ShiftedMatrixAlgebra
@@ -30,7 +32,9 @@ def corner_by_indices(a: ShiftedMatrixAlgebra, idx: Iterable[int]) -> ShiftedMat
     if chosen[0] < 1 or chosen[-1] > a.n:
         bad = chosen[0] if chosen[0] < 1 else chosen[-1]
         raise IndexOutOfRangeError(f"index {bad} out of range 1..{a.n}")
-    return ShiftedMatrixAlgebra.from_shifts(a.base, (a.shifts[i - 1] for i in chosen))
+    # run j holds the indices up to ends[j]
+    ends = list(accumulate(count for _, count in a.runs))
+    return ShiftedMatrixAlgebra(a.base, [(a.runs[bisect_left(ends, i)][0], 1) for i in chosen])
 
 
 def corner_by_vertices(g: DirectedGraph, vs: Iterable[str]) -> DirectSumAlgebra:
@@ -50,13 +54,13 @@ def corner_by_vertices(g: DirectedGraph, vs: Iterable[str]) -> DirectSumAlgebra:
         raise UnknownVertexError(f"unknown vertices: {sorted(unknown)}")
     summands = []
     for cycle, _, table in tables:
-        shifts: list[int] = []
+        runs = []
         for length, source, count in table:
             if source in chosen:
-                shifts += [length] * count
-        if shifts:
+                runs.append((length, count))
+        if runs:
             base = GradedBase.trivial() if cycle is None else GradedBase.laurent(cycle.length)
-            summands.append(ShiftedMatrixAlgebra.from_shifts(base, shifts))
+            summands.append(ShiftedMatrixAlgebra(base, runs))
     if not summands:
         raise ZeroCornerError("no path in any summand starts in the chosen vertex set")
     return DirectSumAlgebra(tuple(summands))

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
+from .algebras import _require_listable
 from .errors import (
     EmptyGraphError,
     NotASinkError,
@@ -165,41 +166,6 @@ class _Analysis(NamedTuple):
     exit_vertex: str | None  # smallest cycle vertex not emitting exactly one edge
     sinks: tuple[str, ...]
     cycles: tuple[CycleDescriptor, ...]  # in find_cycles order; empty unless no-exit
-
-
-@dataclass(frozen=True)
-class PathLengthMultiset:
-    """Multiset of path lengths, stored as (length, count) pairs, ascending."""
-
-    counts: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "counts", tuple((l, c) for l, c in self.counts))
-        prev = -1
-        for length, count in self.counts:
-            if length <= prev or length < 0 or count < 1:
-                raise ValueError("counts must map ascending nonnegative lengths to positive counts")
-            prev = length
-
-    @classmethod
-    def from_lengths(cls, lengths: Iterable[int]) -> "PathLengthMultiset":
-        table: dict[int, int] = {}
-        for l in lengths:
-            table[l] = table.get(l, 0) + 1
-        return cls(tuple(sorted(table.items())))
-
-    @classmethod
-    def from_paths(cls, paths: Iterable[tuple[str, int]]) -> "PathLengthMultiset":
-        return cls.from_lengths(l for _, l in paths)
-
-    def total(self) -> int:
-        return sum(c for _, c in self.counts)
-
-    def lengths(self) -> list[int]:
-        out = []
-        for length, count in self.counts:
-            out.extend([length] * count)
-        return out
 
 
 @dataclass(frozen=True)
@@ -405,6 +371,7 @@ def _path_counts(g: DirectedGraph, end: str, cycle: CycleDescriptor | None = Non
 
 def _expand(table) -> list[tuple[str, int]]:
     """One (source, length) pair per path counted in a _path_counts table."""
+    _require_listable(sum(count for _, _, count in table))
     paths: list[tuple[str, int]] = []
     for length, source, count in table:
         paths += [(source, length)] * count

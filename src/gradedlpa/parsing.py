@@ -19,6 +19,9 @@ Algebra expressions follow
 where nat "(" int ")" repeats a shift, so M9(K)(4(0),3(1),2(2)) means the
 shift list (0,0,0,0,1,1,1,2,2).  Digits are ASCII.  Whitespace may appear
 between any two tokens, but not inside a number or the separator "(+)".
+A shift magnitude and a period are at most 2^31.  A size or a repeat count
+has no limit, but no number may have more digits than int() converts
+(sys.get_int_max_str_digits(), 4300 by default).
 
 Certificate files hold one step per line; '#' starts a comment.
 
@@ -32,6 +35,7 @@ Every argument is an ASCII integer [+-]?[0-9]+.
 from __future__ import annotations
 
 import re
+import sys
 
 from .algebras import (
     DirectSumAlgebra,
@@ -47,7 +51,6 @@ from .graphs import DirectedGraph, Edge
 
 _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _MAX_SHIFT = 2**31
-_MAX_SIZE = 1_000_000
 
 
 # --- graph format ---
@@ -151,7 +154,8 @@ def parse_algebra(text: str) -> DirectSumAlgebra:
     def advance():
         nonlocal tok, at, end
         m = match(text, end)
-        tok, at, end = m[1], m.start(1), m.end()
+        tok = m[1]
+        at, end = m.span(1)  # the token ends the match
 
     def fail(message, pos):
         raise ParseError(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
@@ -164,7 +168,10 @@ def parse_algebra(text: str) -> DirectSumAlgebra:
     def nat(what):
         if not "0" <= tok[:1] <= "9":
             fail(f"expected {what}", at)
-        value = int(tok)
+        try:
+            value = int(tok)
+        except ValueError:  # more digits than int() converts
+            fail(f"a number has more than {sys.get_int_max_str_digits()} digits", at)
         advance()
         return value
 
@@ -175,11 +182,6 @@ def parse_algebra(text: str) -> DirectSumAlgebra:
         value = nat("a shift integer")
         return -value if sign == "-" else value
 
-    def checked(value, pos):
-        if abs(value) > _MAX_SHIFT:
-            fail("shift magnitude exceeds 2^31", pos)
-        return value
-
     # Size, period and shift-count errors, and a repeated shift's magnitude,
     # point just after the 'M', '^' or '(' before them; the others point at
     # the token or the shift item they concern.
@@ -189,8 +191,6 @@ def parse_algebra(text: str) -> DirectSumAlgebra:
         n = nat("a matrix size")
         if n < 1:
             fail("the matrix size must be positive", size_pos)
-        if n > _MAX_SIZE:
-            fail("matrix size too large", size_pos)
         expect("(")
         expect("K")
         base = GradedBase.trivial()
@@ -202,35 +202,44 @@ def parse_algebra(text: str) -> DirectSumAlgebra:
             m = nat("a Laurent period")
             if m < 1:
                 fail("the Laurent period must be positive (m = 0 is not a grading)", period_pos)
+            if m > _MAX_SHIFT:
+                fail("the Laurent period exceeds 2^31", period_pos)
             expect("]")
             base = GradedBase.laurent(m)
         expect(")")
         list_pos = at + 1
         expect("(")
-        shifts: list[int] = []
+        runs: list[tuple[int, int]] = []
+        total, last = 0, None
         while True:
-            start = at
-            signed = tok == "+" or tok == "-"
-            value = integer()
-            if signed or tok != "(":
-                shifts.append(checked(value, start))
+            start, count, repeat = at, 1, False
+            if tok == "+" or tok == "-":
+                value = integer()
             else:
-                inner_pos = at + 1
-                advance()
-                if value < 1:
-                    fail("a shift multiplicity must be positive", start)
-                repeated = checked(integer(), inner_pos)
+                value = nat("a shift integer")
+                if tok == "(":
+                    if value < 1:
+                        fail("a shift multiplicity must be positive", start)
+                    start, count, repeat = at + 1, value, True
+                    advance()
+                    value = integer()
+            if abs(value) > _MAX_SHIFT:
+                fail("shift magnitude exceeds 2^31", start)
+            total += count
+            # runs stay normalised as they are read: a repeated shift extends the last run
+            if value == last:
+                count += runs.pop()[1]
+            runs.append((value, count))
+            last = value
+            if repeat:
                 expect(")")
-                if len(shifts) + value > _MAX_SIZE:
-                    fail("shift list too long", start)
-                shifts.extend([repeated] * value)
             if tok != ",":
                 break
             advance()
         expect(")")
-        if len(shifts) != n:
-            fail(f"summand declares n={n} but lists {len(shifts)} shifts", list_pos)
-        return ShiftedMatrixAlgebra(base, n, tuple(shifts))
+        if total != n:
+            fail(f"summand declares n={n} but lists {total} shifts", list_pos)
+        return ShiftedMatrixAlgebra._from_normalised(base, tuple(runs), n)
 
     advance()
     summands = [summand()]

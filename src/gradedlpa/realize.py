@@ -16,6 +16,7 @@ from .algebras import (
     DirectSumAlgebra,
     ShiftedMatrixAlgebra,
     _class_form,
+    _require_listable,
     canonical_form,
 )
 from .errors import NotRealizableError
@@ -62,6 +63,14 @@ def is_realizable(a: ShiftedMatrixAlgebra) -> Verdict:
     """Decide whether `a` is graded isomorphic to some L_K(E).
 
     Depends only on the graded isomorphism class of `a`.
+
+    >>> from gradedlpa.algebras import GradedBase
+    >>> print(is_realizable(ShiftedMatrixAlgebra.from_shifts(GradedBase.trivial(), (5, 6, 6))))
+    yes
+    >>> print(is_realizable(ShiftedMatrixAlgebra.from_shifts(GradedBase.trivial(), (0, 2))))
+    no: l_1 = 0: a path of length 2 to the sink forces one of length 1
+    >>> print(is_realizable(ShiftedMatrixAlgebra(GradedBase.laurent(3), [(0, 10**30), (4, 1)])))
+    no: l_2 = 0: no path of length = 2 (mod 3)
     """
     if a.base.is_trivial:
         # (reduced shift, count) pairs in increasing order, starting at 0
@@ -80,7 +89,7 @@ def is_realizable(a: ShiftedMatrixAlgebra) -> Verdict:
                 )
         return Verdict(True)
     m = a.base.period
-    present = {s % m for s in a.shifts}
+    present = {s % m for s, _ in a.runs}
     if len(present) == m:
         return Verdict(True)
     missing = next(i for i in range(m) if i not in present)
@@ -103,11 +112,13 @@ def synthesize(a: ShiftedMatrixAlgebra) -> DirectedGraph:
     """A finite no-exit graph whose Leavitt path algebra represents `a`.
 
     Built from the canonical form, so graded isomorphic inputs synthesize the
-    same graph.  Raises NotRealizableError (with the verdict) otherwise.
+    same graph.  Raises NotRealizableError (with the verdict) otherwise, and
+    ValueError past 1,000,000 shifts, one vertex each.
     """
     verdict = is_realizable(a)
     if not verdict:
         raise NotRealizableError(verdict)
+    _require_listable(a.n)
     form = canonical_form(a)
     pairs: list[tuple[str, str]] = []
     if isinstance(form, CyclicForm):

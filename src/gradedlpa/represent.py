@@ -17,22 +17,31 @@ from .algebras import DirectSumAlgebra, GradedBase, ShiftedMatrixAlgebra
 from .graphs import CycleDescriptor, DirectedGraph, _expand, _summand_counts
 
 
+class _CountedPaths:
+    """Paths kept as _path_counts rows (length, source, count)."""
+
+    @property
+    def paths(self) -> tuple[tuple[str, int], ...]:
+        """One (source, length) pair per path; raises ValueError past 1,000,000."""
+        return tuple(_expand(self.rows))
+
+
 @dataclass(frozen=True)
-class SinkSummand:
+class SinkSummand(_CountedPaths):
     """Provenance of one summand over K: the sink and its incoming paths."""
 
     sink: str
-    paths: tuple[tuple[str, int], ...]
+    rows: tuple[tuple[int, str, int], ...]
 
 
 @dataclass(frozen=True)
-class CycleSummand:
+class CycleSummand(_CountedPaths):
     """Provenance of one Laurent summand: the cycle, the base vertex on it,
     and the paths ending there that do not contain the cycle."""
 
     cycle: CycleDescriptor
     base_vertex: str
-    paths: tuple[tuple[str, int], ...]
+    rows: tuple[tuple[int, str, int], ...]
 
 
 Provenance = Union[SinkSummand, CycleSummand]
@@ -73,8 +82,8 @@ def represent_at(
     summands: list[ShiftedMatrixAlgebra] = []
     provenance: list[Provenance] = []
     for cycle, vertex, table in _summand_counts(g, base_choice):
-        paths = tuple(_expand(table))
+        rows = tuple(table)
         base = GradedBase.trivial() if cycle is None else GradedBase.laurent(cycle.length)
-        summands.append(ShiftedMatrixAlgebra.from_shifts(base, (l for _, l in paths)))
-        provenance.append(SinkSummand(vertex, paths) if cycle is None else CycleSummand(cycle, vertex, paths))
+        summands.append(ShiftedMatrixAlgebra(base, [(length, count) for length, _, count in rows]))
+        provenance.append(SinkSummand(vertex, rows) if cycle is None else CycleSummand(cycle, vertex, rows))
     return RepresentationReport(DirectSumAlgebra(tuple(summands)), tuple(provenance))

@@ -272,6 +272,15 @@ def random_certificate(rng: random.Random, base: GradedBase, n: int, length=None
     return steps
 
 
+def diamond_chain(k: int) -> DirectedGraph:
+    """j0 -> {a1, b1} -> j1 -> ... -> jk: 2^(k+2) - 3 paths end at the sink
+    jk, 2^(k-i) of them from j_i."""
+    edges = []
+    for i in range(1, k + 1):
+        edges += [(f"j{i-1}", f"a{i}"), (f"j{i-1}", f"b{i}"), (f"a{i}", f"j{i}"), (f"b{i}", f"j{i}")]
+    return DirectedGraph.from_edges(edges)
+
+
 def random_realizable_summand(rng: random.Random) -> ShiftedMatrixAlgebra:
     """A summand admitted by the realizability criteria, with scrambled shifts."""
     if rng.random() < 0.5:

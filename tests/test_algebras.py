@@ -27,13 +27,17 @@ from gradedlpa import (
     TrivialForm,
     apply_certificate,
     canonical_form,
+    corner_by_indices,
     direct_sum_iso,
     inverse_step,
     is_graded_isomorphic,
+    is_realizable,
     iso_certificate,
     least_rotation_index,
+    parse_algebra,
     summand_key,
 )
+from gradedlpa.algebras import _class_form
 
 
 def alg(base, *shifts):
@@ -56,13 +60,19 @@ def test_base_validation_and_str():
 
 def test_algebra_construction():
     a = alg(K, 3, 1, 2)
-    assert a.n == 3 and a.shifts == (3, 1, 2)
+    assert a.n == 3 and a.shifts == (3, 1, 2) and a.runs == ((3, 1), (1, 1), (2, 1))
     assert str(a) == "M3(K)(3,1,2)"
     assert str(alg(L(2), 0, 1, 1)) == "M3(K[x^2])(0,1,1)"
+    # runs are normalised, so equal shift lists give equal, equally hashed algebras
+    b = ShiftedMatrixAlgebra(L(2), [(0, 1), (1, 1), [1, 1]])
+    assert b.runs == ((0, 1), (1, 2)) and b.n == 3
+    assert b == alg(L(2), 0, 1, 1) and hash(b) == hash(alg(L(2), 0, 1, 1))
+    assert b != alg(L(2), 1, 0, 1) and b != alg(L(3), 0, 1, 1)
+    for bad in [(), [(0, 0)], [(0, 2), (1, -1)], [(0,)], [(0, 1, 2)]]:
+        with pytest.raises(ValueError):
+            ShiftedMatrixAlgebra(K, bad)
     with pytest.raises(ValueError):
-        ShiftedMatrixAlgebra(K, 2, (0,))
-    with pytest.raises(ValueError):
-        ShiftedMatrixAlgebra(K, 0, ())
+        ShiftedMatrixAlgebra.from_shifts(K, ())
 
 
 def test_direct_sum_str():
@@ -376,3 +386,42 @@ def test_oracle_iso_matches_decider():
         a = ShiftedMatrixAlgebra.from_shifts(base, tuple(rng.randint(0, 2) for _ in range(n)))
         b = ShiftedMatrixAlgebra.from_shifts(base, tuple(rng.randint(0, 2) for _ in range(n)))
         assert oracle_iso(a, b, bound=6) == is_graded_isomorphic(a, b)
+
+
+RUNS = st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 3)), min_size=1, max_size=6)
+RUN_BASES = st.one_of(st.just(K), st.integers(1, 5).map(L))
+
+
+@given(RUN_BASES, RUNS, st.lists(st.integers(1, 18), min_size=1, max_size=5))
+def test_runs_agree_with_expanded_shifts(base, runs, idx):
+    shifts = [s for s, count in runs for _ in range(count)]
+    a, b = ShiftedMatrixAlgebra(base, runs), ShiftedMatrixAlgebra.from_shifts(base, shifts)
+    assert a == b and hash(a) == hash(b)
+    assert a.n == len(shifts) and a.shifts == tuple(shifts)
+    assert str(a) == str(b) == f"M{len(shifts)}({base})({','.join(map(str, shifts))})"
+    assert _class_form(a) == _class_form(b)
+    if base.is_trivial:
+        low = min(shifts)
+        assert _class_form(a) == (low, tuple((s - low, shifts.count(s)) for s in sorted(set(shifts))))
+    assert canonical_form(a) == canonical_form(b) == naive_canonical_form(b)
+    mults = naive_canonical_form(b).mults
+    realizable = all(mults) and (base.is_laurent or mults[0] == 1)
+    assert is_realizable(a) == is_realizable(b) and is_realizable(a).ok == realizable
+    idx = [i for i in idx if i <= a.n] or [a.n]
+    corner = ShiftedMatrixAlgebra.from_shifts(base, [shifts[i - 1] for i in sorted(set(idx))])
+    assert corner_by_indices(a, idx) == corner_by_indices(b, idx) == corner
+    assert parse_algebra(str(a)).summands[0] == a
+
+
+def test_listing_limit():
+    # one shift of 0, a million of 1: realizable, but too many to list
+    a = ShiftedMatrixAlgebra(K, [(0, 1), (1, 1_000_000)])
+    message = "1000001 shifts or paths are too many to list one by one (limit 1000000)"
+    for listing in (lambda: a.shifts, lambda: iso_certificate(a, a), lambda: apply_certificate(range(a.n), [], K)):
+        with pytest.raises(ValueError) as err:
+            listing()
+        assert str(err.value) == message
+    assert canonical_form(a) == TrivialForm(1, (1, 1_000_000))
+    assert is_graded_isomorphic(a, ShiftedMatrixAlgebra(K, [(5, 1_000_000), (4, 1)]))
+    at_limit = ShiftedMatrixAlgebra(K, [(0, 1), (1, 999_999)])
+    assert len(at_limit.shifts) == 1_000_000 and iso_certificate(at_limit, at_limit) == []

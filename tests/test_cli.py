@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from gradedlpa import GradedMatrix, cli
+from conftest import diamond_chain
+from gradedlpa import GradedMatrix, ShiftedMatrixAlgebra, cli, format_graph, parse_algebra
 from gradedlpa.cli import main
 
 COMET = "vertex t\nt -> u\nu -> v\nv -> u\n"
@@ -249,3 +250,40 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: [Errno")
     assert main(["canonical", "M²(K)(0)"]) == 2
     assert capsys.readouterr().err == "error: line 1, column 2: expected a matrix size\n"
+
+
+@pytest.mark.parametrize("k", [19, 60])
+def test_represent_text_past_the_listing_limit_feeds_every_command(k, tmp_path, capsys):
+    # past 1,000,000 shifts represent prints runs count(shift), which parse back
+    chain = tmp_path / "chain.graph"
+    chain.write_text(format_graph(diamond_chain(k)))
+    assert main(["represent", str(chain)]) == 0
+    text = capsys.readouterr().out.strip()
+    assert text.startswith(f"M{2 ** (k + 2) - 3}(K)(1(0),2(1),2(2),4(3),")
+    a = parse_algebra(text).summands[0]
+    reordered = str(ShiftedMatrixAlgebra(a.base, a.runs[::-1]))
+    for argv in (["canonical", text], ["realizable", text], ["iso", text, text], ["iso", text, reordered]):
+        assert main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"{text}: trivial k={2 * k} mults=({','.join(str(c) for _, c in a.runs)})"
+    assert out[1:] == ["yes", "yes", "yes"]
+
+
+def test_listing_limit_exits_2(tmp_path, capsys):
+    chain = tmp_path / "chain.graph"
+    chain.write_text(format_graph(diamond_chain(19)))
+    assert main(["represent", str(chain)]) == 0
+    text = capsys.readouterr().out.strip()
+    cert = tmp_path / "empty.cert"
+    cert.write_text("")
+    for argv in (
+        ["--json", "represent", str(chain)],
+        ["represent", "--provenance", str(chain)],
+        ["iso", "--certificate", text, text],
+        ["synthesize", text],
+        ["verify-cert", text, text, str(cert)],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 2097149 shifts or paths are too many to list one by one (limit 1000000)\n"

@@ -27,3 +27,7 @@ def test_represent_doctests():
 
 def test_corners_doctests():
     run_doctests("corners")
+
+
+def test_realize_doctests():
+    run_doctests("realize")

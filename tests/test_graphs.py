@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_scc,
+    diamond_chain,
     naive_classify,
     naive_paths_to_cycle,
     naive_paths_to_sink,
@@ -17,7 +18,6 @@ from gradedlpa import (
     DirectedGraph,
     NotASinkError,
     NotNoExitError,
-    PathLengthMultiset,
     TooManyCyclesError,
     UnknownVertexError,
     VertexNotOnCycleError,
@@ -235,10 +235,7 @@ def test_path_counts_of_a_60_diamond_chain():
     # j0 -> {a1, b1} -> j1 -> ... -> j60: 2^62 - 3 paths end at j60, counted
     # in one table row per vertex
     k = 60
-    edges = []
-    for i in range(1, k + 1):
-        edges += [(f"j{i-1}", f"a{i}"), (f"j{i-1}", f"b{i}"), (f"a{i}", f"j{i}"), (f"b{i}", f"j{i}")]
-    table = _path_counts(DirectedGraph.from_edges(edges), f"j{k}")
+    table = _path_counts(diamond_chain(k), f"j{k}")
     assert len(table) == 3 * k + 1
     joins = {v: (length, count) for length, v, count in table if v.startswith("j")}
     assert joins == {f"j{i}": (2 * (k - i), 2 ** (k - i)) for i in range(k + 1)}
@@ -289,11 +286,3 @@ def test_builders():
     with pytest.raises(ValueError):
         build_cycle_tail(0)
 
-
-def test_path_length_multiset():
-    ms = PathLengthMultiset.from_lengths([2, 0, 2, 1])
-    assert ms.counts == ((0, 1), (1, 1), (2, 2))
-    assert ms.total() == 4
-    assert list(ms.lengths()) == [0, 1, 2, 2]
-    with pytest.raises(ValueError):
-        PathLengthMultiset(((1, 0),))

@@ -171,3 +171,13 @@ def test_synthesize_sum_vertex_names_disjoint():
     g = synthesize_sum(total)
     assert len(g.vertices) == 2
     assert len({v for v in g.vertices}) == 2
+
+
+def test_synthesize_listing_limit():
+    # the witness graph has one vertex per shift
+    a = ShiftedMatrixAlgebra(K, [(0, 1), (1, 1_000_000)])
+    assert is_realizable(a)
+    for make in (lambda: synthesize(a), lambda: synthesize_sum(DirectSumAlgebra((a, alg(K, 0))))):
+        with pytest.raises(ValueError, match="too many to list one by one"):
+            make()
+    assert len(synthesize(ShiftedMatrixAlgebra(L(2), [(0, 2), (1, 3)])).vertices) == 5

@@ -5,11 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gradedlpa.graphs
-from conftest import naive_paths_to_cycle, naive_paths_to_sink, random_no_exit_graph
+from conftest import diamond_chain, naive_paths_to_cycle, naive_paths_to_sink, random_no_exit_graph
 from gradedlpa import (
     DirectedGraph,
     EmptyGraphError,
     GradedBase,
+    ShiftedMatrixAlgebra,
+    canonical_form,
+    is_graded_isomorphic,
+    is_realizable,
+    parse_algebra,
     NotNoExitError,
     VertexNotOnCycleError,
     ZeroCornerError,
@@ -265,3 +270,22 @@ def test_counted_representation_matches_walk_oracle(g, data):
     else:
         with pytest.raises(ZeroCornerError):
             corner_by_vertices(g, vs)
+
+
+def test_sixty_diamond_chain_stays_counted():
+    # 2^62 - 3 paths into j60 travel as 121 runs, one per length: l_2i = 2^i,
+    # l_2i+1 = 2^(i+1), and l_120 = 2^60 paths from j0
+    g = diamond_chain(60)
+    rep = represent(g)
+    a = rep.sum.summands[0]
+    assert a.n == 2**62 - 3
+    assert a.runs == tuple((length, 2 ** ((length + 1) // 2)) for length in range(120)) + ((120, 2**60),)
+    assert canonical_form(a).mults == tuple(count for _, count in a.runs)
+    assert is_realizable(a)
+    reordered = ShiftedMatrixAlgebra(a.base, a.runs[::-1])
+    assert reordered != a and is_graded_isomorphic(a, reordered)
+    assert parse_algebra(str(rep.sum)) == rep.sum
+    assert len(rep.provenance[0].rows) == 181
+    for listing in (lambda: a.shifts, lambda: rep.provenance[0].paths, lambda: paths_to_sink(g, "j60")):
+        with pytest.raises(ValueError, match="too many to list one by one"):
+            listing()
