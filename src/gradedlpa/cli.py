@@ -13,7 +13,7 @@ import json
 import random
 import sys
 
-from .algebras import DirectSumAlgebra, _nonzero_mults, apply_certificate, canonical_form
+from .algebras import _MAX_LISTED, DirectSumAlgebra, _nonzero_mults, apply_certificate, canonical_form
 from .algebras import direct_sum_iso, is_graded_isomorphic, iso_certificate
 from .corners import corner_by_indices, corner_by_vertices
 from .errors import (
@@ -170,8 +170,7 @@ def cmd_iso(args) -> int:
     right = parse_algebra(args.expr2)
     single = len(left.summands) == 1 and len(right.summands) == 1
     if args.certificate and not single:
-        print("error: certificates are only produced for single matrix algebras", file=sys.stderr)
-        return 2
+        raise ValueError("certificates are only produced for single matrix algebras")
     if single:
         a, b = left.summands[0], right.summands[0]
         if is_graded_isomorphic(a, b):
@@ -217,8 +216,7 @@ def cmd_verify_cert(args) -> int:
     left = parse_algebra(args.expr1)
     right = parse_algebra(args.expr2)
     if len(left.summands) != 1 or len(right.summands) != 1:
-        print("error: verify-cert works on single matrix algebras", file=sys.stderr)
-        return 2
+        raise ValueError("verify-cert works on single matrix algebras")
     a, b = left.summands[0], right.summands[0]
     reason = _certificate_failure(a, b, parse_certificate(_read_text(args.certfile)))
     if reason is None:
@@ -240,29 +238,28 @@ def _certificate_failure(a, b, steps) -> str | None:
         return f"certificate lands on {final}, not on {b.shifts}"
     # replay on sample matrices: every step must carry each homogeneous
     # component onto the component of the same degree
-    rng = random.Random(20_000 + a.n)
+    n = a.n
+    if n * n > _MAX_LISTED:
+        raise ValueError(
+            f"a {n}x{n} sample matrix has {n * n} entries, too many to list one by one (limit {_MAX_LISTED})"
+        )
+    rng = random.Random(20_000 + n)
     period = a.base.period or 1
+
+    def sample_cell():
+        if a.base.is_laurent:
+            return {period * rng.randint(-3, 3): rng.randint(-9, 9) for _ in range(rng.randint(0, 2))}
+        return {0: rng.randint(-9, 9)}
+
     for _ in range(3):
-        entries = [
-            [
-                LaurentElement(
-                    {
-                        period * rng.randint(-3, 3): rng.randint(-9, 9)
-                        for _ in range(rng.randint(0, 2))
-                    }
-                    if a.base.is_laurent
-                    else {0: rng.randint(-9, 9)}
-                )
-                for _ in range(a.n)
-            ]
-            for _ in range(a.n)
-        ]
-        matrix = GradedMatrix(a.base, a.shifts, tuple(tuple(r) for r in entries))
+        rows = [[LaurentElement(sample_cell()) for _ in range(n)] for _ in range(n)]
+        matrix = GradedMatrix(a.base, a.shifts, rows)
+        parts = homogeneous_components(matrix)
         for step in steps:
-            before = homogeneous_components(matrix)
             matrix = conjugate_by_step(matrix, step)
-            moved = {degree: conjugate_by_step(part, step) for degree, part in before.items()}
-            if moved != homogeneous_components(matrix):
+            moved = {degree: conjugate_by_step(part, step) for degree, part in parts.items()}
+            parts = homogeneous_components(matrix)
+            if moved != parts:
                 return "a step moved a homogeneous component off its degree"
         if matrix.shifts != b.shifts:
             return "matrix conjugation does not land on the target shifts"
@@ -324,8 +321,7 @@ def cmd_corner(args) -> int:
     else:
         total = parse_algebra(args.input)
         if len(total.summands) != 1:
-            print("error: corner --indices works on a single matrix algebra", file=sys.stderr)
-            return 2
+            raise ValueError("corner --indices works on a single matrix algebra")
         try:
             indices = [int(x) for x in _parse_csv(args.indices, "indices")]
         except ValueError:

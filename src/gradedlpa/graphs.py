@@ -103,14 +103,14 @@ class DirectedGraph:
 
     @cached_property
     def _analysis(self) -> "_Analysis":
-        comps = strongly_connected_components(self)
+        comps = tuple(strongly_connected_components(self))
         comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
         # a vertex lies on a cycle iff its SCC contains an edge
         cyclic = sorted({comp_of[e.source] for e in self.edges if comp_of[e.source] == comp_of[e.range]})
         sinks = tuple(sorted(v for v in self.vertices if not self._out[v]))
         exits = [v for i in cyclic for v in comps[i] if len(self._out[v]) != 1]
         if exits:
-            return _Analysis(min(exits), sinks, ())
+            return _Analysis(comps, min(exits), sinks, ())
         # in a no-exit graph a cyclic SCC is one cycle: follow the unique out-edges
         cycles = []
         for i in cyclic:
@@ -118,7 +118,7 @@ class DirectedGraph:
             while walk[-1].range != comps[i][0]:
                 walk.append(self._out[walk[-1].range][0])
             cycles.append(CycleDescriptor(tuple(e.source for e in walk), tuple(e.eid for e in walk)))
-        return _Analysis(None, sinks, tuple(cycles))
+        return _Analysis(comps, None, sinks, tuple(cycles))
 
     def require_vertex(self, v: str):
         if v not in self._out:
@@ -163,6 +163,7 @@ class CycleDescriptor:
 class _Analysis(NamedTuple):
     """What one SCC pass tells about a graph."""
 
+    components: tuple[tuple[str, ...], ...]  # in strongly_connected_components order
     exit_vertex: str | None  # smallest cycle vertex not emitting exactly one edge
     sinks: tuple[str, ...]
     cycles: tuple[CycleDescriptor, ...]  # in find_cycles order; empty unless no-exit
@@ -244,7 +245,7 @@ def find_cycles(g: DirectedGraph, cap: int = DEFAULT_CYCLE_CAP) -> list[CycleDes
     once.  Raises TooManyCyclesError past `cap`.
     """
     cycles: list[CycleDescriptor] = []
-    for comp in strongly_connected_components(g):
+    for comp in g._analysis.components:
         comp_set = set(comp)
         for anchor in comp:
             # frames: (vertex, pending out-edge iterator); edge_path mirrors frames[1:]
@@ -314,7 +315,7 @@ def classify(g: DirectedGraph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> GraphClass
     graph that is not no-exit needs general cycle enumeration, which raises
     TooManyCyclesError past `cycle_cap`.
     """
-    exit_vertex, sinks, cycles = g._analysis
+    _, exit_vertex, sinks, cycles = g._analysis
     if exit_vertex is not None:
         cycles = tuple(find_cycles(g, cap=cycle_cap))
     # every vertex reaches a sink or a cycle, so a component is a comet iff it
@@ -390,7 +391,7 @@ def _summand_counts(g: DirectedGraph, base_choice: Mapping[CycleDescriptor, str]
     if not g.vertices:
         raise EmptyGraphError("the graph has no vertices")
     _require_no_exit(g)
-    _, sinks, cycles = g._analysis
+    _, _, sinks, cycles = g._analysis
     known = set(cycles)
     for key in base_choice:
         if key not in known:

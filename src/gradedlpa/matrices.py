@@ -7,6 +7,7 @@ homogeneous components degree to degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping
 
 from .algebras import GlobalShift, GradedBase, Permute, Step, _check_step
@@ -123,69 +124,96 @@ def _as_element(value) -> LaurentElement:
     raise ValueError(f"cannot use {value!r} as a matrix entry")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GradedMatrix:
     """A square matrix over the base ring, graded through its shift list.
 
-    The monomial x^e at entry (i, j) is homogeneous of degree e + g_i - g_j.
-    Entries are 0-based internally; certificate steps keep their 1-based
-    indices.
+    Stored as its nonzero terms {(i, j, e): c}: the monomial c*x^e at entry
+    (i, j), homogeneous of degree e + g_i - g_j.  Entries are 0-based
+    internally; certificate steps keep their 1-based indices.  `entries`
+    lists the rows of LaurentElements on request.
     """
 
     base: GradedBase
     shifts: tuple[int, ...]
-    entries: tuple[tuple[LaurentElement, ...], ...]
+    _terms: dict[tuple[int, int, int], int]
 
-    def __post_init__(self):
-        object.__setattr__(self, "shifts", tuple(self.shifts))
-        object.__setattr__(
-            self, "entries", tuple(tuple(_as_element(x) for x in row) for row in self.entries)
-        )
-        n = len(self.shifts)
-        if n < 1:
-            raise ValueError("matrix size must be positive")
-        if len(self.entries) != n or any(len(row) != n for row in self.entries):
+    def __init__(self, base: GradedBase, shifts, entries):
+        rows = tuple(tuple(_as_element(x) for x in row) for row in entries)
+        shifts = _shift_tuple(shifts)
+        n = len(shifts)
+        if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError(f"entries must form an {n}x{n} square")
-        for row in self.entries:
-            for el in row:
-                for deg in el.degrees():
-                    if self.base.is_trivial and deg != 0:
-                        raise ValueError("entries over K must sit in degree 0")
-                    if self.base.is_laurent and deg % self.base.period != 0:
-                        raise ValueError(
-                            f"entry degree {deg} is not a multiple of the period {self.base.period}"
-                        )
+        cells = ((i, j, el) for i, row in enumerate(rows) for j, el in enumerate(row))
+        vars(self).update(base=base, shifts=shifts, _terms=_checked_terms(base, cells))
+
+    @classmethod
+    def _from_terms(cls, base: GradedBase, shifts: tuple, terms: dict) -> "GradedMatrix":
+        """Skip the checks of __init__ for nonzero terms of allowed degrees."""
+        matrix = cls.__new__(cls)
+        vars(matrix).update(base=base, shifts=shifts, _terms=terms)
+        return matrix
 
     @property
     def n(self) -> int:
         return len(self.shifts)
 
+    @property
+    def entries(self) -> tuple[tuple[LaurentElement, ...], ...]:
+        """The rows as n tuples of n LaurentElements, built on each call."""
+        cells = [[{} for _ in self.shifts] for _ in self.shifts]
+        for (i, j, e), c in self._terms.items():
+            cells[i][j][e] = c
+        return tuple(tuple(LaurentElement(cell) for cell in row) for row in cells)
+
+    def __hash__(self):
+        return hash((self.base, self.shifts, frozenset(self._terms.items())))
+
     @classmethod
     def zero(cls, base: GradedBase, shifts) -> "GradedMatrix":
-        n = len(tuple(shifts))
-        z = LaurentElement.zero()
-        return cls(base, tuple(shifts), tuple(tuple(z for _ in range(n)) for _ in range(n)))
+        return cls._from_terms(base, _shift_tuple(shifts), {})
 
     @classmethod
     def identity(cls, base: GradedBase, shifts) -> "GradedMatrix":
-        shifts = tuple(shifts)
-        n = len(shifts)
-        one = LaurentElement.monomial(0)
-        z = LaurentElement.zero()
-        return cls(base, shifts, tuple(tuple(one if i == j else z for j in range(n)) for i in range(n)))
+        shifts = _shift_tuple(shifts)
+        return cls._from_terms(base, shifts, {(i, i, 0): 1 for i in range(len(shifts))})
 
     def __add__(self, other):
         if not isinstance(other, GradedMatrix):
             return NotImplemented
         if self.base != other.base or self.shifts != other.shifts:
             raise ShapeMismatchError("matrix addition needs identical base and shifts")
-        return GradedMatrix(
-            self.base,
-            self.shifts,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
+        terms = _collect(chain(self._terms.items(), other._terms.items()))
+        return GradedMatrix._from_terms(self.base, self.shifts, terms)
+
+
+def _shift_tuple(shifts) -> tuple[int, ...]:
+    shifts = tuple(shifts)
+    if not shifts:
+        raise ValueError("matrix size must be positive")
+    return shifts
+
+
+def _collect(terms) -> dict[tuple[int, int, int], int]:
+    """Sum the coefficients of (key, c) pairs per key and drop the zeros."""
+    total: dict[tuple[int, int, int], int] = {}
+    for key, c in terms:
+        total[key] = total.get(key, 0) + c
+    return {key: c for key, c in total.items() if c}
+
+
+def _checked_terms(base: GradedBase, cells) -> dict[tuple[int, int, int], int]:
+    """The terms of (i, j, element) cells; raises ValueError for a degree the
+    base does not have."""
+    terms = {}
+    for i, j, element in cells:
+        for deg, coeff in element.items():
+            if base.is_trivial and deg != 0:
+                raise ValueError("entries over K must sit in degree 0")
+            if base.is_laurent and deg % base.period != 0:
+                raise ValueError(f"entry degree {deg} is not a multiple of the period {base.period}")
+            terms[i, j, deg] = coeff
+    return terms
 
 
 def matrix_unit(base: GradedBase, shifts, i: int, j: int, element=1) -> GradedMatrix:
@@ -194,57 +222,37 @@ def matrix_unit(base: GradedBase, shifts, i: int, j: int, element=1) -> GradedMa
     n = len(shifts)
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"unit position ({i},{j}) out of range 1..{n}")
-    el = _as_element(element)
-    z = LaurentElement.zero()
-    rows = tuple(
-        tuple(el if (r, c) == (i - 1, j - 1) else z for c in range(n)) for r in range(n)
-    )
-    return GradedMatrix(base, shifts, rows)
+    terms = _checked_terms(base, ((i - 1, j - 1, _as_element(element)),))
+    return GradedMatrix._from_terms(base, shifts, terms)
 
 
 def homogeneous_components(matrix: GradedMatrix) -> dict[int, GradedMatrix]:
-    """Split a matrix into its nonzero homogeneous components, keyed by degree.
+    """Split a matrix into its nonzero homogeneous components, keyed by
+    ascending degree.  The sum of the components is the matrix.
 
-    The sum of the components reconstructs the matrix exactly.
+    Over K[x^2] with shifts (0, 1), the entry 1 + 3x^2 at (1, 2) holds
+    degrees 0 + 0 - 1 and 2 + 0 - 1:
+
+    >>> m = GradedMatrix(GradedBase.laurent(2), (0, 1), ((5, LaurentElement({0: 1, 2: 3})), (0, 0)))
+    >>> {degree: part.entries[0] for degree, part in homogeneous_components(m).items()}
+    {-1: (0, 1), 0: (5, 0), 1: (0, 3x^2)}
     """
     shifts = matrix.shifts
-    n = matrix.n
-    buckets: dict[int, list[list[dict[int, int]]]] = {}
-    for i in range(n):
-        for j in range(n):
-            for deg, coeff in matrix.entries[i][j].items():
-                delta = deg + shifts[i] - shifts[j]
-                grid = buckets.get(delta)
-                if grid is None:
-                    grid = [[{} for _ in range(n)] for _ in range(n)]
-                    buckets[delta] = grid
-                grid[i][j][deg] = coeff
-    return {
-        delta: GradedMatrix(
-            matrix.base,
-            shifts,
-            tuple(tuple(LaurentElement(cell) for cell in row) for row in grid),
-        )
-        for delta, grid in sorted(buckets.items())
-    }
+    parts: dict[int, dict] = {}
+    for (i, j, e), c in matrix._terms.items():
+        parts.setdefault(e + shifts[i] - shifts[j], {})[i, j, e] = c
+    return {degree: GradedMatrix._from_terms(matrix.base, shifts, parts[degree]) for degree in sorted(parts)}
 
 
 def multiply(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     """Matrix product; both operands must share size, base and shifts."""
     if a.base != b.base or a.shifts != b.shifts:
         raise ShapeMismatchError("matrix product needs identical base and shifts")
-    n = a.n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = LaurentElement.zero()
-            for k in range(n):
-                if a.entries[i][k] and b.entries[k][j]:
-                    acc = acc + a.entries[i][k] * b.entries[k][j]
-            row.append(acc)
-        rows.append(tuple(row))
-    return GradedMatrix(a.base, a.shifts, tuple(rows))
+    rows: dict[int, list[tuple[int, int, int]]] = {}
+    for (k, j, e), c in b._terms.items():
+        rows.setdefault(k, []).append((j, e, c))
+    products = (((i, j, e1 + e2), c1 * c2) for (i, k, e1), c1 in a._terms.items() for j, e2, c2 in rows.get(k, ()))
+    return GradedMatrix._from_terms(a.base, a.shifts, _collect(products))
 
 
 def conjugate_by_step(matrix: GradedMatrix, step: Step) -> GradedMatrix:
@@ -256,28 +264,20 @@ def conjugate_by_step(matrix: GradedMatrix, step: Step) -> GradedMatrix:
     """
     n = matrix.n
     _check_step(step, n, matrix.base, f"{n}x{n} matrix")
+    terms = matrix._terms
     if isinstance(step, Permute):
-        img = step.image
-        entries = tuple(
-            tuple(matrix.entries[img[i] - 1][img[j] - 1] for j in range(n)) for i in range(n)
-        )
-        shifts = tuple(matrix.shifts[img[i] - 1] for i in range(n))
-        return GradedMatrix(matrix.base, shifts, entries)
-    if isinstance(step, GlobalShift):
-        return GradedMatrix(
-            matrix.base, tuple(s + step.delta for s in matrix.shifts), matrix.entries
-        )
-    i0 = step.index - 1
-    down = LaurentElement.monomial(-step.delta)
-    up = LaurentElement.monomial(step.delta)
-    rows = [list(row) for row in matrix.entries]
-    for j in range(n):
-        if j != i0:
-            rows[i0][j] = rows[i0][j] * down
-            rows[j][i0] = rows[j][i0] * up
-    shifts = list(matrix.shifts)
-    shifts[i0] += step.delta
-    return GradedMatrix(matrix.base, tuple(shifts), tuple(tuple(r) for r in rows))
+        # entry (i, j) of the image is entry (image[i], image[j])
+        new = {old - 1: i for i, old in enumerate(step.image)}
+        terms = {(new[i], new[j], e): c for (i, j, e), c in terms.items()}
+        shifts = tuple(matrix.shifts[old - 1] for old in step.image)
+    elif isinstance(step, GlobalShift):
+        shifts = tuple(s + step.delta for s in matrix.shifts)
+    else:
+        # row k is divided by x^d and column k multiplied by it
+        k, d = step.index - 1, step.delta
+        terms = {(i, j, e + d * ((j == k) - (i == k))): c for (i, j, e), c in terms.items()}
+        shifts = matrix.shifts[:k] + (matrix.shifts[k] + d,) + matrix.shifts[k + 1 :]
+    return GradedMatrix._from_terms(matrix.base, shifts, terms)
 
 
 def conjugate_by_certificate(matrix: GradedMatrix, steps) -> GradedMatrix:

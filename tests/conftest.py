@@ -3,8 +3,9 @@
 Everything here is deliberately independent of the library internals:
 rotations by explicit slicing, SCCs by mutual reachability, path counts
 by exhaustive walk enumeration, graded isomorphism by move-graph search,
-comets by backward reachability.  Tests compare library output against
-these slow references.
+comets by backward reachability, homogeneous components and conjugation
+on dense matrix grids.  Tests compare library output against these slow
+references.
 """
 
 from __future__ import annotations
@@ -255,6 +256,58 @@ def random_matrix(rng: random.Random, base: GradedBase, shifts) -> GradedMatrix:
             row.append(LaurentElement(terms))
         rows.append(tuple(row))
     return GradedMatrix(base, tuple(shifts), tuple(rows))
+
+
+def naive_components(matrix: GradedMatrix) -> dict[int, GradedMatrix]:
+    """homogeneous_components on dense grids: one n x n grid of cells per
+    degree present, filled entry by entry."""
+    shifts = matrix.shifts
+    n = matrix.n
+    entries = matrix.entries
+    buckets: dict[int, list[list[dict[int, int]]]] = {}
+    for i in range(n):
+        for j in range(n):
+            for deg, coeff in entries[i][j].items():
+                delta = deg + shifts[i] - shifts[j]
+                grid = buckets.get(delta)
+                if grid is None:
+                    grid = [[{} for _ in range(n)] for _ in range(n)]
+                    buckets[delta] = grid
+                grid[i][j][deg] = coeff
+    return {
+        delta: GradedMatrix(
+            matrix.base,
+            shifts,
+            tuple(tuple(LaurentElement(cell) for cell in row) for row in grid),
+        )
+        for delta, grid in sorted(buckets.items())
+    }
+
+
+def naive_conjugate(matrix: GradedMatrix, step) -> GradedMatrix:
+    """conjugate_by_step on the dense rows of a matrix, for a valid step:
+    permute rows and columns, relabel the shifts, or multiply row and column
+    i by x^-d and x^d."""
+    n = matrix.n
+    entries = matrix.entries
+    if isinstance(step, Permute):
+        img = step.image
+        rows = tuple(tuple(entries[img[i] - 1][img[j] - 1] for j in range(n)) for i in range(n))
+        shifts = tuple(matrix.shifts[img[i] - 1] for i in range(n))
+        return GradedMatrix(matrix.base, shifts, rows)
+    if isinstance(step, GlobalShift):
+        return GradedMatrix(matrix.base, tuple(s + step.delta for s in matrix.shifts), entries)
+    i0 = step.index - 1
+    down = LaurentElement.monomial(-step.delta)
+    up = LaurentElement.monomial(step.delta)
+    rows = [list(row) for row in entries]
+    for j in range(n):
+        if j != i0:
+            rows[i0][j] = rows[i0][j] * down
+            rows[j][i0] = rows[j][i0] * up
+    shifts = list(matrix.shifts)
+    shifts[i0] += step.delta
+    return GradedMatrix(matrix.base, tuple(shifts), tuple(tuple(r) for r in rows))
 
 
 def random_certificate(rng: random.Random, base: GradedBase, n: int, length=None):

@@ -183,6 +183,48 @@ def test_verify_cert_invalid_step(tmp_path, capsys):
     assert main(["verify-cert", "M2(K[x^2])(0,1)", "M2(K[x^2])(0,1)", str(cert)]) == 2
 
 
+SUM = "M1(K)(0) (+) M1(K)(0)"
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["iso", "--certificate", SUM, SUM], "certificates are only produced for single matrix algebras"),
+        (["verify-cert", SUM, "M2(K)(0,0)", "CERT"], "verify-cert works on single matrix algebras"),
+        (["corner", SUM, "--indices", "1"], "corner --indices works on a single matrix algebra"),
+    ],
+)
+def test_single_algebra_commands_reject_sums(json_flag, argv, message, tmp_path, capsys):
+    cert = tmp_path / "c.cert"
+    cert.write_text("G 1\n")
+    argv = [str(cert) if arg == "CERT" else arg for arg in argv]
+    assert main(json_flag + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_verify_cert_sample_limit(tmp_path, monkeypatch, capsys):
+    # the replay draws three n x n samples; past 1,000,000 entries it refuses
+    # before drawing
+    cert = tmp_path / "c.cert"
+    cert.write_text("G 1\n")
+    assert main(["verify-cert", "M1001(K)(1001(0))", "M1001(K)(1001(1))", str(cert)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: a 1001x1001 sample matrix has 1002001 entries, "
+        "too many to list one by one (limit 1000000)\n"
+    )
+    # the limit counts entries: n * n at the limit still replays
+    monkeypatch.setattr(cli, "_MAX_LISTED", 9)
+    assert main(["verify-cert", "M3(K)(0,1,2)", "M3(K)(1,2,3)", str(cert)]) == 0
+    assert main(["verify-cert", "M4(K)(0,1,2,3)", "M4(K)(1,2,3,4)", str(cert)]) == 2
+    limit = "a 4x4 sample matrix has 16 entries, too many to list one by one (limit 9)\n"
+    assert capsys.readouterr().err.endswith(limit)
+
+
 def test_realizable(capsys):
     assert main(["realizable", "M2(K)(0,1)"]) == 0
     assert capsys.readouterr().out.strip() == "yes"

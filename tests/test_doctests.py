@@ -31,3 +31,7 @@ def test_corners_doctests():
 
 def test_realize_doctests():
     run_doctests("realize")
+
+
+def test_matrices_doctests():
+    run_doctests("matrices")

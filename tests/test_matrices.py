@@ -1,8 +1,11 @@
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_base, random_certificate, random_matrix
+from conftest import naive_components, naive_conjugate, random_base, random_certificate, random_matrix
 from gradedlpa import (
     EntryShift,
     GlobalShift,
@@ -208,3 +211,57 @@ def test_conjugation_rejects_invalid_step():
         conjugate_by_step(m, Permute((1, 2, 3)))
     with pytest.raises(TypeError):
         conjugate_by_step(m, "G 1")
+
+
+@st.composite
+def matrices_and_steps(draw):
+    """A matrix over K or K[x^m] (m <= 4) of size n <= 5 whose cells hold up to
+    three monomials, so one cell can reach several degrees, and up to four
+    valid steps."""
+    base = draw(st.one_of(st.just(K), st.integers(1, 4).map(L)))
+    n = draw(st.integers(1, 5))
+    shifts = draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+    degrees = st.integers(-3, 3).map(lambda k: base.period * k) if base.is_laurent else st.just(0)
+    cell = st.dictionaries(degrees, st.integers(-9, 9), max_size=3).map(LaurentElement)
+    rows = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
+    steps = [st.permutations(range(1, n + 1)).map(lambda p: Permute(tuple(p))), st.integers(-5, 5).map(GlobalShift)]
+    if base.is_laurent:
+        steps.append(st.builds(EntryShift, st.integers(1, n), degrees))
+    return GradedMatrix(base, shifts, rows), draw(st.lists(st.one_of(*steps), max_size=4))
+
+
+def dense(components):
+    return {degree: (part.shifts, part.entries) for degree, part in components.items()}
+
+
+@settings(max_examples=300)
+@given(matrices_and_steps())
+def test_term_storage_matches_dense_oracles(case):
+    matrix, steps = case
+    for step in steps:
+        parts = homogeneous_components(matrix)
+        assert dense(parts) == dense(naive_components(matrix))
+        assert list(parts) == sorted(parts)
+        image = conjugate_by_step(matrix, step)
+        oracle = naive_conjugate(matrix, step)
+        assert (image.shifts, image.entries) == (oracle.shifts, oracle.entries)
+        assert image == oracle and hash(image) == hash(oracle)
+        matrix = image
+    assert dense(homogeneous_components(matrix)) == dense(naive_components(matrix))
+
+
+def test_components_and_conjugation_touch_only_terms():
+    # one term of a 3000x3000 matrix; a dense grid per degree has 9M cells
+    unit = matrix_unit(L(2), range(3000), 1, 2, LaurentElement.monomial(2))
+    tracemalloc.start()
+    try:
+        parts = homogeneous_components(unit)
+        image = conjugate_by_step(unit, EntryShift(2, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert list(parts) == [1] and parts[1] == unit
+    assert image.shifts[:3] == (0, 3, 2)
+    moved = matrix_unit(L(2), image.shifts, 1, 2, LaurentElement.monomial(4))
+    assert homogeneous_components(image) == {1: moved}

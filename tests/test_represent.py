@@ -137,6 +137,11 @@ def test_one_scc_pass_per_graph(monkeypatch):
     represent(star)
     corner_by_vertices(star, ["c"])
     assert len(calls) == 1
+    # a graph that is not no-exit: find_cycles reads the same components
+    names = [f"v{i}" for i in range(5)]
+    k5 = DirectedGraph.from_edges([(x, y) for x in names for y in names if x != y])
+    assert len(classify(k5).cycles) == 84
+    assert len(calls) == 2
 
 
 def test_represent_at_validates_choice():
