@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 = success or decided yes, 1 = decided no (with a reason line
-prefixed 'reason:'), 2 = parse or validation error, 3 = precondition
-violation (for example a graph that is not no-exit).  With --json every
-report becomes a single JSON object on stdout.
+Each command returns its report as (exit code, text, JSON payload) and
+prints nothing; `main` alone writes the report, or the error, and picks the
+exit code.  Exit codes: 0 = success or decided yes, 1 = decided no (with a
+reason line prefixed 'reason:'), 2 = parse or validation error, 3 =
+precondition violation (for example a graph that is not no-exit).  With
+--json every report becomes a single JSON object on stdout.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .errors import (
     AlgebraError,
     GraphError,
     InvalidStepError,
-    NotIsomorphicError,
     NotRealizableError,
     ParseError,
     VertexNotOnCycleError,
@@ -50,22 +51,13 @@ def _load_graph(path: str):
     return parse_graph(_read_text(path))
 
 
-def _emit(args, text: str | None, payload: dict):
-    if args.json:
-        print(json.dumps(payload))
-    elif text:
-        print(text, end="" if text.endswith("\n") else "\n")
+# (exit code, text, JSON payload)
+Report = tuple[int, str, dict]
 
 
-def _reason(args, payload: dict, *reasons: str):
-    lines = payload.pop("lines", [])
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        for line in lines:
-            print(line)
-        for reason in reasons:
-            print(f"reason: {reason}")
+def _no(payload: dict, *reasons: str) -> Report:
+    """The report of a decided no: 'no', then one 'reason:' line per reason."""
+    return 1, "no\n" + "".join(f"reason: {reason}\n" for reason in reasons), payload
 
 
 def _graph_payload(g) -> dict:
@@ -79,7 +71,7 @@ def _cycle_payload(c) -> dict:
     return {"vertices": list(c.vertices), "edges": list(c.edges), "length": c.length}
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> Report:
     info = classify(_load_graph(args.graph))
     flags = {
         "finite": True,
@@ -100,8 +92,7 @@ def cmd_classify(args) -> int:
     ]
     for c in info.cycles:
         lines.append(f"cycle: {' '.join(c.vertices)} (length {c.length})")
-    _emit(args, "\n".join(lines) + "\n", flags)
-    return 0
+    return 0, "\n".join(lines) + "\n", flags
 
 
 def _resolve_bases(g, choices):
@@ -112,7 +103,7 @@ def _resolve_bases(g, choices):
     resolved = {}
     for spec in choices:
         name, _, base = spec.partition("=")
-        if not base:
+        if not name or not base:
             raise ParseError(f"--base expects cycle-vertex=base-vertex, got {spec!r}")
         owners = [c for c in cycles if name in c.vertices]
         if not owners:
@@ -129,13 +120,12 @@ def _provenance_payload(summand, prov) -> dict:
     return {"algebra": str(summand), "kind": "sink", "sink": prov.sink, "paths": paths}
 
 
-def cmd_represent(args) -> int:
+def cmd_represent(args) -> Report:
     g = _load_graph(args.graph)
     report = represent_at(g, _resolve_bases(g, args.base))
     if args.json:
         pairs = zip(report.sum.summands, report.provenance)
-        _emit(args, None, {"sum": str(report.sum), "provenance": [_provenance_payload(a, p) for a, p in pairs]})
-        return 0
+        return 0, "", {"sum": str(report.sum), "provenance": [_provenance_payload(a, p) for a, p in pairs]}
     lines = [str(report.sum)]
     for prov in report.provenance if args.provenance else ():
         if isinstance(prov, CycleSummand):
@@ -145,11 +135,10 @@ def cmd_represent(args) -> int:
             target = prov.sink
             lines.append(f"# sink {target}")
         lines.extend(f"{source} --({length})--> {target}" for source, length in prov.paths)
-    _emit(args, "\n".join(lines) + "\n", {})
-    return 0
+    return 0, "\n".join(lines) + "\n", {}
 
 
-def cmd_canonical(args) -> int:
+def cmd_canonical(args) -> Report:
     total = parse_algebra(args.expr)
     forms = [canonical_form(a) for a in total.summands]
     lines = [f"{a}: {form}" for a, form in zip(total.summands, forms)]
@@ -161,11 +150,10 @@ def cmd_canonical(args) -> int:
             for f in forms
         ]
     }
-    _emit(args, "\n".join(lines) + "\n", payload)
-    return 0
+    return 0, "\n".join(lines) + "\n", payload
 
 
-def cmd_iso(args) -> int:
+def cmd_iso(args) -> Report:
     left = parse_algebra(args.expr1)
     right = parse_algebra(args.expr2)
     single = len(left.summands) == 1 and len(right.summands) == 1
@@ -181,16 +169,13 @@ def cmd_iso(args) -> int:
                 text = format_certificate(cert)
                 payload["certificate"] = text.splitlines()
                 lines.extend(text.splitlines())
-            _emit(args, "\n".join(lines) + "\n", payload)
-            return 0
+            return 0, "\n".join(lines) + "\n", payload
         reason = _iso_failure_reason(a, b)
     else:
         if direct_sum_iso(left, right):
-            _emit(args, "yes\n", {"isomorphic": True})
-            return 0
+            return 0, "yes\n", {"isomorphic": True}
         reason = "no bijection of summands matches canonical forms"
-    _reason(args, {"isomorphic": False, "reason": reason, "lines": ["no"]}, reason)
-    return 1
+    return _no({"isomorphic": False, "reason": reason}, reason)
 
 
 def _iso_failure_reason(a, b) -> str:
@@ -212,7 +197,7 @@ def _form_text(a) -> str:
         return f"{head} mults={{{','.join(f'{p}:{c}' for p, c in nonzero)}}}"
 
 
-def cmd_verify_cert(args) -> int:
+def cmd_verify_cert(args) -> Report:
     left = parse_algebra(args.expr1)
     right = parse_algebra(args.expr2)
     if len(left.summands) != 1 or len(right.summands) != 1:
@@ -220,10 +205,8 @@ def cmd_verify_cert(args) -> int:
     a, b = left.summands[0], right.summands[0]
     reason = _certificate_failure(a, b, parse_certificate(_read_text(args.certfile)))
     if reason is None:
-        _emit(args, "verified\n", {"verified": True})
-        return 0
-    _reason(args, {"verified": False, "reason": reason, "lines": ["no"]}, reason)
-    return 1
+        return 0, "verified\n", {"verified": True}
+    return _no({"verified": False, "reason": reason}, reason)
 
 
 def _certificate_failure(a, b, steps) -> str | None:
@@ -266,12 +249,11 @@ def _certificate_failure(a, b, steps) -> str | None:
     return None
 
 
-def cmd_realizable(args) -> int:
+def cmd_realizable(args) -> Report:
     total = parse_algebra(args.expr)
     verdict = is_realizable_sum(total)
     if verdict.ok:
-        _emit(args, "yes\n", {"ok": True, "failures": []})
-        return 0
+        return 0, "yes\n", {"ok": True, "failures": []}
     reasons = [f"summand {pos}: {v.reason}" for pos, v in verdict.failures]
     payload = {
         "ok": False,
@@ -279,13 +261,11 @@ def cmd_realizable(args) -> int:
             {"summand": pos, "failing_index": v.failing_index, "reason": v.reason}
             for pos, v in verdict.failures
         ],
-        "lines": ["no"],
     }
-    _reason(args, payload, *reasons)
-    return 1
+    return _no(payload, *reasons)
 
 
-def cmd_synthesize(args) -> int:
+def cmd_synthesize(args) -> Report:
     total = parse_algebra(args.expr)
     try:
         if len(total.summands) == 1:
@@ -294,17 +274,13 @@ def cmd_synthesize(args) -> int:
             g = synthesize_sum(total)
     except NotRealizableError as exc:
         reason = str(exc.verdict)
-        _reason(args, {"ok": False, "reason": reason, "lines": ["no"]}, reason)
-        return 1
+        return _no({"ok": False, "reason": reason}, reason)
     text = graph_to_dot(g) if args.dot else format_graph(g)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
-        if args.json:
-            print(json.dumps({"written": args.output, **_graph_payload(g)}))
-        return 0
-    _emit(args, text, {"dot": text} if args.dot else _graph_payload(g))
-    return 0
+        return 0, "", {"written": args.output, **_graph_payload(g)}
+    return 0, text, {"dot": text} if args.dot else _graph_payload(g)
 
 
 def _parse_csv(raw: str, what: str) -> list[str]:
@@ -314,7 +290,7 @@ def _parse_csv(raw: str, what: str) -> list[str]:
     return items
 
 
-def cmd_corner(args) -> int:
+def cmd_corner(args) -> Report:
     if args.vertices:
         g = _load_graph(args.input)
         result = corner_by_vertices(g, _parse_csv(args.vertices, "vertices"))
@@ -327,15 +303,13 @@ def cmd_corner(args) -> int:
         except ValueError:
             raise ParseError("--indices expects integers") from None
         result = DirectSumAlgebra((corner_by_indices(total.summands[0], indices),))
-    _emit(args, str(result) + "\n", {"summands": [str(a) for a in result.summands]})
-    return 0
+    return 0, str(result) + "\n", {"summands": [str(a) for a in result.summands]}
 
 
-def cmd_emit_dot(args) -> int:
+def cmd_emit_dot(args) -> Report:
     g = _load_graph(args.graph)
     text = graph_to_dot(g)
-    _emit(args, text, {"dot": text})
-    return 0
+    return 0, text, {"dot": text}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,13 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, text, payload = args.func(args)
+        sys.stdout.write(json.dumps(payload) + "\n" if args.json else text)
+        return code
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NotIsomorphicError as exc:
-        print(f"reason: {exc}")
-        return 1
     except (GraphError, AlgebraError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

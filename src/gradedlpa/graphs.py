@@ -307,17 +307,17 @@ def _count_weak_components(g: DirectedGraph) -> int:
     return count
 
 
-def classify(g: DirectedGraph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> GraphClassification:
+def classify(g: DirectedGraph) -> GraphClassification:
     """Flags and inventories used by every downstream operation.
 
     A weakly connected component counts as a comet when it contains exactly
     one cycle and every one of its vertices has a path to that cycle.  Only a
     graph that is not no-exit needs general cycle enumeration, which raises
-    TooManyCyclesError past `cycle_cap`.
+    TooManyCyclesError past DEFAULT_CYCLE_CAP cycles.
     """
     _, exit_vertex, sinks, cycles = g._analysis
     if exit_vertex is not None:
-        cycles = tuple(find_cycles(g, cap=cycle_cap))
+        cycles = tuple(find_cycles(g))
     # every vertex reaches a sink or a cycle, so a component is a comet iff it
     # has exactly one cycle and no sink; without sinks every component has a cycle
     comet = not sinks and len(cycles) == _count_weak_components(g)

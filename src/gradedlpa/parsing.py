@@ -107,6 +107,8 @@ def parse_graph(text: str) -> DirectedGraph:
             raise ParseError("expected '->' after the source vertex", lineno, col)
         if len(tokens) < 3 or tokens[2][0] == "->":
             raise ParseError("expected a target vertex after '->'", lineno, tokens[1][1] + 2)
+        if len(tokens) > 3 and tokens[3][0] == "->":
+            raise ParseError("unexpected '->' after edge statement", lineno, tokens[3][1])
         if len(tokens) > 4:
             raise ParseError(f"unexpected {tokens[4][0]!r} after edge statement", lineno, tokens[4][1])
         src, dst = tokens[0][0], tokens[2][0]

@@ -118,6 +118,26 @@ def synthesize(a: ShiftedMatrixAlgebra) -> DirectedGraph:
     verdict = is_realizable(a)
     if not verdict:
         raise NotRealizableError(verdict)
+    return DirectedGraph.from_edges(*_witness(a))
+
+
+def synthesize_sum(r: DirectSumAlgebra) -> DirectedGraph:
+    """Disjoint union of witness graphs, vertex ids namespaced per summand."""
+    verdict = is_realizable_sum(r)
+    if not verdict:
+        raise NotRealizableError(verdict)
+    edges: list[tuple[str, str, str]] = []
+    isolated: list[str] = []
+    for pos, summand in enumerate(r.summands, 1):
+        part_edges, part_isolated = _witness(summand, f"s{pos}_")
+        edges.extend(part_edges)
+        isolated.extend(part_isolated)
+    return DirectedGraph.from_edges(edges, isolated=isolated)
+
+
+def _witness(a: ShiftedMatrixAlgebra, prefix: str = "") -> tuple[list[tuple[str, str, str]], list[str]]:
+    """Edges (source, range, id) and the vertices they may miss of the
+    witness graph of a realizable `a`, every id prefixed with `prefix`."""
     _require_listable(a.n)
     form = canonical_form(a)
     pairs: list[tuple[str, str]] = []
@@ -133,25 +153,12 @@ def synthesize(a: ShiftedMatrixAlgebra) -> DirectedGraph:
                 pairs.append((f"v{i}_{j}", f"v{i-1}"))
         for j in range(1, form.mults[0]):
             pairs.append((f"v0_{j}", f"v{m-1}"))
-        return DirectedGraph.from_edges(pairs)
-    # over K: a layered tree onto the single sink v0_1
-    for i in range(1, form.k + 1):
-        for j in range(1, form.mults[i] + 1):
-            pairs.append((f"v{i}_{j}", f"v{i-1}_1"))
-    return DirectedGraph.from_edges(pairs, isolated=("v0_1",))
-
-
-def synthesize_sum(r: DirectSumAlgebra) -> DirectedGraph:
-    """Disjoint union of witness graphs, vertex ids namespaced per summand."""
-    verdict = is_realizable_sum(r)
-    if not verdict:
-        raise NotRealizableError(verdict)
-    vertices: list[str] = []
-    edges: list[tuple[str, str, str]] = []
-    for pos, summand in enumerate(r.summands, 1):
-        part = synthesize(summand)
-        vertices.extend(f"s{pos}_{v}" for v in part.vertices)
-        edges.extend(
-            (f"s{pos}_{e.source}", f"s{pos}_{e.range}", f"s{pos}_{e.eid}") for e in part.edges
-        )
-    return DirectedGraph.from_edges(edges, isolated=vertices)
+        isolated = []
+    else:
+        # over K: a layered tree onto the single sink v0_1
+        for i in range(1, form.k + 1):
+            for j in range(1, form.mults[i] + 1):
+                pairs.append((f"v{i}_{j}", f"v{i-1}_1"))
+        isolated = [f"{prefix}v0_1"]
+    edges = [(prefix + src, prefix + dst, f"{prefix}e{k}") for k, (src, dst) in enumerate(pairs, 1)]
+    return edges, isolated

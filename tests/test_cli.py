@@ -83,7 +83,10 @@ def test_represent_complete_graph_names_exit_vertex(tmp_path, capsys):
 
 def test_represent_bad_base_flag(comet_file, capsys):
     assert main(["represent", "--base", "t=u", comet_file]) == 3
-    assert main(["represent", "--base", "nonsense", comet_file]) == 2
+    assert capsys.readouterr().err == "error: vertex 't' does not lie on any cycle\n"
+    for spec in ("nonsense", "u=", "=u"):
+        assert main(["represent", "--base", spec, comet_file]) == 2
+        assert capsys.readouterr().err == f"error: line 1, column 1: --base expects cycle-vertex=base-vertex, got {spec!r}\n"
 
 
 def test_canonical(capsys):
@@ -272,6 +275,61 @@ def test_corner_errors(line_file, capsys):
     assert main(["corner", "M3(K)(0,1,2)", "--indices", "9"]) == 3
     assert main(["corner", "M3(K)(0,1,2)", "--indices", "x"]) == 2
     assert main(["corner", "M1(K)(0) (+) M1(K)(0)", "--indices", "1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (["iso", "M1(K)(0)", "M2(K)(0,1)"], 1, "no\nreason: sizes differ: 1 vs 2\n", ""),
+        (["--json", "iso", "M1(K)(0)", "M2(K)(0,1)"], 1, '{"isomorphic": false, "reason": "sizes differ: 1 vs 2"}\n', ""),
+        (["verify-cert", "M1(K)(0)", "M1(K[x^1])(0)", "g1.cert"], 1, "no\nreason: bases differ: K vs K[x^1]\n", ""),
+        (
+            ["--json", "verify-cert", "M1(K)(0)", "M1(K[x^1])(0)", "g1.cert"],
+            1,
+            '{"verified": false, "reason": "bases differ: K vs K[x^1]"}\n',
+            "",
+        ),
+        (
+            ["synthesize", "M1(K)(0) (+) M2(K[x^2])(0,1)"],
+            0,
+            "vertex s2_v1\nvertex s2_v0\nvertex s1_v0_1\ns2_v1 -> s2_v0 s2_e1\ns2_v0 -> s2_v1 s2_e2\n",
+            "",
+        ),
+        (
+            ["--json", "synthesize", "M1(K)(0) (+) M2(K[x^2])(0,1)"],
+            0,
+            '{"vertices": ["s2_v1", "s2_v0", "s1_v0_1"], "edges": [["s2_e1", "s2_v1", "s2_v0"], ["s2_e2", "s2_v0", "s2_v1"]]}\n',
+            "",
+        ),
+        (
+            ["--json", "synthesize", "M2(K)(0,1)", "-o", "w.graph"],
+            0,
+            '{"written": "w.graph", "vertices": ["v1_1", "v0_1"], "edges": [["e1", "v1_1", "v0_1"]]}\n',
+            "",
+        ),
+        (
+            ["--json", "represent", "line.graph"],
+            0,
+            '{"sum": "M3(K)(0,1,2)", "provenance": [{"algebra": "M3(K)(0,1,2)", "kind": "sink", "sink": "w", "paths": '
+            '[{"source": "w", "length": 0}, {"source": "v", "length": 1}, {"source": "u", "length": 2}]}]}\n',
+            "",
+        ),
+        (
+            ["corner", "line.graph", "--vertices", " , "],
+            2,
+            "",
+            "error: line 1, column 1: --vertices needs a nonempty comma-separated list\n",
+        ),
+    ],
+)
+def test_report_bytes(argv, code, out, err, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "line.graph").write_text(LINE)
+    (tmp_path / "g1.cert").write_text("G 1\n")
+    assert main(argv) == code
+    assert capsys.readouterr() == (out, err)
+    if "-o" in argv:
+        assert (tmp_path / "w.graph").read_text() == "vertex v1_1\nvertex v0_1\nv1_1 -> v0_1 e1\n"
 
 
 def test_emit_dot(comet_file, capsys):

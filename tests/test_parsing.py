@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_no_exit_graph
@@ -66,6 +66,9 @@ def test_parse_graph_errors_carry_position():
         parse_graph("vertex\n")
     with pytest.raises(ParseError):
         parse_graph("a -> b c d\n")
+    for text in ("a -> b ->\n", "a -> b -> c\n"):
+        with pytest.raises(ParseError, match="column 8: unexpected '->' after edge statement"):
+            parse_graph(text)
 
 
 def test_parse_graph_vertex_named_vertex():
@@ -298,6 +301,7 @@ def test_parse_algebra_contract(text):
 
 @settings(max_examples=500)
 @given(GRAPH_TEXT)
+@example("a -> b ->")
 def test_parse_graph_contract(text):
     try:
         g = parse_graph(text)

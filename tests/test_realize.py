@@ -4,6 +4,7 @@ import pytest
 
 from conftest import random_certificate, random_realizable_summand
 from gradedlpa import (
+    DirectedGraph,
     DirectSumAlgebra,
     GradedBase,
     NotRealizableError,
@@ -17,6 +18,7 @@ from gradedlpa import (
     synthesize,
     synthesize_sum,
 )
+from gradedlpa import realize
 
 K = GradedBase.trivial()
 L = GradedBase.laurent
@@ -164,6 +166,28 @@ def test_synthesize_sum_round_trip():
         )
         rep = represent(synthesize_sum(total))
         assert direct_sum_iso(rep.sum, total)
+
+
+def test_synthesize_sum_builds_one_graph(monkeypatch):
+    # realizability is decided once per summand and one graph is built
+    decided = []
+    built = []
+    real_decide = realize.is_realizable
+    real_build = DirectedGraph.from_edges.__func__
+
+    def build(cls, *args, **kwargs):
+        built.append(args)
+        return real_build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(realize, "is_realizable", lambda a: decided.append(a) or real_decide(a))
+    monkeypatch.setattr(DirectedGraph, "from_edges", classmethod(build))
+    total = DirectSumAlgebra((alg(K, 0), alg(K, 0, 1, 1, 2), alg(L(2), 0, 1, 1)))
+    g = synthesize_sum(total)
+    assert (len(decided), len(built)) == (3, 1)
+    assert g.vertices == (
+        "s2_v1_1", "s2_v0_1", "s2_v1_2", "s2_v2_1", "s3_v1", "s3_v0", "s3_v1_1", "s1_v0_1",
+    )
+    assert [e.eid for e in g.edges] == ["s2_e1", "s2_e2", "s2_e3", "s3_e1", "s3_e2", "s3_e3"]
 
 
 def test_synthesize_sum_vertex_names_disjoint():
