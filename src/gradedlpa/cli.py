@@ -28,6 +28,7 @@ from .errors import (
 )
 from .matrices import GradedMatrix, LaurentElement, conjugate_by_step, homogeneous_components
 from .parsing import (
+    _INT_RE,
     format_certificate,
     format_graph,
     graph_to_dot,
@@ -209,6 +210,11 @@ def cmd_verify_cert(args) -> Report:
     return _no({"verified": False, "reason": reason}, reason)
 
 
+# the replay moves every entry of a sample matrix once per step; past this
+# many moves it refuses (n = 158 with 159 steps, just inside, takes about 27 s)
+_MAX_REPLAYED = 4_000_000
+
+
 def _certificate_failure(a, b, steps) -> str | None:
     """Why `steps` does not carry a to b, or None when it does."""
     if a.base != b.base:
@@ -225,6 +231,11 @@ def _certificate_failure(a, b, steps) -> str | None:
     if n * n > _MAX_LISTED:
         raise ValueError(
             f"a {n}x{n} sample matrix has {n * n} entries, too many to list one by one (limit {_MAX_LISTED})"
+        )
+    if n * n * len(steps) > _MAX_REPLAYED:
+        raise ValueError(
+            f"replaying {len(steps)} steps on a {n}x{n} sample matrix moves {n * n * len(steps)} entries, "
+            f"too many to replay (limit {_MAX_REPLAYED})"
         )
     rng = random.Random(20_000 + n)
     period = a.base.period or 1
@@ -298,9 +309,12 @@ def cmd_corner(args) -> Report:
         total = parse_algebra(args.input)
         if len(total.summands) != 1:
             raise ValueError("corner --indices works on a single matrix algebra")
+        items = _parse_csv(args.indices, "indices")
+        if not all(map(_INT_RE.fullmatch, items)):  # ASCII digits, as in certificates
+            raise ParseError("--indices expects integers")
         try:
-            indices = [int(x) for x in _parse_csv(args.indices, "indices")]
-        except ValueError:
+            indices = [int(x) for x in items]
+        except ValueError:  # more digits than int() converts
             raise ParseError("--indices expects integers") from None
         result = DirectSumAlgebra((corner_by_indices(total.summands[0], indices),))
     return 0, str(result) + "\n", {"summands": [str(a) for a in result.summands]}

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import starmap
 from typing import Iterable, Mapping, NamedTuple
 
 from .algebras import _require_listable
@@ -42,15 +43,24 @@ class DirectedGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", tuple(Edge(*e) for e in self.edges))
+        vertices = tuple(self.vertices)
+        edges = tuple(self.edges)
+        if set(map(type, edges)) - {Edge}:
+            edges = tuple(starmap(Edge, edges))
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+        known = set(vertices)
+        eids, sources, ranges = zip(*edges) if edges else ((), (), ())
+        if len(known) == len(vertices) and len(set(eids)) == len(edges) and known.issuperset(sources + ranges):
+            return
+        # invalid: walk the lists to name the first offender
         seen = set()
-        for v in self.vertices:
+        for v in vertices:
             if v in seen:
                 raise ValueError(f"duplicate vertex id {v!r}")
             seen.add(v)
         eids = set()
-        for e in self.edges:
+        for e in edges:
             if e.eid in eids:
                 raise ValueError(f"duplicate edge id {e.eid!r}")
             eids.add(e.eid)
@@ -196,7 +206,7 @@ def strongly_connected_components(g: DirectedGraph) -> list[tuple[str, ...]]:
         counter += 1
         stack.append(root)
         on_stack.add(root)
-        work = [(root, iter(g.out_edges(root)))]
+        work = [(root, iter(g._out[root]))]
         while work:
             v, edge_iter = work[-1]
             pushed = False
@@ -207,7 +217,7 @@ def strongly_connected_components(g: DirectedGraph) -> list[tuple[str, ...]]:
                     counter += 1
                     stack.append(w)
                     on_stack.add(w)
-                    work.append((w, iter(g.out_edges(w))))
+                    work.append((w, iter(g._out[w])))
                     pushed = True
                     break
                 if w in on_stack:

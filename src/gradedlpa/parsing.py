@@ -7,6 +7,8 @@ Graph files hold one statement per line; '#' starts a comment.
     <src> -> <dst> [<id>]    declare an edge; unnamed edges get e1, e2, ...
 
 A line 'vertex -> ...' is an edge whose source is the vertex named 'vertex'.
+One regex match reads a well-formed line; the token scanner runs only on a
+line that match rejects, to explain it with the same error text as ever.
 
 Algebra expressions follow
 
@@ -21,7 +23,9 @@ shift list (0,0,0,0,1,1,1,2,2).  Digits are ASCII.  Whitespace may appear
 between any two tokens, but not inside a number or the separator "(+)".
 A shift magnitude and a period are at most 2^31.  A size or a repeat count
 has no limit, but no number may have more digits than int() converts
-(sys.get_int_max_str_digits(), 4300 by default).
+(sys.get_int_max_str_digits(), 4300 by default).  One regex match reads a
+run of plain shift items; a repeat item, and a run holding a value the
+grammar rejects, go through the token cursor, which reports the error.
 
 Certificate files hold one step per line; '#' starts a comment.
 
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import re
 import sys
+from itertools import groupby
 
 from .algebras import (
     DirectSumAlgebra,
@@ -55,10 +60,16 @@ _MAX_SHIFT = 2**31
 
 # --- graph format ---
 
+# A whole statement line: a vertex declaration, an edge with an optional id,
+# or nothing.  The groups are the declared vertex, source, target and edge id.
+_STATEMENT_RE = re.compile(
+    r"\s*(?:vertex\s+({id})|({id})\s*->\s*({id})(?:\s+({id}))?)?\s*".format(id=_ID_RE.pattern)
+)
 _GRAPH_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|->|\S")
 
 
-def _tokenize_graph_line(line: str, lineno: int) -> list[tuple[str, int]]:
+def _explain_graph_line(line: str, lineno: int):
+    """Raise the ParseError for a line that _STATEMENT_RE rejects."""
     tokens = []
     for match in _GRAPH_TOKEN_RE.finditer(line):
         text = match.group()
@@ -66,64 +77,52 @@ def _tokenize_graph_line(line: str, lineno: int) -> list[tuple[str, int]]:
         if text != "->" and not _ID_RE.fullmatch(text):
             raise ParseError(f"unexpected character {text!r}", lineno, col)
         tokens.append((text, col))
-    return tokens
+    head, head_col = tokens[0]
+    if head == "vertex" and (len(tokens) == 1 or tokens[1][0] != "->"):
+        if len(tokens) == 1:
+            raise ParseError("expected a vertex id after 'vertex'", lineno, head_col + len(head))
+        raise ParseError(f"unexpected {tokens[2][0]!r} after vertex declaration", lineno, tokens[2][1])
+    if head == "->":
+        raise ParseError("expected a source vertex before '->'", lineno, head_col)
+    if len(tokens) < 2 or tokens[1][0] != "->":
+        col = tokens[1][1] if len(tokens) > 1 else head_col + len(head)
+        raise ParseError("expected '->' after the source vertex", lineno, col)
+    if len(tokens) < 3 or tokens[2][0] == "->":
+        raise ParseError("expected a target vertex after '->'", lineno, tokens[1][1] + 2)
+    if tokens[3][0] == "->":
+        raise ParseError("unexpected '->' after edge statement", lineno, tokens[3][1])
+    raise ParseError(f"unexpected {tokens[4][0]!r} after edge statement", lineno, tokens[4][1])
 
 
 def parse_graph(text: str) -> DirectedGraph:
     """Parse the graph description language into a DirectedGraph."""
-    vertices: list[str] = []
-    known: set[str] = set()
+    statement = _STATEMENT_RE.fullmatch
+    mentions: list[str] = []  # vertex names in the order the lines mention them
     declared: set[str] = set()
     edges: list[Edge] = []
     edge_ids: set[str] = set()
-    edge_count = 0
-
-    def mention(v: str):
-        if v not in known:
-            known.add(v)
-            vertices.append(v)
-
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0]
-        tokens = _tokenize_graph_line(line, lineno)
-        if not tokens:
-            continue
-        head, head_col = tokens[0]
-        if head == "vertex" and (len(tokens) == 1 or tokens[1][0] != "->"):
-            if len(tokens) == 1:
-                raise ParseError("expected a vertex id after 'vertex'", lineno, head_col + len(head))
-            if len(tokens) > 2:
-                raise ParseError(f"unexpected {tokens[2][0]!r} after vertex declaration", lineno, tokens[2][1])
-            name, col = tokens[1]
+        m = statement(line)
+        if m is None:
+            _explain_graph_line(line, lineno)
+        name, src, dst, eid = m.groups()
+        if name is not None:
             if name in declared:
-                raise ParseError(f"duplicate vertex {name!r}", lineno, col)
+                raise ParseError(f"duplicate vertex {name!r}", lineno, m.start(1) + 1)
             declared.add(name)
-            mention(name)
-            continue
-        if head == "->":
-            raise ParseError("expected a source vertex before '->'", lineno, head_col)
-        if len(tokens) < 2 or tokens[1][0] != "->":
-            col = tokens[1][1] if len(tokens) > 1 else head_col + len(head)
-            raise ParseError("expected '->' after the source vertex", lineno, col)
-        if len(tokens) < 3 or tokens[2][0] == "->":
-            raise ParseError("expected a target vertex after '->'", lineno, tokens[1][1] + 2)
-        if len(tokens) > 3 and tokens[3][0] == "->":
-            raise ParseError("unexpected '->' after edge statement", lineno, tokens[3][1])
-        if len(tokens) > 4:
-            raise ParseError(f"unexpected {tokens[4][0]!r} after edge statement", lineno, tokens[4][1])
-        src, dst = tokens[0][0], tokens[2][0]
-        edge_count += 1
-        if len(tokens) == 4:
-            eid, eid_col = tokens[3]
-        else:
-            eid, eid_col = f"e{edge_count}", head_col
-        if eid in edge_ids:
-            raise ParseError(f"duplicate edge id {eid!r}", lineno, eid_col)
-        edge_ids.add(eid)
-        mention(src)
-        mention(dst)
-        edges.append(Edge(eid, src, dst))
-    return DirectedGraph(tuple(vertices), tuple(edges))
+            mentions.append(name)
+        elif src is not None:
+            eid_group = 4
+            if eid is None:
+                eid, eid_group = f"e{len(edges) + 1}", 2
+            if eid in edge_ids:
+                raise ParseError(f"duplicate edge id {eid!r}", lineno, m.start(eid_group) + 1)
+            edge_ids.add(eid)
+            mentions.append(src)
+            mentions.append(dst)
+            edges.append(Edge(eid, src, dst))
+    return DirectedGraph(tuple(dict.fromkeys(mentions)), tuple(edges))
 
 
 def format_graph(g: DirectedGraph) -> str:
@@ -142,6 +141,20 @@ def format_graph(g: DirectedGraph) -> str:
 # One token at the cursor: a run of ASCII digits or any other single
 # character, after whitespace.  The empty token marks the end of the text.
 _TOKEN_RE = re.compile(r"\s*([0-9]+|\S?)")
+# A maximal run of plain shift items, each an int not followed by a repeat's
+# '(', joined by commas; it starts at a token and ends after the last digit.
+_PLAIN = r"[+-]?\s*[0-9]+(?![0-9]|\s*\()"
+_SHIFT_RUN_RE = re.compile(rf"{_PLAIN}(?:\s*,\s*{_PLAIN})*")
+
+
+def _plain_shift_values(run: str) -> list[int] | None:
+    """The shifts of a run that _SHIFT_RUN_RE matched, or None when one has
+    more digits than int() converts or a magnitude past 2^31."""
+    try:
+        values = list(map(int, "".join(run.split()).split(",")))
+    except ValueError:
+        return None
+    return values if -_MAX_SHIFT <= min(values) and max(values) <= _MAX_SHIFT else None
 
 
 def parse_algebra(text: str) -> DirectSumAlgebra:
@@ -151,6 +164,7 @@ def parse_algebra(text: str) -> DirectSumAlgebra:
     'M9(K)(0,0,0,0,1,1,1,2,2)'
     """
     match = _TOKEN_RE.match
+    shift_run = _SHIFT_RUN_RE.match
     tok, at, end = "", 0, 0  # the lookahead token, its start and its end
 
     def advance():
@@ -188,6 +202,7 @@ def parse_algebra(text: str) -> DirectSumAlgebra:
     # point just after the 'M', '^' or '(' before them; the others point at
     # the token or the shift item they concern.
     def summand():
+        nonlocal end
         size_pos = at + 1
         expect("M")
         n = nat("a matrix size")
@@ -213,7 +228,28 @@ def parse_algebra(text: str) -> DirectSumAlgebra:
         expect("(")
         runs: list[tuple[int, int]] = []
         total, last = 0, None
+        bulk = True
         while True:
+            # a run of plain shifts is read in one match; the item code below
+            # reads a repeat item, and a run holding a value it rejects
+            plain = shift_run(text, at) if bulk else None
+            if plain is not None:
+                values = _plain_shift_values(plain[0])
+                if values is None:
+                    bulk = False  # the item code raises inside this run
+                else:
+                    merged = [(value, len(list(group))) for value, group in groupby(values)]
+                    if merged[0][0] == last:
+                        merged[0] = (last, merged[0][1] + runs.pop()[1])
+                    runs += merged
+                    total += len(values)
+                    last = values[-1]
+                    end = plain.end()
+                    advance()
+                    if tok != ",":
+                        break
+                    advance()
+                    continue
             start, count, repeat = at, 1, False
             if tok == "+" or tok == "-":
                 value = integer()

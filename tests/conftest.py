@@ -4,25 +4,30 @@ Everything here is deliberately independent of the library internals:
 rotations by explicit slicing, SCCs by mutual reachability, path counts
 by exhaustive walk enumeration, graded isomorphism by move-graph search,
 comets by backward reachability, homogeneous components and conjugation
-on dense matrix grids.  Tests compare library output against these slow
-references.
+on dense matrix grids, graph and algebra text token by token.  Tests
+compare library output against these slow references.
 """
 
 from __future__ import annotations
 
 import random
+import re
+import sys
 
 from hypothesis import settings
 
 from gradedlpa import (
     CyclicForm,
     DirectedGraph,
+    DirectSumAlgebra,
+    Edge,
     EntryShift,
     GlobalShift,
     GradedBase,
     GraphClassification,
     GradedMatrix,
     LaurentElement,
+    ParseError,
     Permute,
     ShiftedMatrixAlgebra,
     TrivialForm,
@@ -351,3 +356,186 @@ def random_realizable_summand(rng: random.Random) -> ShiftedMatrixAlgebra:
     rng.shuffle(shifts)
     delta = rng.randint(-3, 3)
     return ShiftedMatrixAlgebra.from_shifts(base, tuple(s + delta for s in shifts))
+
+
+# --- the token-by-token parsers, as references for the regex readers ---
+
+_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_MAX_SHIFT = 2**31
+_GRAPH_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|->|\S")
+_TOKEN_RE = re.compile(r"\s*([0-9]+|\S?)")
+
+
+def _tokenize_graph_line(line: str, lineno: int) -> list[tuple[str, int]]:
+    tokens = []
+    for match in _GRAPH_TOKEN_RE.finditer(line):
+        text = match.group()
+        col = match.start() + 1
+        if text != "->" and not _ID_RE.fullmatch(text):
+            raise ParseError(f"unexpected character {text!r}", lineno, col)
+        tokens.append((text, col))
+    return tokens
+
+
+def naive_parse_graph(text: str) -> DirectedGraph:
+    """The token-by-token graph parser that the statement regex replaced."""
+    vertices: list[str] = []
+    known: set[str] = set()
+    declared: set[str] = set()
+    edges: list[Edge] = []
+    edge_ids: set[str] = set()
+    edge_count = 0
+
+    def mention(v: str):
+        if v not in known:
+            known.add(v)
+            vertices.append(v)
+
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0]
+        tokens = _tokenize_graph_line(line, lineno)
+        if not tokens:
+            continue
+        head, head_col = tokens[0]
+        if head == "vertex" and (len(tokens) == 1 or tokens[1][0] != "->"):
+            if len(tokens) == 1:
+                raise ParseError("expected a vertex id after 'vertex'", lineno, head_col + len(head))
+            if len(tokens) > 2:
+                raise ParseError(f"unexpected {tokens[2][0]!r} after vertex declaration", lineno, tokens[2][1])
+            name, col = tokens[1]
+            if name in declared:
+                raise ParseError(f"duplicate vertex {name!r}", lineno, col)
+            declared.add(name)
+            mention(name)
+            continue
+        if head == "->":
+            raise ParseError("expected a source vertex before '->'", lineno, head_col)
+        if len(tokens) < 2 or tokens[1][0] != "->":
+            col = tokens[1][1] if len(tokens) > 1 else head_col + len(head)
+            raise ParseError("expected '->' after the source vertex", lineno, col)
+        if len(tokens) < 3 or tokens[2][0] == "->":
+            raise ParseError("expected a target vertex after '->'", lineno, tokens[1][1] + 2)
+        if len(tokens) > 3 and tokens[3][0] == "->":
+            raise ParseError("unexpected '->' after edge statement", lineno, tokens[3][1])
+        if len(tokens) > 4:
+            raise ParseError(f"unexpected {tokens[4][0]!r} after edge statement", lineno, tokens[4][1])
+        src, dst = tokens[0][0], tokens[2][0]
+        edge_count += 1
+        if len(tokens) == 4:
+            eid, eid_col = tokens[3]
+        else:
+            eid, eid_col = f"e{edge_count}", head_col
+        if eid in edge_ids:
+            raise ParseError(f"duplicate edge id {eid!r}", lineno, eid_col)
+        edge_ids.add(eid)
+        mention(src)
+        mention(dst)
+        edges.append(Edge(eid, src, dst))
+    return DirectedGraph(tuple(vertices), tuple(edges))
+
+
+def naive_parse_algebra(text: str) -> DirectSumAlgebra:
+    """The item-by-item expression parser that reads every shift through
+    the token cursor."""
+    match = _TOKEN_RE.match
+    tok, at, end = "", 0, 0  # the lookahead token, its start and its end
+
+    def advance():
+        nonlocal tok, at, end
+        m = match(text, end)
+        tok = m[1]
+        at, end = m.span(1)  # the token ends the match
+
+    def fail(message, pos):
+        raise ParseError(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
+
+    def expect(literal):
+        if tok != literal:
+            fail(f"expected {literal!r}", at)
+        advance()
+
+    def nat(what):
+        if not "0" <= tok[:1] <= "9":
+            fail(f"expected {what}", at)
+        try:
+            value = int(tok)
+        except ValueError:  # more digits than int() converts
+            fail(f"a number has more than {sys.get_int_max_str_digits()} digits", at)
+        advance()
+        return value
+
+    def integer():
+        sign = tok
+        if sign == "+" or sign == "-":
+            advance()
+        value = nat("a shift integer")
+        return -value if sign == "-" else value
+
+    # Size, period and shift-count errors, and a repeated shift's magnitude,
+    # point just after the 'M', '^' or '(' before them; the others point at
+    # the token or the shift item they concern.
+    def summand():
+        size_pos = at + 1
+        expect("M")
+        n = nat("a matrix size")
+        if n < 1:
+            fail("the matrix size must be positive", size_pos)
+        expect("(")
+        expect("K")
+        base = GradedBase.trivial()
+        if tok == "[":
+            advance()
+            expect("x")
+            period_pos = at + 1
+            expect("^")
+            m = nat("a Laurent period")
+            if m < 1:
+                fail("the Laurent period must be positive (m = 0 is not a grading)", period_pos)
+            if m > _MAX_SHIFT:
+                fail("the Laurent period exceeds 2^31", period_pos)
+            expect("]")
+            base = GradedBase.laurent(m)
+        expect(")")
+        list_pos = at + 1
+        expect("(")
+        runs: list[tuple[int, int]] = []
+        total, last = 0, None
+        while True:
+            start, count, repeat = at, 1, False
+            if tok == "+" or tok == "-":
+                value = integer()
+            else:
+                value = nat("a shift integer")
+                if tok == "(":
+                    if value < 1:
+                        fail("a shift multiplicity must be positive", start)
+                    start, count, repeat = at + 1, value, True
+                    advance()
+                    value = integer()
+            if abs(value) > _MAX_SHIFT:
+                fail("shift magnitude exceeds 2^31", start)
+            total += count
+            # runs stay normalised as they are read: a repeated shift extends the last run
+            if value == last:
+                count += runs.pop()[1]
+            runs.append((value, count))
+            last = value
+            if repeat:
+                expect(")")
+            if tok != ",":
+                break
+            advance()
+        expect(")")
+        if total != n:
+            fail(f"summand declares n={n} but lists {total} shifts", list_pos)
+        return ShiftedMatrixAlgebra._from_normalised(base, tuple(runs), n)
+
+    advance()
+    summands = [summand()]
+    while tok == "(" and text.startswith("(+)", at):
+        end = at + 3
+        advance()
+        summands.append(summand())
+    if tok:
+        fail("unexpected trailing input", at)
+    return DirectSumAlgebra(tuple(summands))

@@ -226,6 +226,24 @@ def test_verify_cert_sample_limit(tmp_path, monkeypatch, capsys):
     assert main(["verify-cert", "M4(K)(0,1,2,3)", "M4(K)(1,2,3,4)", str(cert)]) == 2
     limit = "a 4x4 sample matrix has 16 entries, too many to list one by one (limit 9)\n"
     assert capsys.readouterr().err.endswith(limit)
+    # the replay's work, n * n entries moved per step, has its own limit,
+    # checked after the sample limit and before drawing
+    assert cli._MAX_REPLAYED == 4_000_000
+    monkeypatch.setattr(cli, "_MAX_REPLAYED", 18)
+    cert.write_text("G 1\nG 0\n")
+    assert main(["verify-cert", "M3(K)(0,1,2)", "M3(K)(1,2,3)", str(cert)]) == 0
+    assert capsys.readouterr().out == "verified\n"
+    cert.write_text("G 1\nG 0\nG 0\n")
+    assert main(["verify-cert", "M3(K)(0,1,2)", "M3(K)(1,2,3)", str(cert)]) == 2
+    assert main(["verify-cert", "M4(K)(0,1,2,3)", "M4(K)(1,2,3,4)", str(cert)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: replaying 3 steps on a 3x3 sample matrix moves 27 entries, too many to replay (limit 18)\n"
+        "error: " + limit
+    )
+    # a certificate that does not land on the target is refuted without a replay
+    assert main(["verify-cert", "M3(K)(0,1,2)", "M3(K)(2,3,4)", str(cert)]) == 1
 
 
 def test_realizable(capsys):
@@ -274,6 +292,13 @@ def test_corner_errors(line_file, capsys):
     assert main(["corner", line_file, "--vertices", "bogus"]) == 3
     assert main(["corner", "M3(K)(0,1,2)", "--indices", "9"]) == 3
     assert main(["corner", "M3(K)(0,1,2)", "--indices", "x"]) == 2
+    capsys.readouterr()
+    # indices are ASCII integers, as certificate arguments are
+    for indices in ["\uff11", "\u0663", "1_0", "1,2," + "9" * 5000]:
+        assert main(["corner", "M3(K)(0,1,2)", "--indices", indices]) == 2
+        assert capsys.readouterr() == ("", "error: line 1, column 1: --indices expects integers\n")
+    assert main(["corner", "M3(K)(0,1,2)", "--indices", " +3 , 1"]) == 0
+    assert capsys.readouterr().out == "M2(K)(0,2)\n"
     assert main(["corner", "M1(K)(0) (+) M1(K)(0)", "--indices", "1"]) == 2
 
 

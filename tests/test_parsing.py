@@ -4,7 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_no_exit_graph
+from conftest import naive_parse_algebra, naive_parse_graph, random_no_exit_graph
+from gradedlpa import parsing
 from gradedlpa import (
     DirectedGraph,
     DirectSumAlgebra,
@@ -359,3 +360,122 @@ STEPS = st.one_of(
 @given(st.lists(STEPS, max_size=6))
 def test_format_certificate_round_trip(steps):
     assert parse_certificate(format_certificate(steps)) == steps
+
+
+# --- the regex readers against the token-by-token parsers they replaced ---
+
+
+def _outcome(parse, text):
+    """The parse result, or the ParseError's message, line and column."""
+    try:
+        return parse(text)
+    except ParseError as err:
+        return str(err), err.line, err.column
+
+
+# whitespace inside a line: the statement regex and the token scanner must
+# agree on every kind, ASCII or not
+SPACE = st.sampled_from(["", "", " ", " ", "  ", "\t", "\u3000", "\u00a0"])
+
+
+@st.composite
+def graph_lines(draw):
+    """One line of graph text, comment stripped: statement pieces, ids and
+    stray characters joined by assorted whitespace."""
+    pieces = draw(st.lists(st.sampled_from(["vertex", "->", "a", "b1", "_x", "e1", "vertex", "->", "-", ">", "1", "é"]), max_size=6))
+    return "".join(draw(SPACE) + piece for piece in pieces) + draw(SPACE)
+
+
+@settings(max_examples=500)
+@given(st.one_of(GRAPH_TEXT, st.lists(graph_lines(), max_size=6).map("\n".join)))
+@example("vertex a\nvertex a")
+@example("a -> b e1\nc -> d\nx -> y e2")
+def test_parse_graph_matches_token_parser(text):
+    assert _outcome(parse_graph, text) == _outcome(naive_parse_graph, text)
+
+
+@settings(max_examples=500)
+@given(graph_lines())
+def test_explain_graph_line_raises_on_every_rejected_line(line):
+    if parsing._STATEMENT_RE.fullmatch(line) is None:
+        with pytest.raises(ParseError) as err:
+            parsing._explain_graph_line(line, 7)
+        assert err.value.line == 7
+        assert _outcome(naive_parse_graph, line)[0] == str(err.value).replace("line 7", "line 1", 1)
+    else:
+        naive_parse_graph(line)  # the token parser accepts it too
+
+
+_ODD_VALUES = [str(2**31), str(2**31 - 1), str(2**31 + 1), "9" * 4301, "0" * 4300 + "1", "0" * 4299 + "5", "\uff15", "1_0"]
+# whitespace before an item, after its sign or '(', and after it
+_SHIFT_SPACES = [("", "", ""), ("", "", ""), ("", "", ""), (" ", "", " "), ("\t", " ", "\n"), ("\u3000", "", ""), ("", "\u00a0", ""), ("", "", "\x85")]
+# (text, shifts it lists) for a plain item or a repeat item c(s); one draw each keeps long lists cheap
+_SHIFT_ITEMS = [
+    (f"{before}{sign}{inside}{value}{after}", 1) if count is None else (f"{before}{count}({sign}{inside}{value}){after}", count)
+    for count in (None, None, None, 1, 2, 3)
+    for sign in ("", "", "-", "+")
+    for value in "01234"
+    for before, inside, after in _SHIFT_SPACES
+]
+
+
+@st.composite
+def shift_lists(draw):
+    """An expression whose shift lists are long runs of plain items, with
+    repeat items, out-of-range values, over-long numbers, a non-ASCII digit
+    and Unicode whitespace spliced in."""
+    summands = []
+    for _ in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(1, 80))
+        items = draw(st.lists(st.sampled_from(_SHIFT_ITEMS), min_size=size, max_size=size))
+        if draw(st.booleans()):  # one odd value, at most
+            pos = draw(st.integers(0, size - 1))
+            odd = draw(st.sampled_from(["", "-", " + "])) + draw(st.sampled_from(_ODD_VALUES))
+            items[pos] = draw(st.sampled_from([(odd, 1), (f"2({odd})", 2)]))
+        n = sum(count for _, count in items) + draw(st.sampled_from([0, 0, 0, 0, 0, 1, -1]))
+        base = draw(st.sampled_from(["K", "K[x^3]"]))
+        summands.append(f"M{n}({base})({','.join(text for text, _ in items)})")
+    return " (+) ".join(summands)
+
+
+@settings(max_examples=500)
+@given(st.one_of(ALGEBRA_TEXT, shift_lists()))
+@example("M3(K)(1,1,2(1))")
+@example("M4(K)(2(1),1,1,1)")
+@example("M3(K)(1, - 2 ,3 (4))")
+def test_parse_algebra_matches_token_parser(text):
+    assert _outcome(parse_algebra, text) == _outcome(naive_parse_algebra, text)
+
+
+def test_well_formed_graph_lines_skip_the_token_scanner(monkeypatch):
+    # a silent fall-back to the token scanner fails here, not only in the benchmark
+    explained = []
+    original = parsing._explain_graph_line
+    monkeypatch.setattr(parsing, "_explain_graph_line", lambda *args: explained.append(args) or original(*args))
+    lines = []
+    for i in range(2500):
+        lines += [f"vertex v{i}", f"v{i} -> v{i + 1}", f"  v{i}->w{i} f{i}  # side edge", ""]
+    g = parse_graph("\n".join(lines))
+    assert len(lines) == 10_000 and len(g.edges) == 5000 and explained == []
+    with pytest.raises(ParseError, match="line 2, column 3: unexpected character '='"):
+        parse_graph("a -> b\na => b # c\n")
+    assert explained == [("a => b ", 2)]
+
+
+def test_plain_shift_runs_skip_the_token_cursor(monkeypatch):
+    # the item-by-item reader makes about two cursor matches per shift
+    class CountingRegex:
+        def __init__(self, regex):
+            self.regex, self.calls = regex, 0
+
+        def match(self, *args):
+            self.calls += 1
+            return self.regex.match(*args)
+
+    cursor = CountingRegex(parsing._TOKEN_RE)
+    monkeypatch.setattr(parsing, "_TOKEN_RE", cursor)
+    rng = random.Random(9)
+    shifts = [rng.randint(-3, 3) for _ in range(100_000)]
+    a = parse_algebra(f"M100000(K)({','.join(map(str, shifts))})").summands[0]
+    assert a == ShiftedMatrixAlgebra.from_shifts(GradedBase.trivial(), shifts)
+    assert 0 < cursor.calls < 10
