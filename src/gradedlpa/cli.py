@@ -109,6 +109,8 @@ def _resolve_bases(g, choices):
         owners = [c for c in cycles if name in c.vertices]
         if not owners:
             raise VertexNotOnCycleError(f"vertex {name!r} does not lie on any cycle")
+        if owners[0] in resolved:
+            raise ParseError(f"--base chooses a second base vertex for the cycle through {name!r}")
         resolved[owners[0]] = base
     return resolved
 
@@ -210,9 +212,12 @@ def cmd_verify_cert(args) -> Report:
     return _no({"verified": False, "reason": reason}, reason)
 
 
-# the replay moves every entry of a sample matrix once per step; past this
-# many moves it refuses (n = 158 with 159 steps, just inside, takes about 27 s)
+# the replay moves every entry of a sample matrix once per step, and each step
+# has a fixed cost, worth about _STEP_COST entry moves; past _MAX_REPLAYED
+# entry moves it refuses (just inside: n = 158 with 159 steps, about 21 s, and
+# n = 1 with 235,294 steps, about 9 s, on a shared 2-core Xeon)
 _MAX_REPLAYED = 4_000_000
+_STEP_COST = 16
 
 
 def _certificate_failure(a, b, steps) -> str | None:
@@ -232,10 +237,11 @@ def _certificate_failure(a, b, steps) -> str | None:
         raise ValueError(
             f"a {n}x{n} sample matrix has {n * n} entries, too many to list one by one (limit {_MAX_LISTED})"
         )
-    if n * n * len(steps) > _MAX_REPLAYED:
+    moves = (n * n + _STEP_COST) * len(steps)
+    if moves > _MAX_REPLAYED:
         raise ValueError(
-            f"replaying {len(steps)} steps on a {n}x{n} sample matrix moves {n * n * len(steps)} entries, "
-            f"too many to replay (limit {_MAX_REPLAYED})"
+            f"replaying {len(steps)} steps on a {n}x{n} sample matrix costs {moves} entry moves "
+            f"({n * n} + {_STEP_COST} per step), too many to replay (limit {_MAX_REPLAYED})"
         )
     rng = random.Random(20_000 + n)
     period = a.base.period or 1

@@ -11,6 +11,7 @@ All types are immutable and all operations are pure functions of their inputs.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import starmap
@@ -98,6 +99,50 @@ class DirectedGraph:
         return cls(tuple(vertices), tuple(edges))
 
     @cached_property
+    def _index(self) -> "_Index":
+        names = sorted(self.vertices)
+        id_of = {v: i for i, v in enumerate(names)}
+        succ: list[list[int]] = [[] for _ in names]
+        pred: list[list[int]] = [[] for _ in names]
+        if self.edges:
+            _, sources, ranges = zip(*self.edges)
+            for s, r in zip(map(id_of.__getitem__, sources), map(id_of.__getitem__, ranges)):
+                succ[s].append(r)
+                pred[r].append(s)
+        return _Index(names, id_of, succ, pred)
+
+    @cached_property
+    def _analysis(self) -> "_Analysis":
+        comps = tuple(strongly_connected_components(self))
+        names, id_of, succ, _ = self._index
+        # a component is cyclic iff it has two or more vertices or a loop
+        cyclic = [comp for comp in comps if len(comp) > 1 or (i := id_of[comp[0]]) in succ[i]]
+        sinks = tuple(names[i] for i, out in enumerate(succ) if not out)
+        exits = [v for comp in cyclic for v in comp if len(succ[id_of[v]]) != 1]
+        if exits:
+            return _Analysis(comps, min(exits), sinks, ())
+        # in a no-exit graph a cyclic SCC is one cycle: follow the unique out-edges
+        cycles = []
+        for comp in cyclic:
+            walk = [self._out[comp[0]][0]]
+            while walk[-1].range != comp[0]:
+                walk.append(self._out[walk[-1].range][0])
+            cycles.append(CycleDescriptor(tuple(e.source for e in walk), tuple(e.eid for e in walk)))
+        return _Analysis(comps, None, sinks, tuple(cycles))
+
+    @cached_property
+    def _default_counts(self) -> tuple:
+        """(cycle, vertex, table) per summand at default base vertices, counted
+        once per graph; _summand_counts and paths_to_sink, which check the
+        graph first, read it."""
+        _, _, sinks, cycles = self._analysis
+        out = [(None, sink, tuple(_path_counts(self, sink))) for sink in sinks]
+        out += [(c, c.vertices[0], tuple(_path_counts(self, c.vertices[0], c))) for c in cycles]
+        return tuple(out)
+
+    # Edge tables, built on first use by out_edges, in_edges, the cycle walk,
+    # find_cycles and _validate_cycle; the whole-graph passes read _index
+    @cached_property
     def _out(self) -> dict[str, tuple[Edge, ...]]:
         table = {v: [] for v in self.vertices}
         for e in self.edges:
@@ -111,27 +156,8 @@ class DirectedGraph:
             table[e.range].append(e)
         return {v: tuple(es) for v, es in table.items()}
 
-    @cached_property
-    def _analysis(self) -> "_Analysis":
-        comps = tuple(strongly_connected_components(self))
-        comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
-        # a vertex lies on a cycle iff its SCC contains an edge
-        cyclic = sorted({comp_of[e.source] for e in self.edges if comp_of[e.source] == comp_of[e.range]})
-        sinks = tuple(sorted(v for v in self.vertices if not self._out[v]))
-        exits = [v for i in cyclic for v in comps[i] if len(self._out[v]) != 1]
-        if exits:
-            return _Analysis(comps, min(exits), sinks, ())
-        # in a no-exit graph a cyclic SCC is one cycle: follow the unique out-edges
-        cycles = []
-        for i in cyclic:
-            walk = [self._out[comps[i][0]][0]]
-            while walk[-1].range != comps[i][0]:
-                walk.append(self._out[walk[-1].range][0])
-            cycles.append(CycleDescriptor(tuple(e.source for e in walk), tuple(e.eid for e in walk)))
-        return _Analysis(comps, None, sinks, tuple(cycles))
-
     def require_vertex(self, v: str):
-        if v not in self._out:
+        if v not in self._index.id_of:
             raise UnknownVertexError(f"unknown vertex {v!r}")
 
     def out_edges(self, v: str) -> tuple[Edge, ...]:
@@ -170,6 +196,16 @@ class CycleDescriptor:
         return len(self.edges)
 
 
+class _Index(NamedTuple):
+    """A graph's vertices as ids: a vertex's id is its rank in sorted name
+    order, so ascending ids are sorted names."""
+
+    names: list[str]  # by id
+    id_of: dict[str, int]
+    succ: list[list[int]]  # per id, the range ids of its out-edges in edge order
+    pred: list[list[int]]  # per id, the source ids of its in-edges in edge order
+
+
 class _Analysis(NamedTuple):
     """What one SCC pass tells about a graph."""
 
@@ -190,61 +226,59 @@ class GraphClassification:
 
 
 def strongly_connected_components(g: DirectedGraph) -> list[tuple[str, ...]]:
-    """Tarjan's algorithm, iterative.  Components come back as sorted vertex
-    tuples, ordered by their smallest vertex."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    components: list[tuple[str, ...]] = []
+    """Tarjan's algorithm, iterative, over vertex ids.  Components come back
+    as sorted vertex tuples, ordered by their smallest vertex."""
+    names, _, succ, _ = g._index
+    done = len(names)  # the index of a vertex already placed in a component
+    index = [-1] * done
+    low = [0] * done
+    stack: list[int] = []
+    by_least: list[tuple[str, ...] | None] = [None] * done  # each component at its smallest id
     counter = 0
-
-    for root in g.vertices:
-        if root in index:
+    for root in range(done):
+        if index[root] >= 0:
             continue
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(g._out[root]))]
-        while work:
-            v, edge_iter = work[-1]
-            pushed = False
-            for e in edge_iter:
-                w = e.range
-                if w not in index:
+        # the depth-first path and, per vertex on it, its pending out-edges
+        path = [root]
+        pending = [iter(succ[root])]
+        while path:
+            v = path[-1]
+            for w in pending[-1]:
+                if index[w] < 0:
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(g._out[w])))
-                    pushed = True
+                    path.append(w)
+                    pending.append(iter(succ[w]))
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if pushed:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(tuple(sorted(comp)))
-    components.sort(key=lambda c: c[0])
-    return components
+                # on the stack index[w] < done; placed, it never lowers low[v]
+                if index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                path.pop()
+                pending.pop()
+                if path and low[v] < low[path[-1]]:
+                    low[path[-1]] = low[v]
+                if low[v] == index[v]:
+                    comp = [stack.pop()]
+                    while comp[-1] != v:
+                        comp.append(stack.pop())
+                    for w in comp:
+                        index[w] = done
+                    comp.sort()
+                    # ids rank the names, so sorted ids give a sorted name tuple
+                    by_least[comp[0]] = tuple(map(names.__getitem__, comp))
+    return [comp for comp in by_least if comp is not None]
 
 
 def _require_no_exit(g: DirectedGraph):
     v = g._analysis.exit_vertex
     if v is not None:
-        raise NotNoExitError(f"cycle vertex {v!r} emits {g.out_degree(v)} edges")
+        _, id_of, succ, _ = g._index
+        raise NotNoExitError(f"cycle vertex {v!r} emits {len(succ[id_of[v]])} edges")
 
 
 def find_cycles(g: DirectedGraph, cap: int = DEFAULT_CYCLE_CAP) -> list[CycleDescriptor]:
@@ -259,7 +293,7 @@ def find_cycles(g: DirectedGraph, cap: int = DEFAULT_CYCLE_CAP) -> list[CycleDes
         comp_set = set(comp)
         for anchor in comp:
             # frames: (vertex, pending out-edge iterator); edge_path mirrors frames[1:]
-            frames = [(anchor, iter(g.out_edges(anchor)))]
+            frames = [(anchor, iter(g._out[anchor]))]
             edge_path: list[Edge] = []
             on_path = {anchor}
             while frames:
@@ -282,7 +316,7 @@ def find_cycles(g: DirectedGraph, cap: int = DEFAULT_CYCLE_CAP) -> list[CycleDes
                         continue
                     if w in on_path:
                         continue
-                    frames.append((w, iter(g.out_edges(w))))
+                    frames.append((w, iter(g._out[w])))
                     edge_path.append(e)
                     on_path.add(w)
                     pushed = True
@@ -296,23 +330,20 @@ def find_cycles(g: DirectedGraph, cap: int = DEFAULT_CYCLE_CAP) -> list[CycleDes
 
 
 def _count_weak_components(g: DirectedGraph) -> int:
-    neighbours: dict[str, set[str]] = {v: set() for v in g.vertices}
-    for e in g.edges:
-        neighbours[e.source].add(e.range)
-        neighbours[e.range].add(e.source)
-    seen: set[str] = set()
+    _, _, succ, pred = g._index
+    seen = [False] * len(succ)
     count = 0
-    for root in g.vertices:
-        if root in seen:
+    for root in range(len(seen)):
+        if seen[root]:
             continue
         count += 1
+        seen[root] = True
         frontier = [root]
-        seen.add(root)
         while frontier:
             v = frontier.pop()
-            for w in neighbours[v]:
-                if w not in seen:
-                    seen.add(w)
+            for w in succ[v] + pred[v]:
+                if not seen[w]:
+                    seen[w] = True
                     frontier.append(w)
     return count
 
@@ -326,6 +357,7 @@ def classify(g: DirectedGraph) -> GraphClassification:
     TooManyCyclesError past DEFAULT_CYCLE_CAP cycles.
     """
     _, exit_vertex, sinks, cycles = g._analysis
+    names, _, succ, _ = g._index
     if exit_vertex is not None:
         cycles = tuple(find_cycles(g))
     # every vertex reaches a sink or a cycle, so a component is a comet iff it
@@ -336,7 +368,7 @@ def classify(g: DirectedGraph) -> GraphClassification:
         no_exit=exit_vertex is None,
         comet_per_component=comet,
         sinks=sinks,
-        regular=tuple(sorted(v for v in g.vertices if g.out_degree(v) > 0)),
+        regular=tuple(name for name, out in zip(names, succ) if out),
         cycles=cycles,
     )
 
@@ -359,23 +391,26 @@ def _path_counts(g: DirectedGraph, end: str, cycle: CycleDescriptor | None = Non
     >>> _path_counts(g, "z")
     [(0, 'z', 1), (1, 'r', 1), (1, 's', 1), (2, 'y', 2), (3, 'p', 2), (3, 'q', 2), (4, 'x', 4)]
     """
-    blocked = None if cycle is None else end
+    names, id_of, _, pred = g._index
+    blocked = -1 if cycle is None else id_of[end]
     # no cycle vertex reaches a sink in a no-exit graph, and a path avoiding a
     # cycle enters it at most once, so every counted path is this short
-    bound = len(g.vertices) + (0 if cycle is None else cycle.length)
+    bound = len(names) + (0 if cycle is None else cycle.length)
     table: list[tuple[int, str, int]] = []
-    level = {end: 1}
+    level = {id_of[end]: 1}
     length = 0
     while level:
-        table.extend((length, v, level[v]) for v in sorted(level))
+        # ids rank the names, so ascending ids give rows in source order
+        for v in sorted(level):
+            table.append((length, names[v], level[v]))
         length += 1
         if length > bound:
             raise NotNoExitError("path enumeration did not terminate; graph is not no-exit")
-        nxt: dict[str, int] = {}
+        nxt: dict[int, int] = {}
         for v, count in level.items():
-            for e in g._in[v]:
-                if e.source != blocked:
-                    nxt[e.source] = nxt.get(e.source, 0) + count
+            for u in pred[v]:
+                if u != blocked:
+                    nxt[u] = nxt.get(u, 0) + count
         level = nxt
     return table
 
@@ -401,16 +436,18 @@ def _summand_counts(g: DirectedGraph, base_choice: Mapping[CycleDescriptor, str]
     if not g.vertices:
         raise EmptyGraphError("the graph has no vertices")
     _require_no_exit(g)
-    _, _, sinks, cycles = g._analysis
-    known = set(cycles)
+    known = set(g._analysis.cycles)
     for key in base_choice:
         if key not in known:
             raise ValueError(f"base choice keyed by a cycle not in this graph: {key}")
-    out = [(None, sink, _path_counts(g, sink)) for sink in sinks]
-    for cycle in cycles:
-        base = base_choice.get(cycle, cycle.vertices[0])
-        _require_on_cycle(cycle, base)
-        out.append((cycle, base, _path_counts(g, base, cycle)))
+    # the tables at default bases are shared; only a moved base counts anew
+    # (a sink's cycle is None, never a key)
+    out = list(g._default_counts)
+    for pos, (cycle, vertex, _) in enumerate(out):
+        base = base_choice.get(cycle, vertex)
+        if base != vertex:
+            _require_on_cycle(cycle, base)
+            out[pos] = (cycle, base, _path_counts(g, base, cycle))
     return out
 
 
@@ -422,9 +459,12 @@ def paths_to_sink(g: DirectedGraph, sink: str) -> list[tuple[str, int]]:
     """
     g.require_vertex(sink)
     _require_no_exit(g)
-    if g.out_degree(sink) != 0:
+    sinks = g._analysis.sinks
+    pos = bisect_left(sinks, sink)
+    if pos == len(sinks) or sinks[pos] != sink:
         raise NotASinkError(f"vertex {sink!r} emits edges")
-    return _expand(_path_counts(g, sink))
+    # sinks lead the shared tables, in the same order
+    return _expand(g._default_counts[pos][2])
 
 
 def paths_to_cycle_vertex(

@@ -4,8 +4,9 @@ Everything here is deliberately independent of the library internals:
 rotations by explicit slicing, SCCs by mutual reachability, path counts
 by exhaustive walk enumeration, graded isomorphism by move-graph search,
 comets by backward reachability, homogeneous components and conjugation
-on dense matrix grids, graph and algebra text token by token.  Tests
-compare library output against these slow references.
+on dense matrix grids, graph and algebra text token by token, SCCs and
+path counts over the Edge tables.  Tests compare library output against
+these slow references.
 """
 
 from __future__ import annotations
@@ -17,22 +18,27 @@ import sys
 from hypothesis import settings
 
 from gradedlpa import (
+    CycleDescriptor,
     CyclicForm,
     DirectedGraph,
     DirectSumAlgebra,
     Edge,
+    EmptyGraphError,
     EntryShift,
     GlobalShift,
     GradedBase,
     GraphClassification,
     GradedMatrix,
     LaurentElement,
+    NotNoExitError,
     ParseError,
     Permute,
     ShiftedMatrixAlgebra,
     TrivialForm,
+    VertexNotOnCycleError,
     find_cycles,
 )
+from gradedlpa.graphs import _Analysis
 
 # Property tests draw the same examples on every run and carry no per-example
 # deadline, so a test run's outcome does not depend on the clock or the seed.
@@ -539,3 +545,122 @@ def naive_parse_algebra(text: str) -> DirectSumAlgebra:
     if tok:
         fail("unexpected trailing input", at)
     return DirectSumAlgebra(tuple(summands))
+
+
+# --- the dict-of-Edge graph passes, as references for the id-based ones ---
+
+
+def naive_strongly_connected_components(g: DirectedGraph) -> list[tuple[str, ...]]:
+    """Tarjan's algorithm over the Edge tables: the library's version before
+    it ran over vertex ids."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    on_stack: set[str] = set()
+    stack: list[str] = []
+    components: list[tuple[str, ...]] = []
+    counter = 0
+
+    for root in g.vertices:
+        if root in index:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(g._out[root]))]
+        while work:
+            v, edge_iter = work[-1]
+            pushed = False
+            for e in edge_iter:
+                w = e.range
+                if w not in index:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(g._out[w])))
+                    pushed = True
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            if pushed:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == v:
+                        break
+                components.append(tuple(sorted(comp)))
+    components.sort(key=lambda c: c[0])
+    return components
+
+
+def naive_path_counts(g: DirectedGraph, end: str, cycle: CycleDescriptor | None = None):
+    """_path_counts over the Edge tables, keyed by vertex name."""
+    blocked = None if cycle is None else end
+    # no cycle vertex reaches a sink in a no-exit graph, and a path avoiding a
+    # cycle enters it at most once, so every counted path is this short
+    bound = len(g.vertices) + (0 if cycle is None else cycle.length)
+    table: list[tuple[int, str, int]] = []
+    level = {end: 1}
+    length = 0
+    while level:
+        table.extend((length, v, level[v]) for v in sorted(level))
+        length += 1
+        if length > bound:
+            raise NotNoExitError("path enumeration did not terminate; graph is not no-exit")
+        nxt: dict[str, int] = {}
+        for v, count in level.items():
+            for e in g._in[v]:
+                if e.source != blocked:
+                    nxt[e.source] = nxt.get(e.source, 0) + count
+        level = nxt
+    return table
+
+
+def naive_analysis(g: DirectedGraph) -> _Analysis:
+    """DirectedGraph._analysis from the Edge tables and naive SCCs."""
+    comps = tuple(naive_strongly_connected_components(g))
+    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+    # a vertex lies on a cycle iff its SCC contains an edge
+    cyclic = sorted({comp_of[e.source] for e in g.edges if comp_of[e.source] == comp_of[e.range]})
+    sinks = tuple(sorted(v for v in g.vertices if not g._out[v]))
+    exits = [v for i in cyclic for v in comps[i] if len(g._out[v]) != 1]
+    if exits:
+        return _Analysis(comps, min(exits), sinks, ())
+    # in a no-exit graph a cyclic SCC is one cycle: follow the unique out-edges
+    cycles = []
+    for i in cyclic:
+        walk = [g._out[comps[i][0]][0]]
+        while walk[-1].range != comps[i][0]:
+            walk.append(g._out[walk[-1].range][0])
+        cycles.append(CycleDescriptor(tuple(e.source for e in walk), tuple(e.eid for e in walk)))
+    return _Analysis(comps, None, sinks, tuple(cycles))
+
+
+def naive_summand_counts(g: DirectedGraph, base_choice):
+    """_summand_counts from naive_analysis and naive_path_counts, one table
+    counted per summand and call."""
+    if not g.vertices:
+        raise EmptyGraphError("the graph has no vertices")
+    _, exit_vertex, sinks, cycles = naive_analysis(g)
+    if exit_vertex is not None:
+        raise NotNoExitError(f"cycle vertex {exit_vertex!r} emits {g.out_degree(exit_vertex)} edges")
+    known = set(cycles)
+    for key in base_choice:
+        if key not in known:
+            raise ValueError(f"base choice keyed by a cycle not in this graph: {key}")
+    out = [(None, sink, naive_path_counts(g, sink)) for sink in sinks]
+    for cycle in cycles:
+        base = base_choice.get(cycle, cycle.vertices[0])
+        if base not in cycle.vertices:
+            raise VertexNotOnCycleError(f"vertex {base!r} is not on the cycle {cycle.vertices}")
+        out.append((cycle, base, naive_path_counts(g, base, cycle)))
+    return out

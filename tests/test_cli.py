@@ -87,6 +87,18 @@ def test_represent_bad_base_flag(comet_file, capsys):
     for spec in ("nonsense", "u=", "=u"):
         assert main(["represent", "--base", spec, comet_file]) == 2
         assert capsys.readouterr().err == f"error: line 1, column 1: --base expects cycle-vertex=base-vertex, got {spec!r}\n"
+    # one base per cycle: a second choice for the same cycle is refused, not
+    # silently kept
+    for first, second in (("u=u", "v=v"), ("u=v", "u=u"), ("v=u", "u=u")):
+        assert main(["represent", "--base", first, "--base", second, comet_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        name = second.partition("=")[0]
+        assert captured.err == (
+            f"error: line 1, column 1: --base chooses a second base vertex for the cycle through {name!r}\n"
+        )
+    assert main(["represent", "--base", "v=v", comet_file]) == 0
+    assert capsys.readouterr().out == "M3(K[x^2])(0,1,2)\n"
 
 
 def test_canonical(capsys):
@@ -226,10 +238,11 @@ def test_verify_cert_sample_limit(tmp_path, monkeypatch, capsys):
     assert main(["verify-cert", "M4(K)(0,1,2,3)", "M4(K)(1,2,3,4)", str(cert)]) == 2
     limit = "a 4x4 sample matrix has 16 entries, too many to list one by one (limit 9)\n"
     assert capsys.readouterr().err.endswith(limit)
-    # the replay's work, n * n entries moved per step, has its own limit,
-    # checked after the sample limit and before drawing
-    assert cli._MAX_REPLAYED == 4_000_000
-    monkeypatch.setattr(cli, "_MAX_REPLAYED", 18)
+    # the replay's work has its own limit, checked after the sample limit and
+    # before drawing: each step moves n * n entries and costs as much again as
+    # moving 16 more
+    assert (cli._MAX_REPLAYED, cli._STEP_COST) == (4_000_000, 16)
+    monkeypatch.setattr(cli, "_MAX_REPLAYED", 50)
     cert.write_text("G 1\nG 0\n")
     assert main(["verify-cert", "M3(K)(0,1,2)", "M3(K)(1,2,3)", str(cert)]) == 0
     assert capsys.readouterr().out == "verified\n"
@@ -239,9 +252,21 @@ def test_verify_cert_sample_limit(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: replaying 3 steps on a 3x3 sample matrix moves 27 entries, too many to replay (limit 18)\n"
+        "error: replaying 3 steps on a 3x3 sample matrix costs 75 entry moves (9 + 16 per step), "
+        "too many to replay (limit 50)\n"
         "error: " + limit
     )
+    # the per-step cost bounds a long certificate on a small matrix: at n = 1
+    # the real limit admits 235,294 steps, not 4,000,000
+    monkeypatch.undo()
+    cert.write_text("G 0\n" * 235_295)
+    assert main(["verify-cert", "M1(K)(0)", "M1(K)(0)", str(cert)]) == 2
+    assert capsys.readouterr().err == (
+        "error: replaying 235295 steps on a 1x1 sample matrix costs 4000015 entry moves (1 + 16 per step), "
+        "too many to replay (limit 4000000)\n"
+    )
+    monkeypatch.setattr(cli, "_MAX_REPLAYED", 50)
+    cert.write_text("G 1\nG 0\nG 0\n")
     # a certificate that does not land on the target is refuted without a replay
     assert main(["verify-cert", "M3(K)(0,1,2)", "M3(K)(2,3,4)", str(cert)]) == 1
 

@@ -8,25 +8,34 @@ from hypothesis import strategies as st
 from conftest import (
     brute_scc,
     diamond_chain,
+    naive_analysis,
     naive_classify,
+    naive_path_counts,
     naive_paths_to_cycle,
     naive_paths_to_sink,
+    naive_strongly_connected_components,
+    naive_summand_counts,
     random_no_exit_graph,
 )
 from gradedlpa import (
     CycleDescriptor,
     DirectedGraph,
+    GradedBase,
+    ShiftedMatrixAlgebra,
     NotASinkError,
     NotNoExitError,
     TooManyCyclesError,
     UnknownVertexError,
     VertexNotOnCycleError,
+    ZeroCornerError,
     build_cycle_tail,
     build_line,
     classify,
+    corner_by_vertices,
     find_cycles,
     paths_to_cycle_vertex,
     paths_to_sink,
+    represent_at,
     strongly_connected_components,
 )
 from gradedlpa.graphs import _path_counts
@@ -286,3 +295,93 @@ def test_builders():
     with pytest.raises(ValueError):
         build_cycle_tail(0)
 
+
+# names whose sorted order differs from the order of first mention
+ID_NAMES = ["v10", "v9", "Z", "a", "_x", "_", "v1", "v100", "A", "aa", "b_2", "b10", "B", "x", "X1", "v99"]
+ID_NAMES += [f"n{i}" for i in range(40 - len(ID_NAMES))]
+
+
+@st.composite
+def named_multigraphs(draw):
+    """Multigraphs of up to 40 vertices with parallel edges, loops and
+    isolated vertices; half of them no-exit: disjoint cycles fed by an
+    acyclic part."""
+    n = draw(st.integers(1, 40))
+    names = draw(st.permutations(ID_NAMES))[:n]
+    if draw(st.booleans()):
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n + 8))
+    else:
+        on_cycles = draw(st.integers(0, min(n, 12)))
+        pairs = []
+        start = 0
+        while start < on_cycles:
+            length = draw(st.integers(1, on_cycles - start))
+            pairs += [(start + j, start + (j + 1) % length) for j in range(length)]
+            start += length
+        # every other vertex points only at vertices before it
+        for i in range(on_cycles, n):
+            pairs += [(i, t) for t in draw(st.lists(st.integers(0, i - 1), max_size=3))] if i else []
+        pairs = draw(st.permutations(pairs))
+    return DirectedGraph.from_edges([(names[a], names[b]) for a, b in pairs], isolated=names)
+
+
+def _outcome(f, *args):
+    try:
+        return "ok", f(*args)
+    except Exception as exc:  # compared by class and message
+        return type(exc).__name__, str(exc)
+
+
+def _algebra(cycle, table):
+    base = GradedBase.trivial() if cycle is None else GradedBase.laurent(cycle.length)
+    return ShiftedMatrixAlgebra(base, [(length, count) for length, _, count in table])
+
+
+def _represent_at(g, choice):
+    rep = represent_at(g, choice)
+    rows = [(getattr(p, "cycle", None), getattr(p, "base_vertex", None) or p.sink, list(p.rows)) for p in rep.provenance]
+    return str(rep.sum), rows
+
+
+def _naive_represent_at(g, choice):
+    tables = naive_summand_counts(g, choice)
+    return " (+) ".join(str(_algebra(cycle, table)) for cycle, _, table in tables), tables
+
+
+def _naive_corner(g, vs):
+    chosen = set(vs)
+    tables = naive_summand_counts(g, {})
+    unknown = chosen - set(g.vertices)
+    if unknown:
+        raise UnknownVertexError(f"unknown vertices: {sorted(unknown)}")
+    kept = [(cycle, [row for row in table if row[1] in chosen]) for cycle, _, table in tables]
+    summands = [str(_algebra(cycle, rows)) for cycle, rows in kept if rows]
+    if not summands:
+        raise ZeroCornerError("no path in any summand starts in the chosen vertex set")
+    return " (+) ".join(summands)
+
+
+@settings(max_examples=250)
+@given(named_multigraphs(), st.data())
+def test_id_passes_match_edge_table_passes(g, data):
+    assert strongly_connected_components(g) == naive_strongly_connected_components(g)
+    analysis = naive_analysis(g)
+    assert g._analysis == analysis
+    assert _outcome(classify, g) == _outcome(naive_classify, g)
+    for sink in analysis.sinks:
+        assert _outcome(_path_counts, g, sink) == _outcome(naive_path_counts, g, sink)
+    for cycle in analysis.cycles:
+        for base in cycle.vertices:
+            assert _path_counts(g, base, cycle) == naive_path_counts(g, base, cycle)
+    # base choices: on the cycle, off it, or keyed by a foreign cycle
+    choice = {}
+    for cycle in analysis.cycles:
+        if data.draw(st.booleans()):
+            choice[cycle] = data.draw(st.sampled_from(cycle.vertices + g.vertices[:1]))
+    if data.draw(st.integers(0, 9)) == 0:
+        choice[CycleDescriptor(("foreign",), ("e0",))] = "foreign"
+    assert _outcome(_represent_at, g, choice) == _outcome(_naive_represent_at, g, choice)
+    # corners at random vertex sets, some empty or with an unknown vertex
+    for _ in range(3):
+        vs = data.draw(st.lists(st.sampled_from(g.vertices + ("nope",)), max_size=6))
+        assert _outcome(lambda: str(corner_by_vertices(g, vs))) == _outcome(_naive_corner, g, vs)

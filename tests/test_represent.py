@@ -144,6 +144,37 @@ def test_one_scc_pass_per_graph(monkeypatch):
     assert len(calls) == 2
 
 
+def test_one_path_count_per_summand(monkeypatch):
+    original = gradedlpa.graphs._path_counts
+    calls = []
+
+    def counting(g, end, cycle=None):
+        calls.append((end, cycle))
+        return original(g, end, cycle)
+
+    monkeypatch.setattr(gradedlpa.graphs, "_path_counts", counting)
+    star = DirectedGraph.from_edges([("c", f"s{i}") for i in range(400)])
+    classify(star)
+    represent(star)
+    for vs in (["c"], ["s1", "s7"], ["c", "s399"]):
+        corner_by_vertices(star, vs)
+    assert paths_to_sink(star, "s42") == [("s42", 0), ("c", 1)]
+    # one table per sink, shared by represent, the corners and paths_to_sink
+    assert len(calls) == 400
+    # the whole-graph passes read the id index; no Edge table is built
+    assert "_out" not in vars(star) and "_in" not in vars(star)
+    # a base choice away from the default counts that one summand anew
+    calls.clear()
+    comet = ex_comet()
+    cycle = represent(comet).provenance[0].cycle
+    assert len(calls) == 1
+    assert represent_at(comet, {cycle: "v"}).provenance[0].base_vertex == "v"
+    assert len(calls) == 2
+    represent_at(comet, {cycle: "u"})
+    corner_by_vertices(comet, ["t"])
+    assert len(calls) == 2
+
+
 def test_represent_at_validates_choice():
     g = ex_comet()
     cycle = classify(g).cycles[0]
