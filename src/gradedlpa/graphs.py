@@ -11,7 +11,6 @@ All types are immutable and all operations are pure functions of their inputs.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import starmap
@@ -133,8 +132,7 @@ class DirectedGraph:
     @cached_property
     def _default_counts(self) -> tuple:
         """(cycle, vertex, table) per summand at default base vertices, counted
-        once per graph; _summand_counts and paths_to_sink, which check the
-        graph first, read it."""
+        once per graph; _summand_counts, which checks the graph first, reads it."""
         _, _, sinks, cycles = self._analysis
         out = [(None, sink, tuple(_path_counts(self, sink))) for sink in sinks]
         out += [(c, c.vertices[0], tuple(_path_counts(self, c.vertices[0], c))) for c in cycles]
@@ -160,12 +158,15 @@ class DirectedGraph:
         if v not in self._index.id_of:
             raise UnknownVertexError(f"unknown vertex {v!r}")
 
+    # out_edges and in_edges ask the table they read, so they never build _index
     def out_edges(self, v: str) -> tuple[Edge, ...]:
-        self.require_vertex(v)
+        if v not in self._out:
+            raise UnknownVertexError(f"unknown vertex {v!r}")
         return self._out[v]
 
     def in_edges(self, v: str) -> tuple[Edge, ...]:
-        self.require_vertex(v)
+        if v not in self._in:
+            raise UnknownVertexError(f"unknown vertex {v!r}")
         return self._in[v]
 
     def out_degree(self, v: str) -> int:
@@ -459,12 +460,10 @@ def paths_to_sink(g: DirectedGraph, sink: str) -> list[tuple[str, int]]:
     """
     g.require_vertex(sink)
     _require_no_exit(g)
-    sinks = g._analysis.sinks
-    pos = bisect_left(sinks, sink)
-    if pos == len(sinks) or sinks[pos] != sink:
+    _, id_of, succ, _ = g._index
+    if succ[id_of[sink]]:
         raise NotASinkError(f"vertex {sink!r} emits edges")
-    # sinks lead the shared tables, in the same order
-    return _expand(g._default_counts[pos][2])
+    return _expand(_path_counts(g, sink))
 
 
 def paths_to_cycle_vertex(

@@ -60,8 +60,13 @@ def test_constructor_rejects_bad_input():
 
 def test_require_vertex():
     g = build_line(2)
-    with pytest.raises(UnknownVertexError):
-        g.out_edges("nope")
+    for lookup in (g.out_edges, g.in_edges, g.out_degree, g.require_vertex):
+        with pytest.raises(UnknownVertexError, match="unknown vertex 'nope'"):
+            lookup("nope")
+    # the Edge tables answer their own lookups without the id index
+    fresh = build_line(3)
+    assert fresh.out_degree("v1") == 1 and [e.eid for e in fresh.in_edges("v3")] == ["e2"]
+    assert "_index" not in vars(fresh)
 
 
 def test_scc_against_brute_force():

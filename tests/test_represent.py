@@ -158,9 +158,14 @@ def test_one_path_count_per_summand(monkeypatch):
     represent(star)
     for vs in (["c"], ["s1", "s7"], ["c", "s399"]):
         corner_by_vertices(star, vs)
-    assert paths_to_sink(star, "s42") == [("s42", 0), ("c", 1)]
-    # one table per sink, shared by represent, the corners and paths_to_sink
+    # one table per sink, shared by represent and the corners
     assert len(calls) == 400
+    # paths_to_sink counts its own sink's table, and only that one
+    assert paths_to_sink(star, "s42") == [("s42", 0), ("c", 1)]
+    assert len(calls) == 401
+    calls.clear()
+    assert paths_to_sink(DirectedGraph.from_edges([("c", f"s{i}") for i in range(400)]), "s7") == [("s7", 0), ("c", 1)]
+    assert len(calls) == 1
     # the whole-graph passes read the id index; no Edge table is built
     assert "_out" not in vars(star) and "_in" not in vars(star)
     # a base choice away from the default counts that one summand anew
