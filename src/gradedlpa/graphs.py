@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import starmap
+from itertools import compress, starmap
 from typing import Iterable, Mapping, NamedTuple
 
 from .algebras import _require_listable
@@ -28,6 +28,9 @@ from .errors import (
 
 DEFAULT_CYCLE_CAP = 10_000
 
+# marks an unnamed edge in an edge-id column; its id is e<position>
+_UNNAMED = object()
+
 
 class Edge(NamedTuple):
     eid: str
@@ -35,38 +38,44 @@ class Edge(NamedTuple):
     range: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class DirectedGraph:
-    """A finite directed multigraph with ordered vertices and edges."""
+    """A finite directed multigraph with ordered vertices and edges.
+
+    Every construction ends in the same id columns.  A vertex's id is its
+    position in `vertices`, which is in first-mention order; per edge there
+    is an edge id (_UNNAMED for an unnamed edge, whose id is e<position>), a
+    source id and a range id.  The public `edges` (Edge tuples) and the
+    per-vertex Edge table are built on first use.  Equality, hashing and
+    repr are those of the pair (vertices, edges).
+    """
 
     vertices: tuple[str, ...]
-    edges: tuple[Edge, ...]
 
-    def __post_init__(self):
-        vertices = tuple(self.vertices)
-        edges = tuple(self.edges)
-        if set(map(type, edges)) - {Edge}:
-            edges = tuple(starmap(Edge, edges))
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
-        known = set(vertices)
-        eids, sources, ranges = zip(*edges) if edges else ((), (), ())
-        if len(known) == len(vertices) and len(set(eids)) == len(edges) and known.issuperset(sources + ranges):
-            return
-        # invalid: walk the lists to name the first offender
-        seen = set()
-        for v in vertices:
-            if v in seen:
-                raise ValueError(f"duplicate vertex id {v!r}")
-            seen.add(v)
-        eids = set()
-        for e in edges:
-            if e.eid in eids:
-                raise ValueError(f"duplicate edge id {e.eid!r}")
-            eids.add(e.eid)
-            for endpoint in (e.source, e.range):
-                if endpoint not in seen:
-                    raise ValueError(f"edge {e.eid!r} uses unknown vertex {endpoint!r}")
+    def __init__(self, vertices: Iterable[str], edges: Iterable[tuple]):
+        vertices = tuple(vertices)
+        edges = tuple(edges)
+        if edges and set(map(len, edges)) != {3}:
+            tuple(starmap(Edge, edges))  # raises the TypeError of the first malformed edge
+        id_of = dict(zip(vertices, range(len(vertices))))
+        eids, sources, ranges = map(list, zip(*edges)) if edges else ([], [], [])
+        try:
+            sources = list(map(id_of.__getitem__, sources))
+            ranges = list(map(id_of.__getitem__, ranges))
+        except KeyError:
+            sources = None
+        if len(id_of) != len(vertices) or sources is None or not _distinct_eids(eids):
+            raise ValueError(_first_offender(vertices, edges))
+        vars(self).update(vertices=vertices, _eids=eids, _sources=sources, _ranges=ranges)
+
+    @classmethod
+    def _from_columns(cls, id_of: dict, eids: list, sources: list[int], ranges: list[int]) -> "DirectedGraph":
+        """Skip the checks of __init__: every source and range is an id of
+        id_of, a name-to-id map in first-mention order.  The caller checks
+        that the edge ids are distinct."""
+        g = cls.__new__(cls)
+        vars(g).update(vertices=tuple(id_of), _eids=eids, _sources=sources, _ranges=ranges)
+        return g
 
     @classmethod
     def from_edges(cls, pairs: Iterable[tuple], isolated: Iterable[str] = ()) -> "DirectedGraph":
@@ -75,39 +84,52 @@ class DirectedGraph:
         Vertex order is first-mention order, with `isolated` vertices appended.
         Unnamed edges get ids e1, e2, ... by position.
         """
-        vertices: list[str] = []
-        known = set()
-
-        def mention(v):
-            if v not in known:
-                known.add(v)
-                vertices.append(v)
-
-        edges = []
-        for pos, pair in enumerate(pairs, 1):
+        id_of: dict[str, int] = {}
+        eids, sources, ranges = [], [], []
+        for pair in pairs:
             if len(pair) == 2:
                 src, dst = pair
-                eid = f"e{pos}"
+                eid = _UNNAMED
             else:
                 src, dst, eid = pair
-            mention(src)
-            mention(dst)
-            edges.append(Edge(eid, src, dst))
+            sources.append(id_of.setdefault(src, len(id_of)))
+            ranges.append(id_of.setdefault(dst, len(id_of)))
+            eids.append(eid)
         for v in isolated:
-            mention(v)
-        return cls(tuple(vertices), tuple(edges))
+            id_of.setdefault(v, len(id_of))
+        g = cls._from_columns(id_of, eids, sources, ranges)
+        if not _distinct_eids(eids):
+            raise ValueError(_first_offender(g.vertices, g.edges))
+        return g
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        name = self.vertices.__getitem__
+        eids = _named(self._eids) if _UNNAMED in self._eids else self._eids
+        return tuple(map(Edge._make, zip(eids, map(name, self._sources), map(name, self._ranges))))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertices, self.edges) == (other.vertices, other.edges)
+
+    def __hash__(self):
+        return hash((self.vertices, self.edges))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(vertices={self.vertices!r}, edges={self.edges!r})"
 
     @cached_property
     def _index(self) -> "_Index":
         names = sorted(self.vertices)
-        id_of = {v: i for i, v in enumerate(names)}
+        id_of = dict(zip(names, range(len(names))))
+        # one relabel of the columns from mention order to sorted-name rank
+        rank = list(map(id_of.__getitem__, self.vertices))
         succ: list[list[int]] = [[] for _ in names]
         pred: list[list[int]] = [[] for _ in names]
-        if self.edges:
-            _, sources, ranges = zip(*self.edges)
-            for s, r in zip(map(id_of.__getitem__, sources), map(id_of.__getitem__, ranges)):
-                succ[s].append(r)
-                pred[r].append(s)
+        for s, r in zip(map(rank.__getitem__, self._sources), map(rank.__getitem__, self._ranges)):
+            succ[s].append(r)
+            pred[r].append(s)
         return _Index(names, id_of, succ, pred)
 
     @cached_property
@@ -138,7 +160,7 @@ class DirectedGraph:
         out += [(c, c.vertices[0], tuple(_path_counts(self, c.vertices[0], c))) for c in cycles]
         return tuple(out)
 
-    # Edge tables, built on first use by out_edges, in_edges, the cycle walk,
+    # the Edge table, built on first use by out_edges, the cycle walk,
     # find_cycles and _validate_cycle; the whole-graph passes read _index
     @cached_property
     def _out(self) -> dict[str, tuple[Edge, ...]]:
@@ -147,30 +169,61 @@ class DirectedGraph:
             table[e.source].append(e)
         return {v: tuple(es) for v, es in table.items()}
 
-    @cached_property
-    def _in(self) -> dict[str, tuple[Edge, ...]]:
-        table = {v: [] for v in self.vertices}
-        for e in self.edges:
-            table[e.range].append(e)
-        return {v: tuple(es) for v, es in table.items()}
-
     def require_vertex(self, v: str):
         if v not in self._index.id_of:
             raise UnknownVertexError(f"unknown vertex {v!r}")
 
-    # out_edges and in_edges ask the table they read, so they never build _index
+    # out_edges asks the table it reads, so it never builds _index
     def out_edges(self, v: str) -> tuple[Edge, ...]:
         if v not in self._out:
             raise UnknownVertexError(f"unknown vertex {v!r}")
         return self._out[v]
 
     def in_edges(self, v: str) -> tuple[Edge, ...]:
-        if v not in self._in:
-            raise UnknownVertexError(f"unknown vertex {v!r}")
-        return self._in[v]
+        """The edges into v in edge order: one scan of the range column."""
+        try:
+            k = self.vertices.index(v)
+        except ValueError:
+            raise UnknownVertexError(f"unknown vertex {v!r}") from None
+        return tuple(compress(self.edges, map(k.__eq__, self._ranges)))
 
     def out_degree(self, v: str) -> int:
-        return len(self.out_edges(v))
+        self.require_vertex(v)
+        _, id_of, succ, _ = self._index
+        return len(succ[id_of[v]])
+
+
+def _named(eids: list) -> list:
+    """An edge-id column with every unnamed edge's id filled in."""
+    return [f"e{pos}" if eid is _UNNAMED else eid for pos, eid in enumerate(eids, 1)]
+
+
+def _distinct_eids(eids: list) -> bool:
+    """Whether an edge-id column names every edge once; unnamed edges alone
+    always do."""
+    if eids.count(_UNNAMED) == len(eids):
+        return True
+    named = _named(eids)
+    return len(set(named)) == len(named)
+
+
+def _first_offender(vertices: tuple, edges: Iterable[tuple]) -> str:
+    """The message naming the first repeated vertex, else the first edge
+    with a repeated id or an unknown endpoint, of lists that have one."""
+    seen = set()
+    for v in vertices:
+        if v in seen:
+            return f"duplicate vertex id {v!r}"
+        seen.add(v)
+    eids = set()
+    for eid, source, range_ in edges:
+        if eid in eids:
+            return f"duplicate edge id {eid!r}"
+        eids.add(eid)
+        for endpoint in (source, range_):
+            if endpoint not in seen:
+                return f"edge {eid!r} uses unknown vertex {endpoint!r}"
+    raise AssertionError("the lists name no offender")
 
 
 @dataclass(frozen=True)
@@ -198,8 +251,9 @@ class CycleDescriptor:
 
 
 class _Index(NamedTuple):
-    """A graph's vertices as ids: a vertex's id is its rank in sorted name
-    order, so ascending ids are sorted names."""
+    """A graph's vertices as ids for the whole-graph passes: a vertex's id is
+    its rank in sorted name order, so ascending ids are sorted names.  Built
+    by one relabel of the graph's source and range columns."""
 
     names: list[str]  # by id
     id_of: dict[str, int]
@@ -227,14 +281,21 @@ class GraphClassification:
 
 
 def strongly_connected_components(g: DirectedGraph) -> list[tuple[str, ...]]:
-    """Tarjan's algorithm, iterative, over vertex ids.  Components come back
-    as sorted vertex tuples, ordered by their smallest vertex."""
-    names, _, succ, _ = g._index
+    """The SCCs of g as sorted vertex tuples, ordered by their smallest vertex.
+
+    A vertex that no cycle reaches is a component of its own; an in-degree
+    peel removes all of those first.  An iterative Tarjan over vertex ids
+    then splits what is left, which in a no-exit graph is the cycle vertices.
+    """
+    names, _, succ, pred = g._index
     done = len(names)  # the index of a vertex already placed in a component
     index = [-1] * done
+    for v in _peel(succ, pred):
+        index[v] = done
     low = [0] * done
     stack: list[int] = []
-    by_least: list[tuple[str, ...] | None] = [None] * done  # each component at its smallest id
+    # each component at its smallest id; a singleton unless Tarjan says more
+    by_least: list[tuple[str, ...] | None] = [(name,) for name in names]
     counter = 0
     for root in range(done):
         if index[root] >= 0:
@@ -269,10 +330,25 @@ def strongly_connected_components(g: DirectedGraph) -> list[tuple[str, ...]]:
                         comp.append(stack.pop())
                     for w in comp:
                         index[w] = done
+                        by_least[w] = None
                     comp.sort()
                     # ids rank the names, so sorted ids give a sorted name tuple
                     by_least[comp[0]] = tuple(map(names.__getitem__, comp))
     return [comp for comp in by_least if comp is not None]
+
+
+def _peel(succ: list[list[int]], pred: list[list[int]]) -> list[int]:
+    """The vertices that no cycle reaches, each after its predecessors:
+    Kahn's in-degree peel, one decrement per edge, so a loop or a parallel
+    edge from a vertex left behind keeps its range behind too."""
+    indeg = list(map(len, pred))
+    peeled = [v for v, d in enumerate(indeg) if not d]
+    for v in peeled:  # the list grows as the loop reads it
+        for w in succ[v]:
+            indeg[w] -= 1
+            if not indeg[w]:
+                peeled.append(w)
+    return peeled
 
 
 def _require_no_exit(g: DirectedGraph):

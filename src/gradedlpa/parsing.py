@@ -7,8 +7,10 @@ Graph files hold one statement per line; '#' starts a comment.
     <src> -> <dst> [<id>]    declare an edge; unnamed edges get e1, e2, ...
 
 A line 'vertex -> ...' is an edge whose source is the vertex named 'vertex'.
-One regex match reads a well-formed line; the token scanner runs only on a
-line that match rejects, to explain it with the same error text as ever.
+One regex match reads a well-formed line straight into the graph's id
+columns.  Only a text that fails is read again, line by line, to name its
+first offending line; the token scanner explains a line that the match
+rejects, with the same error text as ever.
 
 Algebra expressions follow
 
@@ -52,7 +54,7 @@ from .algebras import (
     Step,
 )
 from .errors import ParseError
-from .graphs import DirectedGraph, Edge
+from .graphs import _UNNAMED, DirectedGraph, _distinct_eids
 
 _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _MAX_SHIFT = 2**31
@@ -61,15 +63,16 @@ _MAX_SHIFT = 2**31
 # --- graph format ---
 
 # A whole statement line: a vertex declaration, an edge with an optional id,
-# or nothing.  The groups are the declared vertex, source, target and edge id.
+# or nothing, then an optional comment.  The groups are the declared vertex,
+# source, target and edge id.
 _STATEMENT_RE = re.compile(
-    r"\s*(?:vertex\s+({id})|({id})\s*->\s*({id})(?:\s+({id}))?)?\s*".format(id=_ID_RE.pattern)
+    r"\s*(?:vertex\s+({id})|({id})\s*->\s*({id})(?:\s+({id}))?)?\s*(?:#.*)?".format(id=_ID_RE.pattern)
 )
 _GRAPH_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|->|\S")
 
 
 def _explain_graph_line(line: str, lineno: int):
-    """Raise the ParseError for a line that _STATEMENT_RE rejects."""
+    """Raise the ParseError for a line, comment stripped, that _STATEMENT_RE rejects."""
     tokens = []
     for match in _GRAPH_TOKEN_RE.finditer(line):
         text = match.group()
@@ -94,35 +97,61 @@ def _explain_graph_line(line: str, lineno: int):
     raise ParseError(f"unexpected {tokens[4][0]!r} after edge statement", lineno, tokens[4][1])
 
 
-def parse_graph(text: str) -> DirectedGraph:
-    """Parse the graph description language into a DirectedGraph."""
-    statement = _STATEMENT_RE.fullmatch
-    mentions: list[str] = []  # vertex names in the order the lines mention them
+def _explain_graph(text: str):
+    """Raise the ParseError for the first offending line of a text that
+    parse_graph rejects: a malformed line, a repeated vertex declaration or
+    a repeated edge id."""
     declared: set[str] = set()
-    edges: list[Edge] = []
     edge_ids: set[str] = set()
+    edge_count = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0]
-        m = statement(line)
+        m = _STATEMENT_RE.fullmatch(raw)
         if m is None:
-            _explain_graph_line(line, lineno)
-        name, src, dst, eid = m.groups()
+            _explain_graph_line(raw.split("#", 1)[0], lineno)
+        name, src, _, eid = m.groups()
         if name is not None:
             if name in declared:
                 raise ParseError(f"duplicate vertex {name!r}", lineno, m.start(1) + 1)
             declared.add(name)
-            mentions.append(name)
         elif src is not None:
+            edge_count += 1
             eid_group = 4
             if eid is None:
-                eid, eid_group = f"e{len(edges) + 1}", 2
+                eid, eid_group = f"e{edge_count}", 2
             if eid in edge_ids:
                 raise ParseError(f"duplicate edge id {eid!r}", lineno, m.start(eid_group) + 1)
             edge_ids.add(eid)
-            mentions.append(src)
-            mentions.append(dst)
-            edges.append(Edge(eid, src, dst))
-    return DirectedGraph(tuple(dict.fromkeys(mentions)), tuple(edges))
+    raise AssertionError("the text has no offending line")
+
+
+def parse_graph(text: str) -> DirectedGraph:
+    """Parse the graph description language into a DirectedGraph.
+
+    The lines fill the graph's id columns as they are read; only a text that
+    fails is read again, by _explain_graph, to name its first offending line.
+    """
+    id_of: dict[str, int] = {}  # vertex name -> id, in mention order
+    declared: set[str] = set()
+    eids: list = []
+    sources: list[int] = []
+    ranges: list[int] = []
+    vertex_id, add_eid, add_source, add_range = id_of.setdefault, eids.append, sources.append, ranges.append
+    for m in map(_STATEMENT_RE.fullmatch, text.splitlines()):
+        if m is None:
+            _explain_graph(text)
+        name, src, dst, eid = m.groups()
+        if src is not None:
+            add_source(vertex_id(src, len(id_of)))
+            add_range(vertex_id(dst, len(id_of)))
+            add_eid(eid or _UNNAMED)
+        elif name is not None:
+            if name in declared:
+                _explain_graph(text)
+            declared.add(name)
+            vertex_id(name, len(id_of))
+    if not _distinct_eids(eids):
+        _explain_graph(text)
+    return DirectedGraph._from_columns(id_of, eids, sources, ranges)
 
 
 def format_graph(g: DirectedGraph) -> str:

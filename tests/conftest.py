@@ -4,9 +4,9 @@ Everything here is deliberately independent of the library internals:
 rotations by explicit slicing, SCCs by mutual reachability, path counts
 by exhaustive walk enumeration, graded isomorphism by move-graph search,
 comets by backward reachability, homogeneous components and conjugation
-on dense matrix grids, graph and algebra text token by token, SCCs and
-path counts over the Edge tables.  Tests compare library output against
-these slow references.
+on dense matrix grids, graph and algebra text token by token, graph
+construction from Edge tuples, SCCs and path counts over the Edge tables.
+Tests compare library output against these slow references.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 import re
 import sys
+from itertools import starmap
 
 from hypothesis import settings
 
@@ -547,6 +548,62 @@ def naive_parse_algebra(text: str) -> DirectSumAlgebra:
     return DirectSumAlgebra(tuple(summands))
 
 
+# --- graph construction from Edge tuples, as a reference for the id columns ---
+
+
+def naive_graph(vertices, edges):
+    """The checks of the DirectedGraph constructor before it kept id columns:
+    (vertices, edges) as tuples, or the ValueError naming the first offender."""
+    vertices = tuple(vertices)
+    edges = tuple(edges)
+    if set(map(type, edges)) - {Edge}:
+        edges = tuple(starmap(Edge, edges))
+    known = set(vertices)
+    eids, sources, ranges = zip(*edges) if edges else ((), (), ())
+    if len(known) == len(vertices) and len(set(eids)) == len(edges) and known.issuperset(sources + ranges):
+        return vertices, edges
+    # invalid: walk the lists to name the first offender
+    seen = set()
+    for v in vertices:
+        if v in seen:
+            raise ValueError(f"duplicate vertex id {v!r}")
+        seen.add(v)
+    eids = set()
+    for e in edges:
+        if e.eid in eids:
+            raise ValueError(f"duplicate edge id {e.eid!r}")
+        eids.add(e.eid)
+        for endpoint in (e.source, e.range):
+            if endpoint not in seen:
+                raise ValueError(f"edge {e.eid!r} uses unknown vertex {endpoint!r}")
+
+
+def naive_from_edges(pairs, isolated=()):
+    """DirectedGraph.from_edges before the graph kept id columns, through
+    naive_graph: (vertices, edges), or the ValueError."""
+    vertices: list[str] = []
+    known = set()
+
+    def mention(v):
+        if v not in known:
+            known.add(v)
+            vertices.append(v)
+
+    edges = []
+    for pos, pair in enumerate(pairs, 1):
+        if len(pair) == 2:
+            src, dst = pair
+            eid = f"e{pos}"
+        else:
+            src, dst, eid = pair
+        mention(src)
+        mention(dst)
+        edges.append(Edge(eid, src, dst))
+    for v in isolated:
+        mention(v)
+    return naive_graph(tuple(vertices), tuple(edges))
+
+
 # --- the dict-of-Edge graph passes, as references for the id-based ones ---
 
 
@@ -604,6 +661,9 @@ def naive_strongly_connected_components(g: DirectedGraph) -> list[tuple[str, ...
 
 def naive_path_counts(g: DirectedGraph, end: str, cycle: CycleDescriptor | None = None):
     """_path_counts over the Edge tables, keyed by vertex name."""
+    in_edges: dict[str, list] = {v: [] for v in g.vertices}
+    for e in g.edges:
+        in_edges[e.range].append(e)
     blocked = None if cycle is None else end
     # no cycle vertex reaches a sink in a no-exit graph, and a path avoiding a
     # cycle enters it at most once, so every counted path is this short
@@ -618,7 +678,7 @@ def naive_path_counts(g: DirectedGraph, end: str, cycle: CycleDescriptor | None 
             raise NotNoExitError("path enumeration did not terminate; graph is not no-exit")
         nxt: dict[str, int] = {}
         for v, count in level.items():
-            for e in g._in[v]:
+            for e in in_edges[v]:
                 if e.source != blocked:
                     nxt[e.source] = nxt.get(e.source, 0) + count
         level = nxt

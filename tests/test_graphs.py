@@ -10,6 +10,8 @@ from conftest import (
     diamond_chain,
     naive_analysis,
     naive_classify,
+    naive_from_edges,
+    naive_graph,
     naive_path_counts,
     naive_paths_to_cycle,
     naive_paths_to_sink,
@@ -20,6 +22,7 @@ from conftest import (
 from gradedlpa import (
     CycleDescriptor,
     DirectedGraph,
+    Edge,
     GradedBase,
     ShiftedMatrixAlgebra,
     NotASinkError,
@@ -38,7 +41,7 @@ from gradedlpa import (
     represent_at,
     strongly_connected_components,
 )
-from gradedlpa.graphs import _path_counts
+from gradedlpa.graphs import _path_counts, _peel
 
 
 def test_from_edges_order_and_auto_ids():
@@ -56,6 +59,48 @@ def test_constructor_rejects_bad_input():
         DirectedGraph(("a",), (("e1", "a", "b"),))
     with pytest.raises(ValueError):
         DirectedGraph.from_edges([("a", "b", "e"), ("b", "a", "e")])
+    # an edge that is not three fields long, even past a well-formed one
+    with pytest.raises(TypeError):
+        DirectedGraph(("a",), [("e1", "a", "a"), ("e2", "a", "a", "x")])
+
+
+# a few names, so that vertices repeat, endpoints go unknown and explicit
+# edge ids (None is one) collide with each other and with the e<position>
+# of unnamed edges
+FEW_NAMES = st.sampled_from(["a", "b", "v10", "v9", "Z", "vertex"])
+FEW_EIDS = st.sampled_from(["e1", "e2", "e3", "x", "a", None])
+
+
+def _built(build, *args):
+    """(vertices, edges) of the graph built, or the ValueError's message."""
+    try:
+        g = build(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    if isinstance(g, DirectedGraph):
+        # every construction route gives one graph: same value, hash and repr
+        again = DirectedGraph(g.vertices, g.edges)
+        assert again == g and hash(again) == hash(g)
+        assert repr(g) == f"DirectedGraph(vertices={g.vertices!r}, edges={g.edges!r})"
+        return "ok", (g.vertices, g.edges)
+    return "ok", g
+
+
+@settings(max_examples=400)
+@given(
+    st.lists(st.one_of(st.tuples(FEW_NAMES, FEW_NAMES), st.tuples(FEW_NAMES, FEW_NAMES, FEW_EIDS)), max_size=8),
+    st.lists(FEW_NAMES, max_size=4),
+)
+def test_from_edges_matches_edge_tuple_build(pairs, isolated):
+    assert _built(DirectedGraph.from_edges, pairs, isolated) == _built(naive_from_edges, pairs, isolated)
+
+
+@settings(max_examples=400)
+@given(st.lists(FEW_NAMES, max_size=6), st.lists(st.tuples(FEW_EIDS, FEW_NAMES, FEW_NAMES, st.booleans()), max_size=6))
+def test_constructor_matches_edge_tuple_build(vertices, drawn):
+    # plain 3-tuples and Edge tuples mixed
+    edges = [Edge(*e[:3]) if as_edge else e[:3] for *e, as_edge in drawn]
+    assert _built(DirectedGraph, vertices, edges) == _built(naive_graph, vertices, edges)
 
 
 def test_require_vertex():
@@ -63,10 +108,13 @@ def test_require_vertex():
     for lookup in (g.out_edges, g.in_edges, g.out_degree, g.require_vertex):
         with pytest.raises(UnknownVertexError, match="unknown vertex 'nope'"):
             lookup("nope")
-    # the Edge tables answer their own lookups without the id index
+    # in_edges scans the columns and out_edges reads the Edge table, neither
+    # builds the id index; out_degree reads the index
     fresh = build_line(3)
-    assert fresh.out_degree("v1") == 1 and [e.eid for e in fresh.in_edges("v3")] == ["e2"]
+    assert [e.eid for e in fresh.in_edges("v3")] == ["e2"] and "_out" not in vars(fresh)
+    assert [e.eid for e in fresh.out_edges("v1")] == ["e1"]
     assert "_index" not in vars(fresh)
+    assert fresh.out_degree("v1") == 1 and fresh.out_degree("v3") == 0
 
 
 def test_scc_against_brute_force():
@@ -80,6 +128,76 @@ def test_scc_against_brute_force():
         g = DirectedGraph.from_edges(pairs, isolated=names)
         got = {frozenset(comp) for comp in strongly_connected_components(g)}
         assert got == brute_scc(g)
+
+
+def _reached_from_a_cycle(g):
+    """Vertices on a cycle or downstream of one, by brute force: a cycle
+    vertex shares its mutual-reachability class with an edge's range."""
+    comp_of = {v: comp for comp in brute_scc(g) for v in comp}
+    reached = {e.source for e in g.edges if e.range in comp_of[e.source]}
+    frontier = list(reached)
+    while frontier:
+        v = frontier.pop()
+        for e in g.edges:
+            if e.source == v and e.range not in reached:
+                reached.add(e.range)
+                frontier.append(e.range)
+    return reached
+
+
+def _check_peel_and_sccs(g):
+    names, _, succ, pred = g._index
+    peeled = _peel(succ, pred)
+    # the peel takes every vertex no cycle reaches, once each, after its predecessors
+    assert sorted(names[v] for v in peeled) == sorted(set(g.vertices) - _reached_from_a_cycle(g))
+    position = {v: i for i, v in enumerate(peeled)}
+    assert all(position[u] < position[v] for v in peeled for u in pred[v])
+    comps = strongly_connected_components(g)
+    assert {frozenset(comp) for comp in comps} == brute_scc(g)
+    assert comps == naive_strongly_connected_components(g)
+
+
+def test_peel_and_sccs_on_small_multigraphs():
+    # every multigraph on up to 3 vertices with edge multiplicity up to 2,
+    # names ranked against their mention order
+    count = 0
+    for n in range(4):
+        names = ["v9", "v10", "A"][:n]
+        pairs = list(itertools.product(names, repeat=2))
+        for mults in itertools.product(range(3), repeat=len(pairs)):
+            edges = [pair for pair, m in zip(pairs, mults) for _ in range(m)]
+            _check_peel_and_sccs(DirectedGraph.from_edges(edges, isolated=names))
+            count += 1
+    assert count == 19_768
+
+
+@st.composite
+def cycles_with_tails(draw):
+    """Disjoint cycles, loops among them, fed by tails and feeding vertices
+    downstream (so not always no-exit), with parallel edges."""
+    n = draw(st.integers(1, 30))
+    names = draw(st.permutations(ID_NAMES))[:n]
+    on_cycles = draw(st.integers(0, n))
+    pairs = []
+    start = 0
+    while start < on_cycles:
+        length = draw(st.integers(1, on_cycles - start))
+        pairs += [(start + j, start + (j + 1) % length) for j in range(length)]
+        start += length
+    # every other vertex feeds earlier vertices and is fed by them
+    for i in range(max(on_cycles, 1), n):
+        pairs += [(i, t) for t in draw(st.lists(st.integers(0, i - 1), max_size=2))]
+        pairs += [(s, i) for s in draw(st.lists(st.integers(0, i - 1), max_size=2))]
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=4))
+    pairs = draw(st.permutations(pairs))
+    return DirectedGraph.from_edges([(names[a], names[b]) for a, b in pairs], isolated=names)
+
+
+@settings(max_examples=300)
+@given(cycles_with_tails())
+def test_peel_and_sccs_on_cycles_with_tails(g):
+    _check_peel_and_sccs(g)
 
 
 def test_scc_component_order():

@@ -390,6 +390,16 @@ def graph_lines(draw):
 @given(st.one_of(GRAPH_TEXT, st.lists(graph_lines(), max_size=6).map("\n".join)))
 @example("vertex a\nvertex a")
 @example("a -> b e1\nc -> d\nx -> y e2")
+# an explicit id taken by a later unnamed edge, and an unnamed edge's id taken later
+@example("a -> b e2\nc -> d")
+@example("a -> b\nc -> d e1")
+# a declaration after an edge has mentioned the vertex
+@example("a -> x\nvertex x\nx -> a")
+# the first offender wins, whichever check finds it
+@example("a -> b\nc -> d e1\nz => y")
+@example("a -> b\nz => y\nc -> d e1")
+@example("vertex a\nc -> d e1\nc -> d e1\nvertex a")
+@example("t -> u\r\nu -> v\x0bv -> u\u2028w -> t # x\x85")
 def test_parse_graph_matches_token_parser(text):
     assert _outcome(parse_graph, text) == _outcome(naive_parse_graph, text)
 
@@ -449,17 +459,20 @@ def test_parse_algebra_matches_token_parser(text):
 
 def test_well_formed_graph_lines_skip_the_token_scanner(monkeypatch):
     # a silent fall-back to the token scanner fails here, not only in the benchmark
-    explained = []
-    original = parsing._explain_graph_line
-    monkeypatch.setattr(parsing, "_explain_graph_line", lambda *args: explained.append(args) or original(*args))
+    explained, walked = [], []
+    explain_line, walk = parsing._explain_graph_line, parsing._explain_graph
+    monkeypatch.setattr(parsing, "_explain_graph_line", lambda *args: explained.append(args) or explain_line(*args))
+    monkeypatch.setattr(parsing, "_explain_graph", lambda text: walked.append(text) or walk(text))
     lines = []
     for i in range(2500):
         lines += [f"vertex v{i}", f"v{i} -> v{i + 1}", f"  v{i}->w{i} f{i}  # side edge", ""]
     g = parse_graph("\n".join(lines))
-    assert len(lines) == 10_000 and len(g.edges) == 5000 and explained == []
+    # read straight into the id columns: no walk, and no Edge tuple yet
+    assert explained == walked == [] and "edges" not in vars(g)
+    assert len(lines) == 10_000 and len(g.edges) == 5000
     with pytest.raises(ParseError, match="line 2, column 3: unexpected character '='"):
         parse_graph("a -> b\na => b # c\n")
-    assert explained == [("a => b ", 2)]
+    assert explained == [("a => b ", 2)] and walked == ["a -> b\na => b # c\n"]
 
 
 def test_plain_shift_runs_skip_the_token_cursor(monkeypatch):

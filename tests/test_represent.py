@@ -15,6 +15,7 @@ from gradedlpa import (
     is_graded_isomorphic,
     is_realizable,
     parse_algebra,
+    parse_graph,
     NotNoExitError,
     VertexNotOnCycleError,
     ZeroCornerError,
@@ -144,6 +145,30 @@ def test_one_scc_pass_per_graph(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("shape", ["line", "star"])
+@pytest.mark.parametrize("build", ["parse_graph", "from_edges"])
+def test_whole_graph_passes_build_no_edge(monkeypatch, shape, build):
+    def no_edge(*args):
+        raise AssertionError("an Edge tuple was built")
+
+    no_edge._make = no_edge
+    monkeypatch.setattr(gradedlpa.graphs, "Edge", no_edge)
+    if shape == "line":
+        pairs, chosen = [(f"v{i}", f"v{i + 1}") for i in range(1, 10_000)], ["v1", "v5000"]
+    else:
+        pairs, chosen = [("c", f"s{i}") for i in range(400)], ["c", "s7"]
+    if build == "parse_graph":
+        g = parse_graph("".join(f"{a} -> {b}\n" for a, b in pairs))
+    else:
+        g = DirectedGraph.from_edges(pairs)
+    info = classify(g)
+    assert info.no_exit and len(info.sinks) == (1 if shape == "line" else 400)
+    rep = represent(g)
+    assert sum(a.n for a in rep.sum.summands) == (10_000 if shape == "line" else 800)
+    assert corner_by_vertices(g, chosen).summands
+    assert "edges" not in vars(g) and "_out" not in vars(g)
+
+
 def test_one_path_count_per_summand(monkeypatch):
     original = gradedlpa.graphs._path_counts
     calls = []
@@ -166,8 +191,8 @@ def test_one_path_count_per_summand(monkeypatch):
     calls.clear()
     assert paths_to_sink(DirectedGraph.from_edges([("c", f"s{i}") for i in range(400)]), "s7") == [("s7", 0), ("c", 1)]
     assert len(calls) == 1
-    # the whole-graph passes read the id index; no Edge table is built
-    assert "_out" not in vars(star) and "_in" not in vars(star)
+    # the whole-graph passes read the id index; no Edge tuple is built
+    assert "edges" not in vars(star) and "_out" not in vars(star)
     # a base choice away from the default counts that one summand anew
     calls.clear()
     comet = ex_comet()
