@@ -26,7 +26,7 @@ from .errors import (
     ParseError,
     VertexNotOnCycleError,
 )
-from .matrices import GradedMatrix, LaurentElement, conjugate_by_step, homogeneous_components
+from .matrices import GradedMatrix, LaurentElement, conjugate_by_step
 from .parsing import (
     _INT_RE,
     format_certificate,
@@ -214,8 +214,8 @@ def cmd_verify_cert(args) -> Report:
 
 # the replay moves every entry of a sample matrix once per step, and each step
 # has a fixed cost, worth about _STEP_COST entry moves; past _MAX_REPLAYED
-# entry moves it refuses (just inside: n = 158 with 159 steps, about 21 s, and
-# n = 1 with 235,294 steps, about 9 s, on a shared 2-core Xeon)
+# entry moves it refuses (just inside: n = 158 with 156 steps, about 5 s, and
+# n = 1 with 235,294 steps, about 3 s, on a shared 2-core Xeon)
 _MAX_REPLAYED = 4_000_000
 _STEP_COST = 16
 
@@ -253,17 +253,25 @@ def _certificate_failure(a, b, steps) -> str | None:
 
     for _ in range(3):
         rows = [[LaurentElement(sample_cell()) for _ in range(n)] for _ in range(n)]
-        matrix = GradedMatrix(a.base, a.shifts, rows)
-        parts = homogeneous_components(matrix)
+        sample = GradedMatrix(a.base, a.shifts, rows)
+        # each term's coefficient becomes a tag of its own, so one conjugation
+        # of the whole sample shows where every term went
+        matrix = GradedMatrix._from_terms(a.base, a.shifts, {key: tag for tag, key in enumerate(sample._terms, 1)})
+        degree_of = _tag_degrees(matrix)
         for step in steps:
             matrix = conjugate_by_step(matrix, step)
-            moved = {degree: conjugate_by_step(part, step) for degree, part in parts.items()}
-            parts = homogeneous_components(matrix)
-            if moved != parts:
+            # every tag once, at its old degree
+            if len(matrix._terms) != len(degree_of) or _tag_degrees(matrix) != degree_of:
                 return "a step moved a homogeneous component off its degree"
         if matrix.shifts != b.shifts:
             return "matrix conjugation does not land on the target shifts"
     return None
+
+
+def _tag_degrees(matrix: GradedMatrix) -> dict[int, int]:
+    """Each term's coefficient mapped to the term's degree."""
+    shifts = matrix.shifts
+    return {c: e + shifts[i] - shifts[j] for (i, j, e), c in matrix._terms.items()}
 
 
 def cmd_realizable(args) -> Report:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, starmap
+from itertools import chain, compress, starmap
 from typing import Iterable, Mapping, NamedTuple
 
 from .algebras import _require_listable
@@ -45,9 +45,9 @@ class DirectedGraph:
     Every construction ends in the same id columns.  A vertex's id is its
     position in `vertices`, which is in first-mention order; per edge there
     is an edge id (_UNNAMED for an unnamed edge, whose id is e<position>), a
-    source id and a range id.  The public `edges` (Edge tuples) and the
-    per-vertex Edge table are built on first use.  Equality, hashing and
-    repr are those of the pair (vertices, edges).
+    source id and a range id.  `edges` (Edge tuples) is built on first use,
+    for callers that ask for Edge tuples; no library pass builds it.
+    Equality, hashing and repr are those of the pair (vertices, edges).
     """
 
     vertices: tuple[str, ...]
@@ -125,31 +125,43 @@ class DirectedGraph:
         id_of = dict(zip(names, range(len(names))))
         # one relabel of the columns from mention order to sorted-name rank
         rank = list(map(id_of.__getitem__, self.vertices))
-        succ: list[list[int]] = [[] for _ in names]
+        head = list(map(rank.__getitem__, self._ranges))
+        out: list[list[int]] = [[] for _ in names]
         pred: list[list[int]] = [[] for _ in names]
-        for s, r in zip(map(rank.__getitem__, self._sources), map(rank.__getitem__, self._ranges)):
-            succ[s].append(r)
+        for pos, s, r in zip(range(len(head)), map(rank.__getitem__, self._sources), head):
+            out[s].append(pos)
             pred[r].append(s)
-        return _Index(names, id_of, succ, pred)
+        return _Index(names, id_of, out, head, pred)
 
     @cached_property
     def _analysis(self) -> "_Analysis":
         comps = tuple(strongly_connected_components(self))
-        names, id_of, succ, _ = self._index
+        names, id_of, out, head, _ = self._index
         # a component is cyclic iff it has two or more vertices or a loop
-        cyclic = [comp for comp in comps if len(comp) > 1 or (i := id_of[comp[0]]) in succ[i]]
-        sinks = tuple(names[i] for i, out in enumerate(succ) if not out)
-        exits = [v for comp in cyclic for v in comp if len(succ[id_of[v]]) != 1]
+        cyclic = [c for c in comps if len(c) > 1 or (i := id_of[c[0]]) in map(head.__getitem__, out[i])]
+        sinks = tuple(names[i] for i, edges in enumerate(out) if not edges)
+        exits = [v for comp in cyclic for v in comp if len(out[id_of[v]]) != 1]
         if exits:
             return _Analysis(comps, min(exits), sinks, ())
         # in a no-exit graph a cyclic SCC is one cycle: follow the unique out-edges
-        cycles = []
+        walks = []
         for comp in cyclic:
-            walk = [self._out[comp[0]][0]]
-            while walk[-1].range != comp[0]:
-                walk.append(self._out[walk[-1].range][0])
-            cycles.append(CycleDescriptor(tuple(e.source for e in walk), tuple(e.eid for e in walk)))
-        return _Analysis(comps, None, sinks, tuple(cycles))
+            start = id_of[comp[0]]
+            walk = [out[start][0]]
+            while (v := head[walk[-1]]) != start:
+                walk.append(out[v][0])
+            walks.append(walk)
+        return _Analysis(comps, None, sinks, tuple(self._cycles(walks)))
+
+    def _eid(self, pos: int):
+        """The id of the edge at position pos."""
+        return f"e{pos + 1}" if self._eids[pos] is _UNNAMED else self._eids[pos]
+
+    def _cycles(self, walks: list[list[int]]) -> list["CycleDescriptor"]:
+        """The cycle through the edges at the positions of each walk, in order."""
+        eid = {pos: self._eid(pos) for pos in set(chain.from_iterable(walks))}.__getitem__
+        name, source = self.vertices.__getitem__, self._sources.__getitem__
+        return [CycleDescriptor(tuple(map(name, map(source, walk))), tuple(map(eid, walk))) for walk in walks]
 
     @cached_property
     def _default_counts(self) -> tuple:
@@ -160,24 +172,14 @@ class DirectedGraph:
         out += [(c, c.vertices[0], tuple(_path_counts(self, c.vertices[0], c))) for c in cycles]
         return tuple(out)
 
-    # the Edge table, built on first use by out_edges, the cycle walk,
-    # find_cycles and _validate_cycle; the whole-graph passes read _index
-    @cached_property
-    def _out(self) -> dict[str, tuple[Edge, ...]]:
-        table = {v: [] for v in self.vertices}
-        for e in self.edges:
-            table[e.source].append(e)
-        return {v: tuple(es) for v, es in table.items()}
-
     def require_vertex(self, v: str):
         if v not in self._index.id_of:
             raise UnknownVertexError(f"unknown vertex {v!r}")
 
-    # out_edges asks the table it reads, so it never builds _index
     def out_edges(self, v: str) -> tuple[Edge, ...]:
-        if v not in self._out:
-            raise UnknownVertexError(f"unknown vertex {v!r}")
-        return self._out[v]
+        """The edges out of v in edge order."""
+        self.require_vertex(v)
+        return tuple(map(self.edges.__getitem__, self._index.out[self._index.id_of[v]]))
 
     def in_edges(self, v: str) -> tuple[Edge, ...]:
         """The edges into v in edge order: one scan of the range column."""
@@ -189,8 +191,7 @@ class DirectedGraph:
 
     def out_degree(self, v: str) -> int:
         self.require_vertex(v)
-        _, id_of, succ, _ = self._index
-        return len(succ[id_of[v]])
+        return len(self._index.out[self._index.id_of[v]])
 
 
 def _named(eids: list) -> list:
@@ -253,11 +254,16 @@ class CycleDescriptor:
 class _Index(NamedTuple):
     """A graph's vertices as ids for the whole-graph passes: a vertex's id is
     its rank in sorted name order, so ascending ids are sorted names.  Built
-    by one relabel of the graph's source and range columns."""
+    by one relabel of the graph's source and range columns.
+
+    `out` and `head` are the graph's one out-adjacency: every walk follows
+    out-edge positions through `head` and reads an edge id by position only
+    to describe a cycle.  The path counts read `pred`."""
 
     names: list[str]  # by id
     id_of: dict[str, int]
-    succ: list[list[int]]  # per id, the range ids of its out-edges in edge order
+    out: list[list[int]]  # per id, the positions of its out-edges in edge order
+    head: list[int]  # per edge position, the id of its range
     pred: list[list[int]]  # per id, the source ids of its in-edges in edge order
 
 
@@ -287,10 +293,10 @@ def strongly_connected_components(g: DirectedGraph) -> list[tuple[str, ...]]:
     peel removes all of those first.  An iterative Tarjan over vertex ids
     then splits what is left, which in a no-exit graph is the cycle vertices.
     """
-    names, _, succ, pred = g._index
+    names, _, out, head, pred = g._index
     done = len(names)  # the index of a vertex already placed in a component
     index = [-1] * done
-    for v in _peel(succ, pred):
+    for v in _peel(out, head, pred):
         index[v] = done
     low = [0] * done
     stack: list[int] = []
@@ -305,7 +311,7 @@ def strongly_connected_components(g: DirectedGraph) -> list[tuple[str, ...]]:
         stack.append(root)
         # the depth-first path and, per vertex on it, its pending out-edges
         path = [root]
-        pending = [iter(succ[root])]
+        pending = [map(head.__getitem__, out[root])]
         while path:
             v = path[-1]
             for w in pending[-1]:
@@ -314,7 +320,7 @@ def strongly_connected_components(g: DirectedGraph) -> list[tuple[str, ...]]:
                     counter += 1
                     stack.append(w)
                     path.append(w)
-                    pending.append(iter(succ[w]))
+                    pending.append(map(head.__getitem__, out[w]))
                     break
                 # on the stack index[w] < done; placed, it never lowers low[v]
                 if index[w] < low[v]:
@@ -337,14 +343,14 @@ def strongly_connected_components(g: DirectedGraph) -> list[tuple[str, ...]]:
     return [comp for comp in by_least if comp is not None]
 
 
-def _peel(succ: list[list[int]], pred: list[list[int]]) -> list[int]:
+def _peel(out: list[list[int]], head: list[int], pred: list[list[int]]) -> list[int]:
     """The vertices that no cycle reaches, each after its predecessors:
     Kahn's in-degree peel, one decrement per edge, so a loop or a parallel
     edge from a vertex left behind keeps its range behind too."""
     indeg = list(map(len, pred))
     peeled = [v for v, d in enumerate(indeg) if not d]
     for v in peeled:  # the list grows as the loop reads it
-        for w in succ[v]:
+        for w in map(head.__getitem__, out[v]):
             indeg[w] -= 1
             if not indeg[w]:
                 peeled.append(w)
@@ -354,8 +360,8 @@ def _peel(succ: list[list[int]], pred: list[list[int]]) -> list[int]:
 def _require_no_exit(g: DirectedGraph):
     v = g._analysis.exit_vertex
     if v is not None:
-        _, id_of, succ, _ = g._index
-        raise NotNoExitError(f"cycle vertex {v!r} emits {len(succ[id_of[v]])} edges")
+        _, id_of, out, _, _ = g._index
+        raise NotNoExitError(f"cycle vertex {v!r} emits {len(out[id_of[v]])} edges")
 
 
 def find_cycles(g: DirectedGraph, cap: int = DEFAULT_CYCLE_CAP) -> list[CycleDescriptor]:
@@ -365,50 +371,41 @@ def find_cycles(g: DirectedGraph, cap: int = DEFAULT_CYCLE_CAP) -> list[CycleDes
     anchor uses only vertices >= the anchor, so each cycle appears exactly
     once.  Raises TooManyCyclesError past `cap`.
     """
-    cycles: list[CycleDescriptor] = []
+    _, id_of, out, head, _ = g._index
+    walks: list[list[int]] = []  # each cycle's edge positions, named at the end
     for comp in g._analysis.components:
-        comp_set = set(comp)
-        for anchor in comp:
-            # frames: (vertex, pending out-edge iterator); edge_path mirrors frames[1:]
-            frames = [(anchor, iter(g._out[anchor]))]
-            edge_path: list[Edge] = []
+        # ids rank the names, so the anchors ascend and w < anchor compares names
+        ids = list(map(id_of.__getitem__, comp))
+        in_comp = set(ids)
+        for anchor in ids:
+            # per vertex on the path its pending out-edge positions; path: those taken
+            pending = [iter(out[anchor])]
+            path: list[int] = []
             on_path = {anchor}
-            while frames:
-                v, edge_iter = frames[-1]
-                pushed = False
-                for e in edge_iter:
-                    w = e.range
-                    if w not in comp_set or w < anchor:
+            while pending:
+                for pos in pending[-1]:
+                    w = head[pos]
+                    if w not in in_comp or w < anchor:
                         continue
                     if w == anchor:
-                        walk = edge_path + [e]
-                        if len(cycles) >= cap:
+                        if len(walks) >= cap:
                             raise TooManyCyclesError(f"more than {cap} cycles")
-                        cycles.append(
-                            CycleDescriptor(
-                                tuple(x.source for x in walk),
-                                tuple(x.eid for x in walk),
-                            )
-                        )
-                        continue
-                    if w in on_path:
-                        continue
-                    frames.append((w, iter(g._out[w])))
-                    edge_path.append(e)
-                    on_path.add(w)
-                    pushed = True
-                    break
-                if not pushed:
-                    frames.pop()
-                    if edge_path:
-                        edge_path.pop()
-                    on_path.discard(v)
-    return cycles
+                        walks.append(path + [pos])
+                    elif w not in on_path:
+                        pending.append(iter(out[w]))
+                        path.append(pos)
+                        on_path.add(w)
+                        break
+                else:
+                    pending.pop()
+                    if path:
+                        on_path.discard(head[path.pop()])
+    return g._cycles(walks)
 
 
 def _count_weak_components(g: DirectedGraph) -> int:
-    _, _, succ, pred = g._index
-    seen = [False] * len(succ)
+    _, _, out, head, pred = g._index
+    seen = [False] * len(out)
     count = 0
     for root in range(len(seen)):
         if seen[root]:
@@ -418,7 +415,7 @@ def _count_weak_components(g: DirectedGraph) -> int:
         frontier = [root]
         while frontier:
             v = frontier.pop()
-            for w in succ[v] + pred[v]:
+            for w in chain(map(head.__getitem__, out[v]), pred[v]):
                 if not seen[w]:
                     seen[w] = True
                     frontier.append(w)
@@ -434,7 +431,7 @@ def classify(g: DirectedGraph) -> GraphClassification:
     TooManyCyclesError past DEFAULT_CYCLE_CAP cycles.
     """
     _, exit_vertex, sinks, cycles = g._analysis
-    names, _, succ, _ = g._index
+    names, _, out, _, _ = g._index
     if exit_vertex is not None:
         cycles = tuple(find_cycles(g))
     # every vertex reaches a sink or a cycle, so a component is a comet iff it
@@ -445,7 +442,7 @@ def classify(g: DirectedGraph) -> GraphClassification:
         no_exit=exit_vertex is None,
         comet_per_component=comet,
         sinks=sinks,
-        regular=tuple(name for name, out in zip(names, succ) if out),
+        regular=tuple(name for name, edges in zip(names, out) if edges),
         cycles=cycles,
     )
 
@@ -468,7 +465,7 @@ def _path_counts(g: DirectedGraph, end: str, cycle: CycleDescriptor | None = Non
     >>> _path_counts(g, "z")
     [(0, 'z', 1), (1, 'r', 1), (1, 's', 1), (2, 'y', 2), (3, 'p', 2), (3, 'q', 2), (4, 'x', 4)]
     """
-    names, id_of, _, pred = g._index
+    names, id_of, _, _, pred = g._index
     blocked = -1 if cycle is None else id_of[end]
     # no cycle vertex reaches a sink in a no-exit graph, and a path avoiding a
     # cycle enters it at most once, so every counted path is this short
@@ -536,8 +533,8 @@ def paths_to_sink(g: DirectedGraph, sink: str) -> list[tuple[str, int]]:
     """
     g.require_vertex(sink)
     _require_no_exit(g)
-    _, id_of, succ, _ = g._index
-    if succ[id_of[sink]]:
+    _, id_of, out, _, _ = g._index
+    if out[id_of[sink]]:
         raise NotASinkError(f"vertex {sink!r} emits edges")
     return _expand(_path_counts(g, sink))
 
@@ -563,10 +560,11 @@ def _require_on_cycle(cycle: CycleDescriptor, base: str):
 
 
 def _validate_cycle(g: DirectedGraph, cycle: CycleDescriptor):
-    n = cycle.length
+    _, id_of, out, head, _ = g._index
+    ids = [id_of.get(v) for v in cycle.vertices]
     for i, eid in enumerate(cycle.edges):
-        edge = Edge(eid, cycle.vertices[i], cycle.vertices[(i + 1) % n])
-        if edge not in g._out.get(edge.source, ()):
+        source, range_ = ids[i], ids[(i + 1) % cycle.length]
+        if source is None or not any(head[pos] == range_ and g._eid(pos) == eid for pos in out[source]):
             raise ValueError(f"descriptor edge {eid!r} is not a cycle edge of this graph")
 
 

@@ -5,7 +5,9 @@ rotations by explicit slicing, SCCs by mutual reachability, path counts
 by exhaustive walk enumeration, graded isomorphism by move-graph search,
 comets by backward reachability, homogeneous components and conjugation
 on dense matrix grids, graph and algebra text token by token, graph
-construction from Edge tuples, SCCs and path counts over the Edge tables.
+construction from Edge tuples, SCCs, cycles and path counts over Edge tables
+built from the public edge list, and the verify-cert replay that conjugates
+every homogeneous component on its own.
 Tests compare library output against these slow references.
 """
 
@@ -30,16 +32,22 @@ from gradedlpa import (
     GradedBase,
     GraphClassification,
     GradedMatrix,
+    InvalidStepError,
     LaurentElement,
     NotNoExitError,
     ParseError,
     Permute,
     ShiftedMatrixAlgebra,
     TrivialForm,
+    TooManyCyclesError,
     VertexNotOnCycleError,
-    find_cycles,
+    apply_certificate,
+    conjugate_by_step,
+    homogeneous_components,
 )
-from gradedlpa.graphs import _Analysis
+from gradedlpa.algebras import _MAX_LISTED
+from gradedlpa.cli import _MAX_REPLAYED, _STEP_COST
+from gradedlpa.graphs import DEFAULT_CYCLE_CAP, _Analysis
 
 # Property tests draw the same examples on every run and carry no per-example
 # deadline, so a test run's outcome does not depend on the clock or the seed.
@@ -160,7 +168,7 @@ def naive_classify(g: DirectedGraph) -> GraphClassification:
     """classify by its definition: cycles by general enumeration, and a
     component is a comet when it holds exactly one cycle and reaches it
     backward from every vertex."""
-    cycles = tuple(find_cycles(g))
+    cycles = tuple(naive_find_cycles(g))
     on_cycle = {v for c in cycles for v in c.vertices}
     comet = True
     for comp in _weak_components(g):
@@ -607,9 +615,18 @@ def naive_from_edges(pairs, isolated=()):
 # --- the dict-of-Edge graph passes, as references for the id-based ones ---
 
 
+def _out_table(g: DirectedGraph) -> dict[str, list[Edge]]:
+    """Each vertex's out-edges in edge order, from the public edge list."""
+    table: dict[str, list[Edge]] = {v: [] for v in g.vertices}
+    for e in g.edges:
+        table[e.source].append(e)
+    return table
+
+
 def naive_strongly_connected_components(g: DirectedGraph) -> list[tuple[str, ...]]:
     """Tarjan's algorithm over the Edge tables: the library's version before
     it ran over vertex ids."""
+    out = _out_table(g)
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     on_stack: set[str] = set()
@@ -624,7 +641,7 @@ def naive_strongly_connected_components(g: DirectedGraph) -> list[tuple[str, ...
         counter += 1
         stack.append(root)
         on_stack.add(root)
-        work = [(root, iter(g._out[root]))]
+        work = [(root, iter(out[root]))]
         while work:
             v, edge_iter = work[-1]
             pushed = False
@@ -635,7 +652,7 @@ def naive_strongly_connected_components(g: DirectedGraph) -> list[tuple[str, ...
                     counter += 1
                     stack.append(w)
                     on_stack.add(w)
-                    work.append((w, iter(g._out[w])))
+                    work.append((w, iter(out[w])))
                     pushed = True
                     break
                 if w in on_stack:
@@ -687,22 +704,68 @@ def naive_path_counts(g: DirectedGraph, end: str, cycle: CycleDescriptor | None 
 
 def naive_analysis(g: DirectedGraph) -> _Analysis:
     """DirectedGraph._analysis from the Edge tables and naive SCCs."""
+    out = _out_table(g)
     comps = tuple(naive_strongly_connected_components(g))
     comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
     # a vertex lies on a cycle iff its SCC contains an edge
     cyclic = sorted({comp_of[e.source] for e in g.edges if comp_of[e.source] == comp_of[e.range]})
-    sinks = tuple(sorted(v for v in g.vertices if not g._out[v]))
-    exits = [v for i in cyclic for v in comps[i] if len(g._out[v]) != 1]
+    sinks = tuple(sorted(v for v in g.vertices if not out[v]))
+    exits = [v for i in cyclic for v in comps[i] if len(out[v]) != 1]
     if exits:
         return _Analysis(comps, min(exits), sinks, ())
     # in a no-exit graph a cyclic SCC is one cycle: follow the unique out-edges
     cycles = []
     for i in cyclic:
-        walk = [g._out[comps[i][0]][0]]
+        walk = [out[comps[i][0]][0]]
         while walk[-1].range != comps[i][0]:
-            walk.append(g._out[walk[-1].range][0])
+            walk.append(out[walk[-1].range][0])
         cycles.append(CycleDescriptor(tuple(e.source for e in walk), tuple(e.eid for e in walk)))
     return _Analysis(comps, None, sinks, tuple(cycles))
+
+
+def naive_find_cycles(g: DirectedGraph, cap: int = DEFAULT_CYCLE_CAP) -> list[CycleDescriptor]:
+    """find_cycles over the Edge tables and naive SCCs: the library's version
+    before it walked edge positions."""
+    out = _out_table(g)
+    cycles: list[CycleDescriptor] = []
+    for comp in naive_strongly_connected_components(g):
+        comp_set = set(comp)
+        for anchor in comp:
+            # frames: (vertex, pending out-edge iterator); edge_path mirrors frames[1:]
+            frames = [(anchor, iter(out[anchor]))]
+            edge_path: list[Edge] = []
+            on_path = {anchor}
+            while frames:
+                v, edge_iter = frames[-1]
+                pushed = False
+                for e in edge_iter:
+                    w = e.range
+                    if w not in comp_set or w < anchor:
+                        continue
+                    if w == anchor:
+                        walk = edge_path + [e]
+                        if len(cycles) >= cap:
+                            raise TooManyCyclesError(f"more than {cap} cycles")
+                        cycles.append(
+                            CycleDescriptor(
+                                tuple(x.source for x in walk),
+                                tuple(x.eid for x in walk),
+                            )
+                        )
+                        continue
+                    if w in on_path:
+                        continue
+                    frames.append((w, iter(out[w])))
+                    edge_path.append(e)
+                    on_path.add(w)
+                    pushed = True
+                    break
+                if not pushed:
+                    frames.pop()
+                    if edge_path:
+                        edge_path.pop()
+                    on_path.discard(v)
+    return cycles
 
 
 def naive_summand_counts(g: DirectedGraph, base_choice):
@@ -724,3 +787,51 @@ def naive_summand_counts(g: DirectedGraph, base_choice):
             raise VertexNotOnCycleError(f"vertex {base!r} is not on the cycle {cycle.vertices}")
         out.append((cycle, base, naive_path_counts(g, base, cycle)))
     return out
+
+
+def naive_certificate_failure(a, b, steps) -> str | None:
+    """The verify-cert replay that conjugates the sample and then every
+    homogeneous component on its own, and splits the result again per step:
+    why `steps` does not carry a to b, or None when it does."""
+    if a.base != b.base:
+        return f"bases differ: {a.base} vs {b.base}"
+    try:
+        final = apply_certificate(a.shifts, steps, a.base)
+    except InvalidStepError as exc:
+        return f"invalid step: {exc}"
+    if final != b.shifts:
+        return f"certificate lands on {final}, not on {b.shifts}"
+    # replay on sample matrices: every step must carry each homogeneous
+    # component onto the component of the same degree
+    n = a.n
+    if n * n > _MAX_LISTED:
+        raise ValueError(
+            f"a {n}x{n} sample matrix has {n * n} entries, too many to list one by one (limit {_MAX_LISTED})"
+        )
+    moves = (n * n + _STEP_COST) * len(steps)
+    if moves > _MAX_REPLAYED:
+        raise ValueError(
+            f"replaying {len(steps)} steps on a {n}x{n} sample matrix costs {moves} entry moves "
+            f"({n * n} + {_STEP_COST} per step), too many to replay (limit {_MAX_REPLAYED})"
+        )
+    rng = random.Random(20_000 + n)
+    period = a.base.period or 1
+
+    def sample_cell():
+        if a.base.is_laurent:
+            return {period * rng.randint(-3, 3): rng.randint(-9, 9) for _ in range(rng.randint(0, 2))}
+        return {0: rng.randint(-9, 9)}
+
+    for _ in range(3):
+        rows = [[LaurentElement(sample_cell()) for _ in range(n)] for _ in range(n)]
+        matrix = GradedMatrix(a.base, a.shifts, rows)
+        parts = homogeneous_components(matrix)
+        for step in steps:
+            matrix = conjugate_by_step(matrix, step)
+            moved = {degree: conjugate_by_step(part, step) for degree, part in parts.items()}
+            parts = homogeneous_components(matrix)
+            if moved != parts:
+                return "a step moved a homogeneous component off its degree"
+        if matrix.shifts != b.shifts:
+            return "matrix conjugation does not land on the target shifts"
+    return None

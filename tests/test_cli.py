@@ -1,10 +1,22 @@
 import io
 import json
+import random
 
 import pytest
 
-from conftest import diamond_chain
-from gradedlpa import GradedMatrix, ShiftedMatrixAlgebra, cli, format_graph, parse_algebra
+from conftest import diamond_chain, naive_certificate_failure, random_base, random_certificate
+from gradedlpa import (
+    EntryShift,
+    GlobalShift,
+    GradedMatrix,
+    Permute,
+    ShiftedMatrixAlgebra,
+    apply_certificate,
+    cli,
+    format_graph,
+    parse_algebra,
+    parse_certificate,
+)
 from gradedlpa.cli import main
 
 COMET = "vertex t\nt -> u\nu -> v\nv -> u\n"
@@ -187,6 +199,90 @@ def test_verify_cert_rejects_a_step_that_moves_a_component(tmp_path, monkeypatch
     cert.write_text("G 1\n")
     assert main(["verify-cert", "M2(K)(0,1)", "M2(K)(1,2)", str(cert)]) == 1
     assert "reason: a step moved a homogeneous component off its degree" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("forgery", ["shift_exponent", "drop_term", "copy_term"])
+def test_verify_cert_rejects_a_step_that_moves_or_loses_a_term(tmp_path, monkeypatch, capsys, forgery):
+    # a forged conjugation that moves the last term of the true result up by
+    # x^2, drops it, or also copies it to a free entry of the same degree (all
+    # shifts are equal); the shifts stay right
+    real = cli.conjugate_by_step
+
+    def forged(matrix, step):
+        out = real(matrix, step)
+        terms = dict(out._terms)
+        if terms:
+            (i, j, e), c = terms.popitem()
+            if forgery == "shift_exponent":
+                terms[i, j, e + 2] = c
+            elif forgery == "copy_term":
+                free = next((k, l) for k in range(out.n) for l in range(out.n) if (k, l, e) not in out._terms)
+                terms.update({(i, j, e): c, (*free, e): c})
+        return GradedMatrix._from_terms(out.base, out.shifts, terms)
+
+    monkeypatch.setattr(cli, "conjugate_by_step", forged)
+    cert = tmp_path / "c.cert"
+    cert.write_text("G 1\n")
+    assert main(["verify-cert", "M3(K[x^2])(0,0,0)", "M3(K[x^2])(1,1,1)", str(cert)]) == 1
+    assert "reason: a step moved a homogeneous component off its degree" in capsys.readouterr().out
+
+
+def _near(rng, steps, base, n):
+    """A certificate close to `steps`: one step dropped, repeated, nudged or
+    moved, or a random tail appended."""
+    steps = list(steps)
+    pos = rng.randrange(len(steps)) if steps else 0
+    kind = rng.choice(["drop", "repeat", "nudge", "move", "append"] if steps else ["append"])
+    if kind == "drop":
+        del steps[pos]
+    elif kind == "repeat":
+        steps.insert(pos, steps[pos])
+    elif kind == "move":
+        steps.insert(rng.randrange(len(steps)), steps.pop(pos))
+    elif kind == "nudge":
+        step = steps[pos]
+        if isinstance(step, Permute):
+            image = list(step.image)
+            k = rng.randrange(n)
+            image[k], image[-1] = image[-1], image[k]
+            steps[pos] = Permute(tuple(image))
+        elif isinstance(step, GlobalShift):
+            steps[pos] = GlobalShift(step.delta + rng.choice([-1, 1]))
+        else:
+            steps[pos] = EntryShift(step.index, step.delta + rng.choice([-1, 1, base.period]))
+    else:
+        steps += random_certificate(rng, base, n, length=rng.randint(1, 3))
+    return steps
+
+
+def test_verify_cert_replay_matches_per_component_replay(capsys):
+    # iso --certificate certificates between scrambled pairs, and certificates
+    # close to them, get the same verdict, message or error from the one
+    # conjugation per step as from the per-component replay
+    rng = random.Random(606)
+    kinds = set()
+    for _ in range(120):
+        base = random_base(rng)
+        n = rng.randint(1, 8)
+        shifts = tuple(rng.randint(-4, 4) for _ in range(n))
+        target = apply_certificate(shifts, random_certificate(rng, base, n), base)
+        texts = [f"M{n}({base})({','.join(map(str, s))})" for s in (shifts, target)]
+        assert main(["--json", "iso", "--certificate", *texts]) == 0
+        steps = parse_certificate("".join(line + "\n" for line in json.loads(capsys.readouterr().out)["certificate"]))
+        a, b = (parse_algebra(text).summands[0] for text in texts)
+        for candidate in [steps] + [_near(rng, steps, base, n) for _ in range(4)]:
+            got = _outcome(cli._certificate_failure, a, b, candidate)
+            assert got == _outcome(naive_certificate_failure, a, b, candidate)
+            kinds.add(got[1] and got[1].split()[0])
+    # replayed and verified, refuted by the shifts, refuted as an invalid step
+    assert kinds == {None, "certificate", "invalid"}
+
+
+def _outcome(f, *args):
+    try:
+        return "ok", f(*args)
+    except ValueError as exc:  # compared by class and message
+        return type(exc).__name__, str(exc)
 
 
 def test_verify_cert_invalid_step(tmp_path, capsys):

@@ -145,7 +145,7 @@ def test_one_scc_pass_per_graph(monkeypatch):
     assert len(calls) == 2
 
 
-@pytest.mark.parametrize("shape", ["line", "star"])
+@pytest.mark.parametrize("shape", ["line", "star", "looped_line", "comets", "k5"])
 @pytest.mark.parametrize("build", ["parse_graph", "from_edges"])
 def test_whole_graph_passes_build_no_edge(monkeypatch, shape, build):
     def no_edge(*args):
@@ -153,20 +153,30 @@ def test_whole_graph_passes_build_no_edge(monkeypatch, shape, build):
 
     no_edge._make = no_edge
     monkeypatch.setattr(gradedlpa.graphs, "Edge", no_edge)
-    if shape == "line":
-        pairs, chosen = [(f"v{i}", f"v{i + 1}") for i in range(1, 10_000)], ["v1", "v5000"]
-    else:
-        pairs, chosen = [("c", f"s{i}") for i in range(400)], ["c", "s7"]
+    line = [(f"v{i}", f"v{i + 1}") for i in range(1, 10_000)]
+    # pairs, vertices for a corner, sinks, cycles, paths over all summands
+    pairs, chosen, sinks, cycles, paths = {
+        "line": (line, ["v1", "v5000"], 1, 0, 10_000),
+        "star": ([("c", f"s{i}") for i in range(400)], ["c", "s7"], 400, 0, 800),
+        "looped_line": (line + [("v10000", "v10000")], ["v1", "v5000"], 0, 1, 10_000),
+        "comets": ([(f"{v}{i}", f"c{i}") for i in range(400) for v in "tc"], ["t7", "c399"], 0, 400, 800),
+        "k5": ([(x, y) for x in "abcde" for y in "abcde" if x != y], None, 0, 84, None),
+    }[shape]
     if build == "parse_graph":
         g = parse_graph("".join(f"{a} -> {b}\n" for a, b in pairs))
     else:
         g = DirectedGraph.from_edges(pairs)
+    # on K_5, which has exits, classify lists every cycle through find_cycles
     info = classify(g)
-    assert info.no_exit and len(info.sinks) == (1 if shape == "line" else 400)
-    rep = represent(g)
-    assert sum(a.n for a in rep.sum.summands) == (10_000 if shape == "line" else 800)
-    assert corner_by_vertices(g, chosen).summands
-    assert "edges" not in vars(g) and "_out" not in vars(g)
+    assert (info.no_exit, len(info.sinks), len(info.cycles)) == (shape != "k5", sinks, cycles)
+    if shape != "k5":
+        rep = represent(g)
+        assert sum(a.n for a in rep.sum.summands) == paths
+        assert corner_by_vertices(g, chosen).summands
+    if shape in ("looped_line", "comets"):
+        cycle = info.cycles[-1]
+        assert len(paths_to_cycle_vertex(g, cycle, cycle.vertices[0])) == paths // cycles
+    assert "edges" not in vars(g)
 
 
 def test_one_path_count_per_summand(monkeypatch):
@@ -192,7 +202,7 @@ def test_one_path_count_per_summand(monkeypatch):
     assert paths_to_sink(DirectedGraph.from_edges([("c", f"s{i}") for i in range(400)]), "s7") == [("s7", 0), ("c", 1)]
     assert len(calls) == 1
     # the whole-graph passes read the id index; no Edge tuple is built
-    assert "edges" not in vars(star) and "_out" not in vars(star)
+    assert "edges" not in vars(star)
     # a base choice away from the default counts that one summand anew
     calls.clear()
     comet = ex_comet()
