@@ -25,6 +25,7 @@ from gradedlpa import (
     corner_by_indices,
     corner_by_vertices,
     direct_sum_iso,
+    find_cycles,
     paths_to_cycle_vertex,
     paths_to_sink,
     represent,
@@ -169,6 +170,7 @@ def test_whole_graph_passes_build_no_edge(monkeypatch, shape, build):
     # on K_5, which has exits, classify lists every cycle through find_cycles
     info = classify(g)
     assert (info.no_exit, len(info.sinks), len(info.cycles)) == (shape != "k5", sinks, cycles)
+    assert find_cycles(g) == list(info.cycles)
     if shape != "k5":
         rep = represent(g)
         assert sum(a.n for a in rep.sum.summands) == paths
