@@ -122,6 +122,34 @@ class ShiftedMatrixAlgebra:
             return tuple(map(_SHIFT, self.runs))
         return tuple(chain.from_iterable(starmap(repeat, self.runs)))
 
+    @cached_property
+    def _class_form(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """The sparse invariant of the graded isomorphism class, as (start, pairs),
+        computed once per algebra.
+
+        Over K: start is the least shift, pairs the sorted (shift - start, count).
+        Over K[x^m]: each occupied residue is encoded as (-gap from the previous
+        occupied residue, count); pairs is the least rotation of that sequence,
+        which orders like the least rotation of the dense residue counts, and
+        start is the residue where its leading gap begins.
+        """
+        m, runs = self.base.period, self.runs
+        # one count per run, then the extra count of each run longer than one
+        counts = Counter(map(_SHIFT, runs) if m is None else [s % m for s, _ in runs])
+        if self.n > len(runs):
+            for s, count in compress(runs, map((1).__lt__, map(_COUNT, runs))):
+                counts[s if m is None else s % m] += count - 1
+        keys = sorted(counts)
+        if m is None:
+            return keys[0], tuple(zip(map(keys[0].__rsub__, keys), map(counts.__getitem__, keys)))
+        encoded = _gap_encoding(keys, counts, m)
+        r = least_rotation_index(encoded)
+        return (keys[r - 1] + 1) % m, tuple(encoded[r:] + encoded[:r])
+
+    def __getstate__(self):
+        # pickle the fields only, not what the cached properties hold
+        return {"base": self.base, "runs": self.runs, "n": self.n}
+
     def __str__(self):
         items = self.shifts if self.n <= _MAX_LISTED else (f"{c}({s})" for s, c in self.runs)
         return f"M{self.n}({self.base})({','.join(map(str, items))})"
@@ -234,33 +262,10 @@ def _gap_encoding(occupied: list[int], counts, m: int) -> list[tuple[int, int]]:
     return [(previous - r, counts[r]) for previous, r in zip([occupied[-1] - m] + occupied, occupied)]
 
 
-def _class_form(a: ShiftedMatrixAlgebra) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """The sparse invariant of a's graded isomorphism class, as (start, pairs).
-
-    Over K: start is the least shift, pairs the sorted (shift - start, count).
-    Over K[x^m]: each occupied residue is encoded as (-gap from the previous
-    occupied residue, count); pairs is the least rotation of that sequence,
-    which orders like the least rotation of the dense residue counts, and
-    start is the residue where its leading gap begins.
-    """
-    m = a.base.period
-    # one count per run, then the extra count of each run longer than one
-    counts = Counter(map(_SHIFT, a.runs) if m is None else [s % m for s, _ in a.runs])
-    if a.n > len(a.runs):
-        for s, count in compress(a.runs, map((1).__lt__, map(_COUNT, a.runs))):
-            counts[s if m is None else s % m] += count - 1
-    keys = sorted(counts)
-    if m is None:
-        return keys[0], tuple(zip(map(keys[0].__rsub__, keys), map(counts.__getitem__, keys)))
-    encoded = _gap_encoding(keys, counts, m)
-    r = least_rotation_index(encoded)
-    return (keys[r - 1] + 1) % m, tuple(encoded[r:] + encoded[:r])
-
-
 def _nonzero_mults(a: ShiftedMatrixAlgebra) -> list[tuple[int, int]]:
     """(position, count) for each nonzero entry of a's canonical multiplicity
     vector, in increasing position."""
-    pairs = _class_form(a)[1]
+    pairs = a._class_form[1]
     if a.base.is_trivial:
         return list(pairs)
     out, position = [], -1
@@ -327,20 +332,23 @@ class EntryShift:
 Step = Union[Permute, GlobalShift, EntryShift]
 
 
-def _check_step(step: Step, n: int, base: GradedBase, target: str):
-    """Raise InvalidStepError unless `step` acts on `target`, of size n over base."""
-    if isinstance(step, Permute):
-        if len(step.image) != n:
-            raise InvalidStepError(f"permutation of {len(step.image)} entries applied to {target}")
-    elif isinstance(step, EntryShift):
+def _check_step(step: Step, n: int, base: GradedBase, target: str) -> type:
+    """Raise InvalidStepError unless `step` acts on `target`, of size n over
+    base; return the step's class, the one dispatch its callers branch on."""
+    kind = type(step)
+    if kind is EntryShift:
         if step.index > n:
             raise InvalidStepError(f"entry index {step.index} out of range 1..{n}")
         if base.is_trivial:
             raise InvalidStepError("EntryShift needs an invertible element of nonzero degree; K has none")
         if step.delta % base.period != 0:
             raise InvalidStepError(f"EntryShift degree {step.delta} is not a multiple of the period {base.period}")
-    elif not isinstance(step, GlobalShift):
+    elif kind is Permute:
+        if len(step.image) != n:
+            raise InvalidStepError(f"permutation of {len(step.image)} entries applied to {target}")
+    elif kind is not GlobalShift:
         raise TypeError(f"not a certificate step: {step!r}")
+    return kind
 
 
 def apply_certificate(shifts: Sequence[int], steps: Iterable[Step], base: GradedBase) -> tuple[int, ...]:
@@ -357,13 +365,13 @@ def apply_certificate(shifts: Sequence[int], steps: Iterable[Step], base: Graded
     n = len(cur)
     target = f"{n} shifts"
     for step in steps:
-        _check_step(step, n, base, target)
-        if isinstance(step, Permute):
-            cur = [cur[i - 1] for i in step.image]
-        elif isinstance(step, GlobalShift):
-            cur = [s + step.delta for s in cur]
-        else:
+        kind = _check_step(step, n, base, target)
+        if kind is EntryShift:
             cur[step.index - 1] += step.delta
+        elif kind is Permute:
+            cur = [cur[i - 1] for i in step.image]
+        else:
+            cur = [s + step.delta for s in cur]
     return tuple(cur)
 
 
@@ -391,11 +399,13 @@ def is_graded_isomorphic(a: ShiftedMatrixAlgebra, b: ShiftedMatrixAlgebra) -> bo
 
 def _matching_image(source: Sequence[int], target: Sequence[int]) -> tuple[int, ...]:
     # source and target are equal as multisets; map each target slot to the
-    # smallest unused source position holding the right value
-    pool: dict[int, list[int]] = {}
-    for j in range(len(source) - 1, -1, -1):
-        pool.setdefault(source[j], []).append(j + 1)
-    return tuple(pool[t].pop() for t in target)
+    # smallest unused source position holding the right value: the k-th slot
+    # of a value, in a stable sort of target, takes its k-th position in source
+    image = [0] * len(target)
+    by_value = sorted(range(len(source)), key=source.__getitem__)
+    for slot, j in zip(sorted(range(len(target)), key=target.__getitem__), by_value):
+        image[slot] = j + 1
+    return tuple(image)
 
 
 def iso_certificate(a: ShiftedMatrixAlgebra, b: ShiftedMatrixAlgebra) -> list[Step]:
@@ -406,15 +416,16 @@ def iso_certificate(a: ShiftedMatrixAlgebra, b: ShiftedMatrixAlgebra) -> list[St
     No-op steps are dropped, so over K it is at most [GlobalShift, Permute].
     Raises NotIsomorphicError when no certificate exists.
     """
-    (start_a, pairs_a), (start_b, pairs_b) = _class_form(a), _class_form(b)
+    (start_a, pairs_a), (start_b, pairs_b) = a._class_form, b._class_form
     if (a.base, a.n, pairs_a) != (b.base, b.n, pairs_b):
         raise NotIsomorphicError(f"{a} and {b} are not graded isomorphic")
     m = a.base.period
-    # GlobalShift and Permute match shifts over K, residues over K[x^m]
-    reduce = (lambda s: s) if m is None else (lambda s: s % m)
-    delta = reduce(start_b - start_a)
+    delta = start_b - start_a if m is None else (start_b - start_a) % m
     moved = [s + delta for s in a.shifts]
-    image = _matching_image([reduce(s) for s in moved], [reduce(t) for t in b.shifts])
+    if m is None:
+        image = _matching_image(moved, b.shifts)
+    else:  # GlobalShift and Permute match residues over K[x^m]
+        image = _matching_image([s % m for s in moved], [t % m for t in b.shifts])
     placed = [moved[i - 1] for i in image]
     steps: list[Step] = [GlobalShift(delta)] if delta else []
     if image != tuple(range(1, a.n + 1)):
@@ -428,7 +439,7 @@ def iso_certificate(a: ShiftedMatrixAlgebra, b: ShiftedMatrixAlgebra) -> list[St
 def summand_key(a: ShiftedMatrixAlgebra):
     """A total-order key constant on graded isomorphism classes:
     (period or 0, n, the class form's pairs)."""
-    return (a.base.period or 0, a.n, _class_form(a)[1])
+    return (a.base.period or 0, a.n, a._class_form[1])
 
 
 def direct_sum_iso(r: DirectSumAlgebra, s: DirectSumAlgebra) -> bool:

@@ -11,6 +11,7 @@ precondition violation (for example a graph that is not no-exit).  With
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -340,6 +341,7 @@ def cmd_emit_dot(args) -> Report:
     return 0, text, {"dot": text}
 
 
+@functools.cache  # one parser per process, shared by every call: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gradedlpa",

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, starmap
+from operator import eq
 from typing import Iterable, Mapping, NamedTuple
 
 from .algebras import _require_listable
@@ -137,8 +138,10 @@ class DirectedGraph:
     def _analysis(self) -> "_Analysis":
         comps = tuple(strongly_connected_components(self))
         names, id_of, out, head, _ = self._index
-        # a component is cyclic iff it has two or more vertices or a loop
-        cyclic = [c for c in comps if len(c) > 1 or (i := id_of[c[0]]) in map(head.__getitem__, out[i])]
+        # a component is cyclic iff it has two or more vertices or a loop,
+        # read once off the columns
+        looped = set(map(self.vertices.__getitem__, compress(self._sources, map(eq, self._sources, self._ranges))))
+        cyclic = [c for c in comps if len(c) > 1 or c[0] in looped]
         sinks = tuple(names[i] for i, edges in enumerate(out) if not edges)
         exits = [v for comp in cyclic for v in comp if len(out[id_of[v]]) != 1]
         if exits:

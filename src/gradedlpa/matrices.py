@@ -263,14 +263,14 @@ def conjugate_by_step(matrix: GradedMatrix, step: Step) -> GradedMatrix:
     Homogeneous components land degree on degree in the new shift list.
     """
     n = matrix.n
-    _check_step(step, n, matrix.base, f"{n}x{n} matrix")
+    kind = _check_step(step, n, matrix.base, f"{n}x{n} matrix")
     terms = matrix._terms
-    if isinstance(step, Permute):
+    if kind is Permute:
         # entry (i, j) of the image is entry (image[i], image[j])
         new = {old - 1: i for i, old in enumerate(step.image)}
         terms = {(new[i], new[j], e): c for (i, j, e), c in terms.items()}
         shifts = tuple(matrix.shifts[old - 1] for old in step.image)
-    elif isinstance(step, GlobalShift):
+    elif kind is GlobalShift:
         shifts = tuple(s + step.delta for s in matrix.shifts)
     else:
         # row k is divided by x^d and column k multiplied by it

@@ -35,14 +35,17 @@ Certificate files hold one step per line; '#' starts a comment.
     G <delta>                add delta to every shift
     E <index> <delta>        add delta to one shift
 
-Every argument is an ASCII integer [+-]?[0-9]+.
+Every argument is an ASCII integer [+-]?[0-9]+.  One regex match reads a
+well-formed line and its step's constructor checks it; only a text that
+fails is read again, line by line, to name its first offending line.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from itertools import groupby
+from itertools import compress
+from operator import ne, sub
 
 from .algebras import (
     DirectSumAlgebra,
@@ -267,7 +270,11 @@ def parse_algebra(text: str) -> DirectSumAlgebra:
                 if values is None:
                     bulk = False  # the item code raises inside this run
                 else:
-                    merged = [(value, len(list(group))) for value, group in groupby(values)]
+                    # a run starts at 0 and wherever the value changes
+                    starts = [0, *compress(range(1, len(values)), map(ne, values[1:], values))]
+                    ends = starts[1:]
+                    ends.append(len(values))
+                    merged = list(zip(map(values.__getitem__, starts), map(sub, ends, starts)))
                     if merged[0][0] == last:
                         merged[0] = (last, merged[0][1] + runs.pop()[1])
                     runs += merged
@@ -339,8 +346,49 @@ def format_certificate(steps) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+# What str.splitlines() ends a line at, and the whitespace inside a line.
+# One match of _STEP_RE reads a well-formed line: its groups are the index
+# and delta of E, the delta of G and the image of P, or none of them for a
+# blank or comment line.
+_LINE_BREAKS = r"\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_BLANK = rf"[^\S{_LINE_BREAKS}]"
+_STEP_RE = re.compile(
+    rf"{_BLANK}*(?:E{_BLANK}+({_INT_RE.pattern}){_BLANK}+({_INT_RE.pattern})|G{_BLANK}+({_INT_RE.pattern})"
+    rf"|P((?:{_BLANK}+{_INT_RE.pattern})+))?{_BLANK}*(?:#[^{_LINE_BREAKS}]*)?(?:\n|\r\n|[{_LINE_BREAKS}]|\Z)"
+)
+
+
 def parse_certificate(text: str) -> list[Step]:
+    """Read a certificate in one pass of _STEP_RE, a line per match, and
+    build each step by its constructor.  Only a text that fails is read
+    again, by _explain_certificate, to name its first offending line.
+
+    >>> parse_certificate("G 2  # align\\nE 3 -4\\n")
+    [GlobalShift(delta=2), EntryShift(index=3, delta=-4)]
+    """
     steps: list[Step] = []
+    add = steps.append
+    end = 0
+    try:
+        for m in _STEP_RE.finditer(text):
+            if m.start() != end:  # the line at `end` is not well formed
+                _explain_certificate(text)
+            end = m.end()
+            index, delta, shift, image = m.groups()
+            if delta is not None:
+                add(EntryShift(int(index), int(delta)))
+            elif shift is not None:
+                add(GlobalShift(int(shift)))
+            elif image is not None:
+                add(Permute(tuple(map(int, image.split()))))
+    except ValueError:  # a constructor's check, or more digits than int() converts
+        _explain_certificate(text)
+    return steps
+
+
+def _explain_certificate(text: str):
+    """Raise the ParseError for the first offending line of a certificate
+    that parse_certificate rejects."""
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -352,16 +400,16 @@ def parse_certificate(text: str) -> list[Step]:
         try:
             numbers = [int(x) for x in args]
             if kind == "P" and numbers:
-                steps.append(Permute(tuple(numbers)))
+                Permute(tuple(numbers))
             elif kind == "G" and len(numbers) == 1:
-                steps.append(GlobalShift(numbers[0]))
+                GlobalShift(numbers[0])
             elif kind == "E" and len(numbers) == 2:
-                steps.append(EntryShift(numbers[0], numbers[1]))
+                EntryShift(numbers[0], numbers[1])
             else:
                 raise ParseError(f"unknown certificate step {line!r}", lineno, 1)
         except ValueError as exc:
             raise ParseError(str(exc), lineno, 1) from None
-    return steps
+    raise AssertionError("the certificate has no offending line")
 
 
 # --- DOT output ---

@@ -15,7 +15,6 @@ from .algebras import (
     CyclicForm,
     DirectSumAlgebra,
     ShiftedMatrixAlgebra,
-    _class_form,
     _require_listable,
     canonical_form,
 )
@@ -74,7 +73,7 @@ def is_realizable(a: ShiftedMatrixAlgebra) -> Verdict:
     """
     if a.base.is_trivial:
         # (reduced shift, count) pairs in increasing order, starting at 0
-        pairs = _class_form(a)[1]
+        pairs = a._class_form[1]
         if pairs[0][1] != 1:
             return Verdict(
                 False, 0, f"l_0 = {pairs[0][1]}, but only the trivial path has length 0"

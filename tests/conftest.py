@@ -4,10 +4,10 @@ Everything here is deliberately independent of the library internals:
 rotations by explicit slicing, SCCs by mutual reachability, path counts
 by exhaustive walk enumeration, graded isomorphism by move-graph search,
 comets by backward reachability, homogeneous components and conjugation
-on dense matrix grids, graph and algebra text token by token, graph
-construction from Edge tuples, SCCs, cycles and path counts over Edge tables
-built from the public edge list, and the verify-cert replay that conjugates
-every homogeneous component on its own.
+on dense matrix grids, graph and algebra text token by token, certificates
+line by line, graph construction from Edge tuples, SCCs, cycles and path
+counts over Edge tables built from the public edge list, and the verify-cert
+replay that conjugates every homogeneous component on its own.
 Tests compare library output against these slow references.
 """
 
@@ -554,6 +554,35 @@ def naive_parse_algebra(text: str) -> DirectSumAlgebra:
     if tok:
         fail("unexpected trailing input", at)
     return DirectSumAlgebra(tuple(summands))
+
+
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def naive_parse_certificate(text: str) -> list:
+    """The line-by-line certificate reader that the one-regex reader replaced."""
+    steps: list = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        kind, args = fields[0], fields[1:]
+        if not all(map(_INT_RE.fullmatch, args)):
+            raise ParseError("certificate arguments must be integers", lineno, 1)
+        try:
+            numbers = [int(x) for x in args]
+            if kind == "P" and numbers:
+                steps.append(Permute(tuple(numbers)))
+            elif kind == "G" and len(numbers) == 1:
+                steps.append(GlobalShift(numbers[0]))
+            elif kind == "E" and len(numbers) == 2:
+                steps.append(EntryShift(numbers[0], numbers[1]))
+            else:
+                raise ParseError(f"unknown certificate step {line!r}", lineno, 1)
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno, 1) from None
+    return steps
 
 
 # --- graph construction from Edge tuples, as a reference for the id columns ---

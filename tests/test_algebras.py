@@ -1,5 +1,8 @@
 import itertools
+import pickle
 import random
+from collections import Counter
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +40,6 @@ from gradedlpa import (
     parse_algebra,
     summand_key,
 )
-from gradedlpa.algebras import _class_form
 
 
 def alg(base, *shifts):
@@ -399,10 +401,10 @@ def test_runs_agree_with_expanded_shifts(base, runs, idx):
     assert a == b and hash(a) == hash(b)
     assert a.n == len(shifts) and a.shifts == tuple(shifts)
     assert str(a) == str(b) == f"M{len(shifts)}({base})({','.join(map(str, shifts))})"
-    assert _class_form(a) == _class_form(b)
+    assert a._class_form == b._class_form
     if base.is_trivial:
         low = min(shifts)
-        assert _class_form(a) == (low, tuple((s - low, shifts.count(s)) for s in sorted(set(shifts))))
+        assert a._class_form == (low, tuple((s - low, shifts.count(s)) for s in sorted(set(shifts))))
     assert canonical_form(a) == canonical_form(b) == naive_canonical_form(b)
     mults = naive_canonical_form(b).mults
     realizable = all(mults) and (base.is_laurent or mults[0] == 1)
@@ -425,3 +427,58 @@ def test_listing_limit():
     assert is_graded_isomorphic(a, ShiftedMatrixAlgebra(K, [(5, 1_000_000), (4, 1)]))
     at_limit = ShiftedMatrixAlgebra(K, [(0, 1), (1, 999_999)])
     assert len(at_limit.shifts) == 1_000_000 and iso_certificate(at_limit, at_limit) == []
+
+
+def _count_class_forms(monkeypatch) -> Counter:
+    """Count, per algebra id, how often its class form is computed; the
+    algebras counted are kept alive, so their ids stay their own."""
+    computed: Counter = Counter()
+    form = vars(ShiftedMatrixAlgebra)["_class_form"].func
+    kept = []
+
+    def counted(a):
+        kept.append(a)
+        computed[id(a)] += 1
+        return form(a)
+
+    prop = cached_property(counted)
+    prop.__set_name__(ShiftedMatrixAlgebra, "_class_form")
+    monkeypatch.setattr(ShiftedMatrixAlgebra, "_class_form", prop)
+    return computed
+
+
+PAIRS = [
+    ("M4(K)(3,0,1,1)", "M4(K)(9,6,7,7)"),
+    ("M5(K[x^3])(0,1,1,2,5)", "M5(K[x^3])(3,1,5,8,-3)"),
+    ("M3(K[x^50000])(0,1,1)", "M3(K[x^50000])(99999,0,100000)"),
+]
+
+
+def test_class_form_once_per_algebra(monkeypatch):
+    computed = _count_class_forms(monkeypatch)
+    for left, right in PAIRS:
+        a, b = parse_algebra(left).summands[0], parse_algebra(right).summands[0]
+        assert is_graded_isomorphic(a, b)
+        cert = iso_certificate(a, b)
+        assert apply_certificate(a.shifts, cert, a.base) == b.shifts
+        assert summand_key(a) == summand_key(b) and canonical_form(a) == canonical_form(b)
+        assert computed[id(a)] == computed[id(b)] == 1
+    r = parse_algebra(" (+) ".join(left for left, _ in PAIRS))
+    s = parse_algebra(" (+) ".join(right for _, right in reversed(PAIRS)))
+    computed.clear()
+    assert direct_sum_iso(r, s) and direct_sum_iso(s, r)
+    assert sorted(computed.values()) == [1] * 6 and set(computed) == set(map(id, r.summands + s.summands))
+
+
+def test_cached_class_form_leaves_identity_alone():
+    for text in ["M4(K)(3,0,1,1)", "M5(K[x^3])(0,1,1,2,5)", "M3(K)(2(7),-1)"]:
+        parsed = parse_algebra(text).summands[0]  # built by _from_normalised
+        built = ShiftedMatrixAlgebra(parsed.base, parsed.runs)
+        for a in (parsed, built):
+            fresh = ShiftedMatrixAlgebra.from_shifts(a.base, a.shifts)
+            before = pickle.dumps(a)
+            assert a._class_form == fresh._class_form and "_class_form" in vars(a)
+            assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh) and str(a) == str(fresh)
+            assert pickle.dumps(a) == before == pickle.dumps(fresh)
+            loaded = pickle.loads(before)
+            assert loaded == a and hash(loaded) == hash(a) and sorted(vars(loaded)) == ["base", "n", "runs"]

@@ -423,6 +423,47 @@ def test_corner_errors(line_file, capsys):
     assert main(["corner", "M1(K)(0) (+) M1(K)(0)", "--indices", "1"]) == 2
 
 
+def test_consecutive_main_calls_share_no_state(comet_file, line_file, capsys):
+    """The argument parser is built once per process; each call still starts
+    from the defaults: an appended --base, --json and the corner's exclusive
+    choice do not carry over to the next call."""
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    runs = [
+        ["represent", "--base", "u=u", comet_file],
+        ["represent", "--base", "v=v", comet_file],
+        ["represent", "--base", "u=u", "--base", "v=v", comet_file],
+        ["represent", comet_file],
+        ["--json", "represent", "--base", "v=u", comet_file],
+        ["represent", "--provenance", comet_file],
+        ["corner", line_file, "--vertices", "u,w"],
+        ["corner", "M3(K)(0,1,2)", "--indices", "1,3"],
+        ["corner", "M3(K)(0,1,2)", "--indices", "1", "--vertices", "u"],
+        ["corner", "M3(K)(0,1,2)"],
+        ["--json", "corner", "M3(K)(0,1,2)", "--indices", "2"],
+        ["corner", line_file, "--vertices", "w"],
+    ]
+    alone = []
+    for argv in runs:
+        cli.build_parser.cache_clear()
+        alone.append(call(argv))
+    assert cli.build_parser() is cli.build_parser()
+    assert [call(argv) for argv in runs] == alone
+    assert [call(argv) for argv in reversed(runs)] == alone[::-1]
+    codes = [code for code, _, _ in alone]
+    assert codes == [0, 0, 2, 0, 0, 0, 0, 0, 2, 2, 0, 0]
+    assert (alone[0][1], alone[1][1]) == ("M3(K[x^2])(0,1,1)\n", "M3(K[x^2])(0,1,2)\n")
+    assert "second base vertex" in alone[2][2]
+    assert json.loads(alone[4][1])["provenance"][0]["base"] == "u" and alone[3][1] == alone[0][1]
+    assert "not allowed with argument" in alone[8][2] and "one of the arguments" in alone[9][2]
+
+
 @pytest.mark.parametrize(
     "argv, code, out, err",
     [

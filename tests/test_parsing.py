@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_parse_algebra, naive_parse_graph, random_no_exit_graph
+from conftest import naive_parse_algebra, naive_parse_certificate, naive_parse_graph, random_no_exit_graph
 from gradedlpa import parsing
 from gradedlpa import (
     DirectedGraph,
@@ -452,9 +452,81 @@ def shift_lists(draw):
 @given(st.one_of(ALGEBRA_TEXT, shift_lists()))
 @example("M3(K)(1,1,2(1))")
 @example("M4(K)(2(1),1,1,1)")
+# adjacent repeats across plain runs and repeat items merge into one run
+@example("M5(K)(1,1,2(1),1)")
+@example("M7(K[x^3])(2,2,-2,-2,3(-2),2)")
+@example("M6(K)(0, 0 ,0,2(0),0)")
+@example("M4(K)(1,1,1,1) (+) M3(K)(1,1,2)")
 @example("M3(K)(1, - 2 ,3 (4))")
 def test_parse_algebra_matches_token_parser(text):
     assert _outcome(parse_algebra, text) == _outcome(naive_parse_algebra, text)
+
+
+_CERT_BREAKS = ["\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+# whitespace inside a line, ASCII or not; \x1f is whitespace but ends no line
+_CERT_SPACES = [" ", " ", " ", "  ", "\t", "\u3000", "\u00a0", "\x1f", "\u2003"]
+_CERT_ODD_ARGS = [
+    "0", "+0", "-0", "+7", "\u0663", "\uff15", "1\u0663", "9" * 4301, "0" * 4300 + "1", "1_0", "x", "--1", "+-1",
+]
+_CERT_ODD_LINES = [
+    "", "# comment", "  # indented", "\u3000", "#", "X 1", "p 1", "PG 1", "P", "G", "G 1 2", "E 1", "E 1 2 3",
+    "E#1 2", "G1", "P1 2", "P 1 1", "P 2", "P 0 1", "P 1 3 3",
+]
+
+
+@st.composite
+def certificate_texts(draw):
+    """A formatted random step list, mutated: lines rejoined with assorted
+    whitespace, line breaks, comments and blank lines; arguments given a
+    '+', a Unicode digit, a zero index or more digits than int() converts;
+    non-permutations and unknown kinds spliced in; the trailing line break
+    sometimes dropped."""
+    lines = format_certificate(draw(st.lists(STEPS, max_size=6))).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_CERT_ODD_LINES)))
+    text = ""
+    for line in lines:
+        kind, *args = line.split() or [""]
+        body = kind
+        for arg in args:
+            mutation = draw(st.integers(0, 11))
+            if mutation == 0:
+                arg = draw(st.sampled_from(_CERT_ODD_ARGS))
+            elif mutation == 1 and not arg.startswith("-"):
+                arg = "+" + arg
+            body += draw(st.sampled_from(_CERT_SPACES)) + arg
+        text += draw(st.sampled_from(["", "", "", " ", "\t", "\u3000"])) + body
+        text += draw(st.sampled_from(["", "", "", " ", "\u00a0"]))
+        text += draw(st.sampled_from(["", "", "", "# note", "#", " # P 1 2"]))
+        text += draw(st.sampled_from(_CERT_BREAKS))
+    return text if draw(st.booleans()) else text.rstrip("\n")
+
+
+@settings(max_examples=800)
+@given(st.one_of(certificate_texts(), CERTIFICATE_TEXT))
+@example("P 2 1\r\n\tG -3 # x\x1c E 1\u3000+2\x1f")
+@example("E 1 2\nE 0 2\nG " + "9" * 4301)
+@example("G 1\nG " + "9" * 4301 + "\nE 0 2")
+@example("P " + " ".join(map(str, range(2000, 0, -1))) + "\n" + "E 7 -3\n" * 50)
+@example("# only comments\n\n  # and blanks")
+@example("G 1\nE \u0663 2\n")
+@example("P 2 \u0661")
+@example("E 1 -\uff12")
+@example("G 1\rE 1 2\x0bP 1\x0cG 2\x1dG 3\x1eG 4\x85G 5\u2028G 6\u2029G 7")
+def test_parse_certificate_matches_line_reader(text):
+    assert _outcome(parse_certificate, text) == _outcome(naive_parse_certificate, text)
+
+
+def test_well_formed_certificates_skip_the_line_reader(monkeypatch):
+    explained = []
+    explain = parsing._explain_certificate
+    monkeypatch.setattr(parsing, "_explain_certificate", lambda text: explained.append(text) or explain(text))
+    steps = [Permute(tuple(range(4000, 0, -1))), GlobalShift(-7)] + [EntryShift(i, 5 * i) for i in range(1, 4001)]
+    text = "# certificate\n" + format_certificate(steps).replace("E 9 ", "\tE\u3000 9 ").replace("\n", "  # x\r\n", 3)
+    assert parse_certificate(text) == steps and explained == []
+    with pytest.raises(ParseError, match="line 3, column 1: entry index is 1-based"):
+        parse_certificate("G 1\n\nE 0 2\nX\n")
+    assert explained == ["G 1\n\nE 0 2\nX\n"]
 
 
 def test_well_formed_graph_lines_skip_the_token_scanner(monkeypatch):
