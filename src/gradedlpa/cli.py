@@ -27,7 +27,7 @@ from .errors import (
     ParseError,
     VertexNotOnCycleError,
 )
-from .matrices import GradedMatrix, LaurentElement, conjugate_by_step
+from .matrices import GradedMatrix, conjugate_by_step
 from .parsing import (
     _INT_RE,
     format_certificate,
@@ -247,17 +247,23 @@ def _certificate_failure(a, b, steps) -> str | None:
     rng = random.Random(20_000 + n)
     period = a.base.period or 1
 
-    def sample_cell():
+    def sample_degrees():
+        """The degrees of one sample entry's nonzero terms, ascending."""
         if a.base.is_laurent:
-            return {period * rng.randint(-3, 3): rng.randint(-9, 9) for _ in range(rng.randint(0, 2))}
-        return {0: rng.randint(-9, 9)}
+            cell = {period * rng.randint(-3, 3): rng.randint(-9, 9) for _ in range(rng.randint(0, 2))}
+            return sorted(d for d, c in cell.items() if c)
+        return (0,) if rng.randint(-9, 9) else ()
 
     for _ in range(3):
-        rows = [[LaurentElement(sample_cell()) for _ in range(n)] for _ in range(n)]
-        sample = GradedMatrix(a.base, a.shifts, rows)
-        # each term's coefficient becomes a tag of its own, so one conjugation
-        # of the whole sample shows where every term went
-        matrix = GradedMatrix._from_terms(a.base, a.shifts, {key: tag for tag, key in enumerate(sample._terms, 1)})
+        # the sample is drawn straight into its terms, each with a tag of its
+        # own for coefficient, so one conjugation of the whole sample shows
+        # where every term went
+        terms: dict[tuple[int, int, int], int] = {}
+        for i in range(n):
+            for j in range(n):
+                for e in sample_degrees():
+                    terms[i, j, e] = len(terms) + 1
+        matrix = GradedMatrix._from_terms(a.base, a.shifts, terms)
         degree_of = _tag_degrees(matrix)
         for step in steps:
             matrix = conjugate_by_step(matrix, step)

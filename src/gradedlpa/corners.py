@@ -13,7 +13,7 @@ from bisect import bisect_left
 from itertools import accumulate
 from typing import Iterable
 
-from .algebras import DirectSumAlgebra, GradedBase, ShiftedMatrixAlgebra
+from .algebras import _COUNT, DirectSumAlgebra, ShiftedMatrixAlgebra
 from .errors import (
     EmptyIndexSetError,
     IndexOutOfRangeError,
@@ -22,6 +22,7 @@ from .errors import (
 )
 from .graphs import DirectedGraph, _summand_counts
 from .realize import SumVerdict, is_realizable_sum
+from .represent import _base
 
 
 def corner_by_indices(a: ShiftedMatrixAlgebra, idx: Iterable[int]) -> ShiftedMatrixAlgebra:
@@ -54,13 +55,14 @@ def corner_by_vertices(g: DirectedGraph, vs: Iterable[str]) -> DirectSumAlgebra:
         raise UnknownVertexError(f"unknown vertices: {sorted(unknown)}")
     summands = []
     for cycle, _, table in tables:
-        runs = []
-        for length, source, count in table:
-            if source in chosen:
-                runs.append((length, count))
-        if runs:
-            base = GradedBase.trivial() if cycle is None else GradedBase.laurent(cycle.length)
-            summands.append(ShiftedMatrixAlgebra(base, runs))
+        runs = [(length, count) for length, source, count in table if source in chosen]
+        if not runs:
+            continue
+        if len(table) == table[-1][0] + 1:
+            # one row per level: the kept rows have distinct lengths, so each is a run
+            summands.append(ShiftedMatrixAlgebra._from_normalised(_base(cycle), tuple(runs), sum(map(_COUNT, runs))))
+        else:
+            summands.append(ShiftedMatrixAlgebra(_base(cycle), runs))
     if not summands:
         raise ZeroCornerError("no path in any summand starts in the chosen vertex set")
     return DirectSumAlgebra(tuple(summands))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, starmap
-from operator import eq
+from operator import not_
 from typing import Iterable, Mapping, NamedTuple
 
 from .algebras import _require_listable
@@ -136,25 +136,23 @@ class DirectedGraph:
 
     @cached_property
     def _analysis(self) -> "_Analysis":
-        comps = tuple(strongly_connected_components(self))
-        names, id_of, out, head, _ = self._index
-        # a component is cyclic iff it has two or more vertices or a loop,
-        # read once off the columns
-        looped = set(map(self.vertices.__getitem__, compress(self._sources, map(eq, self._sources, self._ranges))))
-        cyclic = [c for c in comps if len(c) > 1 or c[0] in looped]
-        sinks = tuple(names[i] for i, edges in enumerate(out) if not edges)
-        exits = [v for comp in cyclic for v in comp if len(out[id_of[v]]) != 1]
+        names, _, out, head, _ = self._index
+        # a component of two or more vertices is cyclic, a singleton iff it has a loop
+        cyclic = [c for c in _scc_pass(self) if len(c) > 1 or c[0] in map(head.__getitem__, out[c[0]])]
+        sinks = tuple(compress(names, map(not_, out)))
+        exits = [v for comp in cyclic for v in comp if len(out[v]) != 1]
+        components = tuple(tuple(map(names.__getitem__, comp)) for comp in cyclic)
         if exits:
-            return _Analysis(comps, min(exits), sinks, ())
+            return _Analysis(components, names[min(exits)], sinks, ())
         # in a no-exit graph a cyclic SCC is one cycle: follow the unique out-edges
         walks = []
         for comp in cyclic:
-            start = id_of[comp[0]]
+            start = comp[0]
             walk = [out[start][0]]
             while (v := head[walk[-1]]) != start:
                 walk.append(out[v][0])
             walks.append(walk)
-        return _Analysis(comps, None, sinks, tuple(self._cycles(walks)))
+        return _Analysis(components, None, sinks, tuple(self._cycles(walks)))
 
     def _eid(self, pos: int):
         """The id of the edge at position pos."""
@@ -271,9 +269,11 @@ class _Index(NamedTuple):
 
 
 class _Analysis(NamedTuple):
-    """What one SCC pass tells about a graph."""
+    """What one SCC pass tells about a graph.  Only the cyclic components are
+    kept: every other component is a single vertex, and the cycles, the exit
+    check and find_cycles read nothing else."""
 
-    components: tuple[tuple[str, ...], ...]  # in strongly_connected_components order
+    cyclic_components: tuple[tuple[str, ...], ...]  # in strongly_connected_components order
     exit_vertex: str | None  # smallest cycle vertex not emitting exactly one edge
     sinks: tuple[str, ...]
     cycles: tuple[CycleDescriptor, ...]  # in find_cycles order; empty unless no-exit
@@ -292,21 +292,41 @@ class GraphClassification:
 def strongly_connected_components(g: DirectedGraph) -> list[tuple[str, ...]]:
     """The SCCs of g as sorted vertex tuples, ordered by their smallest vertex.
 
-    A vertex that no cycle reaches is a component of its own; an in-degree
-    peel removes all of those first.  An iterative Tarjan over vertex ids
-    then splits what is left, which in a no-exit graph is the cycle vertices.
+    Read off the one SCC pass (_scc_pass): each of its components, and every
+    other vertex as a component of its own.
     """
-    names, _, out, head, pred = g._index
-    done = len(names)  # the index of a vertex already placed in a component
+    names = g._index.names
+    # each component at its smallest id; a singleton unless the pass says more
+    by_least: list[tuple[str, ...] | None] = [(name,) for name in names]
+    for comp in _scc_pass(g):
+        for v in comp:
+            by_least[v] = None
+        # ids rank the names, so sorted ids give a sorted name tuple
+        by_least[comp[0]] = tuple(map(names.__getitem__, comp))
+    return [comp for comp in by_least if comp is not None]
+
+
+def _scc_pass(g: DirectedGraph) -> list[list[int]]:
+    """The SCC pass: the components of the vertices that some cycle reaches,
+    as ascending id lists ordered by their smallest id.
+
+    An in-degree peel first removes every vertex that no cycle reaches; each
+    of those is a component of its own and is not listed.  No edge leads from
+    a vertex left behind to a peeled one, so an iterative Tarjan over the ids
+    left splits them without looking at the peeled ones.  In a no-exit graph
+    it sees the cycle vertices alone, and an acyclic graph costs the peel.
+    """
+    _, _, out, head, pred = g._index
+    peeled = _peel(out, head, pred)
+    if len(peeled) == len(out):
+        return []
+    done = len(out)  # the index of a vertex already placed in a component
     index = [-1] * done
-    for v in _peel(out, head, pred):
-        index[v] = done
     low = [0] * done
     stack: list[int] = []
-    # each component at its smallest id; a singleton unless Tarjan says more
-    by_least: list[tuple[str, ...] | None] = [(name,) for name in names]
+    comps: list[list[int]] = []
     counter = 0
-    for root in range(done):
+    for root in set(range(done)).difference(peeled):
         if index[root] >= 0:
             continue
         index[root] = low[root] = counter
@@ -339,11 +359,11 @@ def strongly_connected_components(g: DirectedGraph) -> list[tuple[str, ...]]:
                         comp.append(stack.pop())
                     for w in comp:
                         index[w] = done
-                        by_least[w] = None
                     comp.sort()
-                    # ids rank the names, so sorted ids give a sorted name tuple
-                    by_least[comp[0]] = tuple(map(names.__getitem__, comp))
-    return [comp for comp in by_least if comp is not None]
+                    comps.append(comp)
+    # the lists are disjoint, so they sort by their smallest id
+    comps.sort()
+    return comps
 
 
 def _peel(out: list[list[int]], head: list[int], pred: list[list[int]]) -> list[int]:
@@ -351,9 +371,10 @@ def _peel(out: list[list[int]], head: list[int], pred: list[list[int]]) -> list[
     Kahn's in-degree peel, one decrement per edge, so a loop or a parallel
     edge from a vertex left behind keeps its range behind too."""
     indeg = list(map(len, pred))
-    peeled = [v for v, d in enumerate(indeg) if not d]
+    peeled = list(compress(range(len(indeg)), map(not_, indeg)))
     for v in peeled:  # the list grows as the loop reads it
-        for w in map(head.__getitem__, out[v]):
+        for pos in out[v]:
+            w = head[pos]
             indeg[w] -= 1
             if not indeg[w]:
                 peeled.append(w)
@@ -370,13 +391,14 @@ def _require_no_exit(g: DirectedGraph):
 def find_cycles(g: DirectedGraph, cap: int = DEFAULT_CYCLE_CAP) -> list[CycleDescriptor]:
     """Every cycle of g, each reported once, anchored at its smallest vertex.
 
-    Enumeration is SCC by SCC; within an SCC a depth-first search from each
-    anchor uses only vertices >= the anchor, so each cycle appears exactly
-    once.  Raises TooManyCyclesError past `cap`.
+    Enumeration is cyclic SCC by cyclic SCC; within one, a depth-first
+    search from each anchor uses only vertices >= the anchor, so each cycle
+    appears exactly once.  Raises TooManyCyclesError past `cap`.
     """
     _, id_of, out, head, _ = g._index
     walks: list[list[int]] = []  # each cycle's edge positions, named at the end
-    for comp in g._analysis.components:
+    # a cycle lies inside one cyclic component
+    for comp in g._analysis.cyclic_components:
         # ids rank the names, so the anchors ascend and w < anchor compares names
         ids = list(map(id_of.__getitem__, comp))
         in_comp = set(ids)
@@ -457,9 +479,14 @@ def _path_counts(g: DirectedGraph, end: str, cycle: CycleDescriptor | None = Non
     With `cycle`, counts only the paths not containing it: those never extend
     backward through `end`.  A dynamic program over reversed edges: each level
     maps a vertex to its number of paths of that length, and an in-edge adds
-    that number once, so parallel edges count once per path.  Costs one entry
-    per (vertex, length) pair, not one per path.  Raises NotNoExitError when a
-    path outgrows the no-exit bound.
+    that number once, so parallel edges count once per path.  Raises
+    NotNoExitError when a path outgrows the no-exit bound.
+
+    Costs one row per (vertex, length) pair, not one per path, and one dict
+    per level only at a branch point: along a chain, where a level's one
+    vertex has one in-edge, the walk steps to that edge's source with the
+    same count and builds neither a dict nor a sort.  A long line thus costs
+    one row per vertex and nothing more.
 
     A chain of two diamonds x -> {p, q} -> y -> {r, s} -> z:
 
@@ -471,18 +498,30 @@ def _path_counts(g: DirectedGraph, end: str, cycle: CycleDescriptor | None = Non
     names, id_of, _, _, pred = g._index
     blocked = -1 if cycle is None else id_of[end]
     # no cycle vertex reaches a sink in a no-exit graph, and a path avoiding a
-    # cycle enters it at most once, so every counted path is this short
+    # cycle enters it at most once, so every counted path is shorter than this
     bound = len(names) + (0 if cycle is None else cycle.length)
     table: list[tuple[int, str, int]] = []
     level = {id_of[end]: 1}
     length = 0
     while level:
-        # ids rank the names, so ascending ids give rows in source order
-        for v in sorted(level):
-            table.append((length, names[v], level[v]))
-        length += 1
-        if length > bound:
+        if length >= bound:
             raise NotNoExitError("path enumeration did not terminate; graph is not no-exit")
+        if len(level) > 1:
+            # ids rank the names, so ascending ids give rows in source order
+            for v in sorted(level):
+                table.append((length, names[v], level[v]))
+            length += 1
+        else:
+            # a chain of one-vertex levels, up to a branch point or the bound
+            [(v, count)] = level.items()
+            while True:
+                table.append((length, names[v], count))
+                length += 1
+                ps = pred[v]
+                if len(ps) != 1 or ps[0] == blocked or length >= bound:
+                    break
+                v = ps[0]
+            level = {v: count}
         nxt: dict[int, int] = {}
         for v, count in level.items():
             for u in pred[v]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .algebras import DirectSumAlgebra, GradedBase, ShiftedMatrixAlgebra
+from .algebras import _COUNT, DirectSumAlgebra, GradedBase, ShiftedMatrixAlgebra
 from .graphs import CycleDescriptor, DirectedGraph, _expand, _summand_counts
 
 
@@ -83,7 +83,25 @@ def represent_at(
     provenance: list[Provenance] = []
     for cycle, vertex, table in _summand_counts(g, base_choice):
         rows = tuple(table)
-        base = GradedBase.trivial() if cycle is None else GradedBase.laurent(cycle.length)
-        summands.append(ShiftedMatrixAlgebra(base, [(length, count) for length, _, count in rows]))
+        summands.append(_level_algebra(cycle, rows))
         provenance.append(SinkSummand(vertex, rows) if cycle is None else CycleSummand(cycle, vertex, rows))
     return RepresentationReport(DirectSumAlgebra(tuple(summands)), tuple(provenance))
+
+
+def _base(cycle: CycleDescriptor | None) -> GradedBase:
+    """K for a sink's summand, K[x^m] for the summand of a cycle of length m."""
+    return GradedBase.trivial() if cycle is None else GradedBase.laurent(cycle.length)
+
+
+def _level_algebra(cycle: CycleDescriptor | None, table) -> ShiftedMatrixAlgebra:
+    """The summand of a _path_counts table, one run per level: the levels'
+    lengths run over 0..L and each count is positive, so the runs need no
+    normalising pass."""
+    last = table[-1][0]
+    if len(table) == last + 1:  # one row per level, so each row is a run
+        runs = tuple([(length, count) for length, _, count in table])
+        return ShiftedMatrixAlgebra._from_normalised(_base(cycle), runs, sum(map(_COUNT, runs)))
+    counts = [0] * (last + 1)
+    for length, _, count in table:
+        counts[length] += count
+    return ShiftedMatrixAlgebra._from_normalised(_base(cycle), tuple(zip(range(last + 1), counts)), sum(counts))

@@ -740,8 +740,9 @@ def naive_analysis(g: DirectedGraph) -> _Analysis:
     cyclic = sorted({comp_of[e.source] for e in g.edges if comp_of[e.source] == comp_of[e.range]})
     sinks = tuple(sorted(v for v in g.vertices if not out[v]))
     exits = [v for i in cyclic for v in comps[i] if len(out[v]) != 1]
+    cyclic_comps = tuple(comps[i] for i in cyclic)
     if exits:
-        return _Analysis(comps, min(exits), sinks, ())
+        return _Analysis(cyclic_comps, min(exits), sinks, ())
     # in a no-exit graph a cyclic SCC is one cycle: follow the unique out-edges
     cycles = []
     for i in cyclic:
@@ -749,7 +750,7 @@ def naive_analysis(g: DirectedGraph) -> _Analysis:
         while walk[-1].range != comps[i][0]:
             walk.append(out[walk[-1].range][0])
         cycles.append(CycleDescriptor(tuple(e.source for e in walk), tuple(e.eid for e in walk)))
-    return _Analysis(comps, None, sinks, tuple(cycles))
+    return _Analysis(cyclic_comps, None, sinks, tuple(cycles))
 
 
 def naive_find_cycles(g: DirectedGraph, cap: int = DEFAULT_CYCLE_CAP) -> list[CycleDescriptor]:

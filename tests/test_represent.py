@@ -126,14 +126,14 @@ def test_complete_graph_names_exit_vertex():
 
 
 def test_one_scc_pass_per_graph(monkeypatch):
-    original = gradedlpa.graphs.strongly_connected_components
+    original = gradedlpa.graphs._scc_pass
     calls = []
 
     def counting(g):
         calls.append(g)
         return original(g)
 
-    monkeypatch.setattr(gradedlpa.graphs, "strongly_connected_components", counting)
+    monkeypatch.setattr(gradedlpa.graphs, "_scc_pass", counting)
     star = DirectedGraph.from_edges([("c", f"s{i}") for i in range(400)])
     classify(star)
     represent(star)
