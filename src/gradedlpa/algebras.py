@@ -226,17 +226,27 @@ class CyclicForm:
 CanonicalForm = Union[TrivialForm, CyclicForm]
 
 
-def least_rotation_index(seq: Sequence[int]) -> int:
-    """Index of the lexicographically least rotation (Booth's algorithm).
+def least_rotation_index(seq: Sequence) -> int:
+    """Index of the first lexicographically least rotation of a sequence of
+    mutually comparable items, such as ints or the (-gap, count) pairs of a
+    class form.
+
+    A least rotation starts at a least item, so when that item occurs once
+    its index is the answer; otherwise Booth's algorithm finds it.
 
     >>> least_rotation_index((2, 1))
     1
     >>> least_rotation_index((1, 2))
     0
+    >>> least_rotation_index(((-3, 1), (-1, 2), (-3, 1), (-1, 1)))
+    2
     """
     s = tuple(seq)
     if len(s) < 2:
         return 0
+    least = min(s)
+    if s.count(least) == 1:
+        return s.index(least)
     doubled = s + s
     fail = [-1] * len(doubled)
     k = 0

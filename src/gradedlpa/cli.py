@@ -145,16 +145,16 @@ def cmd_represent(args) -> Report:
 def cmd_canonical(args) -> Report:
     total = parse_algebra(args.expr)
     forms = [canonical_form(a) for a in total.summands]
-    lines = [f"{a}: {form}" for a, form in zip(total.summands, forms)]
-    payload = {
-        "forms": [
+    if args.json:
+        payload = [
             {"kind": "trivial", "k": f.k, "mults": list(f.mults)}
             if hasattr(f, "k")
             else {"kind": "cyclic", "m": f.period, "mults": list(f.mults)}
             for f in forms
         ]
-    }
-    return 0, "\n".join(lines) + "\n", payload
+        return 0, "", {"forms": payload}
+    lines = [f"{a}: {form}" for a, form in zip(total.summands, forms)]
+    return 0, "\n".join(lines) + "\n", {}
 
 
 def cmd_iso(args) -> Report:

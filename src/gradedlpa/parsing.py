@@ -25,9 +25,9 @@ shift list (0,0,0,0,1,1,1,2,2).  Digits are ASCII.  Whitespace may appear
 between any two tokens, but not inside a number or the separator "(+)".
 A shift magnitude and a period are at most 2^31.  A size or a repeat count
 has no limit, but no number may have more digits than int() converts
-(sys.get_int_max_str_digits(), 4300 by default).  One regex match reads a
-run of plain shift items; a repeat item, and a run holding a value the
-grammar rejects, go through the token cursor, which reports the error.
+(sys.get_int_max_str_digits(), 4300 by default).  split(",") and int() read
+a shift list in stretches that end at each '(' or ')'; the token cursor reads
+repeat items and each stretch int() cannot read as the grammar does.
 
 Certificate files hold one step per line; '#' starts a comment.
 
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import re
 import sys
-from itertools import compress
+from itertools import compress, islice, repeat
 from operator import ne, sub
 
 from .algebras import (
@@ -173,20 +173,6 @@ def format_graph(g: DirectedGraph) -> str:
 # One token at the cursor: a run of ASCII digits or any other single
 # character, after whitespace.  The empty token marks the end of the text.
 _TOKEN_RE = re.compile(r"\s*([0-9]+|\S?)")
-# A maximal run of plain shift items, each an int not followed by a repeat's
-# '(', joined by commas; it starts at a token and ends after the last digit.
-_PLAIN = r"[+-]?\s*[0-9]+(?![0-9]|\s*\()"
-_SHIFT_RUN_RE = re.compile(rf"{_PLAIN}(?:\s*,\s*{_PLAIN})*")
-
-
-def _plain_shift_values(run: str) -> list[int] | None:
-    """The shifts of a run that _SHIFT_RUN_RE matched, or None when one has
-    more digits than int() converts or a magnitude past 2^31."""
-    try:
-        values = list(map(int, "".join(run.split()).split(",")))
-    except ValueError:
-        return None
-    return values if -_MAX_SHIFT <= min(values) and max(values) <= _MAX_SHIFT else None
 
 
 def parse_algebra(text: str) -> DirectSumAlgebra:
@@ -196,7 +182,6 @@ def parse_algebra(text: str) -> DirectSumAlgebra:
     'M9(K)(0,0,0,0,1,1,1,2,2)'
     """
     match = _TOKEN_RE.match
-    shift_run = _SHIFT_RUN_RE.match
     tok, at, end = "", 0, 0  # the lookahead token, its start and its end
 
     def advance():
@@ -260,33 +245,47 @@ def parse_algebra(text: str) -> DirectSumAlgebra:
         expect("(")
         runs: list[tuple[int, int]] = []
         total, last = 0, None
-        bulk = True
+        cursor_until = 0  # the item code reads each item that starts before this
         while True:
-            # a run of plain shifts is read in one match; the item code below
-            # reads a repeat item, and a run holding a value it rejects
-            plain = shift_run(text, at) if bulk else None
-            if plain is not None:
-                values = _plain_shift_values(plain[0])
-                if values is None:
-                    bulk = False  # the item code raises inside this run
+            if at >= cursor_until:
+                # the items up to the next '(' or ')' are one stretch; before a
+                # '(' its last item is a repeat count, which the item code reads
+                close = text.find(")", at)
+                if close < 0:
+                    close = len(text)
+                stop = text.find("(", at, close)
+                if stop < 0:
+                    stop = close
+                stretch = text[at:stop]
+                values = None
+                # a lone item goes to the item code; int() takes Unicode digits and '_' too
+                if "," in stretch and stretch.isascii() and "_" not in stretch:
+                    items = stretch.split(",")
+                    count_item = items.pop() if stop < close else ""
+                    try:
+                        values = list(map(int, items))
+                    except ValueError:  # an item int() refuses, or one with more digits than it converts
+                        pass
+                if values is None or not -_MAX_SHIFT <= min(values) <= max(values) <= _MAX_SHIFT:
+                    cursor_until = stop  # the item code reads, or rejects, what int() did not
                 else:
-                    # a run starts at 0 and wherever the value changes
-                    starts = [0, *compress(range(1, len(values)), map(ne, values[1:], values))]
-                    ends = starts[1:]
-                    ends.append(len(values))
-                    merged = list(zip(map(values.__getitem__, starts), map(sub, ends, starts)))
-                    if merged[0][0] == last:
+                    changes = list(map(ne, islice(values, 1, None), values))
+                    if all(changes):
+                        merged = list(zip(values, repeat(1)))
+                    else:  # a run starts at 0 and wherever the value changes
+                        starts = [0, *compress(range(1, len(values)), changes)]
+                        ends = [*starts[1:], len(values)]
+                        merged = list(zip(map(values.__getitem__, starts), map(sub, ends, starts)))
+                    if values[0] == last:
                         merged[0] = (last, merged[0][1] + runs.pop()[1])
                     runs += merged
                     total += len(values)
                     last = values[-1]
-                    end = plain.end()
+                    end = stop - len(count_item)
                     advance()
-                    if tok != ",":
+                    if stop == close:
                         break
-                    advance()
-                    continue
-            start, count, repeat = at, 1, False
+            start, count, repeated = at, 1, False
             if tok == "+" or tok == "-":
                 value = integer()
             else:
@@ -294,7 +293,7 @@ def parse_algebra(text: str) -> DirectSumAlgebra:
                 if tok == "(":
                     if value < 1:
                         fail("a shift multiplicity must be positive", start)
-                    start, count, repeat = at + 1, value, True
+                    start, count, repeated = at + 1, value, True
                     advance()
                     value = integer()
             if abs(value) > _MAX_SHIFT:
@@ -305,7 +304,7 @@ def parse_algebra(text: str) -> DirectSumAlgebra:
                 count += runs.pop()[1]
             runs.append((value, count))
             last = value
-            if repeat:
+            if repeated:
                 expect(")")
             if tok != ",":
                 break

@@ -97,6 +97,42 @@ def test_least_rotation_random():
         assert least_rotation_index(vec) == naive_least_rotation(vec)
 
 
+# (-gap, count) pairs, the items _class_form rotates; the least pair a draw may
+# splice in is below every drawn one
+_GAP_PAIRS = st.tuples(st.integers(-4, -1), st.integers(1, 3))
+_LEAST_PAIR = (-5, 1)
+
+
+@st.composite
+def gap_pair_sequences(draw):
+    """A sequence of (-gap, count) pairs whose least pair occurs once, occurs
+    more than once, or repeats with the whole sequence, which is periodic."""
+    shape = draw(st.sampled_from(["unique least", "repeated least", "periodic"]))
+    seq = draw(st.lists(_GAP_PAIRS, min_size=1, max_size=12))
+    if shape == "periodic":
+        return seq[:4] * draw(st.integers(2, 4))
+    for _ in range(1 if shape == "unique least" else draw(st.integers(2, 4))):
+        seq.insert(draw(st.integers(0, len(seq))), _LEAST_PAIR)
+    return seq
+
+
+@settings(max_examples=400)
+@given(gap_pair_sequences())
+def test_least_rotation_of_gap_pairs(seq):
+    assert least_rotation_index(seq) == naive_least_rotation(seq)
+
+
+def test_least_rotation_of_gap_pairs_fixed():
+    for seq in [
+        [(-3, 1)],
+        [(-1, 2), (-3, 1), (-2, 1)],  # unique least pair
+        [(-3, 1), (-1, 2), (-3, 1), (-1, 1)],  # repeated least pair, decided by the next
+        [(-3, 2), (-3, 1), (-3, 2), (-3, 1)],  # periodic: the first least rotation
+        [(-2, 1)] * 5,
+    ]:
+        assert least_rotation_index(seq) == naive_least_rotation(seq)
+
+
 def test_form_validation():
     TrivialForm(2, (1, 0, 3))
     with pytest.raises(ValueError):

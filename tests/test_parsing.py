@@ -416,7 +416,11 @@ def test_explain_graph_line_raises_on_every_rejected_line(line):
         naive_parse_graph(line)  # the token parser accepts it too
 
 
-_ODD_VALUES = [str(2**31), str(2**31 - 1), str(2**31 + 1), "9" * 4301, "0" * 4300 + "1", "0" * 4299 + "5", "\uff15", "1_0"]
+# values int() reads but the grammar rejects, or the grammar reads but int() rejects
+_ODD_VALUES = [
+    str(2**31), str(2**31 - 1), str(2**31 + 1), "9" * 4301, "0" * 4300 + "1", "0" * 4299 + "5", "\uff15", "\u0663",
+    "1_0", "", " ", "\x1c5", "5 5",
+]
 # whitespace before an item, after its sign or '(', and after it
 _SHIFT_SPACES = [("", "", ""), ("", "", ""), ("", "", ""), (" ", "", " "), ("\t", " ", "\n"), ("\u3000", "", ""), ("", "\u00a0", ""), ("", "", "\x85")]
 # (text, shifts it lists) for a plain item or a repeat item c(s); one draw each keeps long lists cheap
@@ -458,6 +462,20 @@ def shift_lists(draw):
 @example("M6(K)(0, 0 ,0,2(0),0)")
 @example("M4(K)(1,1,1,1) (+) M3(K)(1,1,2)")
 @example("M3(K)(1, - 2 ,3 (4))")
+# what int() or str.find could mishandle in a stretch of plain items
+@example("M3(K)(\u0663,1,2)")
+@example("M12(K)(" + ",".join(["7"] * 6 + ["1_0"] + ["7"] * 5) + ")")
+@example("M9(K)(1,2,3,4, - 5,6,7,8,9)")
+@example("M5(K)(1,2," + "9" * 4301 + ",4,5)")
+@example("M1(K)()")
+@example("M1(K)( )")
+@example("M2(K)(1,,2)")
+@example("M3(K)(1,2,3 (+) M1(K)(0)")
+@example("M3(K)(1,2,3")
+@example("M3(K)(1,2,3 ")
+@example("M6(K)(5,5,2(5),5,5)")
+@example("M4(K)(1,(2),3)")
+@example("M3(K)(1,\x1c2,3)")
 def test_parse_algebra_matches_token_parser(text):
     assert _outcome(parse_algebra, text) == _outcome(naive_parse_algebra, text)
 
@@ -564,3 +582,13 @@ def test_plain_shift_runs_skip_the_token_cursor(monkeypatch):
     a = parse_algebra(f"M100000(K)({','.join(map(str, shifts))})").summands[0]
     assert a == ShiftedMatrixAlgebra.from_shifts(GradedBase.trivial(), shifts)
     assert 0 < cursor.calls < 10
+    # a repeat item goes through the cursor, and the stretch after it is read in bulk again
+    cursor.calls = 0
+    a = parse_algebra(f"M100003(K)({','.join(map(str, shifts[:50_000]))},3(-3),{','.join(map(str, shifts[50_000:]))})")
+    assert a.summands[0].shifts == (*shifts[:50_000], -3, -3, -3, *shifts[50_000:])
+    assert 0 < cursor.calls < 20
+
+
+def test_equal_neighbours_merge_across_stretches():
+    assert parse_algebra("M6(K)(5,5,2(5),5,5)").summands[0].runs == ((5, 6),)
+    assert parse_algebra("M7(K)(1,5,2(5),5, - 5,-5)").summands[0].runs == ((1, 1), (5, 4), (-5, 2))
