@@ -385,19 +385,6 @@ def apply_certificate(shifts: Sequence[int], steps: Iterable[Step], base: Graded
     return tuple(cur)
 
 
-def inverse_step(step: Step) -> Step:
-    if isinstance(step, Permute):
-        inv = [0] * len(step.image)
-        for pos, src in enumerate(step.image, 1):
-            inv[src - 1] = pos
-        return Permute(tuple(inv))
-    if isinstance(step, GlobalShift):
-        return GlobalShift(-step.delta)
-    if isinstance(step, EntryShift):
-        return EntryShift(step.index, -step.delta)
-    raise TypeError(f"not a certificate step: {step!r}")
-
-
 # --- the decision procedure ---
 
 

@@ -44,10 +44,12 @@ class DirectedGraph:
     """A finite directed multigraph with ordered vertices and edges.
 
     Every construction ends in the same id columns.  A vertex's id is its
-    position in `vertices`, which is in first-mention order; per edge there
-    is an edge id (_UNNAMED for an unnamed edge, whose id is e<position>), a
-    source id and a range id.  `edges` (Edge tuples) is built on first use,
-    for callers that ask for Edge tuples; no library pass builds it.
+    position in `vertices`, which is in first-mention order, and the one id
+    the graph passes use; per edge there is an edge id (_UNNAMED for an
+    unnamed edge, whose id is e<position>), a source id and a range id.
+    Names are sorted only where an output lists them.  `edges` (Edge tuples)
+    is built on first use, for callers that ask for Edge tuples; no library
+    pass builds it.
     Equality, hashing and repr are those of the pair (vertices, edges).
     """
 
@@ -67,15 +69,15 @@ class DirectedGraph:
             sources = None
         if len(id_of) != len(vertices) or sources is None or not _distinct_eids(eids):
             raise ValueError(_first_offender(vertices, edges))
-        vars(self).update(vertices=vertices, _eids=eids, _sources=sources, _ranges=ranges)
+        vars(self).update(vertices=vertices, _id_of=id_of, _eids=eids, _sources=sources, _ranges=ranges)
 
     @classmethod
     def _from_columns(cls, id_of: dict, eids: list, sources: list[int], ranges: list[int]) -> "DirectedGraph":
         """Skip the checks of __init__: every source and range is an id of
-        id_of, a name-to-id map in first-mention order.  The caller checks
-        that the edge ids are distinct."""
+        id_of, a name-to-id map in first-mention order, which the graph
+        keeps.  The caller checks that the edge ids are distinct."""
         g = cls.__new__(cls)
-        vars(g).update(vertices=tuple(id_of), _eids=eids, _sources=sources, _ranges=ranges)
+        vars(g).update(vertices=tuple(id_of), _id_of=id_of, _eids=eids, _sources=sources, _ranges=ranges)
         return g
 
     @classmethod
@@ -122,32 +124,29 @@ class DirectedGraph:
 
     @cached_property
     def _index(self) -> "_Index":
-        names = sorted(self.vertices)
-        id_of = dict(zip(names, range(len(names))))
-        # one relabel of the columns from mention order to sorted-name rank
-        rank = list(map(id_of.__getitem__, self.vertices))
-        head = list(map(rank.__getitem__, self._ranges))
-        out: list[list[int]] = [[] for _ in names]
-        pred: list[list[int]] = [[] for _ in names]
-        for pos, s, r in zip(range(len(head)), map(rank.__getitem__, self._sources), head):
+        out: list[list[int]] = [[] for _ in self.vertices]
+        pred: list[list[int]] = [[] for _ in self.vertices]
+        for pos, s, r in zip(range(len(self._ranges)), self._sources, self._ranges):
             out[s].append(pos)
             pred[r].append(s)
-        return _Index(names, id_of, out, head, pred)
+        return _Index(out, pred)
 
     @cached_property
     def _analysis(self) -> "_Analysis":
-        names, _, out, head, _ = self._index
+        names, out, head = self.vertices, self._index.out, self._ranges
         # a component of two or more vertices is cyclic, a singleton iff it has a loop
         cyclic = [c for c in _scc_pass(self) if len(c) > 1 or c[0] in map(head.__getitem__, out[c[0]])]
-        sinks = tuple(compress(names, map(not_, out)))
-        exits = [v for comp in cyclic for v in comp if len(out[v]) != 1]
-        components = tuple(tuple(map(names.__getitem__, comp)) for comp in cyclic)
+        sinks = tuple(sorted(compress(names, map(not_, out))))
+        exits = [names[v] for comp in cyclic for v in comp if len(out[v]) != 1]
+        # each component's names sorted, the components by their least name
+        components = tuple(sorted(tuple(sorted(map(names.__getitem__, comp))) for comp in cyclic))
         if exits:
-            return _Analysis(components, names[min(exits)], sinks, ())
+            return _Analysis(components, min(exits), sinks, ())
         # in a no-exit graph a cyclic SCC is one cycle: follow the unique out-edges
+        # from its least vertex, where its CycleDescriptor starts
         walks = []
-        for comp in cyclic:
-            start = comp[0]
+        for comp in components:
+            start = self._id_of[comp[0]]
             walk = [out[start][0]]
             while (v := head[walk[-1]]) != start:
                 walk.append(out[v][0])
@@ -173,26 +172,23 @@ class DirectedGraph:
         out += [(c, c.vertices[0], tuple(_path_counts(self, c.vertices[0], c))) for c in cycles]
         return tuple(out)
 
-    def require_vertex(self, v: str):
-        if v not in self._index.id_of:
-            raise UnknownVertexError(f"unknown vertex {v!r}")
+    def require_vertex(self, v: str) -> int:
+        """The id of v; raises UnknownVertexError if g has no vertex v."""
+        try:
+            return self._id_of[v]
+        except KeyError:
+            raise UnknownVertexError(f"unknown vertex {v!r}") from None
 
     def out_edges(self, v: str) -> tuple[Edge, ...]:
         """The edges out of v in edge order."""
-        self.require_vertex(v)
-        return tuple(map(self.edges.__getitem__, self._index.out[self._index.id_of[v]]))
+        return tuple(map(self.edges.__getitem__, self._index.out[self.require_vertex(v)]))
 
     def in_edges(self, v: str) -> tuple[Edge, ...]:
         """The edges into v in edge order: one scan of the range column."""
-        try:
-            k = self.vertices.index(v)
-        except ValueError:
-            raise UnknownVertexError(f"unknown vertex {v!r}") from None
-        return tuple(compress(self.edges, map(k.__eq__, self._ranges)))
+        return tuple(compress(self.edges, map(self.require_vertex(v).__eq__, self._ranges)))
 
     def out_degree(self, v: str) -> int:
-        self.require_vertex(v)
-        return len(self._index.out[self._index.id_of[v]])
+        return len(self._index.out[self.require_vertex(v)])
 
 
 def _named(eids: list) -> list:
@@ -253,29 +249,27 @@ class CycleDescriptor:
 
 
 class _Index(NamedTuple):
-    """A graph's vertices as ids for the whole-graph passes: a vertex's id is
-    its rank in sorted name order, so ascending ids are sorted names.  Built
-    by one relabel of the graph's source and range columns.
+    """The adjacency the whole-graph passes walk, over the graph's vertex ids,
+    built by one pass over its source and range columns.
 
-    `out` and `head` are the graph's one out-adjacency: every walk follows
-    out-edge positions through `head` and reads an edge id by position only
-    to describe a cycle.  The path counts read `pred`."""
+    `out` and the range column are the graph's one out-adjacency: every walk
+    follows out-edge positions through the range column (`head` in the
+    passes) and reads an edge id by position only to describe a cycle.  The
+    path counts read `pred`."""
 
-    names: list[str]  # by id
-    id_of: dict[str, int]
     out: list[list[int]]  # per id, the positions of its out-edges in edge order
-    head: list[int]  # per edge position, the id of its range
     pred: list[list[int]]  # per id, the source ids of its in-edges in edge order
 
 
 class _Analysis(NamedTuple):
-    """What one SCC pass tells about a graph.  Only the cyclic components are
-    kept: every other component is a single vertex, and the cycles, the exit
-    check and find_cycles read nothing else."""
+    """What one SCC pass tells about a graph, by vertex name.  Only the
+    cyclic components are kept: every other component is a single vertex,
+    and the cycles, the exit check, find_cycles and
+    strongly_connected_components read nothing else."""
 
-    cyclic_components: tuple[tuple[str, ...], ...]  # in strongly_connected_components order
-    exit_vertex: str | None  # smallest cycle vertex not emitting exactly one edge
-    sinks: tuple[str, ...]
+    cyclic_components: tuple[tuple[str, ...], ...]  # each sorted, ordered by least name
+    exit_vertex: str | None  # least cycle vertex not emitting exactly one edge
+    sinks: tuple[str, ...]  # sorted
     cycles: tuple[CycleDescriptor, ...]  # in find_cycles order; empty unless no-exit
 
 
@@ -292,18 +286,13 @@ class GraphClassification:
 def strongly_connected_components(g: DirectedGraph) -> list[tuple[str, ...]]:
     """The SCCs of g as sorted vertex tuples, ordered by their smallest vertex.
 
-    Read off the one SCC pass (_scc_pass): each of its components, and every
+    Read off the one SCC pass (_analysis): its cyclic components, and every
     other vertex as a component of its own.
     """
-    names = g._index.names
-    # each component at its smallest id; a singleton unless the pass says more
-    by_least: list[tuple[str, ...] | None] = [(name,) for name in names]
-    for comp in _scc_pass(g):
-        for v in comp:
-            by_least[v] = None
-        # ids rank the names, so sorted ids give a sorted name tuple
-        by_least[comp[0]] = tuple(map(names.__getitem__, comp))
-    return [comp for comp in by_least if comp is not None]
+    cyclic = g._analysis.cyclic_components
+    on_cycle = set(chain.from_iterable(cyclic))
+    # the components are disjoint, so they sort by their smallest vertex
+    return sorted(chain(cyclic, ((v,) for v in g.vertices if v not in on_cycle)))
 
 
 def _scc_pass(g: DirectedGraph) -> list[list[int]]:
@@ -316,7 +305,7 @@ def _scc_pass(g: DirectedGraph) -> list[list[int]]:
     left splits them without looking at the peeled ones.  In a no-exit graph
     it sees the cycle vertices alone, and an acyclic graph costs the peel.
     """
-    _, _, out, head, pred = g._index
+    (out, pred), head = g._index, g._ranges
     peeled = _peel(out, head, pred)
     if len(peeled) == len(out):
         return []
@@ -384,25 +373,24 @@ def _peel(out: list[list[int]], head: list[int], pred: list[list[int]]) -> list[
 def _require_no_exit(g: DirectedGraph):
     v = g._analysis.exit_vertex
     if v is not None:
-        _, id_of, out, _, _ = g._index
-        raise NotNoExitError(f"cycle vertex {v!r} emits {len(out[id_of[v]])} edges")
+        raise NotNoExitError(f"cycle vertex {v!r} emits {g.out_degree(v)} edges")
 
 
 def find_cycles(g: DirectedGraph, cap: int = DEFAULT_CYCLE_CAP) -> list[CycleDescriptor]:
     """Every cycle of g, each reported once, anchored at its smallest vertex.
 
     Enumeration is cyclic SCC by cyclic SCC; within one, a depth-first
-    search from each anchor uses only vertices >= the anchor, so each cycle
-    appears exactly once.  Raises TooManyCyclesError past `cap`.
+    search from each anchor in name order uses only vertices whose names are
+    >= the anchor's, so each cycle appears exactly once.  Raises
+    TooManyCyclesError past `cap`.
     """
-    _, id_of, out, head, _ = g._index
+    out, head = g._index.out, g._ranges
     walks: list[list[int]] = []  # each cycle's edge positions, named at the end
-    # a cycle lies inside one cyclic component
+    # a cycle lies inside one cyclic component, whose names come sorted
     for comp in g._analysis.cyclic_components:
-        # ids rank the names, so the anchors ascend and w < anchor compares names
-        ids = list(map(id_of.__getitem__, comp))
-        in_comp = set(ids)
-        for anchor in ids:
+        ids = list(map(g._id_of.__getitem__, comp))
+        rank = dict(zip(ids, range(len(ids))))  # an id's place in name order; none outside comp
+        for least, anchor in enumerate(ids):
             # per vertex on the path its pending out-edge positions; path: those taken
             pending = [iter(out[anchor])]
             path: list[int] = []
@@ -410,7 +398,7 @@ def find_cycles(g: DirectedGraph, cap: int = DEFAULT_CYCLE_CAP) -> list[CycleDes
             while pending:
                 for pos in pending[-1]:
                     w = head[pos]
-                    if w not in in_comp or w < anchor:
+                    if rank.get(w, -1) < least:
                         continue
                     if w == anchor:
                         if len(walks) >= cap:
@@ -429,7 +417,7 @@ def find_cycles(g: DirectedGraph, cap: int = DEFAULT_CYCLE_CAP) -> list[CycleDes
 
 
 def _count_weak_components(g: DirectedGraph) -> int:
-    _, _, out, head, pred = g._index
+    (out, pred), head = g._index, g._ranges
     seen = [False] * len(out)
     count = 0
     for root in range(len(seen)):
@@ -456,7 +444,6 @@ def classify(g: DirectedGraph) -> GraphClassification:
     TooManyCyclesError past DEFAULT_CYCLE_CAP cycles.
     """
     _, exit_vertex, sinks, cycles = g._analysis
-    names, _, out, _, _ = g._index
     if exit_vertex is not None:
         cycles = tuple(find_cycles(g))
     # every vertex reaches a sink or a cycle, so a component is a comet iff it
@@ -467,7 +454,7 @@ def classify(g: DirectedGraph) -> GraphClassification:
         no_exit=exit_vertex is None,
         comet_per_component=comet,
         sinks=sinks,
-        regular=tuple(name for name, edges in zip(names, out) if edges),
+        regular=tuple(sorted(compress(g.vertices, g._index.out))),
         cycles=cycles,
     )
 
@@ -495,7 +482,7 @@ def _path_counts(g: DirectedGraph, end: str, cycle: CycleDescriptor | None = Non
     >>> _path_counts(g, "z")
     [(0, 'z', 1), (1, 'r', 1), (1, 's', 1), (2, 'y', 2), (3, 'p', 2), (3, 'q', 2), (4, 'x', 4)]
     """
-    names, id_of, _, _, pred = g._index
+    names, id_of, pred = g.vertices, g._id_of, g._index.pred
     blocked = -1 if cycle is None else id_of[end]
     # no cycle vertex reaches a sink in a no-exit graph, and a path avoiding a
     # cycle enters it at most once, so every counted path is shorter than this
@@ -507,8 +494,8 @@ def _path_counts(g: DirectedGraph, end: str, cycle: CycleDescriptor | None = Non
         if length >= bound:
             raise NotNoExitError("path enumeration did not terminate; graph is not no-exit")
         if len(level) > 1:
-            # ids rank the names, so ascending ids give rows in source order
-            for v in sorted(level):
+            # rows in source order
+            for v in sorted(level, key=names.__getitem__):
                 table.append((length, names[v], level[v]))
             length += 1
         else:
@@ -575,8 +562,7 @@ def paths_to_sink(g: DirectedGraph, sink: str) -> list[tuple[str, int]]:
     """
     g.require_vertex(sink)
     _require_no_exit(g)
-    _, id_of, out, _, _ = g._index
-    if out[id_of[sink]]:
+    if g.out_degree(sink):
         raise NotASinkError(f"vertex {sink!r} emits edges")
     return _expand(_path_counts(g, sink))
 
@@ -602,7 +588,7 @@ def _require_on_cycle(cycle: CycleDescriptor, base: str):
 
 
 def _validate_cycle(g: DirectedGraph, cycle: CycleDescriptor):
-    _, id_of, out, head, _ = g._index
+    out, head, id_of = g._index.out, g._ranges, g._id_of
     ids = [id_of.get(v) for v in cycle.vertices]
     for i, eid in enumerate(cycle.edges):
         source, range_ = ids[i], ids[(i + 1) % cycle.length]

@@ -216,16 +216,6 @@ def _checked_terms(base: GradedBase, cells) -> dict[tuple[int, int, int], int]:
     return terms
 
 
-def matrix_unit(base: GradedBase, shifts, i: int, j: int, element=1) -> GradedMatrix:
-    """The matrix with `element` at (i, j), 1-based, and zeros elsewhere."""
-    shifts = tuple(shifts)
-    n = len(shifts)
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"unit position ({i},{j}) out of range 1..{n}")
-    terms = _checked_terms(base, ((i - 1, j - 1, _as_element(element)),))
-    return GradedMatrix._from_terms(base, shifts, terms)
-
-
 def homogeneous_components(matrix: GradedMatrix) -> dict[int, GradedMatrix]:
     """Split a matrix into its nonzero homogeneous components, keyed by
     ascending degree.  The sum of the components is the matrix.

@@ -1,4 +1,4 @@
-"""Shared brute-force oracles and random generators.
+"""Shared brute-force oracles, random generators and test-only helpers.
 
 Everything here is deliberately independent of the library internals:
 rotations by explicit slicing, SCCs by mutual reachability, path counts
@@ -9,15 +9,23 @@ line by line, graph construction from Edge tuples, SCCs, cycles and path
 counts over Edge tables built from the public edge list, and the verify-cert
 replay that conjugates every homogeneous component on its own.
 Tests compare library output against these slow references.
+
+The `small_multigraphs` fixture is the exhaustive grid of every multigraph
+on up to three vertices, built once per session; its names sort in the
+reverse of their mention order, so a pass that takes mention order for
+name order shows on it.  `inverse_step` and `matrix_unit` build certificate
+steps and matrices that only tests need.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 import sys
 from itertools import starmap
 
+import pytest
 from hypothesis import settings
 
 from gradedlpa import (
@@ -45,14 +53,53 @@ from gradedlpa import (
     conjugate_by_step,
     homogeneous_components,
 )
-from gradedlpa.algebras import _MAX_LISTED
+from gradedlpa.algebras import _MAX_LISTED, Step
 from gradedlpa.cli import _MAX_REPLAYED, _STEP_COST
 from gradedlpa.graphs import DEFAULT_CYCLE_CAP, _Analysis
+from gradedlpa.matrices import _as_element, _checked_terms
 
 # Property tests draw the same examples on every run and carry no per-example
 # deadline, so a test run's outcome does not depend on the clock or the seed.
 settings.register_profile("reproducible", derandomize=True, deadline=None)
 settings.load_profile("reproducible")
+
+
+@pytest.fixture(scope="session")
+def small_multigraphs() -> tuple[DirectedGraph, ...]:
+    """Every multigraph on up to 3 vertices with edge multiplicity up to 2,
+    19,768 graphs, on the names v9, v10 and A mentioned in that order."""
+    graphs = []
+    for n in range(4):
+        names = ["v9", "v10", "A"][:n]
+        pairs = list(itertools.product(names, repeat=2))
+        for mults in itertools.product(range(3), repeat=len(pairs)):
+            edges = [pair for pair, m in zip(pairs, mults) for _ in range(m)]
+            graphs.append(DirectedGraph.from_edges(edges, isolated=names))
+    return tuple(graphs)
+
+
+def inverse_step(step: Step) -> Step:
+    """The certificate step that undoes `step`."""
+    if isinstance(step, Permute):
+        inv = [0] * len(step.image)
+        for pos, src in enumerate(step.image, 1):
+            inv[src - 1] = pos
+        return Permute(tuple(inv))
+    if isinstance(step, GlobalShift):
+        return GlobalShift(-step.delta)
+    if isinstance(step, EntryShift):
+        return EntryShift(step.index, -step.delta)
+    raise TypeError(f"not a certificate step: {step!r}")
+
+
+def matrix_unit(base: GradedBase, shifts, i: int, j: int, element=1) -> GradedMatrix:
+    """The matrix with `element` at (i, j), 1-based, and zeros elsewhere."""
+    shifts = tuple(shifts)
+    n = len(shifts)
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"unit position ({i},{j}) out of range 1..{n}")
+    terms = _checked_terms(base, ((i - 1, j - 1, _as_element(element)),))
+    return GradedMatrix._from_terms(base, shifts, terms)
 
 
 def naive_least_rotation(seq):
@@ -164,11 +211,11 @@ def _weak_components(g: DirectedGraph):
     return {frozenset(c) for c in comp.values()}
 
 
-def naive_classify(g: DirectedGraph) -> GraphClassification:
-    """classify by its definition: cycles by general enumeration, and a
-    component is a comet when it holds exactly one cycle and reaches it
-    backward from every vertex."""
-    cycles = tuple(naive_find_cycles(g))
+def naive_classify(g: DirectedGraph, cycles=None) -> GraphClassification:
+    """classify by its definition: cycles by general enumeration (or the
+    naive_find_cycles list given), and a component is a comet when it holds
+    exactly one cycle and reaches it backward from every vertex."""
+    cycles = tuple(naive_find_cycles(g) if cycles is None else cycles)
     on_cycle = {v for c in cycles for v in c.vertices}
     comet = True
     for comp in _weak_components(g):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     WindowExceededError,
+    inverse_step,
     naive_canonical_form,
     naive_least_rotation,
     oracle_iso,
@@ -32,7 +33,6 @@ from gradedlpa import (
     canonical_form,
     corner_by_indices,
     direct_sum_iso,
-    inverse_step,
     is_graded_isomorphic,
     is_realizable,
     iso_certificate,

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -131,10 +130,11 @@ def test_scc_against_brute_force():
         assert got == brute_scc(g)
 
 
-def _reached_from_a_cycle(g):
+def _reached_from_a_cycle(g, sccs):
     """Vertices on a cycle or downstream of one, by brute force: a cycle
-    vertex shares its mutual-reachability class with an edge's range."""
-    comp_of = {v: comp for comp in brute_scc(g) for v in comp}
+    vertex shares its mutual-reachability class (one of `sccs`) with an
+    edge's range."""
+    comp_of = {v: comp for comp in sccs for v in comp}
     reached = {e.source for e in g.edges if e.range in comp_of[e.source]}
     frontier = list(reached)
     while frontier:
@@ -147,28 +147,31 @@ def _reached_from_a_cycle(g):
 
 
 def _check_peel_and_sccs(g):
-    names, _, out, head, pred = g._index
-    peeled = _peel(out, head, pred)
+    out, pred = g._index
+    peeled = _peel(out, g._ranges, pred)
+    sccs = brute_scc(g)
     # the peel takes every vertex no cycle reaches, once each, after its predecessors
-    assert sorted(names[v] for v in peeled) == sorted(set(g.vertices) - _reached_from_a_cycle(g))
+    assert sorted(g.vertices[v] for v in peeled) == sorted(set(g.vertices) - _reached_from_a_cycle(g, sccs))
     position = {v: i for i, v in enumerate(peeled)}
     assert all(position[u] < position[v] for v in peeled for u in pred[v])
     comps = strongly_connected_components(g)
-    assert {frozenset(comp) for comp in comps} == brute_scc(g)
+    assert {frozenset(comp) for comp in comps} == sccs
     assert comps == naive_strongly_connected_components(g)
 
 
-def test_peel_and_sccs_on_small_multigraphs():
+def test_small_multigraph_grid(small_multigraphs):
     # every multigraph on up to 3 vertices with edge multiplicity up to 2,
-    # names ranked against their mention order
+    # names sorted against their mention order: the peel and the SCCs, the
+    # cycles (a cap one short stops the last one) and classify, against one
+    # Edge-table cycle enumeration per graph
     count = 0
-    for n in range(4):
-        names = ["v9", "v10", "A"][:n]
-        pairs = list(itertools.product(names, repeat=2))
-        for mults in itertools.product(range(3), repeat=len(pairs)):
-            edges = [pair for pair, m in zip(pairs, mults) for _ in range(m)]
-            _check_peel_and_sccs(DirectedGraph.from_edges(edges, isolated=names))
-            count += 1
+    for g in small_multigraphs:
+        _check_peel_and_sccs(g)
+        cycles = naive_find_cycles(g)
+        outcome = _check_find_cycles(g, cycles)
+        assert outcome[0] == ("TooManyCyclesError" if cycles else "ok")
+        assert classify(g) == naive_classify(g, cycles)
+        count += 1
     assert count == 19_768
 
 
@@ -246,31 +249,18 @@ def test_find_cycles_cap():
         find_cycles(g, cap=31)
 
 
-def _check_find_cycles(g, cap=None):
-    """The same cycles in the same order, with the same vertices and edge
-    ids, and the same outcome at `cap`, by default one short of the count."""
-    cycles = find_cycles(g)
-    assert cycles == naive_find_cycles(g)
-    cap = max(len(cycles) - 1, 0) if cap is None else cap
+def _check_find_cycles(g, naive, cap=None):
+    """The cycles `naive` of the Edge-table walk, in the same order, with the
+    same vertices and edge ids, and the outcome that walk has at `cap`, by
+    default one short of the count: past `cap` cycles it raises."""
+    assert find_cycles(g) == naive
+    cap = max(len(naive) - 1, 0) if cap is None else cap
     outcome = _outcome(find_cycles, g, cap)
-    assert outcome == _outcome(naive_find_cycles, g, cap)
-    return cycles, outcome
-
-
-def test_find_cycles_matches_edge_table_walk_on_small_multigraphs():
-    # every multigraph on up to 3 vertices with edge multiplicity up to 2,
-    # names ranked against their mention order; a cap one short stops the last cycle
-    count = 0
-    for n in range(4):
-        names = ["v9", "v10", "A"][:n]
-        pairs = list(itertools.product(names, repeat=2))
-        for mults in itertools.product(range(3), repeat=len(pairs)):
-            edges = [pair for pair, m in zip(pairs, mults) for _ in range(m)]
-            g = DirectedGraph.from_edges(edges, isolated=names)
-            cycles, outcome = _check_find_cycles(g)
-            assert outcome[0] == ("TooManyCyclesError" if cycles else "ok")
-            count += 1
-    assert count == 19_768
+    if len(naive) > cap:
+        assert outcome == ("TooManyCyclesError", f"more than {cap} cycles")
+    else:
+        assert outcome == ("ok", naive)
+    return outcome
 
 
 @st.composite
@@ -293,7 +283,7 @@ def multigraphs_with_ids(draw):
 @settings(max_examples=300)
 @given(multigraphs_with_ids(), st.integers(0, 40))
 def test_find_cycles_matches_edge_table_walk(g, cap):
-    _check_find_cycles(g, cap)
+    _check_find_cycles(g, naive_find_cycles(g), cap)
     for v in g.vertices:
         assert g.out_edges(v) == tuple(e for e in g.edges if e.source == v)
 
@@ -340,20 +330,6 @@ def test_classify_comet_needs_every_vertex_connected():
 def test_classify_empty_graph():
     info = classify(DirectedGraph((), ()))
     assert info.acyclic and info.no_exit and info.comet_per_component
-
-
-def test_classify_matches_definition_on_small_multigraphs():
-    # every multigraph on up to 3 vertices with edge multiplicity up to 2
-    count = 0
-    for n in range(4):
-        names = [f"v{i}" for i in range(n)]
-        pairs = list(itertools.product(names, repeat=2))
-        for mults in itertools.product(range(3), repeat=len(pairs)):
-            edges = [pair for pair, m in zip(pairs, mults) for _ in range(m)]
-            g = DirectedGraph.from_edges(edges, isolated=names)
-            assert classify(g) == naive_classify(g)
-            count += 1
-    assert count == 19_768
 
 
 multigraphs = st.integers(1, 7).flatmap(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_components, naive_conjugate, random_base, random_certificate, random_matrix
+from conftest import matrix_unit, naive_components, naive_conjugate, random_base, random_certificate, random_matrix
 from gradedlpa import (
     EntryShift,
     GlobalShift,
@@ -19,7 +19,6 @@ from gradedlpa import (
     conjugate_by_certificate,
     conjugate_by_step,
     homogeneous_components,
-    matrix_unit,
     multiply,
 )
 

@@ -14,6 +14,7 @@ from gradedlpa import (
     canonical_form,
     is_graded_isomorphic,
     is_realizable,
+    is_realizable_sum,
     parse_algebra,
     parse_graph,
     NotNoExitError,
@@ -30,6 +31,7 @@ from gradedlpa import (
     paths_to_sink,
     represent,
     represent_at,
+    summand_key,
 )
 
 
@@ -348,6 +350,39 @@ def test_counted_representation_matches_walk_oracle(g, data):
     else:
         with pytest.raises(ZeroCornerError):
             corner_by_vertices(g, vs)
+
+
+def _renamed(g, names):
+    new = dict(zip(g.vertices, names)).__getitem__
+    return DirectedGraph.from_edges([(new(e.source), new(e.range)) for e in g.edges], isolated=map(new, g.vertices))
+
+
+def _summand_order(prov):
+    """Where a summand goes in a representation: sinks by name, then cycles
+    by least vertex."""
+    return (0, prov.sink) if hasattr(prov, "sink") else (1, prov.cycle.vertices[0])
+
+
+@settings(max_examples=200)
+@given(no_exit_multigraphs(), no_exit_multigraphs(), st.data())
+def test_disjoint_union_represents_as_its_parts(g, h, data):
+    # rename g and h apart, g to even and h to odd numbers, each scrambled
+    # against its own mention order: the names of g and h alternate in sort
+    # order (v0, v1, v10, v11, ...), and the union mentions g's first
+    g = _renamed(g, data.draw(st.permutations([f"v{2 * k}" for k in range(len(g.vertices))])))
+    h = _renamed(h, data.draw(st.permutations([f"v{2 * k + 1}" for k in range(len(h.vertices))])))
+    union = DirectedGraph.from_edges([e[1:] for e in g.edges + h.edges], isolated=g.vertices + h.vertices)
+    parts = [represent(g), represent(h)]
+    rep = represent(union)
+    got = rep.sum.summands
+    assert sorted(map(summand_key, got)) == sorted(summand_key(a) for part in parts for a in part.sum.summands)
+    # the parts' summands merged in representation order, each unchanged
+    merged = sorted((_summand_order(p), a) for part in parts for a, p in zip(part.sum.summands, part.provenance))
+    assert [_summand_order(p) for p in rep.provenance] == [key for key, _ in merged]
+    assert got == tuple(a for _, a in merged)
+    # the paper's easy direction: every represented graph is realizable
+    for report in parts + [rep]:
+        assert is_realizable_sum(report.sum).ok
 
 
 def test_sixty_diamond_chain_stays_counted():
