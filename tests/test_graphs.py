@@ -159,20 +159,29 @@ def _check_peel_and_sccs(g):
     assert comps == naive_strongly_connected_components(g)
 
 
-def test_small_multigraph_grid(small_multigraphs):
+def test_peel_and_sccs_on_small_multigraphs(small_multigraphs):
     # every multigraph on up to 3 vertices with edge multiplicity up to 2,
-    # names sorted against their mention order: the peel and the SCCs, the
-    # cycles (a cap one short stops the last one) and classify, against one
-    # Edge-table cycle enumeration per graph
-    count = 0
+    # names sorted against their mention order
     for g in small_multigraphs:
         _check_peel_and_sccs(g)
+    assert len(small_multigraphs) == 19_768
+
+
+def test_find_cycles_matches_edge_table_walk_on_small_multigraphs(small_multigraphs):
+    # the same grid against the Edge-table cycle enumeration; a cap one short
+    # stops the last cycle
+    for g in small_multigraphs:
         cycles = naive_find_cycles(g)
         outcome = _check_find_cycles(g, cycles)
         assert outcome[0] == ("TooManyCyclesError" if cycles else "ok")
-        assert classify(g) == naive_classify(g, cycles)
-        count += 1
-    assert count == 19_768
+    assert len(small_multigraphs) == 19_768
+
+
+def test_classify_matches_definition_on_small_multigraphs(small_multigraphs):
+    # the same grid, classify against its definition
+    for g in small_multigraphs:
+        assert classify(g) == naive_classify(g, naive_find_cycles(g))
+    assert len(small_multigraphs) == 19_768
 
 
 @st.composite
