@@ -297,7 +297,7 @@ def strongly_connected_components(g: DirectedGraph) -> list[tuple[str, ...]]:
 
 def _scc_pass(g: DirectedGraph) -> list[list[int]]:
     """The SCC pass: the components of the vertices that some cycle reaches,
-    as ascending id lists ordered by their smallest id.
+    as id lists.
 
     An in-degree peel first removes every vertex that no cycle reaches; each
     of those is a component of its own and is not listed.  No edge leads from
@@ -348,10 +348,7 @@ def _scc_pass(g: DirectedGraph) -> list[list[int]]:
                         comp.append(stack.pop())
                     for w in comp:
                         index[w] = done
-                    comp.sort()
                     comps.append(comp)
-    # the lists are disjoint, so they sort by their smallest id
-    comps.sort()
     return comps
 
 
@@ -557,7 +554,7 @@ def _summand_counts(g: DirectedGraph, base_choice: Mapping[CycleDescriptor, str]
 def paths_to_sink(g: DirectedGraph, sink: str) -> list[tuple[str, int]]:
     """All paths of g ending in `sink`, as (source, length) pairs.
 
-    Includes the trivial path (sink, 0).  Sorted by length, then source id;
+    Includes the trivial path (sink, 0).  Sorted by length, then source name;
     parallel edges contribute one entry per path.
     """
     g.require_vertex(sink)
@@ -574,7 +571,7 @@ def paths_to_cycle_vertex(
 
     A path contains the cycle exactly when it visits `base` more than once, so
     the reverse walk simply never extends through `base`.  Includes the trivial
-    path (base, 0); sorted by length then source id.
+    path (base, 0); sorted by length then source name.
     """
     _require_no_exit(g)
     _validate_cycle(g, cycle)

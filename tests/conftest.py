@@ -211,11 +211,11 @@ def _weak_components(g: DirectedGraph):
     return {frozenset(c) for c in comp.values()}
 
 
-def naive_classify(g: DirectedGraph, cycles=None) -> GraphClassification:
-    """classify by its definition: cycles by general enumeration (or the
-    naive_find_cycles list given), and a component is a comet when it holds
-    exactly one cycle and reaches it backward from every vertex."""
-    cycles = tuple(naive_find_cycles(g) if cycles is None else cycles)
+def naive_classify(g: DirectedGraph) -> GraphClassification:
+    """classify by its definition: cycles by general enumeration, and a
+    component is a comet when it holds exactly one cycle and reaches it
+    backward from every vertex."""
+    cycles = tuple(naive_find_cycles(g))
     on_cycle = {v for c in cycles for v in c.vertices}
     comet = True
     for comp in _weak_components(g):

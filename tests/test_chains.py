@@ -149,7 +149,7 @@ def test_scc_pass_matches_tarjan_over_edges(g):
 
 
 def _names(g, comps):
-    return [[g.vertices[v] for v in comp] for comp in comps]
+    return sorted(sorted(g.vertices[v] for v in comp) for comp in comps)
 
 
 def test_parallel_edges_count_twice_along_a_chain():
