@@ -373,13 +373,12 @@ def _require_no_exit(g: DirectedGraph):
         raise NotNoExitError(f"cycle vertex {v!r} emits {g.out_degree(v)} edges")
 
 
-def find_cycles(g: DirectedGraph, cap: int = DEFAULT_CYCLE_CAP) -> list[CycleDescriptor]:
+def find_cycles(g: DirectedGraph) -> list[CycleDescriptor]:
     """Every cycle of g, each reported once, anchored at its smallest vertex.
 
-    Enumeration is cyclic SCC by cyclic SCC; within one, a depth-first
-    search from each anchor in name order uses only vertices whose names are
-    >= the anchor's, so each cycle appears exactly once.  Raises
-    TooManyCyclesError past `cap`.
+    Cyclic SCC by cyclic SCC, by least name, a depth-first search from each
+    anchor in name order walks edge positions through vertices named >= the
+    anchor.  Raises TooManyCyclesError past DEFAULT_CYCLE_CAP cycles.
     """
     out, head = g._index.out, g._ranges
     walks: list[list[int]] = []  # each cycle's edge positions, named at the end
@@ -398,8 +397,8 @@ def find_cycles(g: DirectedGraph, cap: int = DEFAULT_CYCLE_CAP) -> list[CycleDes
                     if rank.get(w, -1) < least:
                         continue
                     if w == anchor:
-                        if len(walks) >= cap:
-                            raise TooManyCyclesError(f"more than {cap} cycles")
+                        if len(walks) >= DEFAULT_CYCLE_CAP:
+                            raise TooManyCyclesError(f"more than {DEFAULT_CYCLE_CAP} cycles")
                         walks.append(path + [pos])
                     elif w not in on_path:
                         pending.append(iter(out[w]))
@@ -437,8 +436,8 @@ def classify(g: DirectedGraph) -> GraphClassification:
 
     A weakly connected component counts as a comet when it contains exactly
     one cycle and every one of its vertices has a path to that cycle.  Only a
-    graph that is not no-exit needs general cycle enumeration, which raises
-    TooManyCyclesError past DEFAULT_CYCLE_CAP cycles.
+    graph that is not no-exit lists its cycles through find_cycles, which
+    raises TooManyCyclesError past DEFAULT_CYCLE_CAP (10,000) cycles.
     """
     _, exit_vertex, sinks, cycles = g._analysis
     if exit_vertex is not None:

@@ -1,13 +1,15 @@
 """Shared brute-force oracles, random generators and test-only helpers.
 
 Everything here is deliberately independent of the library internals:
-rotations by explicit slicing, SCCs by mutual reachability, path counts
-by exhaustive walk enumeration, graded isomorphism by move-graph search,
-comets by backward reachability, homogeneous components and conjugation
-on dense matrix grids, graph and algebra text token by token, certificates
-line by line, graph construction from Edge tuples, SCCs, cycles and path
-counts over Edge tables built from the public edge list, and the verify-cert
-replay that conjugates every homogeneous component on its own.
+rotations by explicit slicing, SCCs by mutual reachability, cycles by
+simple-path enumeration, path counts by exhaustive walk enumeration, graded
+isomorphism by move-graph search, comets by backward reachability, and
+homogeneous components and conjugation on dense matrix grids.  Three earlier
+implementations stay where no definition checks the same output at the
+tests' sizes: graph and algebra text token by token and certificates line by
+line, which pin each ParseError's line and column; graph construction from
+Edge tuples, which names the first offender of a ValueError; and path counts
+with a dict per level, since walk enumeration is exponential on long chains.
 Tests compare library output against these slow references.
 
 The `small_multigraphs` fixture is the exhaustive grid of every multigraph
@@ -40,22 +42,15 @@ from gradedlpa import (
     GradedBase,
     GraphClassification,
     GradedMatrix,
-    InvalidStepError,
     LaurentElement,
     NotNoExitError,
     ParseError,
     Permute,
     ShiftedMatrixAlgebra,
     TrivialForm,
-    TooManyCyclesError,
     VertexNotOnCycleError,
-    apply_certificate,
-    conjugate_by_step,
-    homogeneous_components,
 )
-from gradedlpa.algebras import _MAX_LISTED, Step
-from gradedlpa.cli import _MAX_REPLAYED, _STEP_COST
-from gradedlpa.graphs import DEFAULT_CYCLE_CAP, _Analysis
+from gradedlpa.algebras import Step
 from gradedlpa.matrices import _as_element, _checked_terms
 
 # Property tests draw the same examples on every run and carry no per-example
@@ -143,6 +138,45 @@ def brute_scc(g: DirectedGraph):
     }
 
 
+def brute_cycles(g: DirectedGraph) -> list[CycleDescriptor]:
+    """Every cycle of g by its definition, through the public edge list: each
+    simple path from a start vertex through vertices of its mutual-reachability
+    class named above the start that comes back to the start, in
+    cycles_in_order."""
+    sccs = brute_scc(g)
+    comp_of = {v: comp for comp in sccs for v in comp}
+    out = {v: [] for v in g.vertices}
+    for pos, e in enumerate(g.edges):
+        out[e.source].append((pos, e.range))
+    walks = []
+
+    def extend(start, path, v, on_path):
+        for pos, w in out[v]:
+            if w == start:
+                walks.append(path + [pos])
+            elif w > start and w in comp_of[start] and w not in on_path:
+                extend(start, path + [pos], w, on_path | {w})
+
+    for v in g.vertices:
+        extend(v, [], v, {v})
+    return cycles_in_order(g, walks, sccs)
+
+
+def cycles_in_order(g: DirectedGraph, walks, sccs) -> list[CycleDescriptor]:
+    """The cycle through the edge positions of each walk, started at its
+    least vertex, ordered by the least name of its class in `sccs`, then its
+    start, then its edge positions."""
+    edges = g.edges
+    least = {v: min(comp) for comp in sccs for v in comp}
+    keyed = []
+    for walk in walks:
+        sources = [edges[pos].source for pos in walk]
+        at = sources.index(min(sources))
+        keyed.append((least[sources[at]], sources[at], walk[at:] + walk[:at]))
+    keyed.sort()
+    return [CycleDescriptor(tuple(edges[p].source for p in walk), tuple(edges[p].eid for p in walk)) for *_, walk in keyed]
+
+
 def _backward_walks(g: DirectedGraph, target: str, bound: int):
     """All edge paths of length <= bound ending at target, as eid lists in
     forward order, paired with their source vertex."""
@@ -212,10 +246,10 @@ def _weak_components(g: DirectedGraph):
 
 
 def naive_classify(g: DirectedGraph) -> GraphClassification:
-    """classify by its definition: cycles by general enumeration, and a
-    component is a comet when it holds exactly one cycle and reaches it
-    backward from every vertex."""
-    cycles = tuple(naive_find_cycles(g))
+    """classify by its definition: cycles by brute_cycles, and a component
+    is a comet when it holds exactly one cycle and reaches it backward from
+    every vertex."""
+    cycles = tuple(brute_cycles(g))
     on_cycle = {v for c in cycles for v in c.vertices}
     comet = True
     for comp in _weak_components(g):
@@ -688,68 +722,7 @@ def naive_from_edges(pairs, isolated=()):
     return naive_graph(tuple(vertices), tuple(edges))
 
 
-# --- the dict-of-Edge graph passes, as references for the id-based ones ---
-
-
-def _out_table(g: DirectedGraph) -> dict[str, list[Edge]]:
-    """Each vertex's out-edges in edge order, from the public edge list."""
-    table: dict[str, list[Edge]] = {v: [] for v in g.vertices}
-    for e in g.edges:
-        table[e.source].append(e)
-    return table
-
-
-def naive_strongly_connected_components(g: DirectedGraph) -> list[tuple[str, ...]]:
-    """Tarjan's algorithm over the Edge tables: the library's version before
-    it ran over vertex ids."""
-    out = _out_table(g)
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    components: list[tuple[str, ...]] = []
-    counter = 0
-
-    for root in g.vertices:
-        if root in index:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(out[root]))]
-        while work:
-            v, edge_iter = work[-1]
-            pushed = False
-            for e in edge_iter:
-                w = e.range
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(out[w])))
-                    pushed = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if pushed:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(tuple(sorted(comp)))
-    components.sort(key=lambda c: c[0])
-    return components
+# --- the dict-per-level path counts, as a reference for the chain walk ---
 
 
 def naive_path_counts(g: DirectedGraph, end: str, cycle: CycleDescriptor | None = None):
@@ -778,85 +751,26 @@ def naive_path_counts(g: DirectedGraph, end: str, cycle: CycleDescriptor | None 
     return table
 
 
-def naive_analysis(g: DirectedGraph) -> _Analysis:
-    """DirectedGraph._analysis from the Edge tables and naive SCCs."""
-    out = _out_table(g)
-    comps = tuple(naive_strongly_connected_components(g))
-    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
-    # a vertex lies on a cycle iff its SCC contains an edge
-    cyclic = sorted({comp_of[e.source] for e in g.edges if comp_of[e.source] == comp_of[e.range]})
-    sinks = tuple(sorted(v for v in g.vertices if not out[v]))
-    exits = [v for i in cyclic for v in comps[i] if len(out[v]) != 1]
-    cyclic_comps = tuple(comps[i] for i in cyclic)
-    if exits:
-        return _Analysis(cyclic_comps, min(exits), sinks, ())
-    # in a no-exit graph a cyclic SCC is one cycle: follow the unique out-edges
-    cycles = []
-    for i in cyclic:
-        walk = [out[comps[i][0]][0]]
-        while walk[-1].range != comps[i][0]:
-            walk.append(out[walk[-1].range][0])
-        cycles.append(CycleDescriptor(tuple(e.source for e in walk), tuple(e.eid for e in walk)))
-    return _Analysis(cyclic_comps, None, sinks, tuple(cycles))
 
 
-def naive_find_cycles(g: DirectedGraph, cap: int = DEFAULT_CYCLE_CAP) -> list[CycleDescriptor]:
-    """find_cycles over the Edge tables and naive SCCs: the library's version
-    before it walked edge positions."""
-    out = _out_table(g)
-    cycles: list[CycleDescriptor] = []
-    for comp in naive_strongly_connected_components(g):
-        comp_set = set(comp)
-        for anchor in comp:
-            # frames: (vertex, pending out-edge iterator); edge_path mirrors frames[1:]
-            frames = [(anchor, iter(out[anchor]))]
-            edge_path: list[Edge] = []
-            on_path = {anchor}
-            while frames:
-                v, edge_iter = frames[-1]
-                pushed = False
-                for e in edge_iter:
-                    w = e.range
-                    if w not in comp_set or w < anchor:
-                        continue
-                    if w == anchor:
-                        walk = edge_path + [e]
-                        if len(cycles) >= cap:
-                            raise TooManyCyclesError(f"more than {cap} cycles")
-                        cycles.append(
-                            CycleDescriptor(
-                                tuple(x.source for x in walk),
-                                tuple(x.eid for x in walk),
-                            )
-                        )
-                        continue
-                    if w in on_path:
-                        continue
-                    frames.append((w, iter(out[w])))
-                    edge_path.append(e)
-                    on_path.add(w)
-                    pushed = True
-                    break
-                if not pushed:
-                    frames.pop()
-                    if edge_path:
-                        edge_path.pop()
-                    on_path.discard(v)
-    return cycles
-
-
-def naive_summand_counts(g: DirectedGraph, base_choice):
-    """_summand_counts from naive_analysis and naive_path_counts, one table
-    counted per summand and call."""
+def naive_summand_counts(g: DirectedGraph, base_choice, cycles=None):
+    """_summand_counts by the definitions: the cycles by brute_cycles, or
+    `cycles`, those of a graph too large to enumerate, known from how it was
+    built; a vertex lies in a cyclic component exactly when it lies on a
+    cycle, and the least such vertex not emitting exactly one edge is the
+    exit the error names; then naive_path_counts, one table counted per
+    summand and call."""
     if not g.vertices:
         raise EmptyGraphError("the graph has no vertices")
-    _, exit_vertex, sinks, cycles = naive_analysis(g)
-    if exit_vertex is not None:
-        raise NotNoExitError(f"cycle vertex {exit_vertex!r} emits {g.out_degree(exit_vertex)} edges")
-    known = set(cycles)
+    cycles = brute_cycles(g) if cycles is None else cycles
+    exits = [v for c in cycles for v in c.vertices if g.out_degree(v) != 1]
+    if exits:
+        v = min(exits)
+        raise NotNoExitError(f"cycle vertex {v!r} emits {g.out_degree(v)} edges")
     for key in base_choice:
-        if key not in known:
+        if key not in cycles:
             raise ValueError(f"base choice keyed by a cycle not in this graph: {key}")
+    sinks = sorted(v for v in g.vertices if g.out_degree(v) == 0)
     out = [(None, sink, naive_path_counts(g, sink)) for sink in sinks]
     for cycle in cycles:
         base = base_choice.get(cycle, cycle.vertices[0])
@@ -864,51 +778,3 @@ def naive_summand_counts(g: DirectedGraph, base_choice):
             raise VertexNotOnCycleError(f"vertex {base!r} is not on the cycle {cycle.vertices}")
         out.append((cycle, base, naive_path_counts(g, base, cycle)))
     return out
-
-
-def naive_certificate_failure(a, b, steps) -> str | None:
-    """The verify-cert replay that conjugates the sample and then every
-    homogeneous component on its own, and splits the result again per step:
-    why `steps` does not carry a to b, or None when it does."""
-    if a.base != b.base:
-        return f"bases differ: {a.base} vs {b.base}"
-    try:
-        final = apply_certificate(a.shifts, steps, a.base)
-    except InvalidStepError as exc:
-        return f"invalid step: {exc}"
-    if final != b.shifts:
-        return f"certificate lands on {final}, not on {b.shifts}"
-    # replay on sample matrices: every step must carry each homogeneous
-    # component onto the component of the same degree
-    n = a.n
-    if n * n > _MAX_LISTED:
-        raise ValueError(
-            f"a {n}x{n} sample matrix has {n * n} entries, too many to list one by one (limit {_MAX_LISTED})"
-        )
-    moves = (n * n + _STEP_COST) * len(steps)
-    if moves > _MAX_REPLAYED:
-        raise ValueError(
-            f"replaying {len(steps)} steps on a {n}x{n} sample matrix costs {moves} entry moves "
-            f"({n * n} + {_STEP_COST} per step), too many to replay (limit {_MAX_REPLAYED})"
-        )
-    rng = random.Random(20_000 + n)
-    period = a.base.period or 1
-
-    def sample_cell():
-        if a.base.is_laurent:
-            return {period * rng.randint(-3, 3): rng.randint(-9, 9) for _ in range(rng.randint(0, 2))}
-        return {0: rng.randint(-9, 9)}
-
-    for _ in range(3):
-        rows = [[LaurentElement(sample_cell()) for _ in range(n)] for _ in range(n)]
-        matrix = GradedMatrix(a.base, a.shifts, rows)
-        parts = homogeneous_components(matrix)
-        for step in steps:
-            matrix = conjugate_by_step(matrix, step)
-            moved = {degree: conjugate_by_step(part, step) for degree, part in parts.items()}
-            parts = homogeneous_components(matrix)
-            if moved != parts:
-                return "a step moved a homogeneous component off its degree"
-        if matrix.shifts != b.shifts:
-            return "matrix conjugation does not land on the target shifts"
-    return None

@@ -35,6 +35,7 @@ from gradedlpa import (
     direct_sum_iso,
     is_graded_isomorphic,
     is_realizable,
+    is_realizable_sum,
     iso_certificate,
     least_rotation_index,
     parse_algebra,
@@ -395,6 +396,62 @@ def test_direct_sum_iso_permuted_summands():
             )
         rng.shuffle(scrambled)
         assert direct_sum_iso(DirectSumAlgebra(tuple(summands)), DirectSumAlgebra(tuple(scrambled)))
+
+
+SMALL_BASES = st.sampled_from([K] + [L(m) for m in range(1, 5)])
+
+
+@st.composite
+def small_summands(draw):
+    """A summand of size at most 3 with shifts in 0..3, over K or K[x^m], m <= 4."""
+    return alg(draw(SMALL_BASES), *draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)))
+
+
+@st.composite
+def sum_pairs(draw):
+    """Two sums of up to 3 small summands.  Half the time the second is the
+    first reordered, each summand redrawn, moved by a global shift, or with
+    one shift moved by the period, shifts kept in 0..3."""
+    r = draw(st.lists(small_summands(), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        return DirectSumAlgebra(tuple(r)), DirectSumAlgebra(tuple(draw(st.lists(small_summands(), min_size=1, max_size=3))))
+    s = []
+    for a in draw(st.permutations(r)):
+        shifts = list(a.shifts)
+        move = draw(st.sampled_from(["redraw", "global", "entry"]))
+        if move == "redraw":
+            a = draw(small_summands())
+        elif move == "global":
+            d = draw(st.integers(-min(shifts), 3 - max(shifts)))
+            a = alg(a.base, *(x + d for x in shifts))
+        elif a.base.is_laurent:
+            i = draw(st.integers(0, len(shifts) - 1))
+            if shifts[i] + a.base.period <= 3:
+                shifts[i] += a.base.period
+            elif shifts[i] - a.base.period >= 0:
+                shifts[i] -= a.base.period
+            a = alg(a.base, *shifts)
+        s.append(a)
+    return DirectSumAlgebra(tuple(r)), DirectSumAlgebra(tuple(s))
+
+
+@settings(max_examples=200)
+@given(sum_pairs())
+def test_direct_sums_match_move_graph_matching(pair):
+    r, s = pair
+    # isomorphic exactly when the move-graph oracle, at criterion 5's bound,
+    # matches the summands one to one
+    iso = {(i, j): oracle_iso(a, b, bound=8) for i, a in enumerate(r.summands) for j, b in enumerate(s.summands)}
+    matched = len(r.summands) == len(s.summands) and any(
+        all(iso[i, j] for i, j in enumerate(perm)) for perm in itertools.permutations(range(len(s.summands)))
+    )
+    assert direct_sum_iso(r, s) == direct_sum_iso(s, r) == matched
+    # a sum is realizable exactly when every summand is, and names each one that is not
+    for t in (r, s):
+        verdicts = [(pos, is_realizable(a)) for pos, a in enumerate(t.summands, 1)]
+        failures = tuple((pos, v) for pos, v in verdicts if not v.ok)
+        verdict = is_realizable_sum(t)
+        assert verdict.failures == failures and verdict.ok == (not failures)
 
 
 def test_oracle_iso_small():

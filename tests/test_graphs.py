@@ -5,17 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    brute_cycles,
     brute_scc,
     diamond_chain,
-    naive_analysis,
     naive_classify,
-    naive_find_cycles,
     naive_from_edges,
     naive_graph,
     naive_path_counts,
     naive_paths_to_cycle,
     naive_paths_to_sink,
-    naive_strongly_connected_components,
     naive_summand_counts,
     random_no_exit_graph,
 )
@@ -154,9 +152,10 @@ def _check_peel_and_sccs(g):
     assert sorted(g.vertices[v] for v in peeled) == sorted(set(g.vertices) - _reached_from_a_cycle(g, sccs))
     position = {v: i for i, v in enumerate(peeled)}
     assert all(position[u] < position[v] for v in peeled for u in pred[v])
+    # the components are the mutual-reachability classes, each sorted, in sorted order
     comps = strongly_connected_components(g)
     assert {frozenset(comp) for comp in comps} == sccs
-    assert comps == naive_strongly_connected_components(g)
+    assert comps == sorted(tuple(sorted(comp)) for comp in comps)
 
 
 def test_peel_and_sccs_on_small_multigraphs(small_multigraphs):
@@ -167,13 +166,11 @@ def test_peel_and_sccs_on_small_multigraphs(small_multigraphs):
     assert len(small_multigraphs) == 19_768
 
 
-def test_find_cycles_matches_edge_table_walk_on_small_multigraphs(small_multigraphs):
-    # the same grid against the Edge-table cycle enumeration; a cap one short
-    # stops the last cycle
+def test_find_cycles_matches_brute_cycles_on_small_multigraphs(small_multigraphs):
+    # the same grid against simple-path enumeration: the same cycles in the
+    # same order, with the same vertices and edge ids
     for g in small_multigraphs:
-        cycles = naive_find_cycles(g)
-        outcome = _check_find_cycles(g, cycles)
-        assert outcome[0] == ("TooManyCyclesError" if cycles else "ok")
+        assert find_cycles(g) == brute_cycles(g)
     assert len(small_multigraphs) == 19_768
 
 
@@ -245,31 +242,14 @@ def test_find_cycles_figure_eight():
     assert sorted(c.vertices for c in find_cycles(g)) == [("a", "b"), ("a", "c")]
 
 
-def test_find_cycles_cap():
-    # 2^5 cycles through five doubled links
-    pairs = []
-    for i in range(5):
-        pairs.append((f"v{i}", f"v{i+1}"))
-        pairs.append((f"v{i}", f"v{i+1}"))
-    pairs.append(("v5", "v0"))
-    g = DirectedGraph.from_edges(pairs)
-    assert len(find_cycles(g)) == 32
-    with pytest.raises(TooManyCyclesError):
-        find_cycles(g, cap=31)
-
-
-def _check_find_cycles(g, naive, cap=None):
-    """The cycles `naive` of the Edge-table walk, in the same order, with the
-    same vertices and edge ids, and the outcome that walk has at `cap`, by
-    default one short of the count: past `cap` cycles it raises."""
-    assert find_cycles(g) == naive
-    cap = max(len(naive) - 1, 0) if cap is None else cap
-    outcome = _outcome(find_cycles, g, cap)
-    if len(naive) > cap:
-        assert outcome == ("TooManyCyclesError", f"more than {cap} cycles")
-    else:
-        assert outcome == ("ok", naive)
-    return outcome
+def test_classify_cycle_cap_boundary():
+    # one vertex with parallel loops: 10,000 cycles are listed, one more raises
+    g = DirectedGraph.from_edges([("v", "v")] * 10_000)
+    cycles = classify(g).cycles
+    assert len(cycles) == 10_000 and cycles[-1] == CycleDescriptor(("v",), ("e10000",))
+    g = DirectedGraph.from_edges([("v", "v")] * 10_001)
+    with pytest.raises(TooManyCyclesError, match="^more than 10000 cycles$"):
+        classify(g)
 
 
 @st.composite
@@ -290,9 +270,9 @@ def multigraphs_with_ids(draw):
 
 
 @settings(max_examples=300)
-@given(multigraphs_with_ids(), st.integers(0, 40))
-def test_find_cycles_matches_edge_table_walk(g, cap):
-    _check_find_cycles(g, naive_find_cycles(g), cap)
+@given(multigraphs_with_ids())
+def test_find_cycles_matches_brute_cycles(g):
+    assert find_cycles(g) == brute_cycles(g)
     for v in g.vertices:
         assert g.out_edges(v) == tuple(e for e in g.edges if e.source == v)
 
@@ -524,19 +504,21 @@ def _naive_corner(g, vs):
 
 @settings(max_examples=250)
 @given(named_multigraphs(), st.data())
-def test_id_passes_match_edge_table_passes(g, data):
-    assert strongly_connected_components(g) == naive_strongly_connected_components(g)
-    analysis = naive_analysis(g)
-    assert g._analysis == analysis
-    assert _outcome(classify, g) == _outcome(naive_classify, g)
-    for sink in analysis.sinks:
+def test_id_passes_match_definitions(g, data):
+    _check_peel_and_sccs(g)
+    info = classify(g)
+    assert info == naive_classify(g)
+    # a no-exit graph's cycles are its cyclic components' one cycle each
+    cycles = info.cycles if info.no_exit else ()
+    for sink in info.sinks:
         assert _outcome(_path_counts, g, sink) == _outcome(naive_path_counts, g, sink)
-    for cycle in analysis.cycles:
+    for cycle in cycles:
         for base in cycle.vertices:
             assert _path_counts(g, base, cycle) == naive_path_counts(g, base, cycle)
-    # base choices: on the cycle, off it, or keyed by a foreign cycle
+    # base choices: on the cycle, off it, or keyed by a foreign cycle; the
+    # exit error names the least cycle vertex not emitting one edge
     choice = {}
-    for cycle in analysis.cycles:
+    for cycle in cycles:
         if data.draw(st.booleans()):
             choice[cycle] = data.draw(st.sampled_from(cycle.vertices + g.vertices[:1]))
     if data.draw(st.integers(0, 9)) == 0:
