@@ -19,11 +19,12 @@ Certificate steps use 1-based indices, matching matrix-unit notation e_ii.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, repeat, starmap
-from operator import itemgetter
-from typing import Iterable, Sequence, Union
+from operator import index, itemgetter, sub
+from typing import Union
 
 from .errors import InvalidStepError, NotIsomorphicError
 
@@ -342,17 +343,114 @@ class EntryShift:
 Step = Union[Permute, GlobalShift, EntryShift]
 
 
+class _Certificate(Sequence):
+    """A certificate held as runs: each maximal run of EntryShifts as two int
+    columns, indices and deltas, and every other step as itself.
+
+    It is a read-only sequence of its steps: len counts steps, iteration and
+    indexing build the EntryShift objects, and it equals (and prints as) the
+    list of its steps.  Any iterable of steps becomes one through the
+    constructor; _add and _add_entries append to one that the library builds.
+    `runs` holds (EntryShift, (indices, deltas)) for a run of EntryShifts and
+    (type(step), step) for any other item, which need not be a step at all.
+
+    >>> cert = _Certificate([GlobalShift(1), EntryShift(3, -2), EntryShift(1, 4)])
+    >>> len(cert), cert.runs[1][1]
+    (3, ([3, 1], [-2, 4]))
+    >>> cert
+    [GlobalShift(delta=1), EntryShift(index=3, delta=-2), EntryShift(index=1, delta=4)]
+    """
+
+    __slots__ = ("runs", "_len")
+    __hash__ = None  # equal to a list, which has no hash
+
+    def __init__(self, steps: Iterable = ()):
+        self.runs: list[tuple[type, object]] = []
+        self._len = 0
+        for step in steps:
+            if type(step) is EntryShift:
+                self._add_entries([step.index], [step.delta])
+            else:
+                self._add(step)
+
+    @classmethod
+    def of(cls, steps: Iterable) -> "_Certificate":
+        """`steps` itself when it is already a certificate, else one built from it."""
+        return steps if type(steps) is cls else cls(steps)
+
+    def _add(self, step) -> None:
+        self.runs.append((type(step), step))
+        self._len += 1
+
+    def _add_entries(self, indices: list[int], deltas: list[int]) -> None:
+        """Append EntryShift(indices[k], deltas[k]) for each k, indices at
+        least 1: the lists become a new run's columns, or extend the last
+        run's when it is a run of EntryShifts."""
+        if not indices:
+            return
+        if self.runs and self.runs[-1][0] is EntryShift:
+            last_indices, last_deltas = self.runs[-1][1]
+            last_indices += indices
+            last_deltas += deltas
+        else:
+            self.runs.append((EntryShift, (indices, deltas)))
+        self._len += len(indices)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        for kind, item in self.runs:
+            if kind is EntryShift:
+                yield from map(EntryShift, *item)
+            else:
+                yield item
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return list(self)[k]
+        k = index(k)
+        if k < 0:
+            k += self._len
+        if not 0 <= k < self._len:
+            raise IndexError("list index out of range")
+        for kind, item in self.runs:
+            size = len(item[0]) if kind is EntryShift else 1
+            if k < size:
+                return EntryShift(item[0][k], item[1][k]) if kind is EntryShift else item
+            k -= size
+
+    def __eq__(self, other):
+        if isinstance(other, (list, _Certificate)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self):
+        return repr(list(self))
+
+
+def _check_entries(indices: Sequence[int], deltas: Sequence[int], n: int, base: GradedBase) -> None:
+    """Raise InvalidStepError for the first EntryShift(indices[k], deltas[k])
+    that cannot act on n shifts over base: its index past n, a base with no
+    invertible element of nonzero degree, or a degree off the period."""
+    m = base.period
+    if m is not None and max(indices) <= n and not any(map(m.__rmod__, deltas)):
+        return
+    for i, d in zip(indices, deltas):
+        if i > n:
+            raise InvalidStepError(f"entry index {i} out of range 1..{n}")
+        if m is None:
+            raise InvalidStepError("EntryShift needs an invertible element of nonzero degree; K has none")
+        if d % m != 0:
+            raise InvalidStepError(f"EntryShift degree {d} is not a multiple of the period {m}")
+
+
 def _check_step(step: Step, n: int, base: GradedBase, target: str) -> type:
     """Raise InvalidStepError unless `step` acts on `target`, of size n over
     base; return the step's class, the one dispatch its callers branch on."""
     kind = type(step)
     if kind is EntryShift:
-        if step.index > n:
-            raise InvalidStepError(f"entry index {step.index} out of range 1..{n}")
-        if base.is_trivial:
-            raise InvalidStepError("EntryShift needs an invertible element of nonzero degree; K has none")
-        if step.delta % base.period != 0:
-            raise InvalidStepError(f"EntryShift degree {step.delta} is not a multiple of the period {base.period}")
+        _check_entries((step.index,), (step.delta,), n, base)
     elif kind is Permute:
         if len(step.image) != n:
             raise InvalidStepError(f"permutation of {len(step.image)} entries applied to {target}")
@@ -363,7 +461,7 @@ def _check_step(step: Step, n: int, base: GradedBase, target: str) -> type:
 
 def apply_certificate(shifts: Sequence[int], steps: Iterable[Step], base: GradedBase) -> tuple[int, ...]:
     """Act on a shift list by a sequence of elementary moves, validating each
-    step before it acts; an EntryShift costs O(1).
+    step, or each run of EntryShifts, before it acts; an EntryShift costs O(1).
 
     >>> apply_certificate((0, 1, 1), (GlobalShift(1),), GradedBase.laurent(2))
     (1, 2, 2)
@@ -374,14 +472,16 @@ def apply_certificate(shifts: Sequence[int], steps: Iterable[Step], base: Graded
     cur = list(shifts)
     n = len(cur)
     target = f"{n} shifts"
-    for step in steps:
-        kind = _check_step(step, n, base, target)
+    for kind, item in _Certificate.of(steps).runs:
         if kind is EntryShift:
-            cur[step.index - 1] += step.delta
-        elif kind is Permute:
-            cur = [cur[i - 1] for i in step.image]
+            indices, deltas = item
+            _check_entries(indices, deltas, n, base)
+            for i, d in zip(indices, deltas):
+                cur[i - 1] += d
+        elif _check_step(item, n, base, target) is Permute:
+            cur = [cur[i - 1] for i in item.image]
         else:
-            cur = [s + step.delta for s in cur]
+            cur = [s + item.delta for s in cur]
     return tuple(cur)
 
 
@@ -405,13 +505,16 @@ def _matching_image(source: Sequence[int], target: Sequence[int]) -> tuple[int, 
     return tuple(image)
 
 
-def iso_certificate(a: ShiftedMatrixAlgebra, b: ShiftedMatrixAlgebra) -> list[Step]:
+def iso_certificate(a: ShiftedMatrixAlgebra, b: ShiftedMatrixAlgebra) -> Sequence[Step]:
     """A step sequence carrying a.shifts exactly to b.shifts, of at most n+2
     steps: a GlobalShift that aligns the class forms' starts (modulo the
     period over a Laurent base), one Permute that matches shifts (residues
     over a Laurent base), then an EntryShift for each remaining nonzero gap.
     No-op steps are dropped, so over K it is at most [GlobalShift, Permute].
     Raises NotIsomorphicError when no certificate exists.
+
+    The sequence is read-only and equals the list of its steps; its
+    EntryShifts are held as one run of index and delta columns.
     """
     (start_a, pairs_a), (start_b, pairs_b) = a._class_form, b._class_form
     if (a.base, a.n, pairs_a) != (b.base, b.n, pairs_b):
@@ -424,10 +527,13 @@ def iso_certificate(a: ShiftedMatrixAlgebra, b: ShiftedMatrixAlgebra) -> list[St
     else:  # GlobalShift and Permute match residues over K[x^m]
         image = _matching_image([s % m for s in moved], [t % m for t in b.shifts])
     placed = [moved[i - 1] for i in image]
-    steps: list[Step] = [GlobalShift(delta)] if delta else []
+    steps = _Certificate()
+    if delta:
+        steps._add(GlobalShift(delta))
     if image != tuple(range(1, a.n + 1)):
-        steps.append(Permute(image))
-    steps.extend(EntryShift(i, t - s) for i, (s, t) in enumerate(zip(placed, b.shifts), 1) if t != s)
+        steps._add(Permute(image))
+    gaps = list(map(sub, b.shifts, placed))
+    steps._add_entries(list(compress(range(1, a.n + 1), gaps)), list(filter(None, gaps)))
     if apply_certificate(a.shifts, steps, a.base) != b.shifts:
         raise AssertionError("certificate construction failed to land on the target shifts")
     return steps

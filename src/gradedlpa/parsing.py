@@ -35,17 +35,19 @@ Certificate files hold one step per line; '#' starts a comment.
     G <delta>                add delta to every shift
     E <index> <delta>        add delta to one shift
 
-Every argument is an ASCII integer [+-]?[0-9]+.  One regex match reads a
-well-formed line and its step's constructor checks it; only a text that
-fails is read again, line by line, to name its first offending line.
+Every argument is an ASCII integer [+-]?[0-9]+.  One regex match reads each
+line; a run of E lines becomes two int columns, and a G or P step's
+constructor checks it.  Only a text that fails is read again, line by line,
+to name its first offending line.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from collections.abc import Iterable, Sequence
 from itertools import compress, islice, repeat
-from operator import ne, sub
+from operator import itemgetter, ne, sub
 
 from .algebras import (
     DirectSumAlgebra,
@@ -55,6 +57,7 @@ from .algebras import (
     Permute,
     ShiftedMatrixAlgebra,
     Step,
+    _Certificate,
 )
 from .errors import ParseError
 from .graphs import _UNNAMED, DirectedGraph, _distinct_eids
@@ -330,12 +333,16 @@ def parse_algebra(text: str) -> DirectSumAlgebra:
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 
 
-def format_certificate(steps) -> str:
-    """One step per line: 'P <image>', 'G <delta>' or 'E <index> <delta>'."""
+def format_certificate(steps: Iterable[Step]) -> str:
+    """One step per line: 'P <image>', 'G <delta>' or 'E <index> <delta>',
+    for any iterable of steps.  A run of EntryShifts is written from its
+    columns in one join."""
     lines = []
-    for step in steps:
-        if isinstance(step, Permute):
-            lines.append("P " + " ".join(str(i) for i in step.image))
+    for kind, step in _Certificate.of(steps).runs:
+        if kind is EntryShift:
+            lines.append("\n".join(map("E {} {}".format, *step)))
+        elif isinstance(step, Permute):
+            lines.append("P " + " ".join(map(str, step.image)))
         elif isinstance(step, GlobalShift):
             lines.append(f"G {step.delta}")
         elif isinstance(step, EntryShift):
@@ -346,41 +353,49 @@ def format_certificate(steps) -> str:
 
 
 # What str.splitlines() ends a line at, and the whitespace inside a line.
-# One match of _STEP_RE reads a well-formed line: its groups are the index
-# and delta of E, the delta of G and the image of P, or none of them for a
-# blank or comment line.
+# One match of _STEP_RE reads a line.  Its groups are the index and delta of
+# E; the whole of a G or P step, with the delta of G or the image of P; and
+# the text of a line that is none of these, nor blank, nor a comment.
 _LINE_BREAKS = r"\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _BLANK = rf"[^\S{_LINE_BREAKS}]"
 _STEP_RE = re.compile(
-    rf"{_BLANK}*(?:E{_BLANK}+({_INT_RE.pattern}){_BLANK}+({_INT_RE.pattern})|G{_BLANK}+({_INT_RE.pattern})"
-    rf"|P((?:{_BLANK}+{_INT_RE.pattern})+))?{_BLANK}*(?:#[^{_LINE_BREAKS}]*)?(?:\n|\r\n|[{_LINE_BREAKS}]|\Z)"
+    rf"(?:{_BLANK}*(?:E{_BLANK}+({_INT_RE.pattern}){_BLANK}+({_INT_RE.pattern})"
+    rf"|(G{_BLANK}+({_INT_RE.pattern})|P((?:{_BLANK}+{_INT_RE.pattern})+)))?{_BLANK}*(?:#[^{_LINE_BREAKS}]*)?"
+    rf"|([^{_LINE_BREAKS}]+))(?:\r\n|[{_LINE_BREAKS}]|\Z)"
 )
+_INDEX, _DELTA, _OTHER, _REJECTED = itemgetter(0), itemgetter(1), itemgetter(2), itemgetter(5)
 
 
-def parse_certificate(text: str) -> list[Step]:
-    """Read a certificate in one pass of _STEP_RE, a line per match, and
-    build each step by its constructor.  Only a text that fails is read
-    again, by _explain_certificate, to name its first offending line.
+def parse_certificate(text: str) -> Sequence[Step]:
+    """Read a certificate in one findall of _STEP_RE, a row per line.  Each
+    run of E rows becomes the index and delta columns of a run of
+    EntryShifts; a G or P row becomes its step.  Only a text that fails is
+    read again, by _explain_certificate, to name its first offending line.
+    The result is read-only and equals the list of its steps.
 
     >>> parse_certificate("G 2  # align\\nE 3 -4\\n")
     [GlobalShift(delta=2), EntryShift(index=3, delta=-4)]
     """
-    steps: list[Step] = []
-    add = steps.append
-    end = 0
+    rows = _STEP_RE.findall(text)
+    if any(map(_REJECTED, rows)):
+        _explain_certificate(text)
+    steps = _Certificate()
+    start = 0
     try:
-        for m in _STEP_RE.finditer(text):
-            if m.start() != end:  # the line at `end` is not well formed
-                _explain_certificate(text)
-            end = m.end()
-            index, delta, shift, image = m.groups()
-            if delta is not None:
-                add(EntryShift(int(index), int(delta)))
-            elif shift is not None:
-                add(GlobalShift(int(shift)))
-            elif image is not None:
-                add(Permute(tuple(map(int, image.split()))))
-    except ValueError:  # a constructor's check, or more digits than int() converts
+        # the G and P rows split the E rows into runs
+        for stop in [*compress(range(len(rows)), map(_OTHER, rows)), len(rows)]:
+            entries = list(filter(_DELTA, rows[start:stop]))
+            if entries:
+                indices = list(map(int, map(_INDEX, entries)))
+                deltas = list(map(int, map(_DELTA, entries)))
+                if min(indices) < 1:
+                    _explain_certificate(text)
+                steps._add_entries(indices, deltas)
+            if stop < len(rows):
+                _, _, _, shift, image, _ = rows[stop]
+                steps._add(GlobalShift(int(shift)) if shift else Permute(tuple(map(int, image.split()))))
+            start = stop + 1
+    except ValueError:  # Permute's check, or more digits than int() converts
         _explain_certificate(text)
     return steps
 

@@ -3,14 +3,15 @@
 Everything here is deliberately independent of the library internals:
 rotations by explicit slicing, SCCs by mutual reachability, cycles by
 simple-path enumeration, path counts by exhaustive walk enumeration, graded
-isomorphism by move-graph search, comets by backward reachability, and
-homogeneous components and conjugation on dense matrix grids.  Three earlier
-implementations stay where no definition checks the same output at the
-tests' sizes: graph and algebra text token by token and certificates line by
-line, which pin each ParseError's line and column; graph construction from
-Edge tuples, which names the first offender of a ValueError; and path counts
-with a dict per level, since walk enumeration is exponential on long chains.
-Tests compare library output against these slow references.
+isomorphism by move-graph search, comets by backward reachability,
+certificates applied one step at a time, and homogeneous components and
+conjugation on dense matrix grids.  Three earlier implementations stay where
+no definition checks the same output at the tests' sizes: graph and algebra
+text token by token and certificates line by line, which pin each
+ParseError's line and column; graph construction from Edge tuples, which
+names the first offender of a ValueError; and path counts with a dict per
+level, since walk enumeration is exponential on long chains.  Tests compare
+library output against these slow references.
 
 The `small_multigraphs` fixture is the exhaustive grid of every multigraph
 on up to three vertices, built once per session; its names sort in the
@@ -42,6 +43,7 @@ from gradedlpa import (
     GradedBase,
     GraphClassification,
     GradedMatrix,
+    InvalidStepError,
     LaurentElement,
     NotNoExitError,
     ParseError,
@@ -85,6 +87,32 @@ def inverse_step(step: Step) -> Step:
     if isinstance(step, EntryShift):
         return EntryShift(step.index, -step.delta)
     raise TypeError(f"not a certificate step: {step!r}")
+
+
+def naive_apply_certificate(shifts, steps, base: GradedBase) -> tuple[int, ...]:
+    """A certificate applied one step at a time by the definition of each
+    move: validate the step, then act on the shift list."""
+    cur = list(shifts)
+    n = len(cur)
+    for step in steps:
+        kind = type(step)
+        if kind is EntryShift:
+            if step.index > n:
+                raise InvalidStepError(f"entry index {step.index} out of range 1..{n}")
+            if base.is_trivial:
+                raise InvalidStepError("EntryShift needs an invertible element of nonzero degree; K has none")
+            if step.delta % base.period != 0:
+                raise InvalidStepError(f"EntryShift degree {step.delta} is not a multiple of the period {base.period}")
+            cur[step.index - 1] += step.delta
+        elif kind is Permute:
+            if len(step.image) != n:
+                raise InvalidStepError(f"permutation of {len(step.image)} entries applied to {n} shifts")
+            cur = [cur[i - 1] for i in step.image]
+        elif kind is GlobalShift:
+            cur = [s + step.delta for s in cur]
+        else:
+            raise TypeError(f"not a certificate step: {step!r}")
+    return tuple(cur)
 
 
 def matrix_unit(base: GradedBase, shifts, i: int, j: int, element=1) -> GradedMatrix:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (
     WindowExceededError,
     inverse_step,
+    naive_apply_certificate,
     naive_canonical_form,
     naive_least_rotation,
     oracle_iso,
@@ -33,14 +34,17 @@ from gradedlpa import (
     canonical_form,
     corner_by_indices,
     direct_sum_iso,
+    format_certificate,
     is_graded_isomorphic,
     is_realizable,
     is_realizable_sum,
     iso_certificate,
     least_rotation_index,
     parse_algebra,
+    parse_certificate,
     summand_key,
 )
+from gradedlpa.algebras import _Certificate
 
 
 def alg(base, *shifts):
@@ -262,6 +266,66 @@ def test_apply_step_entry_shift():
         apply_certificate((0, 1), ("G 1",), L(2))
     with pytest.raises(ValueError):
         EntryShift(0, 2)
+
+
+@st.composite
+def certificate_runs(draw):
+    """(shifts, steps, base) over K or K[x^m] with m <= 5: steps drawn as
+    GlobalShifts, Permutes and runs of 0-60 EntryShifts.  Up to three entries
+    of a run may have an index past n or a degree off the period, anywhere in
+    the run; a Permute may have the wrong length, and a non-step may stand in
+    for a step."""
+    base = draw(st.one_of(st.just(K), st.integers(1, 5).map(L)))
+    period = base.period or 1
+    n = draw(st.integers(1, 8))
+    shifts = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+    steps = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from("GPEEE!"))
+        if kind == "G":
+            steps.append(GlobalShift(draw(st.integers(-9, 9))))
+        elif kind == "P":
+            size = draw(st.sampled_from([n, n, n, n + 1, max(1, n - 1)]))
+            steps.append(Permute(tuple(draw(st.permutations(range(1, size + 1))))))
+        elif kind == "!":
+            steps.append(draw(st.sampled_from(["G 1", (1, 2), None])))
+        else:
+            length = draw(st.integers(0, 60))
+            indices = draw(st.lists(st.integers(1, n), min_size=length, max_size=length))
+            deltas = [period * k for k in draw(st.lists(st.integers(-3, 3), min_size=length, max_size=length))]
+            for _ in range(draw(st.integers(0, 3)) if length else 0):
+                k = draw(st.integers(0, length - 1))
+                if draw(st.booleans()):
+                    indices[k] = n + draw(st.integers(1, 3))
+                else:
+                    deltas[k] += draw(st.integers(1, 4))
+            steps.extend(map(EntryShift, indices, deltas))
+    return tuple(shifts), steps, base
+
+
+def _outcome(f, *args):
+    """What f returns, or its error's class and message."""
+    try:
+        return "ok", f(*args)
+    except (InvalidStepError, TypeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=300)
+@given(certificate_runs())
+def test_apply_certificate_matches_step_at_a_time(drawn):
+    shifts, steps, base = drawn
+    cert = _Certificate(steps)
+    want = _outcome(naive_apply_certificate, shifts, steps, base)
+    assert _outcome(apply_certificate, shifts, steps, base) == want
+    assert _outcome(apply_certificate, shifts, cert, base) == want
+    # the runs read back as the list of steps they were built from
+    assert len(cert) == len(steps) and list(cert) == steps and repr(cert) == repr(steps)
+    assert cert == steps and steps == cert and not cert != steps
+    assert (cert == tuple(steps)) == (steps == tuple(steps)) and (cert == steps[1:]) == (steps == steps[1:])
+    assert [cert[k] for k in range(-len(steps), len(steps))] == steps + steps and cert[1::2] == steps[1::2]
+    if all(isinstance(step, (Permute, GlobalShift, EntryShift)) for step in steps):
+        assert parse_certificate(format_certificate(cert)) == steps
 
 
 def test_inverse_step_round_trip():

@@ -530,6 +530,75 @@ def test_report_bytes(argv, code, out, err, tmp_path, monkeypatch, capsys):
         assert (tmp_path / "w.graph").read_text() == "vertex v1_1\nvertex v0_1\nv1_1 -> v0_1 e1\n"
 
 
+# Certificates with runs of E steps, valid and forged, and the bytes that
+# `iso --certificate` and `verify-cert` print for them, text and --json.
+A6, B6 = "M6(K[x^2])(0,1,1,2,3,5)", "M6(K[x^2])(4,1,-1,6,3,-3)"
+A8, B8 = "M8(K[x^3])(0,5,1,9,2,2,7,-4)", "M8(K[x^3])(2,3,1,3,3,8,19,3)"
+AK, BK = "M4(K)(0,3,1,1)", "M4(K)(3,5,2,3)"
+RUN_CERTS = {
+    "runs.cert": "E 1 4\nE 3 -2\nE 4 4\nE 6 -8\n",
+    "long.cert": "G 1\nP 3 2 1 5 6 7 4 8\nE 2 -3\nE 7 9\nE 8 6\n",
+    "off_period.cert": "E 1 4\nE 3 1\nE 4 4\nE 6 -8\n",
+    "past_n.cert": "E 1 4\nE 3 -2\nE 7 4\nE 6 -8\n",
+    "two_offenders.cert": "E 1 4\nE 3 1\nE 9 4\nE 6 -8\n",
+    "short_p.cert": "E 1 4\nE 3 -2\nP 2 1 3\nE 4 4\nE 6 -8\n",
+    "malformed.cert": "E 1 4\nE 3 -2\nE 4 x\nE 6 -8\n",
+    "zero_index.cert": "# runs\nE 1 4\nE 3 -2\nE 0 5\nE 6 -8\n",
+    "k_entry.cert": "G 3\nE 2 0\n",
+}
+_OFF_PERIOD = "invalid step: EntryShift degree 1 is not a multiple of the period 2"
+_PAST_N = "invalid step: entry index 7 out of range 1..6"
+_SHORT_P = "invalid step: permutation of 3 entries applied to 6 shifts"
+_K_ENTRY = "invalid step: EntryShift needs an invertible element of nonzero degree; K has none"
+_LANDS = "certificate lands on (4, 1, -1, 6, 3, -3), not on (4, 1, -1, 6, 3, -1)"
+_MALFORMED = "error: line 3, column 1: certificate arguments must be integers\n"
+_ZERO_INDEX = "error: line 4, column 1: entry index is 1-based\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (["iso", "--certificate", A6, B6], 0, "yes\nE 1 4\nE 3 -2\nE 4 4\nE 6 -8\n", ""),
+        (["--json", "iso", "--certificate", A6, B6], 0, '{"isomorphic": true, "certificate": ["E 1 4", "E 3 -2", "E 4 4", "E 6 -8"]}\n', ""),
+        (["iso", "--certificate", A8, B8], 0, "yes\nG 1\nP 3 2 1 5 6 7 4 8\nE 2 -3\nE 7 9\nE 8 6\n", ""),
+        (
+            ["--json", "iso", "--certificate", A8, B8],
+            0,
+            '{"isomorphic": true, "certificate": ["G 1", "P 3 2 1 5 6 7 4 8", "E 2 -3", "E 7 9", "E 8 6"]}\n',
+            "",
+        ),
+        (["iso", "--certificate", AK, BK], 0, "yes\nG 2\nP 3 2 1 4\n", ""),
+        (["--json", "iso", "--certificate", AK, BK], 0, '{"isomorphic": true, "certificate": ["G 2", "P 3 2 1 4"]}\n', ""),
+        (["verify-cert", A6, B6, "runs.cert"], 0, "verified\n", ""),
+        (["--json", "verify-cert", A6, B6, "runs.cert"], 0, '{"verified": true}\n', ""),
+        (["verify-cert", A8, B8, "long.cert"], 0, "verified\n", ""),
+        (["--json", "verify-cert", A8, B8, "long.cert"], 0, '{"verified": true}\n', ""),
+        (["verify-cert", A6, "M6(K[x^2])(4,1,-1,6,3,-1)", "runs.cert"], 1, f"no\nreason: {_LANDS}\n", ""),
+        (["--json", "verify-cert", A6, "M6(K[x^2])(4,1,-1,6,3,-1)", "runs.cert"], 1, f'{{"verified": false, "reason": "{_LANDS}"}}\n', ""),
+        (["verify-cert", A6, B6, "off_period.cert"], 1, f"no\nreason: {_OFF_PERIOD}\n", ""),
+        (["--json", "verify-cert", A6, B6, "off_period.cert"], 1, f'{{"verified": false, "reason": "{_OFF_PERIOD}"}}\n', ""),
+        (["verify-cert", A6, B6, "past_n.cert"], 1, f"no\nreason: {_PAST_N}\n", ""),
+        (["--json", "verify-cert", A6, B6, "past_n.cert"], 1, f'{{"verified": false, "reason": "{_PAST_N}"}}\n', ""),
+        (["verify-cert", A6, B6, "two_offenders.cert"], 1, f"no\nreason: {_OFF_PERIOD}\n", ""),
+        (["--json", "verify-cert", A6, B6, "two_offenders.cert"], 1, f'{{"verified": false, "reason": "{_OFF_PERIOD}"}}\n', ""),
+        (["verify-cert", A6, B6, "short_p.cert"], 1, f"no\nreason: {_SHORT_P}\n", ""),
+        (["--json", "verify-cert", A6, B6, "short_p.cert"], 1, f'{{"verified": false, "reason": "{_SHORT_P}"}}\n', ""),
+        (["verify-cert", A6, B6, "malformed.cert"], 2, "", _MALFORMED),
+        (["--json", "verify-cert", A6, B6, "malformed.cert"], 2, "", _MALFORMED),
+        (["verify-cert", A6, B6, "zero_index.cert"], 2, "", _ZERO_INDEX),
+        (["--json", "verify-cert", A6, B6, "zero_index.cert"], 2, "", _ZERO_INDEX),
+        (["verify-cert", AK, BK, "k_entry.cert"], 1, f"no\nreason: {_K_ENTRY}\n", ""),
+        (["--json", "verify-cert", AK, BK, "k_entry.cert"], 1, f'{{"verified": false, "reason": "{_K_ENTRY}"}}\n', ""),
+    ],
+)
+def test_certificate_run_bytes(argv, code, out, err, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, text in RUN_CERTS.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv) == code
+    assert capsys.readouterr() == (out, err)
+
+
 def test_emit_dot(comet_file, capsys):
     assert main(["emit-dot", comet_file]) == 0
     out = capsys.readouterr().out

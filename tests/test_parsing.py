@@ -520,8 +520,24 @@ def certificate_texts(draw):
     return text if draw(st.booleans()) else text.rstrip("\n")
 
 
+def _entry_run(line_2000=None, breaks=("\n",)):
+    """A 4,000-line run of E steps with line 2,000 replaced by `line_2000`,
+    the lines ended by `breaks` in turn."""
+    lines = [f"E {i} {7 * i - 3}" for i in range(1, 4001)]
+    if line_2000 is not None:
+        lines[1999] = line_2000
+    return "".join(line + breaks[i % len(breaks)] for i, line in enumerate(lines))
+
+
 @settings(max_examples=800)
 @given(st.one_of(certificate_texts(), CERTIFICATE_TEXT))
+# a rejected line inside a long run of E steps, and line breaks that a run
+# reader could count as two lines or as none
+@example(_entry_run("E 2000 x"))
+@example(_entry_run("E 0 5"))
+@example(_entry_run("E 2000 " + "9" * 4301))
+@example(_entry_run(breaks=("\n", "\r\n", "\x85")))
+@example(_entry_run("E 2000 x", breaks=("\r\n", "\x85", "\n")))
 @example("P 2 1\r\n\tG -3 # x\x1c E 1\u3000+2\x1f")
 @example("E 1 2\nE 0 2\nG " + "9" * 4301)
 @example("G 1\nG " + "9" * 4301 + "\nE 0 2")
