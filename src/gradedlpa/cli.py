@@ -63,10 +63,8 @@ def _no(payload: dict, *reasons: str) -> Report:
 
 
 def _graph_payload(g) -> dict:
-    return {
-        "vertices": list(g.vertices),
-        "edges": [[e.eid, e.source, e.range] for e in g.edges],
-    }
+    """The vertex names, and per edge [id, source, range], from the id columns."""
+    return {"vertices": list(g.vertices), "edges": list(map(list, zip(*g._edge_columns())))}
 
 
 def _cycle_payload(c) -> dict:

@@ -49,7 +49,7 @@ class DirectedGraph:
     unnamed edge, whose id is e<position>), a source id and a range id.
     Names are sorted only where an output lists them.  `edges` (Edge tuples)
     is built on first use, for callers that ask for Edge tuples; no library
-    pass builds it.
+    pass, writer or CLI command builds it.
     Equality, hashing and repr are those of the pair (vertices, edges).
     """
 
@@ -107,9 +107,14 @@ class DirectedGraph:
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
+        return tuple(map(Edge._make, zip(*self._edge_columns())))
+
+    def _edge_columns(self) -> tuple[list, Iterable[str], Iterable[str]]:
+        """Per edge its id, every unnamed edge's filled in, its source name
+        and its range name: three columns, the last two as iterators."""
         name = self.vertices.__getitem__
         eids = _named(self._eids) if _UNNAMED in self._eids else self._eids
-        return tuple(map(Edge._make, zip(eids, map(name, self._sources), map(name, self._ranges))))
+        return eids, map(name, self._sources), map(name, self._ranges)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

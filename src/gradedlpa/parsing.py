@@ -161,12 +161,20 @@ def parse_graph(text: str) -> DirectedGraph:
 
 
 def format_graph(g: DirectedGraph) -> str:
-    """Graph text that parses back to exactly the same graph."""
-    for name in list(g.vertices) + [e.eid for e in g.edges]:
-        if not _ID_RE.fullmatch(name):
+    """Graph text that parses back to exactly the same graph, written from
+    the id columns: every vertex, then every edge.
+
+    Each column is checked in one pass, as a name is an id exactly when it
+    is an ASCII identifier; only a column that fails is read again, name by
+    name, to name its first unwritable id.
+    """
+    eids, sources, ranges = g._edge_columns()
+    for column in (g.vertices, eids):
+        if not (all(map(str.isidentifier, column)) and "".join(column).isascii()):
+            name = next(name for name in column if not _ID_RE.fullmatch(name))
             raise ValueError(f"id {name!r} cannot be written in the graph text format")
     lines = [f"vertex {v}" for v in g.vertices]
-    lines.extend(f"{e.source} -> {e.range} {e.eid}" for e in g.edges)
+    lines += [f"{source} -> {range_} {eid}" for source, range_, eid in zip(sources, ranges, eids)]
     return "\n".join(lines) + "\n"
 
 
@@ -438,10 +446,13 @@ def _dot_id(name: str) -> str:
 
 
 def graph_to_dot(g: DirectedGraph) -> str:
-    """Render the graph in DOT; ids are quoted only when necessary."""
-    incident = {e.source for e in g.edges} | {e.range for e in g.edges}
+    """Render the graph in DOT from the id columns: each vertex no edge
+    touches, then every edge.  Ids are quoted only when necessary."""
+    dot = list(map(_dot_id, g.vertices))
+    incident = set(g._sources).union(g._ranges)
     lines = ["digraph {"]
-    lines.extend(f"  {_dot_id(v)};" for v in g.vertices if v not in incident)
-    lines.extend(f"  {_dot_id(e.source)} -> {_dot_id(e.range)};" for e in g.edges)
+    lines += [f"  {name};" for v, name in enumerate(dot) if v not in incident]
+    sources, ranges = map(dot.__getitem__, g._sources), map(dot.__getitem__, g._ranges)
+    lines += [f"  {source} -> {range_};" for source, range_ in zip(sources, ranges)]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -10,6 +10,7 @@ disjoint union of the witness graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
 
 from .algebras import (
     CyclicForm,
@@ -111,53 +112,76 @@ def synthesize(a: ShiftedMatrixAlgebra) -> DirectedGraph:
     """A finite no-exit graph whose Leavitt path algebra represents `a`.
 
     Built from the canonical form, so graded isomorphic inputs synthesize the
-    same graph.  Raises NotRealizableError (with the verdict) otherwise, and
-    ValueError past 1,000,000 shifts, one vertex each.
+    same graph, straight into its id columns.  Raises NotRealizableError
+    (with the Verdict) otherwise, and ValueError past 1,000,000 shifts, one
+    vertex each.
     """
     verdict = is_realizable(a)
     if not verdict:
         raise NotRealizableError(verdict)
-    return DirectedGraph.from_edges(*_witness(a))
+    return _witness_graph([(a, "")])
 
 
 def synthesize_sum(r: DirectSumAlgebra) -> DirectedGraph:
-    """Disjoint union of witness graphs, vertex ids namespaced per summand."""
+    """Disjoint union of witness graphs, vertex ids namespaced per summand,
+    built as one graph's id columns.  Raises NotRealizableError (with the
+    SumVerdict) unless every summand is realizable, then ValueError for the
+    first summand past 1,000,000 shifts."""
     verdict = is_realizable_sum(r)
     if not verdict:
         raise NotRealizableError(verdict)
-    edges: list[tuple[str, str, str]] = []
-    isolated: list[str] = []
-    for pos, summand in enumerate(r.summands, 1):
-        part_edges, part_isolated = _witness(summand, f"s{pos}_")
-        edges.extend(part_edges)
-        isolated.extend(part_isolated)
-    return DirectedGraph.from_edges(edges, isolated=isolated)
+    return _witness_graph([(a, f"s{pos}_") for pos, a in enumerate(r.summands, 1)])
 
 
-def _witness(a: ShiftedMatrixAlgebra, prefix: str = "") -> tuple[list[tuple[str, str, str]], list[str]]:
-    """Edges (source, range, id) and the vertices they may miss of the
-    witness graph of a realizable `a`, every id prefixed with `prefix`."""
-    _require_listable(a.n)
-    form = canonical_form(a)
-    pairs: list[tuple[str, str]] = []
-    if isinstance(form, CyclicForm):
-        m = form.period
-        # the cycle v0 <- v1 <- ... <- v_{m-1} <- v0, walked toward v0
-        for i in range(m - 1):
-            pairs.append((f"v{i+1}", f"v{i}"))
-        pairs.append(("v0", f"v{m-1}"))
-        # l_i - 1 extra branches of length i into the cycle
-        for i in range(1, m):
-            for j in range(1, form.mults[i]):
-                pairs.append((f"v{i}_{j}", f"v{i-1}"))
-        for j in range(1, form.mults[0]):
-            pairs.append((f"v0_{j}", f"v{m-1}"))
-        isolated = []
-    else:
-        # over K: a layered tree onto the single sink v0_1
-        for i in range(1, form.k + 1):
-            for j in range(1, form.mults[i] + 1):
-                pairs.append((f"v{i}_{j}", f"v{i-1}_1"))
-        isolated = [f"{prefix}v0_1"]
-    edges = [(prefix + src, prefix + dst, f"{prefix}e{k}") for k, (src, dst) in enumerate(pairs, 1)]
-    return edges, isolated
+def _witness_graph(parts: list[tuple[ShiftedMatrixAlgebra, str]]) -> DirectedGraph:
+    """The disjoint union of the witness graphs of realizable algebras, each
+    one's ids prefixed with its prefix, built straight into the graph's id
+    columns.
+
+    Each witness is named once per vertex, in the order its edge list
+    mentions them, with edges e1, e2, ... in that list's order.  A witness
+    with no edge, the one vertex of M1(K), follows every other vertex.
+    """
+    names: list[str] = []
+    eids: list[str] = []
+    sources: list[int] = []
+    ranges: list[int] = []
+    lone: list[str] = []
+    for a, p in parts:
+        _require_listable(a.n)
+        form = canonical_form(a)
+        base, first_edge = len(names), len(sources)
+        if isinstance(form, CyclicForm):
+            m, mults = form.period, form.mults
+            # the cycle v0 <- v1 <- ... <- v_{m-1} <- v0, walked toward v0,
+            # mentions v1, v0, v2, ..., v_{m-1}; that order is its own
+            # inverse, so v_i's id is ids[i]
+            order = [1, 0, *range(2, m)] if m > 1 else [0]
+            ids = [base + i for i in order]
+            names += [f"{p}v{i}" for i in order]
+            sources += ids[1:] + ids[:1]
+            ranges += ids
+            # l_i - 1 extra branches of length i into the cycle, residue 0
+            # last: a branch v_i_j ends at v_{i-1}, which for i = 1, ..., m-1, 0
+            # is ids[0], ..., ids[m-1]
+            residues = [*range(1, m), 0]
+            names += [f"{p}v{i}_{j}" for i in residues for j in range(1, mults[i])]
+            ranges += chain.from_iterable(map(repeat, ids, [mults[i] - 1 for i in residues]))
+            sources += range(base + m, len(names))
+        elif form.k == 0:
+            lone.append(f"{p}v0_1")
+        else:
+            # over K: a layered tree onto the single sink v0_1, whose edges
+            # mention v1_1, v0_1, then the other layer vertices in order
+            k, mults = form.k, form.mults
+            layers = [f"{p}v{i}_{j}" for i in range(1, k + 1) for j in range(1, mults[i] + 1)]
+            layers.insert(1, f"{p}v0_1")
+            names += layers
+            sources.append(base)
+            sources += range(base + 2, len(names))
+            # layer i ends at v_{i-1}_1: v0_1, v1_1, then each layer's first
+            heads = [base + 1, base, *accumulate(mults[2:k], initial=base + 1 + mults[1])]
+            ranges += chain.from_iterable(map(repeat, heads, mults[1:]))
+        eids += [f"{p}e{pos}" for pos in range(1, len(sources) - first_edge + 1)]
+    names += lone
+    return DirectedGraph._from_columns(dict(zip(names, range(len(names)))), eids, sources, ranges)

@@ -599,6 +599,94 @@ def test_certificate_run_bytes(argv, code, out, err, tmp_path, monkeypatch, caps
     assert capsys.readouterr() == (out, err)
 
 
+# Witness expressions: one vertex alone; K with k = 3 and a layer of one;
+# periods 1, 2, 3 and 5, with branches on residue 0 and on others, on
+# residue 0 alone and on others alone; sums with M1(K) first, in the middle
+# and last, whose lone vertex follows every vertex an edge mentions.
+ONE = "M1(K)(0)"
+KDEEP = "M7(K)(0,1,1,2,3,3,3)"
+P1 = "M3(K[x^1])(0,0,0)"
+P2 = "M4(K[x^2])(0,0,1,1)"
+P3 = "M7(K[x^3])(0,3,1,4,-2,2,5)"
+P3R = "M6(K[x^3])(4,2,2,7,0,5)"
+P5 = "M6(K[x^5])(0,1,2,3,4,9)"
+MIX = "M1(K)(0) (+) M3(K[x^1])(0,0,0) (+) M4(K)(0,1,1,2)"
+MIDDLE = "M2(K)(0,1) (+) M1(K)(0) (+) M3(K[x^3])(0,1,2) (+) M1(K)(5)"
+NO = "M2(K)(0,2) (+) M1(K)(0)"
+NO1 = "M2(K[x^2])(0,0)"
+BIG = "M1(K)(0) (+) M1000002(K)(0,1000001(1))"
+# each graph file an emit-dot row reads, written first by synthesize -o
+WITNESSES = {"one.graph": ONE, "mix.graph": MIX, "middle.graph": MIDDLE}
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err, written",
+    [
+        (["synthesize", ONE], 0, "vertex v0_1\n", "", None),
+        (["--json", "synthesize", ONE], 0, '{"vertices": ["v0_1"], "edges": []}\n', "", None),
+        (["synthesize", "--dot", ONE], 0, "digraph {\n  v0_1;\n}\n", "", None),
+        (["synthesize", KDEEP], 0, "vertex v1_1\nvertex v0_1\nvertex v1_2\nvertex v2_1\nvertex v3_1\nvertex v3_2\nvertex v3_3\nv1_1 -> v0_1 e1\nv1_2 -> v0_1 e2\nv2_1 -> v1_1 e3\nv3_1 -> v2_1 e4\nv3_2 -> v2_1 e5\nv3_3 -> v2_1 e6\n", "", None),
+        (["--json", "synthesize", KDEEP], 0, '{"vertices": ["v1_1", "v0_1", "v1_2", "v2_1", "v3_1", "v3_2", "v3_3"], "edges": [["e1", "v1_1", "v0_1"], ["e2", "v1_2", "v0_1"], ["e3", "v2_1", "v1_1"], ["e4", "v3_1", "v2_1"], ["e5", "v3_2", "v2_1"], ["e6", "v3_3", "v2_1"]]}\n', "", None),
+        (["synthesize", "--dot", KDEEP], 0, "digraph {\n  v1_1 -> v0_1;\n  v1_2 -> v0_1;\n  v2_1 -> v1_1;\n  v3_1 -> v2_1;\n  v3_2 -> v2_1;\n  v3_3 -> v2_1;\n}\n", "", None),
+        (["synthesize", P1], 0, "vertex v0\nvertex v0_1\nvertex v0_2\nv0 -> v0 e1\nv0_1 -> v0 e2\nv0_2 -> v0 e3\n", "", None),
+        (["--json", "synthesize", P1], 0, '{"vertices": ["v0", "v0_1", "v0_2"], "edges": [["e1", "v0", "v0"], ["e2", "v0_1", "v0"], ["e3", "v0_2", "v0"]]}\n', "", None),
+        (["synthesize", "--dot", P1], 0, "digraph {\n  v0 -> v0;\n  v0_1 -> v0;\n  v0_2 -> v0;\n}\n", "", None),
+        (["synthesize", P2], 0, "vertex v1\nvertex v0\nvertex v1_1\nvertex v0_1\nv1 -> v0 e1\nv0 -> v1 e2\nv1_1 -> v0 e3\nv0_1 -> v1 e4\n", "", None),
+        (["--json", "synthesize", P2], 0, '{"vertices": ["v1", "v0", "v1_1", "v0_1"], "edges": [["e1", "v1", "v0"], ["e2", "v0", "v1"], ["e3", "v1_1", "v0"], ["e4", "v0_1", "v1"]]}\n', "", None),
+        (["synthesize", "--dot", P2], 0, "digraph {\n  v1 -> v0;\n  v0 -> v1;\n  v1_1 -> v0;\n  v0_1 -> v1;\n}\n", "", None),
+        (["synthesize", P3], 0, "vertex v1\nvertex v0\nvertex v2\nvertex v1_1\nvertex v2_1\nvertex v2_2\nvertex v0_1\nv1 -> v0 e1\nv2 -> v1 e2\nv0 -> v2 e3\nv1_1 -> v0 e4\nv2_1 -> v1 e5\nv2_2 -> v1 e6\nv0_1 -> v2 e7\n", "", None),
+        (["--json", "synthesize", P3], 0, '{"vertices": ["v1", "v0", "v2", "v1_1", "v2_1", "v2_2", "v0_1"], "edges": [["e1", "v1", "v0"], ["e2", "v2", "v1"], ["e3", "v0", "v2"], ["e4", "v1_1", "v0"], ["e5", "v2_1", "v1"], ["e6", "v2_2", "v1"], ["e7", "v0_1", "v2"]]}\n', "", None),
+        (["synthesize", "--dot", P3], 0, "digraph {\n  v1 -> v0;\n  v2 -> v1;\n  v0 -> v2;\n  v1_1 -> v0;\n  v2_1 -> v1;\n  v2_2 -> v1;\n  v0_1 -> v2;\n}\n", "", None),
+        (["synthesize", P3R], 0, "vertex v1\nvertex v0\nvertex v2\nvertex v1_1\nvertex v2_1\nvertex v2_2\nv1 -> v0 e1\nv2 -> v1 e2\nv0 -> v2 e3\nv1_1 -> v0 e4\nv2_1 -> v1 e5\nv2_2 -> v1 e6\n", "", None),
+        (["--json", "synthesize", P3R], 0, '{"vertices": ["v1", "v0", "v2", "v1_1", "v2_1", "v2_2"], "edges": [["e1", "v1", "v0"], ["e2", "v2", "v1"], ["e3", "v0", "v2"], ["e4", "v1_1", "v0"], ["e5", "v2_1", "v1"], ["e6", "v2_2", "v1"]]}\n', "", None),
+        (["synthesize", "--dot", P3R], 0, "digraph {\n  v1 -> v0;\n  v2 -> v1;\n  v0 -> v2;\n  v1_1 -> v0;\n  v2_1 -> v1;\n  v2_2 -> v1;\n}\n", "", None),
+        (["synthesize", P5], 0, "vertex v1\nvertex v0\nvertex v2\nvertex v3\nvertex v4\nvertex v4_1\nv1 -> v0 e1\nv2 -> v1 e2\nv3 -> v2 e3\nv4 -> v3 e4\nv0 -> v4 e5\nv4_1 -> v3 e6\n", "", None),
+        (["--json", "synthesize", P5], 0, '{"vertices": ["v1", "v0", "v2", "v3", "v4", "v4_1"], "edges": [["e1", "v1", "v0"], ["e2", "v2", "v1"], ["e3", "v3", "v2"], ["e4", "v4", "v3"], ["e5", "v0", "v4"], ["e6", "v4_1", "v3"]]}\n', "", None),
+        (["synthesize", "--dot", P5], 0, "digraph {\n  v1 -> v0;\n  v2 -> v1;\n  v3 -> v2;\n  v4 -> v3;\n  v0 -> v4;\n  v4_1 -> v3;\n}\n", "", None),
+        (["synthesize", MIX], 0, "vertex s2_v0\nvertex s2_v0_1\nvertex s2_v0_2\nvertex s3_v1_1\nvertex s3_v0_1\nvertex s3_v1_2\nvertex s3_v2_1\nvertex s1_v0_1\ns2_v0 -> s2_v0 s2_e1\ns2_v0_1 -> s2_v0 s2_e2\ns2_v0_2 -> s2_v0 s2_e3\ns3_v1_1 -> s3_v0_1 s3_e1\ns3_v1_2 -> s3_v0_1 s3_e2\ns3_v2_1 -> s3_v1_1 s3_e3\n", "", None),
+        (["--json", "synthesize", MIX], 0, '{"vertices": ["s2_v0", "s2_v0_1", "s2_v0_2", "s3_v1_1", "s3_v0_1", "s3_v1_2", "s3_v2_1", "s1_v0_1"], "edges": [["s2_e1", "s2_v0", "s2_v0"], ["s2_e2", "s2_v0_1", "s2_v0"], ["s2_e3", "s2_v0_2", "s2_v0"], ["s3_e1", "s3_v1_1", "s3_v0_1"], ["s3_e2", "s3_v1_2", "s3_v0_1"], ["s3_e3", "s3_v2_1", "s3_v1_1"]]}\n', "", None),
+        (["synthesize", "--dot", MIX], 0, "digraph {\n  s1_v0_1;\n  s2_v0 -> s2_v0;\n  s2_v0_1 -> s2_v0;\n  s2_v0_2 -> s2_v0;\n  s3_v1_1 -> s3_v0_1;\n  s3_v1_2 -> s3_v0_1;\n  s3_v2_1 -> s3_v1_1;\n}\n", "", None),
+        (["synthesize", MIDDLE], 0, "vertex s1_v1_1\nvertex s1_v0_1\nvertex s3_v1\nvertex s3_v0\nvertex s3_v2\nvertex s2_v0_1\nvertex s4_v0_1\ns1_v1_1 -> s1_v0_1 s1_e1\ns3_v1 -> s3_v0 s3_e1\ns3_v2 -> s3_v1 s3_e2\ns3_v0 -> s3_v2 s3_e3\n", "", None),
+        (["--json", "synthesize", MIDDLE], 0, '{"vertices": ["s1_v1_1", "s1_v0_1", "s3_v1", "s3_v0", "s3_v2", "s2_v0_1", "s4_v0_1"], "edges": [["s1_e1", "s1_v1_1", "s1_v0_1"], ["s3_e1", "s3_v1", "s3_v0"], ["s3_e2", "s3_v2", "s3_v1"], ["s3_e3", "s3_v0", "s3_v2"]]}\n', "", None),
+        (["synthesize", "--dot", MIDDLE], 0, "digraph {\n  s2_v0_1;\n  s4_v0_1;\n  s1_v1_1 -> s1_v0_1;\n  s3_v1 -> s3_v0;\n  s3_v2 -> s3_v1;\n  s3_v0 -> s3_v2;\n}\n", "", None),
+        (["synthesize", "-o", "witness.graph", ONE], 0, "", "", "vertex v0_1\n"),
+        (["--json", "synthesize", "-o", "witness.graph", ONE], 0, '{"written": "witness.graph", "vertices": ["v0_1"], "edges": []}\n', "", "vertex v0_1\n"),
+        (["synthesize", "-o", "witness.graph", KDEEP], 0, "", "", "vertex v1_1\nvertex v0_1\nvertex v1_2\nvertex v2_1\nvertex v3_1\nvertex v3_2\nvertex v3_3\nv1_1 -> v0_1 e1\nv1_2 -> v0_1 e2\nv2_1 -> v1_1 e3\nv3_1 -> v2_1 e4\nv3_2 -> v2_1 e5\nv3_3 -> v2_1 e6\n"),
+        (["--json", "synthesize", "-o", "witness.graph", KDEEP], 0, '{"written": "witness.graph", "vertices": ["v1_1", "v0_1", "v1_2", "v2_1", "v3_1", "v3_2", "v3_3"], "edges": [["e1", "v1_1", "v0_1"], ["e2", "v1_2", "v0_1"], ["e3", "v2_1", "v1_1"], ["e4", "v3_1", "v2_1"], ["e5", "v3_2", "v2_1"], ["e6", "v3_3", "v2_1"]]}\n', "", "vertex v1_1\nvertex v0_1\nvertex v1_2\nvertex v2_1\nvertex v3_1\nvertex v3_2\nvertex v3_3\nv1_1 -> v0_1 e1\nv1_2 -> v0_1 e2\nv2_1 -> v1_1 e3\nv3_1 -> v2_1 e4\nv3_2 -> v2_1 e5\nv3_3 -> v2_1 e6\n"),
+        (["synthesize", "-o", "witness.graph", P3], 0, "", "", "vertex v1\nvertex v0\nvertex v2\nvertex v1_1\nvertex v2_1\nvertex v2_2\nvertex v0_1\nv1 -> v0 e1\nv2 -> v1 e2\nv0 -> v2 e3\nv1_1 -> v0 e4\nv2_1 -> v1 e5\nv2_2 -> v1 e6\nv0_1 -> v2 e7\n"),
+        (["--json", "synthesize", "-o", "witness.graph", P3], 0, '{"written": "witness.graph", "vertices": ["v1", "v0", "v2", "v1_1", "v2_1", "v2_2", "v0_1"], "edges": [["e1", "v1", "v0"], ["e2", "v2", "v1"], ["e3", "v0", "v2"], ["e4", "v1_1", "v0"], ["e5", "v2_1", "v1"], ["e6", "v2_2", "v1"], ["e7", "v0_1", "v2"]]}\n', "", "vertex v1\nvertex v0\nvertex v2\nvertex v1_1\nvertex v2_1\nvertex v2_2\nvertex v0_1\nv1 -> v0 e1\nv2 -> v1 e2\nv0 -> v2 e3\nv1_1 -> v0 e4\nv2_1 -> v1 e5\nv2_2 -> v1 e6\nv0_1 -> v2 e7\n"),
+        (["synthesize", "-o", "witness.graph", MIX], 0, "", "", "vertex s2_v0\nvertex s2_v0_1\nvertex s2_v0_2\nvertex s3_v1_1\nvertex s3_v0_1\nvertex s3_v1_2\nvertex s3_v2_1\nvertex s1_v0_1\ns2_v0 -> s2_v0 s2_e1\ns2_v0_1 -> s2_v0 s2_e2\ns2_v0_2 -> s2_v0 s2_e3\ns3_v1_1 -> s3_v0_1 s3_e1\ns3_v1_2 -> s3_v0_1 s3_e2\ns3_v2_1 -> s3_v1_1 s3_e3\n"),
+        (["--json", "synthesize", "-o", "witness.graph", MIX], 0, '{"written": "witness.graph", "vertices": ["s2_v0", "s2_v0_1", "s2_v0_2", "s3_v1_1", "s3_v0_1", "s3_v1_2", "s3_v2_1", "s1_v0_1"], "edges": [["s2_e1", "s2_v0", "s2_v0"], ["s2_e2", "s2_v0_1", "s2_v0"], ["s2_e3", "s2_v0_2", "s2_v0"], ["s3_e1", "s3_v1_1", "s3_v0_1"], ["s3_e2", "s3_v1_2", "s3_v0_1"], ["s3_e3", "s3_v2_1", "s3_v1_1"]]}\n', "", "vertex s2_v0\nvertex s2_v0_1\nvertex s2_v0_2\nvertex s3_v1_1\nvertex s3_v0_1\nvertex s3_v1_2\nvertex s3_v2_1\nvertex s1_v0_1\ns2_v0 -> s2_v0 s2_e1\ns2_v0_1 -> s2_v0 s2_e2\ns2_v0_2 -> s2_v0 s2_e3\ns3_v1_1 -> s3_v0_1 s3_e1\ns3_v1_2 -> s3_v0_1 s3_e2\ns3_v2_1 -> s3_v1_1 s3_e3\n"),
+        (["synthesize", "-o", "witness.graph", MIDDLE], 0, "", "", "vertex s1_v1_1\nvertex s1_v0_1\nvertex s3_v1\nvertex s3_v0\nvertex s3_v2\nvertex s2_v0_1\nvertex s4_v0_1\ns1_v1_1 -> s1_v0_1 s1_e1\ns3_v1 -> s3_v0 s3_e1\ns3_v2 -> s3_v1 s3_e2\ns3_v0 -> s3_v2 s3_e3\n"),
+        (["--json", "synthesize", "-o", "witness.graph", MIDDLE], 0, '{"written": "witness.graph", "vertices": ["s1_v1_1", "s1_v0_1", "s3_v1", "s3_v0", "s3_v2", "s2_v0_1", "s4_v0_1"], "edges": [["s1_e1", "s1_v1_1", "s1_v0_1"], ["s3_e1", "s3_v1", "s3_v0"], ["s3_e2", "s3_v2", "s3_v1"], ["s3_e3", "s3_v0", "s3_v2"]]}\n', "", "vertex s1_v1_1\nvertex s1_v0_1\nvertex s3_v1\nvertex s3_v0\nvertex s3_v2\nvertex s2_v0_1\nvertex s4_v0_1\ns1_v1_1 -> s1_v0_1 s1_e1\ns3_v1 -> s3_v0 s3_e1\ns3_v2 -> s3_v1 s3_e2\ns3_v0 -> s3_v2 s3_e3\n"),
+        (["synthesize", "--dot", "-o", "witness.dot", P2], 0, "", "", "digraph {\n  v1 -> v0;\n  v0 -> v1;\n  v1_1 -> v0;\n  v0_1 -> v1;\n}\n"),
+        (["--json", "synthesize", "--dot", P2], 0, '{"dot": "digraph {\\n  v1 -> v0;\\n  v0 -> v1;\\n  v1_1 -> v0;\\n  v0_1 -> v1;\\n}\\n"}\n', "", None),
+        (["--json", "synthesize", "--dot", "-o", "witness.dot", MIX], 0, '{"written": "witness.dot", "vertices": ["s2_v0", "s2_v0_1", "s2_v0_2", "s3_v1_1", "s3_v0_1", "s3_v1_2", "s3_v2_1", "s1_v0_1"], "edges": [["s2_e1", "s2_v0", "s2_v0"], ["s2_e2", "s2_v0_1", "s2_v0"], ["s2_e3", "s2_v0_2", "s2_v0"], ["s3_e1", "s3_v1_1", "s3_v0_1"], ["s3_e2", "s3_v1_2", "s3_v0_1"], ["s3_e3", "s3_v2_1", "s3_v1_1"]]}\n', "", "digraph {\n  s1_v0_1;\n  s2_v0 -> s2_v0;\n  s2_v0_1 -> s2_v0;\n  s2_v0_2 -> s2_v0;\n  s3_v1_1 -> s3_v0_1;\n  s3_v1_2 -> s3_v0_1;\n  s3_v2_1 -> s3_v1_1;\n}\n"),
+        (["synthesize", NO], 1, "no\nreason: summand 1: l_1 = 0: a path of length 2 to the sink forces one of length 1\n", "", None),
+        (["--json", "synthesize", NO], 1, '{"ok": false, "reason": "summand 1: l_1 = 0: a path of length 2 to the sink forces one of length 1"}\n', "", None),
+        (["synthesize", "-o", "witness.graph", NO1], 1, "no\nreason: no: l_1 = 0: no path of length = 1 (mod 2)\n", "", None),
+        (["--json", "synthesize", NO1], 1, '{"ok": false, "reason": "no: l_1 = 0: no path of length = 1 (mod 2)"}\n', "", None),
+        (["synthesize", BIG], 2, "", "error: 1000002 shifts or paths are too many to list one by one (limit 1000000)\n", None),
+        (["--json", "synthesize", "-o", "witness.graph", BIG], 2, "", "error: 1000002 shifts or paths are too many to list one by one (limit 1000000)\n", None),
+        (["emit-dot", "one.graph"], 0, "digraph {\n  v0_1;\n}\n", "", None),
+        (["--json", "emit-dot", "one.graph"], 0, '{"dot": "digraph {\\n  v0_1;\\n}\\n"}\n', "", None),
+        (["emit-dot", "mix.graph"], 0, "digraph {\n  s1_v0_1;\n  s2_v0 -> s2_v0;\n  s2_v0_1 -> s2_v0;\n  s2_v0_2 -> s2_v0;\n  s3_v1_1 -> s3_v0_1;\n  s3_v1_2 -> s3_v0_1;\n  s3_v2_1 -> s3_v1_1;\n}\n", "", None),
+        (["--json", "emit-dot", "mix.graph"], 0, '{"dot": "digraph {\\n  s1_v0_1;\\n  s2_v0 -> s2_v0;\\n  s2_v0_1 -> s2_v0;\\n  s2_v0_2 -> s2_v0;\\n  s3_v1_1 -> s3_v0_1;\\n  s3_v1_2 -> s3_v0_1;\\n  s3_v2_1 -> s3_v1_1;\\n}\\n"}\n', "", None),
+        (["emit-dot", "middle.graph"], 0, "digraph {\n  s2_v0_1;\n  s4_v0_1;\n  s1_v1_1 -> s1_v0_1;\n  s3_v1 -> s3_v0;\n  s3_v2 -> s3_v1;\n  s3_v0 -> s3_v2;\n}\n", "", None),
+        (["--json", "emit-dot", "middle.graph"], 0, '{"dot": "digraph {\\n  s2_v0_1;\\n  s4_v0_1;\\n  s1_v1_1 -> s1_v0_1;\\n  s3_v1 -> s3_v0;\\n  s3_v2 -> s3_v1;\\n  s3_v0 -> s3_v2;\\n}\\n"}\n', "", None),
+    ],
+)
+def test_synthesize_bytes(argv, code, out, err, written, tmp_path, monkeypatch, capsys):
+    # the exact exit code, stdout, stderr and -o file of each invocation
+    monkeypatch.chdir(tmp_path)
+    if "emit-dot" in argv:
+        assert main(["synthesize", "-o", argv[-1], WITNESSES[argv[-1]]]) == 0
+    assert main(argv) == code
+    assert capsys.readouterr() == (out, err)
+    target = tmp_path / argv[argv.index("-o") + 1] if "-o" in argv else None
+    assert (target.read_text() if target and target.exists() else None) == written
+
+
 def test_emit_dot(comet_file, capsys):
     assert main(["emit-dot", comet_file]) == 0
     out = capsys.readouterr().out

@@ -91,9 +91,27 @@ def test_graph_round_trip():
 def test_format_graph_rejects_unwritable_ids():
     from gradedlpa import DirectedGraph
 
-    g = DirectedGraph(("a b",), ())
-    with pytest.raises(ValueError):
-        format_graph(g)
+    loop = ("ok", "ok")
+    # (vertices, edges, the id named): the first unwritable vertex, else the
+    # first unwritable edge id; a line break inside an id is not two ids
+    for vertices, edges, bad in [
+        (("a b",), (), "a b"),
+        (("ok",), (("e 1", *loop),), "e 1"),
+        (("",), (), ""),
+        (("ok",), (("", *loop),), ""),
+        (("é",), (), "é"),
+        (("a\nb",), (), "a\nb"),
+        (("ok",), (("a\nb", *loop),), "a\nb"),
+        (("ok", "a b", "c d"), (("e 1", *loop),), "a b"),
+        (("ok",), (("e1", *loop), ("e 2", *loop), ("e 3", *loop)), "e 2"),
+    ]:
+        g = DirectedGraph(vertices, edges)
+        with pytest.raises(ValueError) as err:
+            format_graph(g)
+        assert str(err.value) == f"id {bad!r} cannot be written in the graph text format"
+    # unnamed edges are written as e<position>, and a named one keeps its id
+    g = DirectedGraph.from_edges([("a", "b"), ("b", "a"), ("b", "b", "x")])
+    assert format_graph(g) == "vertex a\nvertex b\na -> b e1\nb -> a e2\nb -> b x\n"
 
 
 def test_parse_algebra_single():

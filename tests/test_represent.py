@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gradedlpa.graphs
+from gradedlpa.cli import main
 from conftest import diamond_chain, naive_paths_to_cycle, naive_paths_to_sink, random_no_exit_graph
 from gradedlpa import (
     DirectedGraph,
@@ -27,11 +28,15 @@ from gradedlpa import (
     corner_by_vertices,
     direct_sum_iso,
     find_cycles,
+    format_graph,
+    graph_to_dot,
     paths_to_cycle_vertex,
     paths_to_sink,
     represent,
     represent_at,
     summand_key,
+    synthesize,
+    synthesize_sum,
 )
 
 
@@ -181,6 +186,47 @@ def test_whole_graph_passes_build_no_edge(monkeypatch, shape, build):
         cycle = info.cycles[-1]
         assert len(paths_to_cycle_vertex(g, cycle, cycle.vertices[0])) == paths // cycles
     assert "edges" not in vars(g)
+
+
+def test_write_path_builds_no_edge(monkeypatch, tmp_path):
+    # synthesis and the text, JSON and DOT writers read the id columns
+    def no_edge(*args):
+        raise AssertionError("an Edge tuple was built")
+
+    no_edge._make = no_edge
+    monkeypatch.setattr(gradedlpa.graphs, "Edge", no_edge)
+    built = []
+    real_build = DirectedGraph._from_columns.__func__
+
+    def build(cls, *args):
+        built.append(real_build(cls, *args))
+        return built[-1]
+
+    monkeypatch.setattr(DirectedGraph, "_from_columns", classmethod(build))
+    monkeypatch.chdir(tmp_path)
+    mix = "M1(K)(0) (+) M3(K[x^1])(0,0,0) (+) M4(K)(0,1,1,2) (+) M6(K[x^3])(4,2,2,7,0,5)"
+    graphs = [
+        synthesize(parse_algebra("M6(K[x^3])(4,2,2,7,0,5)").summands[0]),
+        synthesize(parse_algebra("M7(K)(0,1,1,2,3,3,3)").summands[0]),
+        synthesize_sum(parse_algebra(mix)),
+        parse_graph("vertex t\nt -> u\nu -> v\nv -> u x\n"),  # two unnamed edges
+    ]
+    for g in graphs:
+        format_graph(g)
+        graph_to_dot(g)
+    for argv in (
+        ["synthesize", mix],
+        ["--json", "synthesize", mix],
+        ["synthesize", "--dot", mix],
+        ["--json", "synthesize", "--dot", mix],
+        ["synthesize", "-o", "witness.graph", mix],
+        ["--json", "synthesize", "-o", "witness.graph", mix],
+        ["emit-dot", "witness.graph"],
+        ["--json", "emit-dot", "witness.graph"],
+    ):
+        assert main(argv) == 0
+    assert len(built) == 12
+    assert not [g for g in built if "edges" in vars(g)]
 
 
 def test_one_path_count_per_summand(monkeypatch):
