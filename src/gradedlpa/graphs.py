@@ -60,15 +60,23 @@ class DirectedGraph:
         edges = tuple(edges)
         if edges and set(map(len, edges)) != {3}:
             tuple(starmap(Edge, edges))  # raises the TypeError of the first malformed edge
-        id_of = dict(zip(vertices, range(len(vertices))))
-        eids, sources, ranges = map(list, zip(*edges)) if edges else ([], [], [])
-        try:
-            sources = list(map(id_of.__getitem__, sources))
-            ranges = list(map(id_of.__getitem__, ranges))
-        except KeyError:
-            sources = None
-        if len(id_of) != len(vertices) or sources is None or not _distinct_eids(eids):
-            raise ValueError(_first_offender(vertices, edges))
+        id_of: dict[str, int] = {}
+        for v in vertices:
+            if v in id_of:
+                raise ValueError(f"duplicate vertex id {v!r}")
+            id_of[v] = len(id_of)
+        eids, sources, ranges = [], [], []
+        known_eids = set()
+        for eid, source, range_ in edges:
+            if eid in known_eids:
+                raise ValueError(f"duplicate edge id {eid!r}")
+            known_eids.add(eid)
+            for endpoint in (source, range_):
+                if endpoint not in id_of:
+                    raise ValueError(f"edge {eid!r} uses unknown vertex {endpoint!r}")
+            eids.append(eid)
+            sources.append(id_of[source])
+            ranges.append(id_of[range_])
         vars(self).update(vertices=vertices, _id_of=id_of, _eids=eids, _sources=sources, _ranges=ranges)
 
     @classmethod
@@ -100,10 +108,13 @@ class DirectedGraph:
             eids.append(eid)
         for v in isolated:
             id_of.setdefault(v, len(id_of))
-        g = cls._from_columns(id_of, eids, sources, ranges)
         if not _distinct_eids(eids):
-            raise ValueError(_first_offender(g.vertices, g.edges))
-        return g
+            known_eids = set()
+            for eid in _named(eids):
+                if eid in known_eids:
+                    raise ValueError(f"duplicate edge id {eid!r}")
+                known_eids.add(eid)
+        return cls._from_columns(id_of, eids, sources, ranges)
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -208,25 +219,6 @@ def _distinct_eids(eids: list) -> bool:
         return True
     named = _named(eids)
     return len(set(named)) == len(named)
-
-
-def _first_offender(vertices: tuple, edges: Iterable[tuple]) -> str:
-    """The message naming the first repeated vertex, else the first edge
-    with a repeated id or an unknown endpoint, of lists that have one."""
-    seen = set()
-    for v in vertices:
-        if v in seen:
-            return f"duplicate vertex id {v!r}"
-        seen.add(v)
-    eids = set()
-    for eid, source, range_ in edges:
-        if eid in eids:
-            return f"duplicate edge id {eid!r}"
-        eids.add(eid)
-        for endpoint in (source, range_):
-            if endpoint not in seen:
-                return f"edge {eid!r} uses unknown vertex {endpoint!r}"
-    raise AssertionError("the lists name no offender")
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,11 @@ shift list (0,0,0,0,1,1,1,2,2).  Digits are ASCII.  Whitespace may appear
 between any two tokens, but not inside a number or the separator "(+)".
 A shift magnitude and a period are at most 2^31.  A size or a repeat count
 has no limit, but no number may have more digits than int() converts
-(sys.get_int_max_str_digits(), 4300 by default).  split(",") and int() read
-a shift list in stretches that end at each '(' or ')'; the token cursor reads
-repeat items and each stretch int() cannot read as the grammar does.
+(sys.get_int_max_str_digits(), 4300 by default).  Each shift list is read
+in bulk, repeat items included: one split(","), one int() per shift and per
+repeat count, then again with each whitespace run made one space and each
+sign joined to its digits if int() refused it.  Only a list that fails both
+goes to the token cursor, which names its offending item.
 
 Certificate files hold one step per line; '#' starts a comment.
 
@@ -46,7 +48,7 @@ from __future__ import annotations
 import re
 import sys
 from collections.abc import Iterable, Sequence
-from itertools import compress, islice, repeat
+from itertools import accumulate, compress, islice, repeat
 from operator import itemgetter, ne, sub
 
 from .algebras import (
@@ -252,75 +254,73 @@ def parse_algebra(text: str) -> DirectSumAlgebra:
             expect("]")
             base = GradedBase.laurent(m)
         expect(")")
-        list_pos = at + 1
-        expect("(")
-        runs: list[tuple[int, int]] = []
-        total, last = 0, None
-        cursor_until = 0  # the item code reads each item that starts before this
-        while True:
-            if at >= cursor_until:
-                # the items up to the next '(' or ')' are one stretch; before a
-                # '(' its last item is a repeat count, which the item code reads
-                close = text.find(")", at)
-                if close < 0:
-                    close = len(text)
-                stop = text.find("(", at, close)
-                if stop < 0:
-                    stop = close
-                stretch = text[at:stop]
-                values = None
-                # a lone item goes to the item code; int() takes Unicode digits and '_' too
-                if "," in stretch and stretch.isascii() and "_" not in stretch:
-                    items = stretch.split(",")
-                    count_item = items.pop() if stop < close else ""
-                    try:
-                        values = list(map(int, items))
-                    except ValueError:  # an item int() refuses, or one with more digits than it converts
-                        pass
-                if values is None or not -_MAX_SHIFT <= min(values) <= max(values) <= _MAX_SHIFT:
-                    cursor_until = stop  # the item code reads, or rejects, what int() did not
-                else:
-                    changes = list(map(ne, islice(values, 1, None), values))
-                    if all(changes):
-                        merged = list(zip(values, repeat(1)))
-                    else:  # a run starts at 0 and wherever the value changes
-                        starts = [0, *compress(range(1, len(values)), changes)]
-                        ends = [*starts[1:], len(values)]
-                        merged = list(zip(map(values.__getitem__, starts), map(sub, ends, starts)))
-                    if values[0] == last:
-                        merged[0] = (last, merged[0][1] + runs.pop()[1])
-                    runs += merged
-                    total += len(values)
-                    last = values[-1]
-                    end = stop - len(count_item)
-                    advance()
-                    if stop == close:
-                        break
-            start, count, repeated = at, 1, False
-            if tok == "+" or tok == "-":
-                value = integer()
-            else:
-                value = nat("a shift integer")
-                if tok == "(":
-                    if value < 1:
-                        fail("a shift multiplicity must be positive", start)
-                    start, count, repeated = at + 1, value, True
-                    advance()
-                    value = integer()
-            if abs(value) > _MAX_SHIFT:
-                fail("shift magnitude exceeds 2^31", start)
-            total += count
-            # runs stay normalised as they are read: a repeated shift extends the last run
-            if value == last:
-                count += runs.pop()[1]
-            runs.append((value, count))
-            last = value
-            if repeated:
-                expect(")")
-            if tok != ",":
+        list_pos = end  # just after the '(' that opens the shift list
+        if tok != "(":
+            fail("expected '('", at)
+        # the list ends at the first ')' that closes no repeat item
+        stop, close = list_pos, text.find(")", list_pos)
+        while close >= 0 and text.find("(", stop, close) >= 0:
+            stop, close = close + 1, text.find(")", close + 1)
+        body = text[list_pos:close] if close >= 0 else ""
+        for respaced in False, True:
+            if respaced:
+                # what the grammar reads and int() does not: \x1c-\x1f, a
+                # non-ASCII space and a sign apart from its digits
+                body = " ".join(body.split()).replace("- ", "-").replace("+ ", "+")
+            if not body.isascii() or "_" in body:  # int() reads Unicode digits and '_' too
+                continue
+            items = body.split(",")
+            counts = None
+            try:
+                if "(" in body:  # repeat items c(s): a count, then its shift
+                    counts = [1] * len(items)
+                    for i in [i for i, item in enumerate(items) if "(" in item]:
+                        count, _, rest = items[i].partition("(")
+                        items[i], paren, tail = rest.partition(")")
+                        if not paren or tail.strip() or "-" in count or "+" in count:
+                            raise ValueError
+                        counts[i] = int(count)
+                values = list(map(int, items))
+            except ValueError:  # a malformed repeat item, or an item int() refuses
+                continue
+            if -_MAX_SHIFT <= min(values) <= max(values) <= _MAX_SHIFT and (counts is None or min(counts) > 0):
                 break
+        else:  # the token cursor names the offending item
+            end = list_pos
             advance()
-        expect(")")
+            while True:
+                start, repeated = at, False
+                if tok == "+" or tok == "-":
+                    value = integer()
+                else:
+                    value = nat("a shift integer")
+                    if tok == "(":
+                        if value < 1:
+                            fail("a shift multiplicity must be positive", start)
+                        start, repeated = at + 1, True
+                        advance()
+                        value = integer()
+                if abs(value) > _MAX_SHIFT:
+                    fail("shift magnitude exceeds 2^31", start)
+                if repeated:
+                    expect(")")
+                if tok != ",":
+                    break
+                advance()
+            expect(")")
+            raise AssertionError("the shift list has no offending item")
+        total = len(values) if counts is None else sum(counts)
+        changes = list(map(ne, islice(values, 1, None), values))
+        if all(changes):
+            runs = list(zip(values, counts or repeat(1)))
+        else:  # a run starts at item 0 and wherever the value changes
+            starts = [0, *compress(range(1, len(values)), changes)]
+            firsts = list(map(values.__getitem__, starts))
+            if counts is not None:  # from items to shifts: the prefix sums of the counts
+                starts = list(map([0, *accumulate(counts)].__getitem__, starts))
+            runs = list(zip(firsts, map(sub, [*starts[1:], total], starts)))
+        end = close + 1
+        advance()
         if total != n:
             fail(f"summand declares n={n} but lists {total} shifts", list_pos)
         return ShiftedMatrixAlgebra._from_normalised(base, tuple(runs), n)
@@ -344,19 +344,18 @@ _INT_RE = re.compile(r"[+-]?[0-9]+")
 def format_certificate(steps: Iterable[Step]) -> str:
     """One step per line: 'P <image>', 'G <delta>' or 'E <index> <delta>',
     for any iterable of steps.  A run of EntryShifts is written from its
-    columns in one join."""
+    columns in one join.  Steps are told apart by their exact class, as
+    apply_certificate does: anything else, a subclass too, is a TypeError."""
     lines = []
     for kind, step in _Certificate.of(steps).runs:
         if kind is EntryShift:
             lines.append("\n".join(map("E {} {}".format, *step)))
-        elif isinstance(step, Permute):
+        elif kind is Permute:
             lines.append("P " + " ".join(map(str, step.image)))
-        elif isinstance(step, GlobalShift):
+        elif kind is GlobalShift:
             lines.append(f"G {step.delta}")
-        elif isinstance(step, EntryShift):
-            lines.append(f"E {step.index} {step.delta}")
         else:
-            raise ValueError(f"not a certificate step: {step!r}")
+            raise TypeError(f"not a certificate step: {step!r}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

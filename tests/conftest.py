@@ -22,6 +22,7 @@ steps and matrices that only tests need.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import re
@@ -149,8 +150,10 @@ def naive_canonical_form(a: ShiftedMatrixAlgebra):
     return CyclicForm(m, min(tuple(counts[i:] + counts[:i]) for i in range(m)))
 
 
+@functools.cache
 def brute_scc(g: DirectedGraph):
-    """SCC partition as a set of frozensets, via mutual reachability."""
+    """SCC partition as a set of frozensets, via mutual reachability.
+    Cached per graph, as several grid checks ask for it; no caller mutates it."""
     reach = {v: {v} for v in g.vertices}
     changed = True
     while changed:
@@ -166,11 +169,12 @@ def brute_scc(g: DirectedGraph):
     }
 
 
+@functools.cache
 def brute_cycles(g: DirectedGraph) -> list[CycleDescriptor]:
     """Every cycle of g by its definition, through the public edge list: each
     simple path from a start vertex through vertices of its mutual-reachability
     class named above the start that comes back to the start, in
-    cycles_in_order."""
+    cycles_in_order.  Cached per graph like brute_scc; no caller mutates it."""
     sccs = brute_scc(g)
     comp_of = {v: comp for comp in sccs for v in comp}
     out = {v: [] for v in g.vertices}

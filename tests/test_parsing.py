@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +17,7 @@ from gradedlpa import (
     ParseError,
     Permute,
     ShiftedMatrixAlgebra,
+    apply_certificate,
     format_certificate,
     format_graph,
     graph_to_dot,
@@ -243,6 +245,20 @@ def test_certificate_round_trip():
     assert parse_certificate(text) == steps
     assert parse_certificate("") == []
     assert format_certificate([]) == ""
+
+
+def test_non_steps_are_refused_alike():
+    # writing and applying dispatch on the exact step class: a subclass is no step
+    class Shifted(EntryShift):
+        pass
+
+    for step in [object(), "G 1", Shifted(1, 2)]:
+        message = f"not a certificate step: {step!r}"
+        with pytest.raises(TypeError) as written:
+            format_certificate([GlobalShift(1), step])
+        with pytest.raises(TypeError) as applied:
+            apply_certificate((0, 1), [GlobalShift(1), step], GradedBase.laurent(2))
+        assert str(written.value) == str(applied.value) == message
 
 
 def test_parse_certificate_comments_and_blanks():
@@ -494,6 +510,15 @@ def shift_lists(draw):
 @example("M6(K)(5,5,2(5),5,5)")
 @example("M4(K)(1,(2),3)")
 @example("M3(K)(1,\x1c2,3)")
+# whitespace that int() does not strip, and a sum after a non-ASCII space
+@example("M1(K)(0\x1f)")
+@example("M1(K)(0\x85)")
+@example("M2(K[x^3])(1,-2\u3000) (+) M9(K)(4(0),3(1),2(2))")
+# repeat items a split at '(' and ')' could take: a signed count, text after
+# the ')', and an item with no ')' before the next one's
+@example("M3(K)(+3(1))")
+@example("M3(K)(2(1) 1)")
+@example("M5(K)(2(1,3(4))")
 def test_parse_algebra_matches_token_parser(text):
     assert _outcome(parse_algebra, text) == _outcome(naive_parse_algebra, text)
 
@@ -616,13 +641,83 @@ def test_plain_shift_runs_skip_the_token_cursor(monkeypatch):
     a = parse_algebra(f"M100000(K)({','.join(map(str, shifts))})").summands[0]
     assert a == ShiftedMatrixAlgebra.from_shifts(GradedBase.trivial(), shifts)
     assert 0 < cursor.calls < 10
-    # a repeat item goes through the cursor, and the stretch after it is read in bulk again
+    # a repeat item is read in bulk with the rest of its list
     cursor.calls = 0
     a = parse_algebra(f"M100003(K)({','.join(map(str, shifts[:50_000]))},3(-3),{','.join(map(str, shifts[50_000:]))})")
     assert a.summands[0].shifts == (*shifts[:50_000], -3, -3, -3, *shifts[50_000:])
-    assert 0 < cursor.calls < 20
+    assert 0 < cursor.calls < 10
+
+
+class _RecordingCursor:
+    """Stands in for parsing._TOKEN_RE and keeps the position of each match."""
+
+    def __init__(self):
+        self.regex, self.positions = parsing._TOKEN_RE, []
+
+    def match(self, text, pos):
+        self.positions.append(pos)
+        return self.regex.match(text, pos)
+
+
+# whitespace the grammar allows between tokens, int() strips or not
+_LIST_SPACES = ["", "", "", " ", "\n", "\t", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u3000", "\u00a0", "\r\n"]
+
+
+def _valid_item(rng):
+    """A valid shift item and the shifts it lists: plain or c(s), with a
+    zero-padded count, a shift at or near +-2^31, a sign apart from its
+    digits and whitespace of every kind between the tokens."""
+    value = rng.choice([0, 1, -1, 2, -3, 2**31, -(2**31), 2**31 - 1, 1 - 2**31])
+    sign = "-" if value < 0 else rng.choice(["", "", "+"])
+    gaps = [rng.choice(_LIST_SPACES) for _ in range(6)]
+    item = gaps[0] + sign + gaps[1] + str(abs(value)) + gaps[2]
+    count = rng.randint(0, 4)
+    if count:
+        item = gaps[3] + rng.choice(["", "0", "00"]) + str(count) + gaps[4] + "(" + item + ")"
+    return item + gaps[5], max(count, 1)
+
+
+# drawn whole, one draw per item, which keeps long lists cheap
+_VALID_ITEM_LISTS = st.lists(
+    st.sampled_from([_valid_item(random.Random(seed)) for seed in range(2000)]), min_size=1, max_size=12
+)
+
+
+@st.composite
+def valid_expressions(draw):
+    """A valid sum of 1 to 4 summands, and the span of each shift list, from
+    just after its '(' to its ')'."""
+    space = st.sampled_from(_LIST_SPACES)
+    text, spans = "", []
+    for k in range(draw(st.integers(1, 4))):
+        items = draw(_VALID_ITEM_LISTS)
+        base = draw(st.sampled_from(["K", "K[x^3]", "K [ x ^ 1 ]"]))
+        text += (draw(space) + "(+)" + draw(space)) if k else ""
+        text += f"M{sum(count for _, count in items)}({base}){draw(space)}("
+        body = ",".join(item for item, _ in items)
+        spans.append((len(text), len(text) + len(body)))
+        text += body + ")"
+    return text + draw(space), spans
+
+
+_REPEATS = ",".join(f"{k}({k})" for k in range(1, 4001))
+
+
+@settings(max_examples=300)
+@given(valid_expressions())
+@example((f"M8002000(K)({_REPEATS})", [(12, 12 + len(_REPEATS))]))
+def test_valid_shift_lists_skip_the_token_cursor(case):
+    # one reader for valid text: the token cursor reads headers and '(+)' only
+    text, spans = case
+    cursor = _RecordingCursor()
+    with mock.patch.object(parsing, "_TOKEN_RE", cursor):
+        total = parse_algebra(text)
+    want = naive_parse_algebra(text)
+    assert total == want and [a.runs for a in total.summands] == [a.runs for a in want.summands]
+    assert not [pos for pos in cursor.positions for start, close in spans if start <= pos <= close]
 
 
 def test_equal_neighbours_merge_across_stretches():
+    # plain items, repeat items and '- 5' in one list merge into one run per value
     assert parse_algebra("M6(K)(5,5,2(5),5,5)").summands[0].runs == ((5, 6),)
     assert parse_algebra("M7(K)(1,5,2(5),5, - 5,-5)").summands[0].runs == ((1, 1), (5, 4), (-5, 2))
