@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, repeat, starmap
-from operator import index, itemgetter, sub
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import index, lt, ne, sub
 from typing import Union
 
 from .errors import InvalidStepError, NotIsomorphicError
@@ -32,7 +32,6 @@ from .errors import InvalidStepError, NotIsomorphicError
 _MAX_DENSE_MULTS = 5_000_000
 # the one limit on anything that holds an object per shift or per path
 _MAX_LISTED = 1_000_000
-_SHIFT, _COUNT = itemgetter(0), itemgetter(1)  # of a run
 
 
 def _require_listable(n: int):
@@ -53,7 +52,8 @@ class GradedBase:
 
     @classmethod
     def trivial(cls) -> "GradedBase":
-        return cls(None)
+        """K; every call returns the same object, as the base is immutable."""
+        return _K
 
     @classmethod
     def laurent(cls, m: int) -> "GradedBase":
@@ -73,12 +73,28 @@ class GradedBase:
         return "K" if self.period is None else f"K[x^{self.period}]"
 
 
-@dataclass(frozen=True)
+_K = GradedBase(None)
+
+
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass cls holding `fields`, built
+    without running its constructor's checks."""
+    obj = cls.__new__(cls)
+    vars(obj).update(fields)
+    return obj
+
+
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class ShiftedMatrixAlgebra:
     """M_n(base) with suspension shifts g_1..g_n attached to the rows, held
-    as ordered runs (shift, count) like the expression syntax count(shift).
-    Runs are normalised (positive counts, adjacent shifts distinct), so
-    equality is that of the shift lists; n is the sum of the counts.
+    as runs like the expression syntax count(shift): two parallel int
+    columns, each run's shift and its count.  Runs are normalised (positive
+    counts, adjacent shifts distinct), so equality is that of the shift
+    lists; n is the sum of the counts.
+
+    The constructor takes (shift, count) pairs, and `runs` lists them again
+    on each call; no library pass reads it.  Equality, hashing, repr and
+    pickling are those of the pair (base, runs).
 
     >>> a = ShiftedMatrixAlgebra(GradedBase.trivial(), [(0, 1), (2, 2), (2, 1)])
     >>> a.runs, a.n, a.shifts, str(a)
@@ -88,72 +104,125 @@ class ShiftedMatrixAlgebra:
     """
 
     base: GradedBase
-    runs: tuple[tuple[int, int], ...]
-    n: int = field(init=False, repr=False, compare=False)
+    n: int
 
-    def __post_init__(self):
-        runs: list[tuple[int, int]] = []
-        for shift, count in self.runs:
+    def __init__(self, base: GradedBase, runs: Iterable[tuple[int, int]]):
+        shifts: list[int] = []
+        counts: list[int] = []
+        for shift, count in runs:
             if count < 1:
                 raise ValueError("every run needs a positive count")
-            if runs and runs[-1][0] == shift:
-                count += runs.pop()[1]
-            runs.append((shift, count))
-        if not runs:
+            shifts.append(shift)
+            counts.append(count)
+        if not shifts:
             raise ValueError("an algebra needs at least one run")
-        object.__setattr__(self, "runs", tuple(runs))
-        object.__setattr__(self, "n", sum(map(_COUNT, runs)))
+        shifts, counts = _merged(shifts, counts)
+        vars(self).update(base=base, n=sum(counts), _run_shifts=shifts, _run_counts=counts)
 
     @classmethod
-    def _from_normalised(cls, base: GradedBase, runs: tuple, n: int) -> "ShiftedMatrixAlgebra":
-        """Skip the checks of __post_init__ for runs built normalised, totalling n."""
+    def _from_normalised(cls, base: GradedBase, shifts: tuple, counts: tuple, n: int) -> "ShiftedMatrixAlgebra":
+        """Skip every check: the run columns are built normalised, their
+        counts totalling n."""
         algebra = cls.__new__(cls)
-        vars(algebra).update(base=base, runs=runs, n=n)
+        vars(algebra).update(base=base, n=n, _run_shifts=shifts, _run_counts=counts)
         return algebra
 
     @classmethod
+    def _from_columns(cls, base: GradedBase, shifts: Sequence[int], counts: Sequence[int]) -> "ShiftedMatrixAlgebra":
+        """From a nonempty shift column and its column of positive counts,
+        equal neighbouring shifts merged into one run."""
+        shifts, counts = _merged(shifts, counts)
+        return cls._from_normalised(base, shifts, counts, sum(counts))
+
+    @classmethod
     def from_shifts(cls, base: GradedBase, shifts: Iterable[int]) -> "ShiftedMatrixAlgebra":
-        return cls(base, tuple(zip(shifts, repeat(1))))
+        return cls(base, zip(shifts, repeat(1)))
+
+    @property
+    def runs(self) -> tuple[tuple[int, int], ...]:
+        """The (shift, count) pair of each run."""
+        return tuple(zip(self._run_shifts, self._run_counts))
 
     @cached_property
     def shifts(self) -> tuple[int, ...]:
         """The shift list; raises ValueError past 1,000,000 shifts."""
         _require_listable(self.n)
-        if self.n == len(self.runs):  # every run is a single shift
-            return tuple(map(_SHIFT, self.runs))
-        return tuple(chain.from_iterable(starmap(repeat, self.runs)))
+        if self.n == len(self._run_shifts):  # every run is a single shift
+            return self._run_shifts
+        return tuple(chain.from_iterable(map(repeat, self._run_shifts, self._run_counts)))
 
     @cached_property
-    def _class_form(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """The sparse invariant of the graded isomorphism class, as (start, pairs),
-        computed once per algebra.
+    def _class_form(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """The sparse invariant of the graded isomorphism class as (start,
+        keys, counts), two parallel int columns, computed once per algebra.
 
-        Over K: start is the least shift, pairs the sorted (shift - start, count).
-        Over K[x^m]: each occupied residue is encoded as (-gap from the previous
-        occupied residue, count); pairs is the least rotation of that sequence,
-        which orders like the least rotation of the dense residue counts, and
-        start is the residue where its leading gap begins.
+        Over K: start is the least shift, keys the distinct shifts minus
+        start in increasing order and counts their multiplicities.  Over
+        K[x^m]: each occupied residue is encoded as -gap from the previous
+        occupied residue and its count; the columns are the least rotation
+        of that sequence of pairs, which orders like the least rotation of
+        the dense residue counts, and start is the residue where its leading
+        gap begins.
         """
-        m, runs = self.base.period, self.runs
-        # one count per run, then the extra count of each run longer than one
-        counts = Counter(map(_SHIFT, runs) if m is None else [s % m for s, _ in runs])
-        if self.n > len(runs):
-            for s, count in compress(runs, map((1).__lt__, map(_COUNT, runs))):
-                counts[s if m is None else s % m] += count - 1
-        keys = sorted(counts)
+        m, shifts, counts = self.base.period, self._run_shifts, self._run_counts
+        if m is None and all(map(lt, shifts, islice(shifts, 1, None))):
+            # increasing runs, as every represented summand has: no tally
+            start = shifts[0]
+            return start, shifts if start == 0 else tuple(map(start.__rsub__, shifts)), counts
+        keys = shifts if m is None else [s % m for s in shifts]
+        tally = Counter(keys)  # one count per run, then each longer run's extra count
+        if self.n > len(keys):
+            for key, count in zip(keys, counts):
+                if count > 1:
+                    tally[key] += count - 1
+        keys = sorted(tally)
         if m is None:
-            return keys[0], tuple(zip(map(keys[0].__rsub__, keys), map(counts.__getitem__, keys)))
-        encoded = _gap_encoding(keys, counts, m)
-        r = least_rotation_index(encoded)
-        return (keys[r - 1] + 1) % m, tuple(encoded[r:] + encoded[:r])
+            return keys[0], tuple(map(keys[0].__rsub__, keys)), tuple(map(tally.__getitem__, keys))
+        gaps, counts = _neg_gaps(keys, m), list(map(tally.__getitem__, keys))
+        # the rotation compares (-gap, count) pairs, one per occupied residue
+        r = least_rotation_index(list(zip(gaps, counts))) if len(keys) > 1 else 0
+        return (keys[r - 1] + 1) % m, tuple(gaps[r:] + gaps[:r]), tuple(counts[r:] + counts[:r])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.base, self._run_shifts, self._run_counts) == (other.base, other._run_shifts, other._run_counts)
+
+    def __hash__(self):
+        return hash((self.base, self.runs))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(base={self.base!r}, runs={self.runs!r})"
 
     def __getstate__(self):
-        # pickle the fields only, not what the cached properties hold
+        # the fields only, not what the cached properties hold
         return {"base": self.base, "runs": self.runs, "n": self.n}
 
+    def __setstate__(self, state):
+        shifts, counts = zip(*state["runs"])
+        vars(self).update(base=state["base"], n=state["n"], _run_shifts=shifts, _run_counts=counts)
+
     def __str__(self):
-        items = self.shifts if self.n <= _MAX_LISTED else (f"{c}({s})" for s, c in self.runs)
+        if self.n <= _MAX_LISTED:
+            items = self.shifts
+        else:
+            items = map("{1}({0})".format, self._run_shifts, self._run_counts)
         return f"M{self.n}({self.base})({','.join(map(str, items))})"
+
+
+def _merged(shifts: Sequence[int], counts: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Run columns from a nonempty shift column and its column of positive
+    counts: equal neighbouring shifts merged into one run."""
+    if all(map(ne, islice(shifts, 1, None), shifts)):
+        return tuple(shifts), tuple(counts)
+    merged_shifts, merged_counts = [shifts[0]], [counts[0]]
+    for shift, count in zip(islice(shifts, 1, None), islice(counts, 1, None)):
+        if shift == merged_shifts[-1]:
+            merged_counts[-1] += count
+        else:
+            merged_shifts.append(shift)
+            merged_counts.append(count)
+    return tuple(merged_shifts), tuple(merged_counts)
 
 
 @dataclass(frozen=True)
@@ -215,7 +284,7 @@ class CyclicForm:
         # the dense vector is at its least rotation iff it ends in a nonzero count
         # and its gap encoding, from its first occupied residue, is at its own
         occupied = [r for r, c in enumerate(self.mults) if c]
-        encoded = _gap_encoding(occupied, self.mults, self.period)
+        encoded = list(zip(_neg_gaps(occupied, self.period), map(self.mults.__getitem__, occupied)))
         r = least_rotation_index(encoded)
         if self.mults[-1] == 0 or encoded[r:] + encoded[:r] != encoded:
             raise ValueError("mults must be stored at their least rotation")
@@ -267,23 +336,20 @@ def least_rotation_index(seq: Sequence) -> int:
     return k
 
 
-def _gap_encoding(occupied: list[int], counts, m: int) -> list[tuple[int, int]]:
-    """(-gap from the previous occupied residue, count) for each residue in
+def _neg_gaps(occupied: list[int], m: int) -> list[int]:
+    """Minus the gap from the previous occupied residue, for each residue in
     the ascending list `occupied`, cyclically modulo m."""
-    return [(previous - r, counts[r]) for previous, r in zip([occupied[-1] - m] + occupied, occupied)]
+    return list(map(sub, [occupied[-1] - m, *occupied], occupied))
 
 
-def _nonzero_mults(a: ShiftedMatrixAlgebra) -> list[tuple[int, int]]:
-    """(position, count) for each nonzero entry of a's canonical multiplicity
-    vector, in increasing position."""
-    pairs = a._class_form[1]
+def _nonzero_mults(a: ShiftedMatrixAlgebra) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The positions of the nonzero entries of a's canonical multiplicity
+    vector, increasing, and those entries: two parallel columns."""
+    _, keys, counts = a._class_form
     if a.base.is_trivial:
-        return list(pairs)
-    out, position = [], -1
-    for neg_gap, count in pairs:
-        position -= neg_gap
-        out.append((position, count))
-    return out
+        return keys, counts
+    # each key is minus the gap from the previous position, starting at -1
+    return tuple(accumulate(keys, sub, initial=-1))[1:], counts
 
 
 def canonical_form(a: ShiftedMatrixAlgebra) -> CanonicalForm:
@@ -299,15 +365,20 @@ def canonical_form(a: ShiftedMatrixAlgebra) -> CanonicalForm:
     'cyclic m=2 mults=(1,2)'
     """
     trivial = a.base.is_trivial
-    nonzero = _nonzero_mults(a)
-    size = nonzero[-1][0] + 1 if trivial else a.base.period
+    positions, counts = _nonzero_mults(a)
+    size = positions[-1] + 1 if trivial else a.base.period
     if size > _MAX_DENSE_MULTS:
         what = "shift spread" if trivial else "period"
         raise ValueError(f"{what} too large to materialize a multiplicity vector")
-    counts = [0] * size
-    for position, count in nonzero:
-        counts[position] = count
-    return TrivialForm(size - 1, tuple(counts)) if trivial else CyclicForm(size, tuple(counts))
+    if len(counts) < size:  # some entry is zero
+        dense = [0] * size
+        for position, count in zip(positions, counts):
+            dense[position] = count
+        counts = tuple(dense)
+    # the class form makes a valid form, so its checks are skipped
+    if trivial:
+        return _unchecked(TrivialForm, k=size - 1, mults=counts)
+    return _unchecked(CyclicForm, period=size, mults=counts)
 
 
 # --- certificate steps ---
@@ -491,7 +562,7 @@ def apply_certificate(shifts: Sequence[int], steps: Iterable[Step], base: Graded
 def is_graded_isomorphic(a: ShiftedMatrixAlgebra, b: ShiftedMatrixAlgebra) -> bool:
     """True iff the two algebras are graded isomorphic: same base, same size
     and same sparse class form."""
-    return summand_key(a) == summand_key(b)
+    return _class_key(a) == _class_key(b)
 
 
 def _matching_image(source: Sequence[int], target: Sequence[int]) -> tuple[int, ...]:
@@ -516,8 +587,8 @@ def iso_certificate(a: ShiftedMatrixAlgebra, b: ShiftedMatrixAlgebra) -> Sequenc
     The sequence is read-only and equals the list of its steps; its
     EntryShifts are held as one run of index and delta columns.
     """
-    (start_a, pairs_a), (start_b, pairs_b) = a._class_form, b._class_form
-    if (a.base, a.n, pairs_a) != (b.base, b.n, pairs_b):
+    (start_a, *form_a), (start_b, *form_b) = a._class_form, b._class_form
+    if (a.base, a.n, form_a) != (b.base, b.n, form_b):
         raise NotIsomorphicError(f"{a} and {b} are not graded isomorphic")
     m = a.base.period
     delta = start_b - start_a if m is None else (start_b - start_a) % m
@@ -541,12 +612,20 @@ def iso_certificate(a: ShiftedMatrixAlgebra, b: ShiftedMatrixAlgebra) -> Sequenc
 
 def summand_key(a: ShiftedMatrixAlgebra):
     """A total-order key constant on graded isomorphism classes:
-    (period or 0, n, the class form's pairs)."""
-    return (a.base.period or 0, a.n, a._class_form[1])
+    (period or 0, n, the class form's (key, count) pairs)."""
+    _, keys, counts = a._class_form
+    return (a.base.period or 0, a.n, tuple(zip(keys, counts)))
+
+
+def _class_key(a: ShiftedMatrixAlgebra):
+    """summand_key with the class form's columns in place of its pairs:
+    equal on the same classes, and built without a pair per key."""
+    _, keys, counts = a._class_form
+    return (a.base.period or 0, a.n, keys, counts)
 
 
 def direct_sum_iso(r: DirectSumAlgebra, s: DirectSumAlgebra) -> bool:
     """Graded isomorphism of direct sums: match summands up to reordering."""
     if len(r.summands) != len(s.summands):
         return False
-    return sorted(map(summand_key, r.summands)) == sorted(map(summand_key, s.summands))
+    return sorted(map(_class_key, r.summands)) == sorted(map(_class_key, s.summands))

@@ -194,9 +194,9 @@ def _form_text(a) -> str:
     try:
         return str(canonical_form(a))
     except ValueError:
-        nonzero = _nonzero_mults(a)
-        head = f"trivial k={nonzero[-1][0]}" if a.base.is_trivial else f"cyclic m={a.base.period}"
-        return f"{head} mults={{{','.join(f'{p}:{c}' for p, c in nonzero)}}}"
+        positions, counts = _nonzero_mults(a)
+        head = f"trivial k={positions[-1]}" if a.base.is_trivial else f"cyclic m={a.base.period}"
+        return f"{head} mults={{{','.join(map('{}:{}'.format, positions, counts))}}}"
 
 
 def cmd_verify_cert(args) -> Report:

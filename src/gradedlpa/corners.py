@@ -10,10 +10,10 @@ realizable on its own.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import Iterable
 
-from .algebras import _COUNT, DirectSumAlgebra, ShiftedMatrixAlgebra
+from .algebras import DirectSumAlgebra, ShiftedMatrixAlgebra
 from .errors import (
     EmptyIndexSetError,
     IndexOutOfRangeError,
@@ -34,15 +34,18 @@ def corner_by_indices(a: ShiftedMatrixAlgebra, idx: Iterable[int]) -> ShiftedMat
         bad = chosen[0] if chosen[0] < 1 else chosen[-1]
         raise IndexOutOfRangeError(f"index {bad} out of range 1..{a.n}")
     # run j holds the indices up to ends[j]
-    ends = list(accumulate(count for _, count in a.runs))
-    return ShiftedMatrixAlgebra(a.base, [(a.runs[bisect_left(ends, i)][0], 1) for i in chosen])
+    ends = list(accumulate(a._run_counts))
+    shifts = [a._run_shifts[bisect_left(ends, i)] for i in chosen]
+    return ShiftedMatrixAlgebra._from_columns(a.base, shifts, [1] * len(shifts))
 
 
 def corner_by_vertices(g: DirectedGraph, vs: Iterable[str]) -> DirectSumAlgebra:
     """The corner of the represented algebra of g at the idempotent sum of vs.
 
     Keeps, in each summand, the path indices whose source lies in vs; summands
-    left with no paths are dropped.
+    left with no paths are dropped.  Each summand's length and count columns
+    are compressed by a membership map over its source column, and equal
+    neighbouring lengths merge into one run.
 
     >>> line = DirectedGraph.from_edges([("u", "v"), ("v", "w")])
     >>> str(corner_by_vertices(line, ["u", "w"]))
@@ -50,19 +53,21 @@ def corner_by_vertices(g: DirectedGraph, vs: Iterable[str]) -> DirectSumAlgebra:
     """
     chosen = set(vs)
     tables = _summand_counts(g, {})
-    unknown = chosen - set(g.vertices)
+    unknown = chosen.difference(g._id_of)
     if unknown:
         raise UnknownVertexError(f"unknown vertices: {sorted(unknown)}")
     summands = []
-    for cycle, _, table in tables:
-        runs = [(length, count) for length, source, count in table if source in chosen]
-        if not runs:
+    for cycle, _, (lengths, sources, counts) in tables:
+        kept = list(map(chosen.__contains__, sources))
+        kept_counts = tuple(compress(counts, kept))
+        if not kept_counts:
             continue
-        if len(table) == table[-1][0] + 1:
+        shifts = tuple(compress(lengths, kept))
+        if len(lengths) == lengths[-1] + 1:
             # one row per level: the kept rows have distinct lengths, so each is a run
-            summands.append(ShiftedMatrixAlgebra._from_normalised(_base(cycle), tuple(runs), sum(map(_COUNT, runs))))
+            summands.append(ShiftedMatrixAlgebra._from_normalised(_base(cycle), shifts, kept_counts, sum(kept_counts)))
         else:
-            summands.append(ShiftedMatrixAlgebra(_base(cycle), runs))
+            summands.append(ShiftedMatrixAlgebra._from_columns(_base(cycle), shifts, kept_counts))
     if not summands:
         raise ZeroCornerError("no path in any summand starts in the chosen vertex set")
     return DirectSumAlgebra(tuple(summands))

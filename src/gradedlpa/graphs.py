@@ -184,8 +184,8 @@ class DirectedGraph:
         """(cycle, vertex, table) per summand at default base vertices, counted
         once per graph; _summand_counts, which checks the graph first, reads it."""
         _, _, sinks, cycles = self._analysis
-        out = [(None, sink, tuple(_path_counts(self, sink))) for sink in sinks]
-        out += [(c, c.vertices[0], tuple(_path_counts(self, c.vertices[0], c))) for c in cycles]
+        out = [(None, sink, _path_counts(self, sink)) for sink in sinks]
+        out += [(c, c.vertices[0], _path_counts(self, c.vertices[0], c)) for c in cycles]
         return tuple(out)
 
     def require_vertex(self, v: str) -> int:
@@ -455,32 +455,38 @@ def classify(g: DirectedGraph) -> GraphClassification:
 def _path_counts(g: DirectedGraph, end: str, cycle: CycleDescriptor | None = None):
     """The paths of g ending at `end`, counted per (length, source).
 
-    Returns (length, source, count) triples ascending by length, then source.
-    With `cycle`, counts only the paths not containing it: those never extend
-    backward through `end`.  A dynamic program over reversed edges: each level
-    maps a vertex to its number of paths of that length, and an in-edge adds
-    that number once, so parallel edges count once per path.  Raises
-    NotNoExitError when a path outgrows the no-exit bound.
+    Returns three parallel columns, ascending by length, then source: the
+    lengths, the source names and the counts.  With `cycle`, counts only the
+    paths not containing it: those never extend backward through `end`.  A
+    dynamic program over reversed edges: each level maps a vertex to its
+    number of paths of that length, and an in-edge adds that number once, so
+    parallel edges count once per path.  Raises NotNoExitError when a path
+    outgrows the no-exit bound.
 
     Costs one row per (vertex, length) pair, not one per path, and one dict
     per level only at a branch point: along a chain, where a level's one
     vertex has one in-edge, the walk steps to that edge's source with the
-    same count and builds neither a dict nor a sort.  A long line thus costs
-    one row per vertex and nothing more.
+    same count and appends only its id; the chain's lengths and counts are
+    filled in at its end, and the ids are named once, at the end.  A long
+    line thus costs one id per vertex and nothing more.
 
     A chain of two diamonds x -> {p, q} -> y -> {r, s} -> z:
 
     >>> g = DirectedGraph.from_edges([("x", "p"), ("x", "q"), ("p", "y"), ("q", "y"),
     ...                               ("y", "r"), ("y", "s"), ("r", "z"), ("s", "z")])
-    >>> _path_counts(g, "z")
-    [(0, 'z', 1), (1, 'r', 1), (1, 's', 1), (2, 'y', 2), (3, 'p', 2), (3, 'q', 2), (4, 'x', 4)]
+    >>> lengths, sources, counts = _path_counts(g, "z")
+    >>> lengths, sources, counts
+    ((0, 1, 1, 2, 3, 3, 4), ('z', 'r', 's', 'y', 'p', 'q', 'x'), (1, 1, 1, 2, 2, 2, 4))
     """
     names, id_of, pred = g.vertices, g._id_of, g._index.pred
     blocked = -1 if cycle is None else id_of[end]
     # no cycle vertex reaches a sink in a no-exit graph, and a path avoiding a
     # cycle enters it at most once, so every counted path is shorter than this
     bound = len(names) + (0 if cycle is None else cycle.length)
-    table: list[tuple[int, str, int]] = []
+    lengths: list[int] = []
+    ids: list[int] = []
+    counts: list[int] = []
+    add_id = ids.append
     level = {id_of[end]: 1}
     length = 0
     while level:
@@ -488,19 +494,24 @@ def _path_counts(g: DirectedGraph, end: str, cycle: CycleDescriptor | None = Non
             raise NotNoExitError("path enumeration did not terminate; graph is not no-exit")
         if len(level) > 1:
             # rows in source order
-            for v in sorted(level, key=names.__getitem__):
-                table.append((length, names[v], level[v]))
+            row_ids = sorted(level, key=names.__getitem__)
+            ids += row_ids
+            counts += map(level.__getitem__, row_ids)
+            lengths += [length] * len(row_ids)
             length += 1
         else:
             # a chain of one-vertex levels, up to a branch point or the bound
             [(v, count)] = level.items()
+            first = length
             while True:
-                table.append((length, names[v], count))
+                add_id(v)
                 length += 1
                 ps = pred[v]
                 if len(ps) != 1 or ps[0] == blocked or length >= bound:
                     break
                 v = ps[0]
+            lengths += range(first, length)
+            counts += [count] * (length - first)
             level = {v: count}
         nxt: dict[int, int] = {}
         for v, count in level.items():
@@ -508,14 +519,15 @@ def _path_counts(g: DirectedGraph, end: str, cycle: CycleDescriptor | None = Non
                 if u != blocked:
                     nxt[u] = nxt.get(u, 0) + count
         level = nxt
-    return table
+    return tuple(lengths), tuple(map(names.__getitem__, ids)), tuple(counts)
 
 
 def _expand(table) -> list[tuple[str, int]]:
-    """One (source, length) pair per path counted in a _path_counts table."""
-    _require_listable(sum(count for _, _, count in table))
+    """One (source, length) pair per path counted in _path_counts columns."""
+    lengths, sources, counts = table
+    _require_listable(sum(counts))
     paths: list[tuple[str, int]] = []
-    for length, source, count in table:
+    for length, source, count in zip(lengths, sources, counts):
         paths += [(source, length)] * count
     return paths
 
@@ -523,22 +535,25 @@ def _expand(table) -> list[tuple[str, int]]:
 def _summand_counts(g: DirectedGraph, base_choice: Mapping[CycleDescriptor, str]):
     """The path counts behind each summand of g's representation.
 
-    Returns (cycle, vertex, table) per summand: sinks first, with cycle None
-    and the sink as vertex, then cycles, with their base vertex from
-    `base_choice` or else their smallest vertex.  Raises EmptyGraphError,
+    Returns (cycle, vertex, table) per summand, each table the three
+    _path_counts columns: sinks first, with cycle None and the sink as
+    vertex, then cycles, with their base vertex from `base_choice` or else
+    their smallest vertex.  Raises EmptyGraphError,
     NotNoExitError, ValueError for a choice keyed by a foreign cycle, then
     VertexNotOnCycleError, in that order.
     """
     if not g.vertices:
         raise EmptyGraphError("the graph has no vertices")
     _require_no_exit(g)
+    # the tables at default bases are shared; only a moved base counts anew
+    out = list(g._default_counts)
+    if not base_choice:  # no cycle to hash
+        return out
     known = set(g._analysis.cycles)
     for key in base_choice:
         if key not in known:
             raise ValueError(f"base choice keyed by a cycle not in this graph: {key}")
-    # the tables at default bases are shared; only a moved base counts anew
-    # (a sink's cycle is None, never a key)
-    out = list(g._default_counts)
+    # a sink's cycle is None, never a key
     for pos, (cycle, vertex, _) in enumerate(out):
         base = base_choice.get(cycle, vertex)
         if base != vertex:

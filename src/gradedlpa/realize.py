@@ -43,6 +43,9 @@ class Verdict:
         return "yes" if self.ok else f"no: {self.reason}"
 
 
+_YES = Verdict(True)
+
+
 @dataclass(frozen=True)
 class SumVerdict:
     """Outcome for a direct sum; failures list (1-based summand, verdict)."""
@@ -72,26 +75,22 @@ def is_realizable(a: ShiftedMatrixAlgebra) -> Verdict:
     >>> print(is_realizable(ShiftedMatrixAlgebra(GradedBase.laurent(3), [(0, 10**30), (4, 1)])))
     no: l_2 = 0: no path of length = 2 (mod 3)
     """
-    if a.base.is_trivial:
-        # (reduced shift, count) pairs in increasing order, starting at 0
-        pairs = a._class_form[1]
-        if pairs[0][1] != 1:
-            return Verdict(
-                False, 0, f"l_0 = {pairs[0][1]}, but only the trivial path has length 0"
-            )
-        for (previous, _), (value, _) in zip(pairs, pairs[1:]):
-            if value > previous + 1:
-                return Verdict(
-                    False,
-                    previous + 1,
-                    f"l_{previous + 1} = 0: a path of length {value} to the sink"
-                    f" forces one of length {previous + 1}",
-                )
-        return Verdict(True)
+    _, keys, counts = a._class_form
     m = a.base.period
-    present = {s % m for s, _ in a.runs}
-    if len(present) == m:
-        return Verdict(True)
+    if m is None:
+        # keys: the distinct reduced shifts, increasing from 0
+        if counts[0] != 1:
+            return Verdict(False, 0, f"l_0 = {counts[0]}, but only the trivial path has length 0")
+        if keys[-1] == len(keys) - 1:  # no gap
+            return _YES
+        gap = next(i for i, key in enumerate(keys) if key != i)
+        return Verdict(
+            False, gap, f"l_{gap} = 0: a path of length {keys[gap]} to the sink forces one of length {gap}"
+        )
+    # one key per occupied residue
+    if len(keys) == m:
+        return _YES
+    present = set(map(m.__rmod__, a._run_shifts))
     missing = next(i for i in range(m) if i not in present)
     return Verdict(
         False, missing, f"l_{missing} = 0: no path of length = {missing} (mod {m})"

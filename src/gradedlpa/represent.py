@@ -13,17 +13,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .algebras import _COUNT, DirectSumAlgebra, GradedBase, ShiftedMatrixAlgebra
+from .algebras import DirectSumAlgebra, GradedBase, ShiftedMatrixAlgebra
 from .graphs import CycleDescriptor, DirectedGraph, _expand, _summand_counts
 
 
 class _CountedPaths:
-    """Paths kept as _path_counts rows (length, source, count)."""
+    """Paths kept as the three _path_counts columns, ascending by length,
+    then source: lengths, source names and counts.  `rows` and `paths` are
+    built on each call, for callers that list them; no library pass reads
+    them."""
+
+    @property
+    def rows(self) -> tuple[tuple[int, str, int], ...]:
+        """One (length, source, count) row per (length, source) pair."""
+        return tuple(zip(self.lengths, self.sources, self.counts))
 
     @property
     def paths(self) -> tuple[tuple[str, int], ...]:
         """One (source, length) pair per path; raises ValueError past 1,000,000."""
-        return tuple(_expand(self.rows))
+        return tuple(_expand((self.lengths, self.sources, self.counts)))
 
 
 @dataclass(frozen=True)
@@ -31,7 +39,9 @@ class SinkSummand(_CountedPaths):
     """Provenance of one summand over K: the sink and its incoming paths."""
 
     sink: str
-    rows: tuple[tuple[int, str, int], ...]
+    lengths: tuple[int, ...]
+    sources: tuple[str, ...]
+    counts: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -41,7 +51,9 @@ class CycleSummand(_CountedPaths):
 
     cycle: CycleDescriptor
     base_vertex: str
-    rows: tuple[tuple[int, str, int], ...]
+    lengths: tuple[int, ...]
+    sources: tuple[str, ...]
+    counts: tuple[int, ...]
 
 
 Provenance = Union[SinkSummand, CycleSummand]
@@ -82,9 +94,8 @@ def represent_at(
     summands: list[ShiftedMatrixAlgebra] = []
     provenance: list[Provenance] = []
     for cycle, vertex, table in _summand_counts(g, base_choice):
-        rows = tuple(table)
-        summands.append(_level_algebra(cycle, rows))
-        provenance.append(SinkSummand(vertex, rows) if cycle is None else CycleSummand(cycle, vertex, rows))
+        summands.append(_level_algebra(cycle, table))
+        provenance.append(SinkSummand(vertex, *table) if cycle is None else CycleSummand(cycle, vertex, *table))
     return RepresentationReport(DirectSumAlgebra(tuple(summands)), tuple(provenance))
 
 
@@ -94,14 +105,14 @@ def _base(cycle: CycleDescriptor | None) -> GradedBase:
 
 
 def _level_algebra(cycle: CycleDescriptor | None, table) -> ShiftedMatrixAlgebra:
-    """The summand of a _path_counts table, one run per level: the levels'
+    """The summand of _path_counts columns, one run per level: the levels'
     lengths run over 0..L and each count is positive, so the runs need no
     normalising pass."""
-    last = table[-1][0]
-    if len(table) == last + 1:  # one row per level, so each row is a run
-        runs = tuple([(length, count) for length, _, count in table])
-        return ShiftedMatrixAlgebra._from_normalised(_base(cycle), runs, sum(map(_COUNT, runs)))
-    counts = [0] * (last + 1)
-    for length, _, count in table:
-        counts[length] += count
-    return ShiftedMatrixAlgebra._from_normalised(_base(cycle), tuple(zip(range(last + 1), counts)), sum(counts))
+    lengths, _, counts = table
+    last = lengths[-1]
+    if len(lengths) == last + 1:  # one row per level: the columns are the runs
+        return ShiftedMatrixAlgebra._from_normalised(_base(cycle), lengths, counts, sum(counts))
+    per_level = [0] * (last + 1)
+    for length, count in zip(lengths, counts):
+        per_level[length] += count
+    return ShiftedMatrixAlgebra._from_normalised(_base(cycle), tuple(range(last + 1)), tuple(per_level), sum(per_level))

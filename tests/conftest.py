@@ -656,7 +656,7 @@ def naive_parse_algebra(text: str) -> DirectSumAlgebra:
         expect(")")
         if total != n:
             fail(f"summand declares n={n} but lists {total} shifts", list_pos)
-        return ShiftedMatrixAlgebra._from_normalised(base, tuple(runs), n)
+        return ShiftedMatrixAlgebra(base, runs)
 
     advance()
     summands = [summand()]

@@ -561,7 +561,9 @@ def test_runs_agree_with_expanded_shifts(base, runs, idx):
     assert a._class_form == b._class_form
     if base.is_trivial:
         low = min(shifts)
-        assert a._class_form == (low, tuple((s - low, shifts.count(s)) for s in sorted(set(shifts))))
+        start, keys, counts = a._class_form
+        pairs = tuple(zip(keys, counts, strict=True))
+        assert (start, pairs) == (low, tuple((s - low, shifts.count(s)) for s in sorted(set(shifts))))
     assert canonical_form(a) == canonical_form(b) == naive_canonical_form(b)
     mults = naive_canonical_form(b).mults
     realizable = all(mults) and (base.is_laurent or mults[0] == 1)
@@ -638,4 +640,7 @@ def test_cached_class_form_leaves_identity_alone():
             assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh) and str(a) == str(fresh)
             assert pickle.dumps(a) == before == pickle.dumps(fresh)
             loaded = pickle.loads(before)
-            assert loaded == a and hash(loaded) == hash(a) and sorted(vars(loaded)) == ["base", "n", "runs"]
+            assert loaded == a and hash(loaded) == hash(a) and loaded.runs == a.runs
+            # the pickle holds (base, runs, n) and loads into the run columns, no cached property
+            assert a.__getstate__() == {"base": a.base, "runs": a.runs, "n": a.n}
+            assert sorted(vars(loaded)) == ["_run_counts", "_run_shifts", "base", "n"]

@@ -27,6 +27,12 @@ from gradedlpa import (
 from gradedlpa.graphs import _path_counts, _scc_pass
 
 
+def _path_rows(g, end, cycle=None):
+    """The _path_counts columns zipped back into (length, source, count)
+    rows, as naive_path_counts lists them; the columns must be equally long."""
+    return list(zip(*_path_counts(g, end, cycle), strict=True))
+
+
 def _outcome(f, *args):
     try:
         return "ok", f(*args)
@@ -65,10 +71,10 @@ def _check(g, end, walks):
         assert cycles == brute_cycles(g)
     info = classify(g)
     assert info.cycles == tuple(cycles)
-    assert _outcome(_path_counts, g, end) == _outcome(naive_path_counts, g, end)
+    assert _outcome(_path_rows, g, end) == _outcome(naive_path_counts, g, end)
     for cycle in cycles:
         if end in cycle.vertices:
-            assert _outcome(_path_counts, g, end, cycle) == _outcome(naive_path_counts, g, end, cycle)
+            assert _outcome(_path_rows, g, end, cycle) == _outcome(naive_path_counts, g, end, cycle)
     if not info.no_exit:
         assert _outcome(represent, g) == _outcome(naive_summand_counts, g, {}, cycles)
         return
@@ -181,14 +187,14 @@ def _names(g, comps):
 def test_parallel_edges_count_twice_along_a_chain():
     # a -> b twice, then a line above a: every path through a doubles
     g = DirectedGraph.from_edges([("a", "b"), ("a", "b")] + [(f"u{i + 1}", f"u{i}") for i in range(5)] + [("u0", "a")])
-    assert _path_counts(g, "b") == [(0, "b", 1), (1, "a", 2)] + [(k + 2, f"u{k}", 2) for k in range(6)]
+    assert _path_rows(g, "b") == [(0, "b", 1), (1, "a", 2)] + [(k + 2, f"u{k}", 2) for k in range(6)]
     _check(g, "b", [])
 
 
 def test_line_of_300_with_a_branch_point():
     line = [(f"x{i + 1:03}", f"x{i:03}") for i in range(299)]
     g = DirectedGraph.from_edges(line + [("y", "x150"), ("x299", "x150")])
-    table = _path_counts(g, "x000")
+    table = _path_rows(g, "x000")
     # the level of three vertices, then one vertex a level again up the line
     assert [row for row in table if row[0] in (150, 151, 152)] == [
         (150, "x150", 1), (151, "x151", 1), (151, "x299", 1), (151, "y", 1), (152, "x152", 1)
@@ -203,14 +209,14 @@ def test_chain_into_a_blocked_cycle_base():
     # t3 -> t2 -> t1 -> c0, and the cycle c0 -> c1 -> c2 -> c0
     g = DirectedGraph.from_edges([("t3", "t2"), ("t2", "t1"), ("t1", "c0"), ("c0", "c1"), ("c1", "c2"), ("c2", "c0")])
     (cycle,) = classify(g).cycles
-    assert _path_counts(g, "c0", cycle) == [(0, "c0", 1), (1, "c2", 1), (1, "t1", 1), (2, "c1", 1), (2, "t2", 1), (3, "t3", 1)]
+    assert _path_rows(g, "c0", cycle) == [(0, "c0", 1), (1, "c2", 1), (1, "t1", 1), (2, "c1", 1), (2, "t2", 1), (3, "t3", 1)]
     # from c1 the chain runs back to the blocked base and stops there
-    assert _path_counts(g, "c1", cycle) == [(0, "c1", 1), (1, "c0", 1), (2, "c2", 1), (2, "t1", 1), (3, "t2", 1), (4, "t3", 1)]
+    assert _path_rows(g, "c1", cycle) == [(0, "c1", 1), (1, "c0", 1), (2, "c2", 1), (2, "t1", 1), (3, "t2", 1), (4, "t3", 1)]
     _check(g, "c0", [[3, 4, 5]])
     # a two-cycle alone: the chain steps once and reaches the base
     g = DirectedGraph.from_edges([("c0", "c1"), ("c1", "c0")])
     (cycle,) = classify(g).cycles
-    assert _path_counts(g, "c0", cycle) == [(0, "c0", 1), (1, "c1", 1)]
+    assert _path_rows(g, "c0", cycle) == [(0, "c0", 1), (1, "c1", 1)]
 
 
 def test_loop_above_a_sink_hits_the_bound():
@@ -219,7 +225,7 @@ def test_loop_above_a_sink_hits_the_bound():
     g = DirectedGraph.from_edges([("a", "a"), ("a", "b"), ("b", "c"), ("c", "s")])
     want = _outcome(naive_path_counts, g, "s")
     assert want[0] == NotNoExitError.__name__
-    assert _outcome(_path_counts, g, "s") == want
+    assert _outcome(_path_rows, g, "s") == want
     assert _outcome(paths_to_sink, g, "s") == ("NotNoExitError", "cycle vertex 'a' emits 2 edges")
     _check(g, "s", [[0]])
 

@@ -707,6 +707,16 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 1, column 2: expected a matrix size\n"
 
 
+def test_shift_total_past_the_digit_limit_exits_2(capsys):
+    # the listed shifts add up to a number of 4,301 digits: a ParseError at
+    # the shift list, in every command that reads an expression
+    text = f"M1(K)({'9' * 4300}(0),5)"
+    message = "line 1, column 7: summand declares n=1 but lists a number of shifts with more than 4300 digits"
+    for argv in (["canonical", text], ["--json", "canonical", text], ["realizable", text], ["iso", "M1(K)(0)", text]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("k", [19, 60])
 def test_represent_text_past_the_listing_limit_feeds_every_command(k, tmp_path, capsys):
     # past 1,000,000 shifts represent prints runs count(shift), which parse back

@@ -385,7 +385,7 @@ def test_path_counts_of_a_60_diamond_chain():
     # j0 -> {a1, b1} -> j1 -> ... -> j60: 2^62 - 3 paths end at j60, counted
     # in one table row per vertex
     k = 60
-    table = _path_counts(diamond_chain(k), f"j{k}")
+    table = _path_rows(diamond_chain(k), f"j{k}")
     assert len(table) == 3 * k + 1
     joins = {v: (length, count) for length, v, count in table if v.startswith("j")}
     assert joins == {f"j{i}": (2 * (k - i), 2 ** (k - i)) for i in range(k + 1)}
@@ -466,6 +466,12 @@ def named_multigraphs(draw):
     return DirectedGraph.from_edges([(names[a], names[b]) for a, b in pairs], isolated=names)
 
 
+def _path_rows(g, end, cycle=None):
+    """The _path_counts columns zipped back into (length, source, count)
+    rows, as naive_path_counts lists them; the columns must be equally long."""
+    return list(zip(*_path_counts(g, end, cycle), strict=True))
+
+
 def _outcome(f, *args):
     try:
         return "ok", f(*args)
@@ -511,10 +517,10 @@ def test_id_passes_match_definitions(g, data):
     # a no-exit graph's cycles are its cyclic components' one cycle each
     cycles = info.cycles if info.no_exit else ()
     for sink in info.sinks:
-        assert _outcome(_path_counts, g, sink) == _outcome(naive_path_counts, g, sink)
+        assert _outcome(_path_rows, g, sink) == _outcome(naive_path_counts, g, sink)
     for cycle in cycles:
         for base in cycle.vertices:
-            assert _path_counts(g, base, cycle) == naive_path_counts(g, base, cycle)
+            assert _path_rows(g, base, cycle) == naive_path_counts(g, base, cycle)
     # base choices: on the cycle, off it, or keyed by a foreign cycle; the
     # exit error names the least cycle vertex not emitting one edge
     choice = {}

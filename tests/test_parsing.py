@@ -200,6 +200,19 @@ def test_parse_algebra_long_numbers():
     assert str(parse_algebra(f"M{zeros}2(K[x^{zeros}3])({zeros}7,-{zeros}1)")) == "M2(K[x^3])(7,-1)"
 
 
+def test_shift_total_past_the_digit_limit():
+    # repeat counts that each convert can add up to a total with more digits
+    # than str() writes; the size error still names the shift list
+    nines = "9" * 4300
+    for text, column in [(f"M1(K)({nines}(0),5)", 7), (f"M2(K[x^3]) ( {nines}(1), {nines}(2))", 13)]:
+        with pytest.raises(ParseError) as err:
+            parse_algebra(text)
+        n = text[1]
+        message = f"summand declares n={n} but lists a number of shifts with more than 4300 digits"
+        assert str(err.value) == f"line 1, column {column}: {message}"
+        assert (err.value.line, err.value.column) == (1, column)
+
+
 def test_parse_error_position_in_algebra():
     # size, period and shift-count errors point just after 'M', '^' or '('
     for text, message in [
