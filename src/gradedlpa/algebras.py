@@ -180,7 +180,7 @@ class ShiftedMatrixAlgebra:
             return keys[0], tuple(map(keys[0].__rsub__, keys)), tuple(map(tally.__getitem__, keys))
         gaps, counts = _neg_gaps(keys, m), list(map(tally.__getitem__, keys))
         # the rotation compares (-gap, count) pairs, one per occupied residue
-        r = least_rotation_index(list(zip(gaps, counts))) if len(keys) > 1 else 0
+        r = _least_rotation_index(list(zip(gaps, counts))) if len(keys) > 1 else 0
         return (keys[r - 1] + 1) % m, tuple(gaps[r:] + gaps[:r]), tuple(counts[r:] + counts[:r])
 
     def __eq__(self, other):
@@ -285,7 +285,7 @@ class CyclicForm:
         # and its gap encoding, from its first occupied residue, is at its own
         occupied = [r for r, c in enumerate(self.mults) if c]
         encoded = list(zip(_neg_gaps(occupied, self.period), map(self.mults.__getitem__, occupied)))
-        r = least_rotation_index(encoded)
+        r = _least_rotation_index(encoded)
         if self.mults[-1] == 0 or encoded[r:] + encoded[:r] != encoded:
             raise ValueError("mults must be stored at their least rotation")
 
@@ -296,7 +296,7 @@ class CyclicForm:
 CanonicalForm = Union[TrivialForm, CyclicForm]
 
 
-def least_rotation_index(seq: Sequence) -> int:
+def _least_rotation_index(seq: Sequence) -> int:
     """Index of the first lexicographically least rotation of a sequence of
     mutually comparable items, such as ints or the (-gap, count) pairs of a
     class form.
@@ -304,11 +304,11 @@ def least_rotation_index(seq: Sequence) -> int:
     A least rotation starts at a least item, so when that item occurs once
     its index is the answer; otherwise Booth's algorithm finds it.
 
-    >>> least_rotation_index((2, 1))
+    >>> _least_rotation_index((2, 1))
     1
-    >>> least_rotation_index((1, 2))
+    >>> _least_rotation_index((1, 2))
     0
-    >>> least_rotation_index(((-3, 1), (-1, 2), (-3, 1), (-1, 1)))
+    >>> _least_rotation_index(((-3, 1), (-1, 2), (-3, 1), (-1, 1)))
     2
     """
     s = tuple(seq)
@@ -610,16 +610,9 @@ def iso_certificate(a: ShiftedMatrixAlgebra, b: ShiftedMatrixAlgebra) -> Sequenc
     return steps
 
 
-def summand_key(a: ShiftedMatrixAlgebra):
-    """A total-order key constant on graded isomorphism classes:
-    (period or 0, n, the class form's (key, count) pairs)."""
-    _, keys, counts = a._class_form
-    return (a.base.period or 0, a.n, tuple(zip(keys, counts)))
-
-
 def _class_key(a: ShiftedMatrixAlgebra):
-    """summand_key with the class form's columns in place of its pairs:
-    equal on the same classes, and built without a pair per key."""
+    """A total-order key constant on graded isomorphism classes, and equal
+    only within one: (period or 0, n, the class form's two columns)."""
     _, keys, counts = a._class_form
     return (a.base.period or 0, a.n, keys, counts)
 

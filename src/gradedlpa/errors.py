@@ -30,7 +30,8 @@ class EmptyGraphError(GraphError):
 
 
 class TooManyCyclesError(GraphError):
-    """Cycle enumeration exceeded its cap."""
+    """Cycle enumeration exceeded its cap: raised by find_cycles, and so by
+    classify on a graph that is not no-exit."""
 
 
 class AlgebraError(GradedLpaError):

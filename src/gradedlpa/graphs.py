@@ -48,9 +48,10 @@ class DirectedGraph:
     the graph passes use; per edge there is an edge id (_UNNAMED for an
     unnamed edge, whose id is e<position>), a source id and a range id.
     Names are sorted only where an output lists them.  `edges` (Edge tuples)
-    is built on first use, for callers that ask for Edge tuples; no library
-    pass, writer or CLI command builds it.
-    Equality, hashing and repr are those of the pair (vertices, edges).
+    is built on first use, for repr and for callers that ask for Edge
+    tuples; no library pass, writer, comparison or CLI command builds it.
+    Equality and hashing are those of the pair (vertices, edges), read off
+    the id columns; repr is that of the pair.
     """
 
     vertices: tuple[str, ...]
@@ -127,13 +128,20 @@ class DirectedGraph:
         eids = _named(self._eids) if _UNNAMED in self._eids else self._eids
         return eids, map(name, self._sources), map(name, self._ranges)
 
+    def _key(self) -> tuple:
+        """(vertices, edge ids with every unnamed edge's filled in, source
+        ids, range ids): equal exactly when (vertices, edges) are, since a
+        vertex name and its id determine each other."""
+        eids, _, _ = self._edge_columns()
+        return self.vertices, tuple(eids), tuple(self._sources), tuple(self._ranges)
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.vertices, self.edges) == (other.vertices, other.edges)
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.vertices, self.edges))
+        return hash(self._key())
 
     def __repr__(self):
         return f"{type(self).__qualname__}(vertices={self.vertices!r}, edges={self.edges!r})"
@@ -194,17 +202,6 @@ class DirectedGraph:
             return self._id_of[v]
         except KeyError:
             raise UnknownVertexError(f"unknown vertex {v!r}") from None
-
-    def out_edges(self, v: str) -> tuple[Edge, ...]:
-        """The edges out of v in edge order."""
-        return tuple(map(self.edges.__getitem__, self._index.out[self.require_vertex(v)]))
-
-    def in_edges(self, v: str) -> tuple[Edge, ...]:
-        """The edges into v in edge order: one scan of the range column."""
-        return tuple(compress(self.edges, map(self.require_vertex(v).__eq__, self._ranges)))
-
-    def out_degree(self, v: str) -> int:
-        return len(self._index.out[self.require_vertex(v)])
 
 
 def _named(eids: list) -> list:
@@ -284,7 +281,8 @@ def strongly_connected_components(g: DirectedGraph) -> list[tuple[str, ...]]:
     """The SCCs of g as sorted vertex tuples, ordered by their smallest vertex.
 
     Read off the one SCC pass (_analysis): its cyclic components, and every
-    other vertex as a component of its own.
+    other vertex as a component of its own.  No library pass calls it; it
+    stays public while the benchmark's tracer wraps it by name.
     """
     cyclic = g._analysis.cyclic_components
     on_cycle = set(chain.from_iterable(cyclic))
@@ -367,7 +365,7 @@ def _peel(out: list[list[int]], head: list[int], pred: list[list[int]]) -> list[
 def _require_no_exit(g: DirectedGraph):
     v = g._analysis.exit_vertex
     if v is not None:
-        raise NotNoExitError(f"cycle vertex {v!r} emits {g.out_degree(v)} edges")
+        raise NotNoExitError(f"cycle vertex {v!r} emits {len(g._index.out[g._id_of[v]])} edges")
 
 
 def find_cycles(g: DirectedGraph) -> list[CycleDescriptor]:
@@ -376,6 +374,8 @@ def find_cycles(g: DirectedGraph) -> list[CycleDescriptor]:
     Cyclic SCC by cyclic SCC, by least name, a depth-first search from each
     anchor in name order walks edge positions through vertices named >= the
     anchor.  Raises TooManyCyclesError past DEFAULT_CYCLE_CAP cycles.
+    classify lists the cycles of a graph that is not no-exit through it, and
+    the graph_families benchmark checks those counts on K_5 to K_7.
     """
     out, head = g._index.out, g._ranges
     walks: list[list[int]] = []  # each cycle's edge positions, named at the end
@@ -568,9 +568,9 @@ def paths_to_sink(g: DirectedGraph, sink: str) -> list[tuple[str, int]]:
     Includes the trivial path (sink, 0).  Sorted by length, then source name;
     parallel edges contribute one entry per path.
     """
-    g.require_vertex(sink)
+    v = g.require_vertex(sink)
     _require_no_exit(g)
-    if g.out_degree(sink):
+    if g._index.out[v]:
         raise NotASinkError(f"vertex {sink!r} emits edges")
     return _expand(_path_counts(g, sink))
 

@@ -167,13 +167,17 @@ def format_graph(g: DirectedGraph) -> str:
     the id columns: every vertex, then every edge.
 
     Each column is checked in one pass, as a name is an id exactly when it
-    is an ASCII identifier; only a column that fails is read again, name by
-    name, to name its first unwritable id.
+    is an ASCII identifier; only a column that fails, or holds an id that is
+    not a string, is read again, name by name, to name its first unwritable id.
     """
     eids, sources, ranges = g._edge_columns()
     for column in (g.vertices, eids):
-        if not (all(map(str.isidentifier, column)) and "".join(column).isascii()):
-            name = next(name for name in column if not _ID_RE.fullmatch(name))
+        try:
+            writable = all(map(str.isidentifier, column)) and "".join(column).isascii()
+        except TypeError:  # an id that is not a string
+            writable = False
+        if not writable:
+            name = next(name for name in column if not (isinstance(name, str) and _ID_RE.fullmatch(name)))
             raise ValueError(f"id {name!r} cannot be written in the graph text format")
     lines = [f"vertex {v}" for v in g.vertices]
     lines += [f"{source} -> {range_} {eid}" for source, range_, eid in zip(sources, ranges, eids)]

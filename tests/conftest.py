@@ -27,6 +27,7 @@ import itertools
 import random
 import re
 import sys
+from collections import Counter
 from itertools import starmap
 
 import pytest
@@ -277,11 +278,18 @@ def _weak_components(g: DirectedGraph):
     return {frozenset(c) for c in comp.values()}
 
 
+def out_degrees(g: DirectedGraph) -> Counter:
+    """Each vertex's number of out-edges, counted once from g.edges; a vertex
+    that emits none is 0."""
+    return Counter(e.source for e in g.edges)
+
+
 def naive_classify(g: DirectedGraph) -> GraphClassification:
     """classify by its definition: cycles by brute_cycles, and a component
     is a comet when it holds exactly one cycle and reaches it backward from
     every vertex."""
     cycles = tuple(brute_cycles(g))
+    degree = out_degrees(g)
     on_cycle = {v for c in cycles for v in c.vertices}
     comet = True
     for comp in _weak_components(g):
@@ -290,10 +298,10 @@ def naive_classify(g: DirectedGraph) -> GraphClassification:
             comet = False
     return GraphClassification(
         acyclic=not cycles,
-        no_exit=all(g.out_degree(v) == 1 for v in on_cycle),
+        no_exit=all(degree[v] == 1 for v in on_cycle),
         comet_per_component=comet,
-        sinks=tuple(sorted(v for v in g.vertices if g.out_degree(v) == 0)),
-        regular=tuple(sorted(v for v in g.vertices if g.out_degree(v) > 0)),
+        sinks=tuple(sorted(v for v in g.vertices if degree[v] == 0)),
+        regular=tuple(sorted(v for v in g.vertices if degree[v] > 0)),
         cycles=cycles,
     )
 
@@ -795,14 +803,15 @@ def naive_summand_counts(g: DirectedGraph, base_choice, cycles=None):
     if not g.vertices:
         raise EmptyGraphError("the graph has no vertices")
     cycles = brute_cycles(g) if cycles is None else cycles
-    exits = [v for c in cycles for v in c.vertices if g.out_degree(v) != 1]
+    degree = out_degrees(g)
+    exits = [v for c in cycles for v in c.vertices if degree[v] != 1]
     if exits:
         v = min(exits)
-        raise NotNoExitError(f"cycle vertex {v!r} emits {g.out_degree(v)} edges")
+        raise NotNoExitError(f"cycle vertex {v!r} emits {degree[v]} edges")
     for key in base_choice:
         if key not in cycles:
             raise ValueError(f"base choice keyed by a cycle not in this graph: {key}")
-    sinks = sorted(v for v in g.vertices if g.out_degree(v) == 0)
+    sinks = sorted(v for v in g.vertices if degree[v] == 0)
     out = [(None, sink, naive_path_counts(g, sink)) for sink in sinks]
     for cycle in cycles:
         base = base_choice.get(cycle, cycle.vertices[0])

@@ -39,12 +39,10 @@ from gradedlpa import (
     is_realizable,
     is_realizable_sum,
     iso_certificate,
-    least_rotation_index,
     parse_algebra,
     parse_certificate,
-    summand_key,
 )
-from gradedlpa.algebras import _Certificate
+from gradedlpa.algebras import _Certificate, _class_key, _least_rotation_index
 
 
 def alg(base, *shifts):
@@ -92,14 +90,14 @@ def test_direct_sum_str():
 def test_least_rotation_exhaustive():
     for n in range(1, 7):
         for vec in itertools.product(range(3), repeat=n):
-            assert least_rotation_index(vec) == naive_least_rotation(vec)
+            assert _least_rotation_index(vec) == naive_least_rotation(vec)
 
 
 def test_least_rotation_random():
     rng = random.Random(7)
     for _ in range(500):
         vec = tuple(rng.randint(0, 5) for _ in range(rng.randint(1, 12)))
-        assert least_rotation_index(vec) == naive_least_rotation(vec)
+        assert _least_rotation_index(vec) == naive_least_rotation(vec)
 
 
 # (-gap, count) pairs, the items _class_form rotates; the least pair a draw may
@@ -124,7 +122,7 @@ def gap_pair_sequences(draw):
 @settings(max_examples=400)
 @given(gap_pair_sequences())
 def test_least_rotation_of_gap_pairs(seq):
-    assert least_rotation_index(seq) == naive_least_rotation(seq)
+    assert _least_rotation_index(seq) == naive_least_rotation(seq)
 
 
 def test_least_rotation_of_gap_pairs_fixed():
@@ -135,7 +133,7 @@ def test_least_rotation_of_gap_pairs_fixed():
         [(-3, 2), (-3, 1), (-3, 2), (-3, 1)],  # periodic: the first least rotation
         [(-2, 1)] * 5,
     ]:
-        assert least_rotation_index(seq) == naive_least_rotation(seq)
+        assert _least_rotation_index(seq) == naive_least_rotation(seq)
 
 
 def test_form_validation():
@@ -226,7 +224,7 @@ def test_sparse_class_form_matches_dense_definition(pair):
     assert canonical_form(b) == naive_canonical_form(b)
     iso = naive_canonical_form(a) == naive_canonical_form(b)
     assert is_graded_isomorphic(a, b) == iso
-    assert (summand_key(a) == summand_key(b)) == iso
+    assert (_class_key(a) == _class_key(b)) == iso
     if iso:
         cert = iso_certificate(a, b)
         assert len(cert) <= a.n + 2
@@ -423,9 +421,9 @@ def test_iso_certificate_rejects_non_isomorphic():
         iso_certificate(alg(K, 0), alg(L(1), 0))
 
 
-def test_summand_key_separates_bases():
-    assert summand_key(alg(K, 0)) != summand_key(alg(L(1), 0))
-    assert summand_key(alg(L(2), 0, 1)) == summand_key(alg(L(2), 4, 7))
+def test_class_key_separates_bases():
+    assert _class_key(alg(K, 0)) != _class_key(alg(L(1), 0))
+    assert _class_key(alg(L(2), 0, 1)) == _class_key(alg(L(2), 4, 7))
 
 
 def test_direct_sum_iso_example():
@@ -620,7 +618,7 @@ def test_class_form_once_per_algebra(monkeypatch):
         assert is_graded_isomorphic(a, b)
         cert = iso_certificate(a, b)
         assert apply_certificate(a.shifts, cert, a.base) == b.shifts
-        assert summand_key(a) == summand_key(b) and canonical_form(a) == canonical_form(b)
+        assert _class_key(a) == _class_key(b) and canonical_form(a) == canonical_form(b)
         assert computed[id(a)] == computed[id(b)] == 1
     r = parse_algebra(" (+) ".join(left for left, _ in PAIRS))
     s = parse_algebra(" (+) ".join(right for _, right in reversed(PAIRS)))

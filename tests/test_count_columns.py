@@ -30,8 +30,8 @@ from gradedlpa import (
     parse_algebra,
     parse_graph,
     represent,
-    summand_key,
 )
+from gradedlpa.algebras import _class_key
 
 K = GradedBase.trivial()
 
@@ -110,7 +110,7 @@ def test_column_forms_match_dense_definitions(base, runs, idx):
         pairs = _pairs_at_least_rotation(form.mults, m)
         assert tuple(zip(keys, counts)) == pairs
         assert (len(keys) == m) == all(form.mults)
-    assert summand_key(a) == (m or 0, len(shifts), pairs)
+    assert _class_key(a) == (m or 0, len(shifts), tuple(k for k, _ in pairs), tuple(c for _, c in pairs))
 
     verdict = is_realizable(a)
     assert (verdict.ok, verdict.failing_index) == _naive_verdict(base, shifts)

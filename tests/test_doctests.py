@@ -1,5 +1,9 @@
 import doctest
 import importlib
+import re
+from pathlib import Path
+
+import gradedlpa
 
 
 def run_doctests(name):
@@ -35,3 +39,14 @@ def test_realize_doctests():
 
 def test_matrices_doctests():
     run_doctests("matrices")
+
+
+def test_readme_lists_the_public_names():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    # the bulleted list after "The names `gradedlpa` exports (`__all__`)"
+    listed = readme.split("(`__all__`), by the paper object they serve:\n\n", 1)[1].split("\n\n", 1)[0]
+    names = re.findall(r"`(\w+)`", listed)
+    assert sorted(names) == sorted(gradedlpa.__all__)
+    # names that have left the public surface
+    gone = {"least_rotation_index", "summand_key", "out_edges", "in_edges", "out_degree"}
+    assert not gone & set(re.findall(r"\w+", readme))

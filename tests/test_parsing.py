@@ -106,6 +106,9 @@ def test_format_graph_rejects_unwritable_ids():
         (("ok",), (("a\nb", *loop),), "a\nb"),
         (("ok", "a b", "c d"), (("e 1", *loop),), "a b"),
         (("ok",), (("e1", *loop), ("e 2", *loop), ("e 3", *loop)), "e 2"),
+        # ids that are not strings
+        (("a",), ((None, "a", "a"),), None),
+        ((1,), (), 1),
     ]:
         g = DirectedGraph(vertices, edges)
         with pytest.raises(ValueError) as err:

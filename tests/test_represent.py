@@ -34,10 +34,10 @@ from gradedlpa import (
     paths_to_sink,
     represent,
     represent_at,
-    summand_key,
     synthesize,
     synthesize_sum,
 )
+from gradedlpa.algebras import _class_key
 
 
 def ex_comet():
@@ -170,10 +170,14 @@ def test_whole_graph_passes_build_no_edge(monkeypatch, shape, build):
         "comets": ([(f"{v}{i}", f"c{i}") for i in range(400) for v in "tc"], ["t7", "c399"], 0, 400, 800),
         "k5": ([(x, y) for x in "abcde" for y in "abcde" if x != y], None, 0, 84, None),
     }[shape]
+    # a copy through the other route, naming every edge e<position>
+    named = [(a, b, f"e{pos}") for pos, (a, b) in enumerate(pairs, 1)]
     if build == "parse_graph":
         g = parse_graph("".join(f"{a} -> {b}\n" for a, b in pairs))
+        copy = DirectedGraph.from_edges(named)
     else:
         g = DirectedGraph.from_edges(pairs)
+        copy = parse_graph("".join(f"{a} -> {b} {eid}\n" for a, b, eid in named))
     # on K_5, which has exits, classify lists every cycle through find_cycles
     info = classify(g)
     assert (info.no_exit, len(info.sinks), len(info.cycles)) == (shape != "k5", sinks, cycles)
@@ -185,7 +189,9 @@ def test_whole_graph_passes_build_no_edge(monkeypatch, shape, build):
     if shape in ("looped_line", "comets"):
         cycle = info.cycles[-1]
         assert len(paths_to_cycle_vertex(g, cycle, cycle.vertices[0])) == paths // cycles
-    assert "edges" not in vars(g)
+    # equality and hashing read the id columns
+    assert g == copy and hash(g) == hash(copy)
+    assert "edges" not in vars(g) and "edges" not in vars(copy)
 
 
 def test_write_path_builds_no_edge(monkeypatch, tmp_path):
@@ -421,7 +427,7 @@ def test_disjoint_union_represents_as_its_parts(g, h, data):
     parts = [represent(g), represent(h)]
     rep = represent(union)
     got = rep.sum.summands
-    assert sorted(map(summand_key, got)) == sorted(summand_key(a) for part in parts for a in part.sum.summands)
+    assert sorted(map(_class_key, got)) == sorted(_class_key(a) for part in parts for a in part.sum.summands)
     # the parts' summands merged in representation order, each unchanged
     merged = sorted((_summand_order(p), a) for part in parts for a, p in zip(part.sum.summands, part.provenance))
     assert [_summand_order(p) for p in rep.provenance] == [key for key, _ in merged]
