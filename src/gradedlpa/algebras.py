@@ -28,7 +28,8 @@ from typing import Union
 
 from .errors import InvalidStepError, NotIsomorphicError
 
-# canonical_form alone materializes dense multiplicity vectors; refuse absurd spreads
+# canonical_form alone materializes dense multiplicity vectors; it refuses one
+# of more than this many entries (over K, a spread of this or more)
 _MAX_DENSE_MULTS = 5_000_000
 # the one limit on anything that holds an object per shift or per path
 _MAX_LISTED = 1_000_000
@@ -355,8 +356,9 @@ def _nonzero_mults(a: ShiftedMatrixAlgebra) -> tuple[tuple[int, ...], tuple[int,
 def canonical_form(a: ShiftedMatrixAlgebra) -> CanonicalForm:
     """The canonical multiplicity form, expanded from the sparse class form.
 
-    The one dense path: raises ValueError when the shift spread over K, or the
-    period, passes 5,000,000.  Isomorphism, summand keys and certificates have
+    The one dense path: raises ValueError when the vector would have more than
+    5,000,000 entries, which is a shift spread of 5,000,000 or more over K, or
+    a period past 5,000,000.  Isomorphism, summand keys and certificates have
     no such limit.
 
     >>> str(canonical_form(ShiftedMatrixAlgebra.from_shifts(GradedBase.trivial(), (3, 1, 2, 1))))
@@ -602,7 +604,8 @@ def iso_certificate(a: ShiftedMatrixAlgebra, b: ShiftedMatrixAlgebra) -> Sequenc
     if delta:
         steps._add(GlobalShift(delta))
     if image != tuple(range(1, a.n + 1)):
-        steps._add(Permute(image))
+        # a bijection by construction, so Permute's check is skipped
+        steps._add(_unchecked(Permute, image=image))
     gaps = list(map(sub, b.shifts, placed))
     steps._add_entries(list(compress(range(1, a.n + 1), gaps)), list(filter(None, gaps)))
     if apply_certificate(a.shifts, steps, a.base) != b.shifts:

@@ -1,7 +1,8 @@
 """Concrete graded matrices over K or K[x^m, x^-m], with exact integer
 arithmetic.  This is the verification layer: certificate steps claimed to be
-graded isomorphisms are replayed here on actual matrices and checked to move
-homogeneous components degree to degree.
+graded isomorphisms are replayed here on actual matrices, and
+`cli._certificate_failure` checks that each replayed step moves homogeneous
+components degree to degree.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from .errors import ShapeMismatchError
 
 
 class LaurentElement:
-    """A Laurent polynomial with integer coefficients, stored sparsely.
+    """One matrix entry: a Laurent polynomial with integer coefficients,
+    stored sparsely.  It has no arithmetic; sums and products are taken on
+    whole matrices.
 
     Zero coefficients are never stored; the zero element has no terms.
     """
@@ -32,18 +35,11 @@ class LaurentElement:
         self._terms = data
 
     @classmethod
-    def zero(cls) -> "LaurentElement":
-        return cls()
-
-    @classmethod
     def monomial(cls, degree: int, coeff: int = 1) -> "LaurentElement":
         return cls({degree: coeff})
 
     def items(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self._terms.items()))
-
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted(self._terms))
 
     def __bool__(self):
         return bool(self._terms)
@@ -55,53 +51,6 @@ class LaurentElement:
 
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = LaurentElement({0: other})
-        if not isinstance(other, LaurentElement):
-            return NotImplemented
-        out = dict(self._terms)
-        for deg, coeff in other._terms.items():
-            new = out.get(deg, 0) + coeff
-            if new:
-                out[deg] = new
-            else:
-                out.pop(deg, None)
-        return LaurentElement(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentElement({d: -c for d, c in self._terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentElement({0: other})
-        if not isinstance(other, LaurentElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return LaurentElement({d: c * other for d, c in self._terms.items()})
-        if not isinstance(other, LaurentElement):
-            return NotImplemented
-        out: dict[int, int] = {}
-        for d1, c1 in self._terms.items():
-            for d2, c2 in other._terms.items():
-                d = d1 + d2
-                new = out.get(d, 0) + c1 * c2
-                if new:
-                    out[d] = new
-                else:
-                    out.pop(d, None)
-        return LaurentElement(out)
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         if not self._terms:

@@ -438,16 +438,15 @@ def naive_conjugate(matrix: GradedMatrix, step) -> GradedMatrix:
         return GradedMatrix(matrix.base, shifts, rows)
     if isinstance(step, GlobalShift):
         return GradedMatrix(matrix.base, tuple(s + step.delta for s in matrix.shifts), entries)
-    i0 = step.index - 1
-    down = LaurentElement.monomial(-step.delta)
-    up = LaurentElement.monomial(step.delta)
+    i0, d = step.index - 1, step.delta
     rows = [list(row) for row in entries]
     for j in range(n):
         if j != i0:
-            rows[i0][j] = rows[i0][j] * down
-            rows[j][i0] = rows[j][i0] * up
+            # a cell times x^-d or x^d, on the cell's own terms
+            rows[i0][j] = LaurentElement({e - d: c for e, c in rows[i0][j].items()})
+            rows[j][i0] = LaurentElement({e + d: c for e, c in rows[j][i0].items()})
     shifts = list(matrix.shifts)
-    shifts[i0] += step.delta
+    shifts[i0] += d
     return GradedMatrix(matrix.base, tuple(shifts), tuple(tuple(r) for r in rows))
 
 

@@ -199,6 +199,18 @@ def test_canonical_form_cyclic_rotation():
     assert form.mults == (0, 1, 2, 1)
 
 
+def test_canonical_form_dense_limit_boundary():
+    # at most 5,000,000 entries: a spread of 4,999,999 over K, a period of 5,000,000
+    form = canonical_form(alg(K, 0, 4_999_999))
+    assert form.k == 4_999_999 and form.mults[::4_999_999] == (1, 1) and sum(form.mults) == 2
+    form = canonical_form(alg(L(5_000_000), 0))
+    assert form.period == 5_000_000 and form.mults[-1] == 1 and sum(form.mults) == 1
+    with pytest.raises(ValueError, match="^shift spread too large to materialize a multiplicity vector$"):
+        canonical_form(alg(K, 0, 5_000_000))
+    with pytest.raises(ValueError, match="^period too large to materialize a multiplicity vector$"):
+        canonical_form(alg(L(5_000_001), 0))
+
+
 @st.composite
 def same_size_pairs(draw):
     """Two algebras over one base (K or K[x^m], m <= 12) with n <= 8 shifts;

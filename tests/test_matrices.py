@@ -28,31 +28,15 @@ L = GradedBase.laurent
 
 def test_laurent_element_basics():
     x = LaurentElement.monomial(3)
-    y = LaurentElement.monomial(-3)
-    assert (x * y).items() == ((0, 1),)
-    assert x + y != x
-    assert x - x == LaurentElement.zero()
-    assert not LaurentElement.zero()
-    assert LaurentElement({2: 0}) == LaurentElement.zero()
-    assert (x + x).items() == ((3, 2),)
-    assert x.degrees() == (3,)
+    assert x.items() == ((3, 1),)
+    assert not LaurentElement()
+    assert LaurentElement({2: 0}) == LaurentElement()
     assert hash(LaurentElement({1: 2})) == hash(LaurentElement({1: 2}))
 
 
 def test_laurent_element_int_mixing():
-    x = LaurentElement.monomial(2, 1)
-    assert x * 3 == LaurentElement.monomial(2, 3)
-    assert 2 * x == x + x
-    assert x + 0 == x
     with pytest.raises(ValueError):
         LaurentElement({0: "a"})
-
-
-def test_laurent_element_product():
-    # (1 + x^2)(1 - x^2) = 1 - x^4
-    p = LaurentElement({0: 1, 2: 1})
-    q = LaurentElement({0: 1, 2: -1})
-    assert (p * q).items() == ((0, 1), (4, -1))
 
 
 def test_graded_matrix_validation():
