@@ -93,9 +93,12 @@ class ShiftedMatrixAlgebra:
     counts, adjacent shifts distinct), so equality is that of the shift
     lists; n is the sum of the counts.
 
-    The constructor takes (shift, count) pairs, and `runs` lists them again
-    on each call; no library pass reads it.  Equality, hashing, repr and
-    pickling are those of the pair (base, runs).
+    Every algebra is built by `_from_columns`, from a shift column and a
+    count column, equal neighbouring shifts merged into one run: the
+    constructor (after checking its (shift, count) pairs), `from_shifts`,
+    unpickling, the parser, represent and both corners.  `runs` lists the
+    pairs again on each call; hashing, repr and pickling read it.
+    Equality, hashing, repr and pickling are those of the pair (base, runs).
 
     >>> a = ShiftedMatrixAlgebra(GradedBase.trivial(), [(0, 1), (2, 2), (2, 1)])
     >>> a.runs, a.n, a.shifts, str(a)
@@ -108,36 +111,41 @@ class ShiftedMatrixAlgebra:
     n: int
 
     def __init__(self, base: GradedBase, runs: Iterable[tuple[int, int]]):
-        shifts: list[int] = []
-        counts: list[int] = []
-        for shift, count in runs:
-            if count < 1:
-                raise ValueError("every run needs a positive count")
-            shifts.append(shift)
-            counts.append(count)
-        if not shifts:
+        columns = tuple(zip(*runs, strict=True))
+        if not columns:
             raise ValueError("an algebra needs at least one run")
-        shifts, counts = _merged(shifts, counts)
-        vars(self).update(base=base, n=sum(counts), _run_shifts=shifts, _run_counts=counts)
-
-    @classmethod
-    def _from_normalised(cls, base: GradedBase, shifts: tuple, counts: tuple, n: int) -> "ShiftedMatrixAlgebra":
-        """Skip every check: the run columns are built normalised, their
-        counts totalling n."""
-        algebra = cls.__new__(cls)
-        vars(algebra).update(base=base, n=n, _run_shifts=shifts, _run_counts=counts)
-        return algebra
+        shifts, counts = columns
+        if min(counts) < 1:
+            raise ValueError("every run needs a positive count")
+        vars(self).update(vars(self._from_columns(base, shifts, counts)))
 
     @classmethod
     def _from_columns(cls, base: GradedBase, shifts: Sequence[int], counts: Sequence[int]) -> "ShiftedMatrixAlgebra":
         """From a nonempty shift column and its column of positive counts,
-        equal neighbouring shifts merged into one run."""
-        shifts, counts = _merged(shifts, counts)
-        return cls._from_normalised(base, shifts, counts, sum(counts))
+        equal neighbouring shifts merged into one run; n is the sum of the
+        counts.  Columns already normal cost one neighbour scan."""
+        if all(map(ne, islice(shifts, 1, None), shifts)):
+            shifts, counts = tuple(shifts), tuple(counts)
+        else:
+            merged_shifts, merged_counts, last = [], [], None
+            for shift, count in zip(shifts, counts):
+                if shift == last:
+                    merged_counts[-1] += count
+                else:
+                    merged_shifts.append(shift)
+                    merged_counts.append(count)
+                    last = shift
+            shifts, counts = tuple(merged_shifts), tuple(merged_counts)
+        algebra = cls.__new__(cls)
+        vars(algebra).update(base=base, n=sum(counts), _run_shifts=shifts, _run_counts=counts)
+        return algebra
 
     @classmethod
     def from_shifts(cls, base: GradedBase, shifts: Iterable[int]) -> "ShiftedMatrixAlgebra":
-        return cls(base, zip(shifts, repeat(1)))
+        shifts = tuple(shifts)
+        if not shifts:
+            raise ValueError("an algebra needs at least one run")
+        return cls._from_columns(base, shifts, (1,) * len(shifts))
 
     @property
     def runs(self) -> tuple[tuple[int, int], ...]:
@@ -201,7 +209,7 @@ class ShiftedMatrixAlgebra:
 
     def __setstate__(self, state):
         shifts, counts = zip(*state["runs"])
-        vars(self).update(base=state["base"], n=state["n"], _run_shifts=shifts, _run_counts=counts)
+        vars(self).update(vars(self._from_columns(state["base"], shifts, counts)))
 
     def __str__(self):
         if self.n <= _MAX_LISTED:
@@ -209,21 +217,6 @@ class ShiftedMatrixAlgebra:
         else:
             items = map("{1}({0})".format, self._run_shifts, self._run_counts)
         return f"M{self.n}({self.base})({','.join(map(str, items))})"
-
-
-def _merged(shifts: Sequence[int], counts: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Run columns from a nonempty shift column and its column of positive
-    counts: equal neighbouring shifts merged into one run."""
-    if all(map(ne, islice(shifts, 1, None), shifts)):
-        return tuple(shifts), tuple(counts)
-    merged_shifts, merged_counts = [shifts[0]], [counts[0]]
-    for shift, count in zip(islice(shifts, 1, None), islice(counts, 1, None)):
-        if shift == merged_shifts[-1]:
-            merged_counts[-1] += count
-        else:
-            merged_shifts.append(shift)
-            merged_counts.append(count)
-    return tuple(merged_shifts), tuple(merged_counts)
 
 
 @dataclass(frozen=True)

@@ -60,14 +60,8 @@ def corner_by_vertices(g: DirectedGraph, vs: Iterable[str]) -> DirectSumAlgebra:
     for cycle, _, (lengths, sources, counts) in tables:
         kept = list(map(chosen.__contains__, sources))
         kept_counts = tuple(compress(counts, kept))
-        if not kept_counts:
-            continue
-        shifts = tuple(compress(lengths, kept))
-        if len(lengths) == lengths[-1] + 1:
-            # one row per level: the kept rows have distinct lengths, so each is a run
-            summands.append(ShiftedMatrixAlgebra._from_normalised(_base(cycle), shifts, kept_counts, sum(kept_counts)))
-        else:
-            summands.append(ShiftedMatrixAlgebra._from_columns(_base(cycle), shifts, kept_counts))
+        if kept_counts:
+            summands.append(ShiftedMatrixAlgebra._from_columns(_base(cycle), tuple(compress(lengths, kept)), kept_counts))
     if not summands:
         raise ZeroCornerError("no path in any summand starts in the chosen vertex set")
     return DirectSumAlgebra(tuple(summands))

@@ -138,7 +138,13 @@ class DirectedGraph:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        # the id columns first: only equal ones fill in unnamed edge ids
+        return (
+            self.vertices == other.vertices
+            and self._sources == other._sources
+            and self._ranges == other._ranges
+            and (self._eids == other._eids or self._edge_columns()[0] == other._edge_columns()[0])
+        )
 
     def __hash__(self):
         return hash(self._key())

@@ -48,8 +48,8 @@ from __future__ import annotations
 import re
 import sys
 from collections.abc import Iterable, Sequence
-from itertools import accumulate, compress, islice
-from operator import itemgetter, ne, sub
+from itertools import compress
+from operator import itemgetter
 
 from .algebras import (
     DirectSumAlgebra,
@@ -314,15 +314,6 @@ def parse_algebra(text: str) -> DirectSumAlgebra:
             expect(")")
             raise AssertionError("the shift list has no offending item")
         total = len(values) if counts is None else sum(counts)
-        changes = list(map(ne, islice(values, 1, None), values))
-        if all(changes):
-            shifts, run_counts = values, counts or (1,) * total
-        else:  # a run starts at item 0 and wherever the value changes
-            starts = [0, *compress(range(1, len(values)), changes)]
-            shifts = list(map(values.__getitem__, starts))
-            if counts is not None:  # from items to shifts: the prefix sums of the counts
-                starts = list(map([0, *accumulate(counts)].__getitem__, starts))
-            run_counts = list(map(sub, [*starts[1:], total], starts))
         end = close + 1
         advance()
         if total != n:
@@ -331,7 +322,7 @@ def parse_algebra(text: str) -> DirectSumAlgebra:
             except ValueError:  # more digits than str() converts
                 listed = f"a number of shifts with more than {sys.get_int_max_str_digits()} digits"
             fail(f"summand declares n={n} but lists {listed}", list_pos)
-        return ShiftedMatrixAlgebra._from_normalised(base, tuple(shifts), tuple(run_counts), n)
+        return ShiftedMatrixAlgebra._from_columns(base, values, counts or (1,) * total)
 
     advance()
     summands = [summand()]

@@ -94,7 +94,9 @@ def represent_at(
     summands: list[ShiftedMatrixAlgebra] = []
     provenance: list[Provenance] = []
     for cycle, vertex, table in _summand_counts(g, base_choice):
-        summands.append(_level_algebra(cycle, table))
+        # the rows ascend by length, so merging equal neighbours sums each level
+        lengths, _, counts = table
+        summands.append(ShiftedMatrixAlgebra._from_columns(_base(cycle), lengths, counts))
         provenance.append(SinkSummand(vertex, *table) if cycle is None else CycleSummand(cycle, vertex, *table))
     return RepresentationReport(DirectSumAlgebra(tuple(summands)), tuple(provenance))
 
@@ -103,16 +105,3 @@ def _base(cycle: CycleDescriptor | None) -> GradedBase:
     """K for a sink's summand, K[x^m] for the summand of a cycle of length m."""
     return GradedBase.trivial() if cycle is None else GradedBase.laurent(cycle.length)
 
-
-def _level_algebra(cycle: CycleDescriptor | None, table) -> ShiftedMatrixAlgebra:
-    """The summand of _path_counts columns, one run per level: the levels'
-    lengths run over 0..L and each count is positive, so the runs need no
-    normalising pass."""
-    lengths, _, counts = table
-    last = lengths[-1]
-    if len(lengths) == last + 1:  # one row per level: the columns are the runs
-        return ShiftedMatrixAlgebra._from_normalised(_base(cycle), lengths, counts, sum(counts))
-    per_level = [0] * (last + 1)
-    for length, count in zip(lengths, counts):
-        per_level[length] += count
-    return ShiftedMatrixAlgebra._from_normalised(_base(cycle), tuple(range(last + 1)), tuple(per_level), sum(per_level))

@@ -641,7 +641,7 @@ def test_class_form_once_per_algebra(monkeypatch):
 
 def test_cached_class_form_leaves_identity_alone():
     for text in ["M4(K)(3,0,1,1)", "M5(K[x^3])(0,1,1,2,5)", "M3(K)(2(7),-1)"]:
-        parsed = parse_algebra(text).summands[0]  # built by _from_normalised
+        parsed = parse_algebra(text).summands[0]  # built from the parsed columns by _from_columns
         built = ShiftedMatrixAlgebra(parsed.base, parsed.runs)
         for a in (parsed, built):
             fresh = ShiftedMatrixAlgebra.from_shifts(a.base, a.shifts)

@@ -5,7 +5,9 @@ repeated, gapped and negative, and of the algebras represented from random
 no-exit graphs.  The views built from the columns (runs, shifts, provenance
 rows and paths) and equality, hashing, repr and pickling must give what the
 (shift, count) and (length, source, count) tuples gave when they were
-stored."""
+stored.  Every producer of an algebra (the constructor, from_shifts,
+unpickling, the parser on plain, repeat and mixed items, represent and both
+corners) must leave its runs normal."""
 
 import pickle
 import random
@@ -70,16 +72,33 @@ def _naive_verdict(base, shifts):
     return (False, missing[0]) if missing else (True, None)
 
 
+def _assert_normal(a):
+    """The runs are normal (neighbouring shifts distinct, counts positive
+    and adding up to n), and a is the algebra of its own shift list."""
+    shifts, counts = zip(*a.runs)
+    assert all(s != t for s, t in zip(shifts, shifts[1:]))
+    assert min(counts) >= 1 and sum(counts) == a.n
+    assert a == ShiftedMatrixAlgebra.from_shifts(a.base, a.shifts)
+
+
 @settings(max_examples=300)
-@given(BASES, RUNS, st.lists(st.integers(1, 24), min_size=1, max_size=6))
-def test_column_forms_match_dense_definitions(base, runs, idx):
+@given(BASES, RUNS, st.lists(st.integers(1, 24), min_size=1, max_size=6), st.randoms(use_true_random=False))
+def test_column_forms_match_dense_definitions(base, runs, idx, rng):
     shifts = [s for s, count in runs for _ in range(count)]
     m = base.period
     # the runs the pairs were normalised to: equal neighbours merged
     merged = tuple((s, len(list(group))) for s, group in groupby(shifts))
     a = ShiftedMatrixAlgebra(base, runs)
-    parsed = parse_algebra(f"M{len(shifts)}({base})({','.join(f'{c}({s})' for s, c in runs)})").summands[0]
-    for b in (a, ShiftedMatrixAlgebra.from_shifts(base, shifts), parsed):
+    # the same runs as repeat items, as plain repeated shifts, and each run
+    # drawn as either
+    texts = [
+        ",".join(f"{c}({s})" for s, c in runs),
+        ",".join(map(str, shifts)),
+        ",".join(f"{c}({s})" if rng.random() < 0.5 else ",".join([str(s)] * c) for s, c in runs),
+    ]
+    parsed = [parse_algebra(f"M{len(shifts)}({base})({text})").summands[0] for text in texts]
+    for b in (a, ShiftedMatrixAlgebra.from_shifts(base, shifts), *parsed):
+        _assert_normal(b)
         assert b.runs == merged and b.shifts == tuple(shifts) and b.n == len(shifts)
         assert b == a and hash(b) == hash((base, merged))
         assert repr(b) == f"ShiftedMatrixAlgebra(base={base!r}, runs={merged!r})"
@@ -90,6 +109,7 @@ def test_column_forms_match_dense_definitions(base, runs, idx):
         stored = ShiftedMatrixAlgebra.__new__(ShiftedMatrixAlgebra)
         stored.__setstate__({"base": base, "runs": merged, "n": len(shifts)})
         assert stored == a and stored.runs == merged
+        _assert_normal(stored)
     moved = ShiftedMatrixAlgebra.from_shifts(base, [shifts[0] + 1, *shifts[1:]])
     assert moved != a and a != ShiftedMatrixAlgebra.from_shifts(GradedBase.laurent((m or 0) + 1), shifts)
 
@@ -116,11 +136,18 @@ def test_column_forms_match_dense_definitions(base, runs, idx):
     assert (verdict.ok, verdict.failing_index) == _naive_verdict(base, shifts)
     assert is_graded_isomorphic(a, ShiftedMatrixAlgebra.from_shifts(base, [s + 3 * (m or 1) for s in reversed(shifts)]))
 
-    idx = [i for i in idx if i <= len(shifts)] or [len(shifts)]
-    corner = corner_by_indices(a, idx)
-    want = [shifts[i - 1] for i in sorted(set(idx))]
-    assert corner.runs == tuple((s, len(list(group))) for s, group in groupby(want))
-    assert corner == ShiftedMatrixAlgebra.from_shifts(base, want)
+    # corners of a and of a with every shift doubled: the chosen indices of
+    # one run, or of two runs of one shift with the runs between them
+    # skipped, merge into one run
+    doubled = [s for s in shifts for _ in range(2)]
+    for source, listed in ((a, shifts), (ShiftedMatrixAlgebra.from_shifts(base, doubled), doubled)):
+        chosen = [i for i in idx if i <= len(listed)] or [len(listed)]
+        chosen += rng.sample(range(1, len(listed) + 1), rng.randint(0, len(listed)))
+        corner = corner_by_indices(source, chosen)
+        want = [listed[i - 1] for i in sorted(set(chosen))]
+        _assert_normal(corner)
+        assert corner.runs == tuple((s, len(list(group))) for s, group in groupby(want))
+        assert corner == ShiftedMatrixAlgebra.from_shifts(base, want)
 
 
 @settings(max_examples=150)
@@ -147,6 +174,7 @@ def test_count_columns_match_walks(seed, picks):
         for length, _, count in rows:
             per_level[length] += count
         assert summand.runs == tuple(sorted(per_level.items()))
+        _assert_normal(summand)
         assert canonical_form(summand) == naive_canonical_form(summand)
         assert is_realizable(summand).ok
 
@@ -165,5 +193,7 @@ def test_count_columns_match_walks(seed, picks):
             return
         raise AssertionError("an empty corner must raise ZeroCornerError")
     corner = corner_by_vertices(g, chosen).summands
+    for summand in corner:
+        _assert_normal(summand)
     assert corner == tuple(want)
     assert [a.runs for a in corner] == [a.runs for a in want]
