@@ -511,23 +511,12 @@ def _check_entries(indices: Sequence[int], deltas: Sequence[int], n: int, base: 
             raise InvalidStepError(f"EntryShift degree {d} is not a multiple of the period {m}")
 
 
-def _check_step(step: Step, n: int, base: GradedBase, target: str) -> type:
-    """Raise InvalidStepError unless `step` acts on `target`, of size n over
-    base; return the step's class, the one dispatch its callers branch on."""
-    kind = type(step)
-    if kind is EntryShift:
-        _check_entries((step.index,), (step.delta,), n, base)
-    elif kind is Permute:
-        if len(step.image) != n:
-            raise InvalidStepError(f"permutation of {len(step.image)} entries applied to {target}")
-    elif kind is not GlobalShift:
-        raise TypeError(f"not a certificate step: {step!r}")
-    return kind
-
-
 def apply_certificate(shifts: Sequence[int], steps: Iterable[Step], base: GradedBase) -> tuple[int, ...]:
     """Act on a shift list by a sequence of elementary moves, validating each
     step, or each run of EntryShifts, before it acts; an EntryShift costs O(1).
+    This is the one place a step is checked: InvalidStepError for a step that
+    cannot act on these shifts over base, TypeError for an item that is not a
+    step.  conjugate_by_step takes its new shifts from here.
 
     >>> apply_certificate((0, 1, 1), (GlobalShift(1),), GradedBase.laurent(2))
     (1, 2, 2)
@@ -537,17 +526,20 @@ def apply_certificate(shifts: Sequence[int], steps: Iterable[Step], base: Graded
     _require_listable(len(shifts))
     cur = list(shifts)
     n = len(cur)
-    target = f"{n} shifts"
     for kind, item in _Certificate.of(steps).runs:
         if kind is EntryShift:
             indices, deltas = item
             _check_entries(indices, deltas, n, base)
             for i, d in zip(indices, deltas):
                 cur[i - 1] += d
-        elif _check_step(item, n, base, target) is Permute:
+        elif kind is Permute:
+            if len(item.image) != n:
+                raise InvalidStepError(f"permutation of {len(item.image)} entries applied to {n} shifts")
             cur = [cur[i - 1] for i in item.image]
-        else:
+        elif kind is GlobalShift:
             cur = [s + item.delta for s in cur]
+        else:
+            raise TypeError(f"not a certificate step: {item!r}")
     return tuple(cur)
 
 

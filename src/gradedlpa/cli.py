@@ -213,8 +213,8 @@ def cmd_verify_cert(args) -> Report:
 
 # the replay moves every entry of a sample matrix once per step, and each step
 # has a fixed cost, worth about _STEP_COST entry moves; past _MAX_REPLAYED
-# entry moves it refuses (just inside: n = 158 with 156 steps, about 5 s, and
-# n = 1 with 235,294 steps, about 3 s, on a shared 2-core Xeon)
+# entry moves it refuses (just inside: n = 158 with 159 steps and n = 1 with
+# 235,294 steps each replay in about 3.5 s on a shared 2-core Xeon)
 _MAX_REPLAYED = 4_000_000
 _STEP_COST = 16
 

@@ -128,13 +128,6 @@ class DirectedGraph:
         eids = _named(self._eids) if _UNNAMED in self._eids else self._eids
         return eids, map(name, self._sources), map(name, self._ranges)
 
-    def _key(self) -> tuple:
-        """(vertices, edge ids with every unnamed edge's filled in, source
-        ids, range ids): equal exactly when (vertices, edges) are, since a
-        vertex name and its id determine each other."""
-        eids, _, _ = self._edge_columns()
-        return self.vertices, tuple(eids), tuple(self._sources), tuple(self._ranges)
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -147,7 +140,8 @@ class DirectedGraph:
         )
 
     def __hash__(self):
-        return hash(self._key())
+        # equal graphs have equal id columns, so no unnamed edge id is filled in
+        return hash((self.vertices, tuple(self._sources), tuple(self._ranges)))
 
     def __repr__(self):
         return f"{type(self).__qualname__}(vertices={self.vertices!r}, edges={self.edges!r})"

@@ -2,7 +2,8 @@
 arithmetic.  This is the verification layer: certificate steps claimed to be
 graded isomorphisms are replayed here on actual matrices, and
 `cli._certificate_failure` checks that each replayed step moves homogeneous
-components degree to degree.
+components degree to degree.  Steps are checked by `apply_certificate`, not
+here.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping
 
-from .algebras import GlobalShift, GradedBase, Permute, Step, _check_step
+from .algebras import EntryShift, GradedBase, Permute, Step, apply_certificate
 from .errors import ShapeMismatchError
 
 
@@ -201,22 +202,20 @@ def conjugate_by_step(matrix: GradedMatrix, step: Step) -> GradedMatrix:
     Permute conjugates by the permutation matrix, GlobalShift only relabels
     the grading, and EntryShift(i, d) conjugates by diag(..., x^d at i, ...).
     Homogeneous components land degree on degree in the new shift list.
+    apply_certificate checks the step and gives the new shifts; only the
+    terms move here.
     """
-    n = matrix.n
-    kind = _check_step(step, n, matrix.base, f"{n}x{n} matrix")
+    shifts = apply_certificate(matrix.shifts, (step,), matrix.base)
     terms = matrix._terms
+    kind = type(step)
     if kind is Permute:
         # entry (i, j) of the image is entry (image[i], image[j])
         new = {old - 1: i for i, old in enumerate(step.image)}
         terms = {(new[i], new[j], e): c for (i, j, e), c in terms.items()}
-        shifts = tuple(matrix.shifts[old - 1] for old in step.image)
-    elif kind is GlobalShift:
-        shifts = tuple(s + step.delta for s in matrix.shifts)
-    else:
+    elif kind is EntryShift:
         # row k is divided by x^d and column k multiplied by it
         k, d = step.index - 1, step.delta
         terms = {(i, j, e + d * ((j == k) - (i == k))): c for (i, j, e), c in terms.items()}
-        shifts = matrix.shifts[:k] + (matrix.shifts[k] + d,) + matrix.shifts[k + 1 :]
     return GradedMatrix._from_terms(matrix.base, shifts, terms)
 
 

@@ -1,6 +1,7 @@
 import io
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -685,6 +686,23 @@ def test_synthesize_bytes(argv, code, out, err, written, tmp_path, monkeypatch, 
     assert capsys.readouterr() == (out, err)
     target = tmp_path / argv[argv.index("-o") + 1] if "-o" in argv else None
     assert (target.read_text() if target and target.exists() else None) == written
+
+
+# The console pins: one row per invocation, with its input files, its exact
+# exit code, stdout and stderr, the exact text of each file it writes and, where
+# the name does not say it, a note on what it pins.  The CI workflow runs the
+# same table through the installed gradedlpa script.
+PINS = json.loads(Path(__file__).with_name("cli_pins.json").read_text())
+
+
+@pytest.mark.parametrize("row", PINS, ids=[row["name"] for row in PINS])
+def test_console_pins(row, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, text in row["files"].items():
+        (tmp_path / name).write_text(text)
+    assert main(row["argv"]) == row["exit"]
+    assert capsys.readouterr() == (row["stdout"], row["stderr"])
+    assert {name: (tmp_path / name).read_text() for name in row["written"]} == row["written"]
 
 
 def test_emit_dot(comet_file, capsys):

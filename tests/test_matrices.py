@@ -187,13 +187,23 @@ def test_global_shift_conjugation_keeps_entries():
 
 
 def test_conjugation_rejects_invalid_step():
-    m = GradedMatrix.zero(K, (0, 1))
-    with pytest.raises(InvalidStepError):
-        conjugate_by_step(m, EntryShift(1, 1))
-    with pytest.raises(InvalidStepError):
-        conjugate_by_step(m, Permute((1, 2, 3)))
-    with pytest.raises(TypeError):
-        conjugate_by_step(m, "G 1")
+    # the replay refuses exactly as apply_certificate does on the same shifts and step
+    cases = [
+        (K, EntryShift(1, 1), InvalidStepError),
+        (K, Permute((1, 2, 3)), InvalidStepError),
+        (K, "G 1", TypeError),
+        (L(2), EntryShift(3, 2), InvalidStepError),
+        (L(2), EntryShift(1, 1), InvalidStepError),
+        (L(2), Permute((1,)), InvalidStepError),
+    ]
+    for base, step, error in cases:
+        m = GradedMatrix.zero(base, (0, 1))
+        with pytest.raises(error) as replayed:
+            conjugate_by_step(m, step)
+        with pytest.raises(error) as applied:
+            apply_certificate(m.shifts, [step], base)
+        assert type(replayed.value) is type(applied.value) is error
+        assert str(replayed.value) == str(applied.value)
 
 
 @st.composite

@@ -14,10 +14,12 @@ from gradedlpa import (
     EntryShift,
     GlobalShift,
     GradedBase,
+    GradedMatrix,
     ParseError,
     Permute,
     ShiftedMatrixAlgebra,
     apply_certificate,
+    conjugate_by_step,
     format_certificate,
     format_graph,
     graph_to_dot,
@@ -264,7 +266,7 @@ def test_certificate_round_trip():
 
 
 def test_non_steps_are_refused_alike():
-    # writing and applying dispatch on the exact step class: a subclass is no step
+    # writing, applying and replaying dispatch on the exact step class: a subclass is no step
     class Shifted(EntryShift):
         pass
 
@@ -274,7 +276,9 @@ def test_non_steps_are_refused_alike():
             format_certificate([GlobalShift(1), step])
         with pytest.raises(TypeError) as applied:
             apply_certificate((0, 1), [GlobalShift(1), step], GradedBase.laurent(2))
-        assert str(written.value) == str(applied.value) == message
+        with pytest.raises(TypeError) as replayed:
+            conjugate_by_step(GradedMatrix.zero(GradedBase.laurent(2), (0, 1)), step)
+        assert str(written.value) == str(applied.value) == str(replayed.value) == message
 
 
 def test_parse_certificate_comments_and_blanks():
