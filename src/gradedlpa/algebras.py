@@ -40,6 +40,15 @@ def _require_listable(n: int):
         raise ValueError(f"{n} shifts or paths are too many to list one by one (limit {_MAX_LISTED})")
 
 
+def _require_ints(what: str, values: Sequence) -> None:
+    """Raise ValueError naming the first of `values` that is not an int, or
+    is a bool."""
+    if not set(map(type, values)) <= {int}:
+        for value in values:
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{what} must be an int, not {value!r}")
+
+
 @dataclass(frozen=True)
 class GradedBase:
     """The graded coefficient ring: the field K (period None) or the Laurent
@@ -48,8 +57,11 @@ class GradedBase:
     period: int | None = None
 
     def __post_init__(self):
-        if self.period is not None and self.period < 1:
-            raise ValueError("Laurent period must be a positive integer")
+        if self.period is not None:
+            if type(self.period) is not int:
+                _require_ints("a Laurent period", (self.period,))
+            if self.period < 1:
+                raise ValueError("Laurent period must be a positive integer")
 
     @classmethod
     def trivial(cls) -> "GradedBase":
@@ -115,6 +127,8 @@ class ShiftedMatrixAlgebra:
         if not columns:
             raise ValueError("an algebra needs at least one run")
         shifts, counts = columns
+        _require_ints("a run's shift", shifts)
+        _require_ints("a run's count", counts)
         if min(counts) < 1:
             raise ValueError("every run needs a positive count")
         vars(self).update(vars(self._from_columns(base, shifts, counts)))
@@ -123,8 +137,15 @@ class ShiftedMatrixAlgebra:
     def _from_columns(cls, base: GradedBase, shifts: Sequence[int], counts: Sequence[int]) -> "ShiftedMatrixAlgebra":
         """From a nonempty shift column and its column of positive counts,
         equal neighbouring shifts merged into one run; n is the sum of the
-        counts.  Columns already normal cost one neighbour scan."""
-        if all(map(ne, islice(shifts, 1, None), shifts)):
+        counts.  Columns already normal cost one neighbour scan, or two over
+        K when they start at 0 but do not increase.
+
+        Two class forms come free and are kept at once: over K, shifts that
+        increase from 0, as every sink's summand has, are their own form,
+        as the scan finds; over K[x^1] every shift has the one residue, as
+        in every loop's summand."""
+        own_form = base.period is None and not shifts[0] and all(map(lt, shifts, islice(shifts, 1, None)))
+        if own_form or all(map(ne, islice(shifts, 1, None), shifts)):
             shifts, counts = tuple(shifts), tuple(counts)
         else:
             merged_shifts, merged_counts, last = [], [], None
@@ -138,6 +159,10 @@ class ShiftedMatrixAlgebra:
             shifts, counts = tuple(merged_shifts), tuple(merged_counts)
         algebra = cls.__new__(cls)
         vars(algebra).update(base=base, n=sum(counts), _run_shifts=shifts, _run_counts=counts)
+        if base.period == 1:
+            vars(algebra)["_class_form"] = 0, (-1,), (algebra.n,)
+        elif own_form:
+            vars(algebra)["_class_form"] = 0, shifts, counts
         return algebra
 
     @classmethod
@@ -145,6 +170,7 @@ class ShiftedMatrixAlgebra:
         shifts = tuple(shifts)
         if not shifts:
             raise ValueError("an algebra needs at least one run")
+        _require_ints("a shift", shifts)
         return cls._from_columns(base, shifts, (1,) * len(shifts))
 
     @property
@@ -163,7 +189,8 @@ class ShiftedMatrixAlgebra:
     @cached_property
     def _class_form(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
         """The sparse invariant of the graded isomorphism class as (start,
-        keys, counts), two parallel int columns, computed once per algebra.
+        keys, counts), two parallel int columns, computed once per algebra
+        unless _from_columns kept it at construction.
 
         Over K: start is the least shift, keys the distinct shifts minus
         start in increasing order and counts their multiplicities.  Over

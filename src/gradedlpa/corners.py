@@ -10,7 +10,8 @@ realizable on its own.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate, compress
+from itertools import accumulate, compress, islice
+from operator import ne
 from typing import Iterable
 
 from .algebras import DirectSumAlgebra, ShiftedMatrixAlgebra
@@ -22,7 +23,6 @@ from .errors import (
 )
 from .graphs import DirectedGraph, _summand_counts
 from .realize import SumVerdict, is_realizable_sum
-from .represent import _base
 
 
 def corner_by_indices(a: ShiftedMatrixAlgebra, idx: Iterable[int]) -> ShiftedMatrixAlgebra:
@@ -43,27 +43,32 @@ def corner_by_vertices(g: DirectedGraph, vs: Iterable[str]) -> DirectSumAlgebra:
     """The corner of the represented algebra of g at the idempotent sum of vs.
 
     Keeps, in each summand, the path indices whose source lies in vs; summands
-    left with no paths are dropped.  Each summand's length and count columns
-    are compressed by a membership map over its source column, and equal
-    neighbouring lengths merge into one run.
+    left with no paths are dropped.  One membership list over the shared
+    source column of _summand_counts compresses its length and count
+    columns, and each summand is cut from them by _from_columns, which merges
+    equal neighbouring lengths into one run.
 
     >>> line = DirectedGraph.from_edges([("u", "v"), ("v", "w")])
     >>> str(corner_by_vertices(line, ["u", "w"]))
     'M2(K)(0,2)'
     """
     chosen = set(vs)
-    tables = _summand_counts(g, {})
+    counts = _summand_counts(g, {})
     unknown = chosen.difference(g._id_of)
     if unknown:
         raise UnknownVertexError(f"unknown vertices: {sorted(unknown)}")
-    summands = []
-    for cycle, _, (lengths, sources, counts) in tables:
-        kept = list(map(chosen.__contains__, sources))
-        kept_counts = tuple(compress(counts, kept))
-        if kept_counts:
-            summands.append(ShiftedMatrixAlgebra._from_columns(_base(cycle), tuple(compress(lengths, kept)), kept_counts))
-    if not summands:
+    kept = list(map(chosen.__contains__, counts.sources))
+    lengths, tallies = tuple(compress(counts.lengths, kept)), tuple(compress(counts.counts, kept))
+    if not lengths:
         raise ZeroCornerError("no path in any summand starts in the chosen vertex set")
+    # where each summand's kept rows start: the rows kept before its first
+    # row, tallied up to the last summand, whose rows run to the end
+    before = list(accumulate(islice(kept, counts.offsets[-2]), initial=0))
+    offsets = [*map(before.__getitem__, counts.offsets[:-1]), len(lengths)]
+    nonempty = list(map(ne, offsets, offsets[1:]))
+    spans = list(map(slice, compress(offsets, nonempty), compress(offsets[1:], nonempty)))
+    bases = compress(counts.bases, nonempty)
+    summands = map(ShiftedMatrixAlgebra._from_columns, bases, map(lengths.__getitem__, spans), map(tallies.__getitem__, spans))
     return DirectSumAlgebra(tuple(summands))
 
 

@@ -17,7 +17,7 @@ from itertools import chain, compress, starmap
 from operator import not_
 from typing import Iterable, Mapping, NamedTuple
 
-from .algebras import _require_listable
+from .algebras import GradedBase, _require_listable, _unchecked
 from .errors import (
     EmptyGraphError,
     NotASinkError,
@@ -185,16 +185,28 @@ class DirectedGraph:
         """The cycle through the edges at the positions of each walk, in order."""
         eid = {pos: self._eid(pos) for pos in set(chain.from_iterable(walks))}.__getitem__
         name, source = self.vertices.__getitem__, self._sources.__getitem__
-        return [CycleDescriptor(tuple(map(name, map(source, walk))), tuple(map(eid, walk))) for walk in walks]
+        # valid by construction, so the descriptor's checks are skipped
+        return [
+            _unchecked(CycleDescriptor, vertices=tuple(map(name, map(source, walk))), edges=tuple(map(eid, walk)))
+            for walk in walks
+        ]
 
     @cached_property
-    def _default_counts(self) -> tuple:
-        """(cycle, vertex, table) per summand at default base vertices, counted
-        once per graph; _summand_counts, which checks the graph first, reads it."""
+    def _default_counts(self) -> "_SummandCounts":
+        """The path counts of every summand at its default base vertex:
+        the sinks', then the cycles' at their least vertex, counted by one
+        _path_counts pass once per graph, and each summand's base, one
+        GradedBase per period; _summand_counts, which checks the graph
+        first, reads them."""
         _, _, sinks, cycles = self._analysis
-        out = [(None, sink, _path_counts(self, sink)) for sink in sinks]
-        out += [(c, c.vertices[0], _path_counts(self, c.vertices[0], c)) for c in cycles]
-        return tuple(out)
+        of_summand, bases, ends = (None,) * len(sinks), (GradedBase.trivial(),) * len(sinks), sinks
+        if cycles:
+            base_of = {m: GradedBase(m) for m in {c.length for c in cycles}}
+            of_summand += cycles
+            bases += tuple(base_of[c.length] for c in cycles)
+            ends += tuple(c.vertices[0] for c in cycles)
+        counts = _path_counts(self, map(self._id_of.__getitem__, ends), of_summand)
+        return _SummandCounts(of_summand, bases, ends, *counts)
 
     def require_vertex(self, v: str) -> int:
         """The id of v; raises UnknownVertexError if g has no vertex v."""
@@ -452,79 +464,99 @@ def classify(g: DirectedGraph) -> GraphClassification:
     )
 
 
-def _path_counts(g: DirectedGraph, end: str, cycle: CycleDescriptor | None = None):
-    """The paths of g ending at `end`, counted per (length, source).
+class _SummandCounts(NamedTuple):
+    """The path counts behind each summand of a representation: per summand
+    its cycle (None for a sink), its base ring (K for a sink, K[x^m] for a
+    cycle of length m) and its sink or base vertex, then the _path_counts
+    columns that hold its rows."""
 
-    Returns three parallel columns, ascending by length, then source: the
-    lengths, the source names and the counts.  With `cycle`, counts only the
-    paths not containing it: those never extend backward through `end`.  A
-    dynamic program over reversed edges: each level maps a vertex to its
-    number of paths of that length, and an in-edge adds that number once, so
-    parallel edges count once per path.  Raises NotNoExitError when a path
-    outgrows the no-exit bound.
+    cycles: tuple[CycleDescriptor | None, ...]
+    bases: tuple[GradedBase, ...]
+    ends: tuple[str, ...]
+    lengths: tuple[int, ...]
+    sources: tuple[str, ...]
+    counts: tuple[int, ...]
+    offsets: tuple[int, ...]
+
+
+def _path_counts(g: DirectedGraph, ends: Iterable[int], cycles: Iterable[CycleDescriptor | None]):
+    """The paths of g ending at each end, a vertex id, counted per (length,
+    source), in one walk that appends every end's rows to the same columns.
+
+    Returns four columns: per row its length, source name and count, one
+    row per (length, source) pair, and the offsets, one more than there are
+    ends, end k's rows being offsets[k]:offsets[k + 1], ascending by length,
+    then source name.  `cycles` holds a cycle or None per end.  With a
+    cycle, counts only the paths not containing it: those never extend
+    backward through the end.  A dynamic program over reversed edges: each
+    level maps a vertex to its number of paths of that length, and an
+    in-edge adds that number once, so parallel edges count once per path.
+    Raises NotNoExitError when a path outgrows the no-exit bound.
 
     Costs one row per (vertex, length) pair, not one per path, and one dict
     per level only at a branch point: along a chain, where a level's one
     vertex has one in-edge, the walk steps to that edge's source with the
     same count and appends only its id; the chain's lengths and counts are
-    filled in at its end, and the ids are named once, at the end.  A long
-    line thus costs one id per vertex and nothing more.
+    filled in at its end, and the ids are named once, at the end of the
+    walk.  A long line thus costs one id per vertex and nothing more, and a
+    summand of two rows costs a few list appends.
 
     A chain of two diamonds x -> {p, q} -> y -> {r, s} -> z:
 
     >>> g = DirectedGraph.from_edges([("x", "p"), ("x", "q"), ("p", "y"), ("q", "y"),
     ...                               ("y", "r"), ("y", "s"), ("r", "z"), ("s", "z")])
-    >>> lengths, sources, counts = _path_counts(g, "z")
-    >>> lengths, sources, counts
-    ((0, 1, 1, 2, 3, 3, 4), ('z', 'r', 's', 'y', 'p', 'q', 'x'), (1, 1, 1, 2, 2, 2, 4))
+    >>> _path_counts(g, [g._id_of["z"]], [None])
+    ((0, 1, 1, 2, 3, 3, 4), ('z', 'r', 's', 'y', 'p', 'q', 'x'), (1, 1, 1, 2, 2, 2, 4), (0, 7))
     """
-    names, id_of, pred = g.vertices, g._id_of, g._index.pred
-    blocked = -1 if cycle is None else id_of[end]
-    # no cycle vertex reaches a sink in a no-exit graph, and a path avoiding a
-    # cycle enters it at most once, so every counted path is shorter than this
-    bound = len(names) + (0 if cycle is None else cycle.length)
+    names, pred = g.vertices, g._index.pred
     lengths: list[int] = []
     ids: list[int] = []
     counts: list[int] = []
+    offsets = [0]
     add_id = ids.append
-    level = {id_of[end]: 1}
-    length = 0
-    while level:
-        if length >= bound:
-            raise NotNoExitError("path enumeration did not terminate; graph is not no-exit")
-        if len(level) > 1:
-            # rows in source order
-            row_ids = sorted(level, key=names.__getitem__)
-            ids += row_ids
-            counts += map(level.__getitem__, row_ids)
-            lengths += [length] * len(row_ids)
-            length += 1
-        else:
-            # a chain of one-vertex levels, up to a branch point or the bound
-            [(v, count)] = level.items()
-            first = length
-            while True:
-                add_id(v)
+    for end, cycle in zip(ends, cycles):
+        blocked = -1 if cycle is None else end
+        # no cycle vertex reaches a sink in a no-exit graph, and a path avoiding a
+        # cycle enters it at most once, so every counted path is shorter than this
+        bound = len(names) + (0 if cycle is None else cycle.length)
+        level = {end: 1}
+        length = 0
+        while level:
+            if length >= bound:
+                raise NotNoExitError("path enumeration did not terminate; graph is not no-exit")
+            if len(level) > 1:
+                # rows in source order
+                row_ids = sorted(level, key=names.__getitem__)
+                ids += row_ids
+                counts += map(level.__getitem__, row_ids)
+                lengths += [length] * len(row_ids)
                 length += 1
-                ps = pred[v]
-                if len(ps) != 1 or ps[0] == blocked or length >= bound:
-                    break
-                v = ps[0]
-            lengths += range(first, length)
-            counts += [count] * (length - first)
-            level = {v: count}
-        nxt: dict[int, int] = {}
-        for v, count in level.items():
-            for u in pred[v]:
-                if u != blocked:
-                    nxt[u] = nxt.get(u, 0) + count
-        level = nxt
-    return tuple(lengths), tuple(map(names.__getitem__, ids)), tuple(counts)
+                frontier = level.items()
+            else:
+                # a chain of one-vertex levels, up to a branch point or the bound
+                [(v, count)] = level.items()
+                first = length
+                while True:
+                    add_id(v)
+                    length += 1
+                    ps = pred[v]
+                    if len(ps) != 1 or ps[0] == blocked or length >= bound:
+                        break
+                    v = ps[0]
+                lengths += range(first, length)
+                counts += [count] * (length - first)
+                frontier = ((v, count),)
+            level = {}
+            for v, count in frontier:
+                for u in pred[v]:
+                    if u != blocked:
+                        level[u] = level.get(u, 0) + count
+        offsets.append(len(ids))
+    return tuple(lengths), tuple(map(names.__getitem__, ids)), tuple(counts), tuple(offsets)
 
 
-def _expand(table) -> list[tuple[str, int]]:
+def _expand(lengths, sources, counts) -> list[tuple[str, int]]:
     """One (source, length) pair per path counted in _path_counts columns."""
-    lengths, sources, counts = table
     _require_listable(sum(counts))
     paths: list[tuple[str, int]] = []
     for length, source, count in zip(lengths, sources, counts):
@@ -532,34 +564,47 @@ def _expand(table) -> list[tuple[str, int]]:
     return paths
 
 
-def _summand_counts(g: DirectedGraph, base_choice: Mapping[CycleDescriptor, str]):
-    """The path counts behind each summand of g's representation.
+def _summand_counts(g: DirectedGraph, base_choice: Mapping[CycleDescriptor, str]) -> _SummandCounts:
+    """The path counts behind each summand of g's representation: sinks
+    first, with cycle None and the sink as end, then cycles, with their base
+    vertex from `base_choice` or else their smallest vertex.  Raises
+    EmptyGraphError, NotNoExitError, ValueError for a choice keyed by a
+    foreign cycle, then VertexNotOnCycleError, in that order.
 
-    Returns (cycle, vertex, table) per summand, each table the three
-    _path_counts columns: sinks first, with cycle None and the sink as
-    vertex, then cycles, with their base vertex from `base_choice` or else
-    their smallest vertex.  Raises EmptyGraphError,
-    NotNoExitError, ValueError for a choice keyed by a foreign cycle, then
-    VertexNotOnCycleError, in that order.
+    The counts at default bases are the graph's own, shared; a moved base
+    walks its summand alone and splices its rows into copies of the columns.
     """
     if not g.vertices:
         raise EmptyGraphError("the graph has no vertices")
     _require_no_exit(g)
-    # the tables at default bases are shared; only a moved base counts anew
-    out = list(g._default_counts)
+    counts = g._default_counts
     if not base_choice:  # no cycle to hash
-        return out
+        return counts
     known = set(g._analysis.cycles)
     for key in base_choice:
         if key not in known:
             raise ValueError(f"base choice keyed by a cycle not in this graph: {key}")
     # a sink's cycle is None, never a key
-    for pos, (cycle, vertex, _) in enumerate(out):
-        base = base_choice.get(cycle, vertex)
-        if base != vertex:
+    moved = {}
+    for pos, (cycle, end) in enumerate(zip(counts.cycles, counts.ends)):
+        base = base_choice.get(cycle, end)
+        if base != end:
             _require_on_cycle(cycle, base)
-            out[pos] = (cycle, base, _path_counts(g, base, cycle))
-    return out
+            moved[pos] = base
+    if not moved:
+        return counts
+    *fresh, fresh_offsets = _path_counts(g, map(g._id_of.__getitem__, moved.values()), map(counts.cycles.__getitem__, moved))
+    # per summand the columns that hold its rows, and their span
+    spans = [(counts[3:6], a, b) for a, b in zip(counts.offsets, counts.offsets[1:])]
+    for k, pos in enumerate(moved):
+        spans[pos] = fresh, fresh_offsets[k], fresh_offsets[k + 1]
+    columns, offsets = ([], [], []), [0]
+    for fields, a, b in spans:
+        for column, field in zip(columns, fields):
+            column += field[a:b]
+        offsets.append(len(columns[0]))
+    ends = tuple(moved.get(pos, end) for pos, end in enumerate(counts.ends))
+    return _SummandCounts(counts.cycles, counts.bases, ends, *map(tuple, columns), tuple(offsets))
 
 
 def paths_to_sink(g: DirectedGraph, sink: str) -> list[tuple[str, int]]:
@@ -572,7 +617,8 @@ def paths_to_sink(g: DirectedGraph, sink: str) -> list[tuple[str, int]]:
     _require_no_exit(g)
     if g._index.out[v]:
         raise NotASinkError(f"vertex {sink!r} emits edges")
-    return _expand(_path_counts(g, sink))
+    lengths, sources, counts, _ = _path_counts(g, [v], [None])
+    return _expand(lengths, sources, counts)
 
 
 def paths_to_cycle_vertex(
@@ -587,7 +633,8 @@ def paths_to_cycle_vertex(
     _require_no_exit(g)
     _validate_cycle(g, cycle)
     _require_on_cycle(cycle, base)
-    return _expand(_path_counts(g, base, cycle))
+    lengths, sources, counts, _ = _path_counts(g, [g._id_of[base]], [cycle])
+    return _expand(lengths, sources, counts)
 
 
 def _require_on_cycle(cycle: CycleDescriptor, base: str):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .algebras import DirectSumAlgebra, GradedBase, ShiftedMatrixAlgebra
+from .algebras import DirectSumAlgebra, ShiftedMatrixAlgebra, _unchecked
 from .graphs import CycleDescriptor, DirectedGraph, _expand, _summand_counts
 
 
@@ -31,7 +31,7 @@ class _CountedPaths:
     @property
     def paths(self) -> tuple[tuple[str, int], ...]:
         """One (source, length) pair per path; raises ValueError past 1,000,000."""
-        return tuple(_expand((self.lengths, self.sources, self.counts)))
+        return tuple(_expand(self.lengths, self.sources, self.counts))
 
 
 @dataclass(frozen=True)
@@ -89,19 +89,23 @@ def represent_at(
     """Representation with caller-chosen base vertices for some or all cycles.
 
     Keys of `base_choice` must be cycles of g; any cycle not mentioned uses
-    its lexicographically smallest vertex.
+    its lexicographically smallest vertex.  Every summand and provenance
+    entry is cut from the shared columns of _summand_counts, one slice per
+    summand: the rows ascend by length, so _from_columns merges a level of
+    several sources into one run.
     """
-    summands: list[ShiftedMatrixAlgebra] = []
-    provenance: list[Provenance] = []
-    for cycle, vertex, table in _summand_counts(g, base_choice):
-        # the rows ascend by length, so merging equal neighbours sums each level
-        lengths, _, counts = table
-        summands.append(ShiftedMatrixAlgebra._from_columns(_base(cycle), lengths, counts))
-        provenance.append(SinkSummand(vertex, *table) if cycle is None else CycleSummand(cycle, vertex, *table))
-    return RepresentationReport(DirectSumAlgebra(tuple(summands)), tuple(provenance))
+    counts = _summand_counts(g, base_choice)
+    spans = list(map(slice, counts.offsets, counts.offsets[1:]))
+    lengths = list(map(counts.lengths.__getitem__, spans))
+    tallies = list(map(counts.counts.__getitem__, spans))
+    sources = map(counts.sources.__getitem__, spans)
+    summands = tuple(map(ShiftedMatrixAlgebra._from_columns, counts.bases, lengths, tallies))
+    provenance = tuple(map(_provenance, counts.cycles, counts.ends, lengths, sources, tallies))
+    return RepresentationReport(DirectSumAlgebra(summands), provenance)
 
 
-def _base(cycle: CycleDescriptor | None) -> GradedBase:
-    """K for a sink's summand, K[x^m] for the summand of a cycle of length m."""
-    return GradedBase.trivial() if cycle is None else GradedBase.laurent(cycle.length)
-
+def _provenance(cycle, end, lengths, sources, counts) -> Provenance:
+    # columns cut from valid counts, so the dataclass constructor is skipped
+    if cycle is None:
+        return _unchecked(SinkSummand, sink=end, lengths=lengths, sources=sources, counts=counts)
+    return _unchecked(CycleSummand, cycle=cycle, base_vertex=end, lengths=lengths, sources=sources, counts=counts)

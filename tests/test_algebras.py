@@ -63,6 +63,40 @@ def test_base_validation_and_str():
         GradedBase(period=-1)
 
 
+# a value of each kind that is not an int, or is a bool, which is one
+BAD_INTS = {"float": 2.0, "bool": True, "str": "a", "none": None}
+
+
+@pytest.mark.parametrize("kind", ["float", "bool", "str"])  # a period of None is K's
+def test_base_period_must_be_an_int(kind):
+    bad = BAD_INTS[kind]
+    for build in (GradedBase, L):
+        with pytest.raises(ValueError) as err:
+            build(bad)
+        assert str(err.value) == f"a Laurent period must be an int, not {bad!r}"
+    assert str(L(2)) == "K[x^2]"
+
+
+@pytest.mark.parametrize("kind", BAD_INTS)
+@pytest.mark.parametrize("field", ["shift", "count"])
+def test_run_shift_and_count_must_be_ints(field, kind):
+    bad = BAD_INTS[kind]
+    for base in (K, L(2)):
+        run = (bad, 2) if field == "shift" else (0, bad)
+        with pytest.raises(ValueError) as err:
+            ShiftedMatrixAlgebra(base, [(0, 1), run])
+        assert str(err.value) == f"a run's {field} must be an int, not {bad!r}"
+
+
+@pytest.mark.parametrize("kind", BAD_INTS)
+def test_from_shifts_refuses_what_is_not_an_int(kind):
+    bad = BAD_INTS[kind]
+    for base in (K, L(2)):
+        with pytest.raises(ValueError) as err:
+            ShiftedMatrixAlgebra.from_shifts(base, (0, bad, 1))
+        assert str(err.value) == f"a shift must be an int, not {bad!r}"
+
+
 def test_algebra_construction():
     a = alg(K, 3, 1, 2)
     assert a.n == 3 and a.shifts == (3, 1, 2) and a.runs == ((3, 1), (1, 1), (2, 1))

@@ -28,9 +28,12 @@ from gradedlpa.graphs import _path_counts, _scc_pass
 
 
 def _path_rows(g, end, cycle=None):
-    """The _path_counts columns zipped back into (length, source, count)
-    rows, as naive_path_counts lists them; the columns must be equally long."""
-    return list(zip(*_path_counts(g, end, cycle), strict=True))
+    """_path_counts walked from one end, its columns zipped back into
+    (length, source, count) rows, as naive_path_counts lists them; the
+    columns must be equally long and hold that one end's rows."""
+    lengths, sources, counts, offsets = _path_counts(g, [g._id_of[end]], [cycle])
+    assert offsets == (0, len(sources))
+    return list(zip(lengths, sources, counts, strict=True))
 
 
 def _outcome(f, *args):

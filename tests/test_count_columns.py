@@ -113,8 +113,10 @@ def test_column_forms_match_dense_definitions(base, runs, idx, rng):
     moved = ShiftedMatrixAlgebra.from_shifts(base, [shifts[0] + 1, *shifts[1:]])
     assert moved != a and a != ShiftedMatrixAlgebra.from_shifts(GradedBase.laurent((m or 0) + 1), shifts)
 
-    # class form: start and columns read back the dense counts at start
+    # class form: start and columns read back the dense counts at start; a
+    # form kept free at construction is the one computed on first use
     start, keys, counts = a._class_form
+    assert a._class_form == vars(ShiftedMatrixAlgebra)["_class_form"].func(a)
     assert len(keys) == len(counts)
     form = canonical_form(a)
     assert form == naive_canonical_form(a)

@@ -43,6 +43,15 @@ from gradedlpa import (
 from gradedlpa.graphs import _UNNAMED, _distinct_eids, _path_counts, _peel
 
 
+def _path_rows(g, end, cycle=None):
+    """_path_counts walked from one end, its columns zipped back into
+    (length, source, count) rows, as naive_path_counts lists them; the
+    columns must be equally long and hold that one end's rows."""
+    lengths, sources, counts, offsets = _path_counts(g, [g._id_of[end]], [cycle])
+    assert offsets == (0, len(sources))
+    return list(zip(lengths, sources, counts, strict=True))
+
+
 def test_from_edges_order_and_auto_ids():
     g = DirectedGraph.from_edges([("b", "a"), ("a", "c", "loop")], isolated=("z", "a"))
     assert g.vertices == ("b", "a", "c", "z")
@@ -495,11 +504,6 @@ def named_multigraphs(draw):
         pairs = draw(st.permutations(pairs))
     return DirectedGraph.from_edges([(names[a], names[b]) for a, b in pairs], isolated=names)
 
-
-def _path_rows(g, end, cycle=None):
-    """The _path_counts columns zipped back into (length, source, count)
-    rows, as naive_path_counts lists them; the columns must be equally long."""
-    return list(zip(*_path_counts(g, end, cycle), strict=True))
 
 
 def _outcome(f, *args):
