@@ -414,6 +414,7 @@ class Permute:
 
     def __post_init__(self):
         object.__setattr__(self, "image", tuple(self.image))
+        _require_ints("a permutation entry", self.image)
         if sorted(self.image) != list(range(1, len(self.image) + 1)):
             raise ValueError("image must be a permutation of 1..n")
 
@@ -422,6 +423,10 @@ class Permute:
 class GlobalShift:
     delta: int
 
+    def __post_init__(self):
+        if type(self.delta) is not int:
+            _require_ints("a global shift", (self.delta,))
+
 
 @dataclass(frozen=True)
 class EntryShift:
@@ -429,6 +434,9 @@ class EntryShift:
     delta: int
 
     def __post_init__(self):
+        if type(self.index) is not int or type(self.delta) is not int:
+            _require_ints("an entry index", (self.index,))
+            _require_ints("an entry shift's degree", (self.delta,))
         if self.index < 1:
             raise ValueError("entry index is 1-based")
 

@@ -14,7 +14,7 @@ from itertools import accumulate, compress, islice
 from operator import ne
 from typing import Iterable
 
-from .algebras import DirectSumAlgebra, ShiftedMatrixAlgebra
+from .algebras import DirectSumAlgebra, ShiftedMatrixAlgebra, _require_ints
 from .errors import (
     EmptyIndexSetError,
     IndexOutOfRangeError,
@@ -27,7 +27,9 @@ from .realize import SumVerdict, is_realizable_sum
 
 def corner_by_indices(a: ShiftedMatrixAlgebra, idx: Iterable[int]) -> ShiftedMatrixAlgebra:
     """The corner eMe for e the sum of the units e_ii with i in idx (1-based)."""
-    chosen = sorted(set(idx))
+    chosen = list(idx)
+    _require_ints("a corner index", chosen)
+    chosen = sorted(set(chosen))
     if not chosen:
         raise EmptyIndexSetError("a corner needs at least one index")
     if chosen[0] < 1 or chosen[-1] > a.n:

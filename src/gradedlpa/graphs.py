@@ -193,20 +193,11 @@ class DirectedGraph:
 
     @cached_property
     def _default_counts(self) -> "_SummandCounts":
-        """The path counts of every summand at its default base vertex:
-        the sinks', then the cycles' at their least vertex, counted by one
-        _path_counts pass once per graph, and each summand's base, one
-        GradedBase per period; _summand_counts, which checks the graph
-        first, reads them."""
-        _, _, sinks, cycles = self._analysis
-        of_summand, bases, ends = (None,) * len(sinks), (GradedBase.trivial(),) * len(sinks), sinks
-        if cycles:
-            base_of = {m: GradedBase(m) for m in {c.length for c in cycles}}
-            of_summand += cycles
-            bases += tuple(base_of[c.length] for c in cycles)
-            ends += tuple(c.vertices[0] for c in cycles)
-        counts = _path_counts(self, map(self._id_of.__getitem__, ends), of_summand)
-        return _SummandCounts(of_summand, bases, ends, *counts)
+        """The path counts of every summand at its default end, counted by
+        one _path_counts pass once per graph; _summand_counts, which checks
+        the graph first, reads them."""
+        cycles, bases, ends = _summands(self)
+        return _SummandCounts(cycles, bases, ends, *_path_counts(self, map(self._id_of.__getitem__, ends), cycles))
 
     def require_vertex(self, v: str) -> int:
         """The id of v; raises UnknownVertexError if g has no vertex v."""
@@ -421,39 +412,40 @@ def find_cycles(g: DirectedGraph) -> list[CycleDescriptor]:
     return g._cycles(walks)
 
 
-def _count_weak_components(g: DirectedGraph) -> int:
-    (out, pred), head = g._index, g._ranges
-    seen = [False] * len(out)
-    count = 0
-    for root in range(len(seen)):
-        if seen[root]:
-            continue
-        count += 1
-        seen[root] = True
-        frontier = [root]
-        while frontier:
-            v = frontier.pop()
-            for w in chain(map(head.__getitem__, out[v]), pred[v]):
-                if not seen[w]:
-                    seen[w] = True
-                    frontier.append(w)
-    return count
+def _one_cycle_reached(g: DirectedGraph) -> bool:
+    """Whether no vertex of g, a no-exit graph, reaches two cycles: a backward
+    walk over pred from each cycle, none of which reaches another, stops at
+    the first vertex that an earlier walk reached."""
+    pred, id_of = g._index.pred, g._id_of
+    owner = [-1] * len(pred)  # per id, the cycle whose walk reached it
+    for k, comp in enumerate(g._analysis.cyclic_components):
+        frontier = [id_of[comp[0]]]
+        owner[frontier[0]] = k
+        for v in frontier:  # the list grows as the loop reads it
+            for u in pred[v]:
+                if owner[u] < 0:
+                    owner[u] = k
+                    frontier.append(u)
+                elif owner[u] != k:
+                    return False
+    return True
 
 
 def classify(g: DirectedGraph) -> GraphClassification:
     """Flags and inventories used by every downstream operation.
 
     A weakly connected component counts as a comet when it contains exactly
-    one cycle and every one of its vertices has a path to that cycle.  Only a
-    graph that is not no-exit lists its cycles through find_cycles, which
-    raises TooManyCyclesError past DEFAULT_CYCLE_CAP (10,000) cycles.
+    one cycle and every one of its vertices has a path to that cycle: with no
+    sink, every vertex reaches a cycle and an exit's component holds two, so
+    every component is one iff there is no exit and no vertex reaches two
+    cycles.  Only a graph that is not no-exit lists its cycles through
+    find_cycles, which raises TooManyCyclesError past DEFAULT_CYCLE_CAP
+    (10,000) cycles.
     """
     _, exit_vertex, sinks, cycles = g._analysis
     if exit_vertex is not None:
         cycles = tuple(find_cycles(g))
-    # every vertex reaches a sink or a cycle, so a component is a comet iff it
-    # has exactly one cycle and no sink; without sinks every component has a cycle
-    comet = not sinks and len(cycles) == _count_weak_components(g)
+    comet = not sinks and exit_vertex is None and _one_cycle_reached(g)
     return GraphClassification(
         acyclic=not cycles,
         no_exit=exit_vertex is None,
@@ -564,6 +556,19 @@ def _expand(lengths, sources, counts) -> list[tuple[str, int]]:
     return paths
 
 
+def _summands(g: DirectedGraph) -> tuple[tuple, tuple[GradedBase, ...], tuple[str, ...]]:
+    """Per summand of g's representation, read off the SCC pass: its cycle
+    (None for a sink), its base ring, one GradedBase per period, and its
+    default end, the sink or the cycle's least vertex; sinks first."""
+    _, _, sinks, cycles = g._analysis
+    base_of = {m: GradedBase(m) for m in {c.length for c in cycles}}
+    return (
+        (None,) * len(sinks) + cycles,
+        (GradedBase.trivial(),) * len(sinks) + tuple(base_of[c.length] for c in cycles),
+        sinks + tuple(c.vertices[0] for c in cycles),
+    )
+
+
 def _summand_counts(g: DirectedGraph, base_choice: Mapping[CycleDescriptor, str]) -> _SummandCounts:
     """The path counts behind each summand of g's representation: sinks
     first, with cycle None and the sink as end, then cycles, with their base
@@ -571,40 +576,26 @@ def _summand_counts(g: DirectedGraph, base_choice: Mapping[CycleDescriptor, str]
     EmptyGraphError, NotNoExitError, ValueError for a choice keyed by a
     foreign cycle, then VertexNotOnCycleError, in that order.
 
-    The counts at default bases are the graph's own, shared; a moved base
-    walks its summand alone and splices its rows into copies of the columns.
+    The counts at default bases are the graph's own, shared; a choice that
+    moves a base counts every summand anew in one _path_counts pass.
     """
     if not g.vertices:
         raise EmptyGraphError("the graph has no vertices")
     _require_no_exit(g)
-    counts = g._default_counts
     if not base_choice:  # no cycle to hash
-        return counts
+        return g._default_counts
     known = set(g._analysis.cycles)
     for key in base_choice:
         if key not in known:
             raise ValueError(f"base choice keyed by a cycle not in this graph: {key}")
+    for cycle, base in base_choice.items():
+        _require_on_cycle(cycle, base)
+    cycles, bases, ends = _summands(g)
     # a sink's cycle is None, never a key
-    moved = {}
-    for pos, (cycle, end) in enumerate(zip(counts.cycles, counts.ends)):
-        base = base_choice.get(cycle, end)
-        if base != end:
-            _require_on_cycle(cycle, base)
-            moved[pos] = base
-    if not moved:
-        return counts
-    *fresh, fresh_offsets = _path_counts(g, map(g._id_of.__getitem__, moved.values()), map(counts.cycles.__getitem__, moved))
-    # per summand the columns that hold its rows, and their span
-    spans = [(counts[3:6], a, b) for a, b in zip(counts.offsets, counts.offsets[1:])]
-    for k, pos in enumerate(moved):
-        spans[pos] = fresh, fresh_offsets[k], fresh_offsets[k + 1]
-    columns, offsets = ([], [], []), [0]
-    for fields, a, b in spans:
-        for column, field in zip(columns, fields):
-            column += field[a:b]
-        offsets.append(len(columns[0]))
-    ends = tuple(moved.get(pos, end) for pos, end in enumerate(counts.ends))
-    return _SummandCounts(counts.cycles, counts.bases, ends, *map(tuple, columns), tuple(offsets))
+    chosen = tuple(map(base_choice.get, cycles, ends))
+    if chosen == ends:
+        return g._default_counts
+    return _SummandCounts(cycles, bases, chosen, *_path_counts(g, map(g._id_of.__getitem__, chosen), cycles))
 
 
 def paths_to_sink(g: DirectedGraph, sink: str) -> list[tuple[str, int]]:

@@ -474,6 +474,15 @@ def diamond_chain(k: int) -> DirectedGraph:
     return DirectedGraph.from_edges(edges)
 
 
+def comet_edges(k: int, tail: int = 3) -> list[tuple[str, str]]:
+    """k disjoint comets: c<j>t0 -> ... -> c<j>t<tail>, a loop at the end."""
+    edges = []
+    for j in range(k):
+        chain = [f"c{j}t{i}" for i in range(tail + 1)]
+        edges += list(zip(chain, chain[1:])) + [(chain[-1], chain[-1])]
+    return edges
+
+
 def random_realizable_summand(rng: random.Random) -> ShiftedMatrixAlgebra:
     """A summand admitted by the realizability criteria, with scrambled shifts."""
     if rng.random() < 0.5:

@@ -308,6 +308,36 @@ def test_apply_step_entry_shift():
         apply_certificate((0, 1), (EntryShift(3, 2),), L(2))
     with pytest.raises(TypeError):
         apply_certificate((0, 1), ("G 1",), L(2))
+
+
+STEP_KINDS = ["float", "bool", "str"]
+
+
+@pytest.mark.parametrize("kind", STEP_KINDS)
+def test_permute_refuses_what_is_not_an_int(kind):
+    # (2.0, 1) once sorted equal to 1..2, and printed as "P 2.0 1"
+    bad = BAD_INTS[kind]
+    with pytest.raises(ValueError) as err:
+        Permute((bad, 1))
+    assert str(err.value) == f"a permutation entry must be an int, not {bad!r}"
+
+
+@pytest.mark.parametrize("kind", STEP_KINDS)
+def test_global_shift_refuses_what_is_not_an_int(kind):
+    bad = BAD_INTS[kind]
+    with pytest.raises(ValueError) as err:
+        GlobalShift(bad)
+    assert str(err.value) == f"a global shift must be an int, not {bad!r}"
+
+
+@pytest.mark.parametrize("kind", STEP_KINDS)
+@pytest.mark.parametrize("field", ["index", "delta"])
+def test_entry_shift_refuses_what_is_not_an_int(field, kind):
+    bad = BAD_INTS[kind]
+    what = "an entry index" if field == "index" else "an entry shift's degree"
+    with pytest.raises(ValueError) as err:
+        EntryShift(bad, 2) if field == "index" else EntryShift(1, bad)
+    assert str(err.value) == f"{what} must be an int, not {bad!r}"
     with pytest.raises(ValueError):
         EntryShift(0, 2)
 

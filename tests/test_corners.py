@@ -38,6 +38,14 @@ def test_corner_by_indices():
     assert corner_by_indices(alg(L(2), 0, 1, 1), [2]) == alg(L(2), 1)
 
 
+@pytest.mark.parametrize("bad", [1.5, True, "a"], ids=["float", "bool", "str"])
+def test_corner_by_indices_refuses_what_is_not_an_int(bad):
+    # 1.5 once picked the run holding index 2, and True index 1
+    with pytest.raises(ValueError) as err:
+        corner_by_indices(alg(K, 0, 1, 2), [2, bad])
+    assert str(err.value) == f"a corner index must be an int, not {bad!r}"
+
+
 def test_corner_by_indices_composes():
     rng = random.Random(79)
     for _ in range(100):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import (
     brute_cycles,
     brute_scc,
+    comet_edges,
     diamond_chain,
     naive_classify,
     naive_from_edges,
@@ -345,13 +346,31 @@ def test_classify_exit_from_cycle():
 
 
 def test_classify_comet_needs_every_vertex_connected():
-    # z floats next to a cycle in the same component via an edge from the
-    # cycle viewpoint? no: z -> cycle keeps the comet, cycle component plus
-    # separate sink component breaks it
+    # a tail t -> a into the loop keeps the component a comet; an isolated
+    # vertex is a component with no cycle, so the graph has a non-comet
     g = DirectedGraph.from_edges([("a", "a"), ("t", "a")])
     assert classify(g).comet_per_component
     h = DirectedGraph.from_edges([("a", "a")], isolated=("lonely",))
     assert not classify(h).comet_per_component
+    # one vertex feeding two loops joins them into a component with two cycles
+    two = DirectedGraph.from_edges([("x", "a"), ("x", "b"), ("a", "a"), ("b", "b")])
+    assert not classify(two).comet_per_component
+
+
+# sizes no walk oracle reaches, built so that the answer is known
+LARGE_COMETS = {
+    "comets-800": (lambda: DirectedGraph.from_edges(comet_edges(800)), True),
+    "comets-800-joined": (lambda: DirectedGraph.from_edges(comet_edges(800) + [("x", "c3t0"), ("x", "c798t0")]), False),
+    "comets-800-sink": (lambda: DirectedGraph.from_edges(comet_edges(800) + [("c400t1", "s")]), False),
+    "line-16000-loop": (lambda: build_cycle_tail(16000), True),
+}
+
+
+@pytest.mark.parametrize("name", LARGE_COMETS)
+def test_classify_comets_at_scale(name):
+    build, comet = LARGE_COMETS[name]
+    info = classify(build())
+    assert info.no_exit and info.comet_per_component is comet
 
 
 def test_classify_empty_graph():

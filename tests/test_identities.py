@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import diamond_chain, naive_summand_counts, random_no_exit_graph
+from conftest import comet_edges, diamond_chain, naive_summand_counts, random_no_exit_graph
 from gradedlpa import DirectedGraph, classify, corner_by_vertices, represent
 from gradedlpa.graphs import _summand_counts
 
@@ -109,14 +109,6 @@ def _star(sinks: int) -> DirectedGraph:
     return DirectedGraph.from_edges([("hub", f"s{i}") for i in range(sinks)])
 
 
-def _comets(k: int, tail: int = 3) -> DirectedGraph:
-    edges = []
-    for j in range(k):
-        chain = [f"c{j}t{i}" for i in range(tail + 1)]
-        edges += list(zip(chain, chain[1:])) + [(chain[-1], chain[-1])]
-    return DirectedGraph.from_edges(edges)
-
-
 def _line(n: int) -> DirectedGraph:
     return DirectedGraph.from_edges([(f"v{i}", f"v{i + 1}") for i in range(n - 1)])
 
@@ -133,7 +125,7 @@ def _scrambled_diamonds(k: int) -> DirectedGraph:
 
 LARGE = {
     "star-1600": (lambda: _star(1600), ["hub", "s0", "s799", "s1599"]),
-    "comets-800": (lambda: _comets(800), ["c0t0", "c400t1", "c799t3", "c17t2"]),
+    "comets-800": (lambda: DirectedGraph.from_edges(comet_edges(800)), ["c0t0", "c400t1", "c799t3", "c17t2"]),
     "line-16000": (lambda: _line(16000), ["v0", "v8000", "v15999"]),
     "diamonds-60": (lambda: _scrambled_diamonds(60), None),
 }

@@ -260,7 +260,7 @@ def test_one_path_count_per_summand(monkeypatch):
     assert calls == [["s7"]]
     # the whole-graph passes read the id index; no Edge tuple is built
     assert "edges" not in vars(star)
-    # a base choice away from the default counts that one summand anew
+    # a base choice away from the default counts every summand anew in one pass
     calls.clear()
     comet = ex_comet()
     cycle = represent(comet).provenance[0].cycle
@@ -270,6 +270,21 @@ def test_one_path_count_per_summand(monkeypatch):
     represent_at(comet, {cycle: "u"})
     corner_by_vertices(comet, ["t"])
     assert len(calls) == 2
+    # with a sink, a 2-cycle and a loop: on a fresh graph a moved base walks
+    # every end, the moved one included, and no default pass runs
+    calls.clear()
+    mixed = DirectedGraph.from_edges([("a", "s"), ("a", "u"), ("u", "v"), ("v", "u"), ("d", "w"), ("w", "w"), ("d", "s")])
+    two_cycle = classify(mixed).cycles[0]
+    assert represent_at(mixed, {two_cycle: "v"}).provenance[1].base_vertex == "v"
+    assert calls == [["s", "v", "w"]]
+    # represent makes the default pass; a move after it walks once more
+    represent(mixed)
+    represent_at(mixed, {two_cycle: "v"})
+    assert calls[1:] == [["s", "u", "w"], ["s", "v", "w"]]
+    # a choice of the default base and a corner read the default pass
+    represent_at(mixed, {two_cycle: "u"})
+    corner_by_vertices(mixed, ["a"])
+    assert len(calls) == 3
 
 
 def test_represent_at_validates_choice():
