@@ -7,10 +7,12 @@ Graph files hold one statement per line; '#' starts a comment.
     <src> -> <dst> [<id>]    declare an edge; unnamed edges get e1, e2, ...
 
 A line 'vertex -> ...' is an edge whose source is the vertex named 'vertex'.
-One regex match reads a well-formed line straight into the graph's id
-columns.  Only a text that fails is read again, line by line, to name its
-first offending line; the token scanner explains a line that the match
-rejects, with the same error text as ever.
+Each line is read by one str.split(), after every '->' is spaced apart and
+any comment cut off, straight into the graph's id columns; the names are
+checked afterwards, a column at a time.  Only a text that fails is read
+again, line by line, by the statement regex to name its first offending
+line; the token scanner explains a line that the regex rejects, with the
+same error text as ever.
 
 Algebra expressions follow
 
@@ -132,31 +134,52 @@ def _explain_graph(text: str):
     raise AssertionError("the text has no offending line")
 
 
+def _all_ids(names) -> bool:
+    """Whether every name is an id, in one pass per check: a name is an id
+    exactly when it is an ASCII identifier."""
+    return all(map(str.isidentifier, names)) and "".join(names).isascii()
+
+
 def parse_graph(text: str) -> DirectedGraph:
     """Parse the graph description language into a DirectedGraph.
 
-    The lines fill the graph's id columns as they are read; only a text that
-    fails is read again, by _explain_graph, to name its first offending line.
+    One split() per line gives its tokens, once every '->' is spaced apart
+    and comments are cut off: three or four with '->' second are an edge,
+    'vertex' and a name a declaration, none a blank line.  The names are
+    checked afterwards by _all_ids, a column at a time.  Only a text that
+    fails is read again, by _explain_graph, which matches the statement
+    regex line by line, to name its first offending line.
     """
+    lines = text.replace("->", " -> ").splitlines()
+    rows = (line.partition("#")[0].split() for line in lines) if "#" in text else map(str.split, lines)
     id_of: dict[str, int] = {}  # vertex name -> id, in mention order
     declared: set[str] = set()
     eids: list = []
+    named: list[str] = []
     sources: list[int] = []
     ranges: list[int] = []
     vertex_id, add_eid, add_source, add_range = id_of.setdefault, eids.append, sources.append, ranges.append
-    for m in map(_STATEMENT_RE.fullmatch, text.splitlines()):
-        if m is None:
-            _explain_graph(text)
-        name, src, dst, eid = m.groups()
-        if src is not None:
-            add_source(vertex_id(src, len(id_of)))
-            add_range(vertex_id(dst, len(id_of)))
-            add_eid(eid or _UNNAMED)
-        elif name is not None:
-            if name in declared:
+    for row in rows:
+        if len(row) == 3:
+            src, arrow, dst = row
+            eid = _UNNAMED
+        elif len(row) == 4:
+            src, arrow, dst, eid = row
+            named.append(eid)
+        else:
+            if len(row) == 2 and row[0] == "vertex" and row[1] not in declared:
+                declared.add(row[1])
+                vertex_id(row[1], len(id_of))
+            elif row:
                 _explain_graph(text)
-            declared.add(name)
-            vertex_id(name, len(id_of))
+            continue
+        if arrow != "->":
+            _explain_graph(text)
+        add_source(vertex_id(src, len(id_of)))
+        add_range(vertex_id(dst, len(id_of)))
+        add_eid(eid)
+    if not (_all_ids(id_of) and _all_ids(named)):
+        _explain_graph(text)
     if not _distinct_eids(eids):
         _explain_graph(text)
     return DirectedGraph._from_columns(id_of, eids, sources, ranges)
@@ -166,14 +189,14 @@ def format_graph(g: DirectedGraph) -> str:
     """Graph text that parses back to exactly the same graph, written from
     the id columns: every vertex, then every edge.
 
-    Each column is checked in one pass, as a name is an id exactly when it
-    is an ASCII identifier; only a column that fails, or holds an id that is
-    not a string, is read again, name by name, to name its first unwritable id.
+    Each column is checked by _all_ids; only a column that fails, or holds
+    an id that is not a string, is read again, name by name, to name its
+    first unwritable id.
     """
     eids, sources, ranges = g._edge_columns()
     for column in (g.vertices, eids):
         try:
-            writable = all(map(str.isidentifier, column)) and "".join(column).isascii()
+            writable = _all_ids(column)
         except TypeError:  # an id that is not a string
             writable = False
         if not writable:

@@ -393,6 +393,30 @@ def test_classify_matches_definition_on_random_multigraphs(g):
     assert classify(g) == naive_classify(g)
 
 
+@st.composite
+def cycles_fed_by_tails(draw):
+    """Disjoint cycles and tails into them, with no sink and no exit, so that
+    the comet flag is decided by the backward walks: each tail vertex feeds
+    one or two earlier vertices, and one that feeds two may reach two cycles."""
+    pairs, start = [], 0
+    for _ in range(draw(st.integers(1, 3))):
+        length = draw(st.integers(1, 3))
+        pairs += [(start + j, start + (j + 1) % length) for j in range(length)]
+        start += length
+    n = start + draw(st.integers(0, 10 - start))
+    for i in range(start, n):
+        pairs += [(i, t) for t in draw(st.lists(st.integers(0, i - 1), min_size=1, max_size=2))]
+    names = draw(st.permutations(ID_NAMES))[:n]
+    pairs = draw(st.permutations(pairs))
+    return DirectedGraph.from_edges([(names[a], names[b]) for a, b in pairs])
+
+
+@settings(max_examples=200)
+@given(cycles_fed_by_tails())
+def test_classify_matches_definition_on_cycles_fed_by_tails(g):
+    assert classify(g) == naive_classify(g)
+
+
 def test_paths_to_sink_line():
     g = build_line(3)
     assert paths_to_sink(g, "v3") == [("v3", 0), ("v2", 1), ("v1", 2)]

@@ -440,6 +440,10 @@ def graph_lines(draw):
     return "".join(draw(SPACE) + piece for piece in pieces) + draw(SPACE)
 
 
+# 16,000 edge lines whose one bad line, line 8,000, the reader splits into three tokens
+_LONG_TEXT_BAD_AT_8000 = "".join(f"v{i} {'-->' if i == 8000 else '->'} v{i + 1}\n" for i in range(1, 16_001))
+
+
 @settings(max_examples=500)
 @given(st.one_of(GRAPH_TEXT, st.lists(graph_lines(), max_size=6).map("\n".join)))
 @example("vertex a\nvertex a")
@@ -454,6 +458,21 @@ def graph_lines(draw):
 @example("a -> b\nz => y\nc -> d e1")
 @example("vertex a\nc -> d e1\nc -> d e1\nvertex a")
 @example("t -> u\r\nu -> v\x0bv -> u\u2028w -> t # x\x85")
+# where one split() per line and the statement regex could disagree
+@example("u->v")
+@example("u-->v")
+@example("a ->-> b")
+@example("vertex->x")
+@example("vertex ->")
+@example("a -> b -> c")
+@example("a b c")
+@example("a -> b#c -> d")
+@example("\u00e9 -> b")
+@example("a -> vertex")
+@example("vertex vertex")
+@example("a\u3000->\u3000b\u3000e\nvertex\u00a0c\na\u00a0->\u00a0c")
+@example("a -> b\x1cb -> c\x1cvertex d\u2028vertex d")
+@example(_LONG_TEXT_BAD_AT_8000)
 def test_parse_graph_matches_token_parser(text):
     assert _outcome(parse_graph, text) == _outcome(naive_parse_graph, text)
 
@@ -626,35 +645,46 @@ def test_well_formed_certificates_skip_the_line_reader(monkeypatch):
     assert explained == ["G 1\n\nE 0 2\nX\n"]
 
 
+class _CountingRegex:
+    """Stands in for a compiled regex and counts its match and fullmatch calls."""
+
+    def __init__(self, regex):
+        self.regex, self.calls = regex, 0
+
+    def match(self, *args):
+        self.calls += 1
+        return self.regex.match(*args)
+
+    def fullmatch(self, *args):
+        self.calls += 1
+        return self.regex.fullmatch(*args)
+
+
 def test_well_formed_graph_lines_skip_the_token_scanner(monkeypatch):
-    # a silent fall-back to the token scanner fails here, not only in the benchmark
+    # a silent fall-back to the statement regex or the token scanner fails
+    # here, not only in the benchmark
     explained, walked = [], []
     explain_line, walk = parsing._explain_graph_line, parsing._explain_graph
     monkeypatch.setattr(parsing, "_explain_graph_line", lambda *args: explained.append(args) or explain_line(*args))
     monkeypatch.setattr(parsing, "_explain_graph", lambda text: walked.append(text) or walk(text))
+    statements = _CountingRegex(parsing._STATEMENT_RE)
+    monkeypatch.setattr(parsing, "_STATEMENT_RE", statements)
     lines = []
     for i in range(2500):
-        lines += [f"vertex v{i}", f"v{i} -> v{i + 1}", f"  v{i}->w{i} f{i}  # side edge", ""]
+        lines += [f"vertex v{i}", f"v{i} -> v{i + 1}", f"  v{i}->w{i} f{i}  # side edge -> w", ""]
+    lines += ["vertex\t->\u00a0v0", "vertex vertex", "# a comment -> only"]
     g = parse_graph("\n".join(lines))
-    # read straight into the id columns: no walk, and no Edge tuple yet
-    assert explained == walked == [] and "edges" not in vars(g)
-    assert len(lines) == 10_000 and len(g.edges) == 5000
+    # read straight into the id columns: no walk, no regex match, and no Edge tuple yet
+    assert explained == walked == [] and statements.calls == 0 and "edges" not in vars(g)
+    assert len(lines) == 10_003 and len(g.edges) == 5001 and g.vertices[-1] == "vertex"
     with pytest.raises(ParseError, match="line 2, column 3: unexpected character '='"):
         parse_graph("a -> b\na => b # c\n")
-    assert explained == [("a => b ", 2)] and walked == ["a -> b\na => b # c\n"]
+    assert explained == [("a => b ", 2)] and walked == ["a -> b\na => b # c\n"] and statements.calls == 2
 
 
 def test_plain_shift_runs_skip_the_token_cursor(monkeypatch):
     # the item-by-item reader makes about two cursor matches per shift
-    class CountingRegex:
-        def __init__(self, regex):
-            self.regex, self.calls = regex, 0
-
-        def match(self, *args):
-            self.calls += 1
-            return self.regex.match(*args)
-
-    cursor = CountingRegex(parsing._TOKEN_RE)
+    cursor = _CountingRegex(parsing._TOKEN_RE)
     monkeypatch.setattr(parsing, "_TOKEN_RE", cursor)
     rng = random.Random(9)
     shifts = [rng.randint(-3, 3) for _ in range(100_000)]
