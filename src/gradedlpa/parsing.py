@@ -10,9 +10,8 @@ A line 'vertex -> ...' is an edge whose source is the vertex named 'vertex'.
 Each line is read by one str.split(), after every '->' is spaced apart and
 any comment cut off, straight into the graph's id columns; the names are
 checked afterwards, a column at a time.  Only a text that fails is read
-again, line by line, by the statement regex to name its first offending
-line; the token scanner explains a line that the regex rejects, with the
-same error text as ever.
+again, line by line, by the token scanner, which names its first offending
+line and column.
 
 Algebra expressions follow
 
@@ -39,10 +38,10 @@ Certificate files hold one step per line; '#' starts a comment.
     G <delta>                add delta to every shift
     E <index> <delta>        add delta to one shift
 
-Every argument is an ASCII integer [+-]?[0-9]+.  One regex match reads each
-line; a run of E lines becomes two int columns, and a G or P step's
-constructor checks it.  Only a text that fails is read again, line by line,
-to name its first offending line.
+Every argument is an ASCII integer [+-]?[0-9]+.  Each line is read by one
+str.split(), as graph text is; a run of E lines becomes two int columns, and
+a G or P step's constructor checks it.  Only a text that fails is read
+again, line by line, to name its first offending line.
 """
 
 from __future__ import annotations
@@ -50,8 +49,6 @@ from __future__ import annotations
 import re
 import sys
 from collections.abc import Iterable, Sequence
-from itertools import compress
-from operator import itemgetter
 
 from .algebras import (
     DirectSumAlgebra,
@@ -72,17 +69,12 @@ _MAX_SHIFT = 2**31
 
 # --- graph format ---
 
-# A whole statement line: a vertex declaration, an edge with an optional id,
-# or nothing, then an optional comment.  The groups are the declared vertex,
-# source, target and edge id.
-_STATEMENT_RE = re.compile(
-    r"\s*(?:vertex\s+({id})|({id})\s*->\s*({id})(?:\s+({id}))?)?\s*(?:#.*)?".format(id=_ID_RE.pattern)
-)
 _GRAPH_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|->|\S")
 
 
-def _explain_graph_line(line: str, lineno: int):
-    """Raise the ParseError for a line, comment stripped, that _STATEMENT_RE rejects."""
+def _graph_tokens(line: str, lineno: int) -> list[tuple[str, int]]:
+    """The (token, column) pairs of a line, comment stripped, that is blank,
+    a declaration or an edge; the ParseError for any other line."""
     tokens = []
     for match in _GRAPH_TOKEN_RE.finditer(line):
         text = match.group()
@@ -90,10 +82,14 @@ def _explain_graph_line(line: str, lineno: int):
         if text != "->" and not _ID_RE.fullmatch(text):
             raise ParseError(f"unexpected character {text!r}", lineno, col)
         tokens.append((text, col))
+    if not tokens:
+        return tokens
     head, head_col = tokens[0]
     if head == "vertex" and (len(tokens) == 1 or tokens[1][0] != "->"):
         if len(tokens) == 1:
             raise ParseError("expected a vertex id after 'vertex'", lineno, head_col + len(head))
+        if len(tokens) == 2:
+            return tokens
         raise ParseError(f"unexpected {tokens[2][0]!r} after vertex declaration", lineno, tokens[2][1])
     if head == "->":
         raise ParseError("expected a source vertex before '->'", lineno, head_col)
@@ -102,34 +98,34 @@ def _explain_graph_line(line: str, lineno: int):
         raise ParseError("expected '->' after the source vertex", lineno, col)
     if len(tokens) < 3 or tokens[2][0] == "->":
         raise ParseError("expected a target vertex after '->'", lineno, tokens[1][1] + 2)
+    if len(tokens) == 3:
+        return tokens
     if tokens[3][0] == "->":
         raise ParseError("unexpected '->' after edge statement", lineno, tokens[3][1])
+    if len(tokens) == 4:
+        return tokens
     raise ParseError(f"unexpected {tokens[4][0]!r} after edge statement", lineno, tokens[4][1])
 
 
 def _explain_graph(text: str):
     """Raise the ParseError for the first offending line of a text that
     parse_graph rejects: a malformed line, a repeated vertex declaration or
-    a repeated edge id."""
+    a repeated edge id, each found from _graph_tokens' columns."""
     declared: set[str] = set()
     edge_ids: set[str] = set()
     edge_count = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
-        m = _STATEMENT_RE.fullmatch(raw)
-        if m is None:
-            _explain_graph_line(raw.split("#", 1)[0], lineno)
-        name, src, _, eid = m.groups()
-        if name is not None:
+        tokens = _graph_tokens(raw.split("#", 1)[0], lineno)
+        if len(tokens) == 2:  # vertex <id>
+            name, col = tokens[1]
             if name in declared:
-                raise ParseError(f"duplicate vertex {name!r}", lineno, m.start(1) + 1)
+                raise ParseError(f"duplicate vertex {name!r}", lineno, col)
             declared.add(name)
-        elif src is not None:
+        elif tokens:  # <src> -> <dst> [<id>]; an unnamed edge is placed at its source
             edge_count += 1
-            eid_group = 4
-            if eid is None:
-                eid, eid_group = f"e{edge_count}", 2
+            eid, col = tokens[3] if len(tokens) == 4 else (f"e{edge_count}", tokens[0][1])
             if eid in edge_ids:
-                raise ParseError(f"duplicate edge id {eid!r}", lineno, m.start(eid_group) + 1)
+                raise ParseError(f"duplicate edge id {eid!r}", lineno, col)
             edge_ids.add(eid)
     raise AssertionError("the text has no offending line")
 
@@ -147,8 +143,8 @@ def parse_graph(text: str) -> DirectedGraph:
     and comments are cut off: three or four with '->' second are an edge,
     'vertex' and a name a declaration, none a blank line.  The names are
     checked afterwards by _all_ids, a column at a time.  Only a text that
-    fails is read again, by _explain_graph, which matches the statement
-    regex line by line, to name its first offending line.
+    fails is read again, by _explain_graph, which scans it line by line into
+    tokens to name its first offending line and column.
     """
     lines = text.replace("->", " -> ").splitlines()
     rows = (line.partition("#")[0].split() for line in lines) if "#" in text else map(str.split, lines)
@@ -381,50 +377,53 @@ def format_certificate(steps: Iterable[Step]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-# What str.splitlines() ends a line at, and the whitespace inside a line.
-# One match of _STEP_RE reads a line.  Its groups are the index and delta of
-# E; the whole of a G or P step, with the delta of G or the image of P; and
-# the text of a line that is none of these, nor blank, nor a comment.
-_LINE_BREAKS = r"\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-_BLANK = rf"[^\S{_LINE_BREAKS}]"
-_STEP_RE = re.compile(
-    rf"(?:{_BLANK}*(?:E{_BLANK}+({_INT_RE.pattern}){_BLANK}+({_INT_RE.pattern})"
-    rf"|(G{_BLANK}+({_INT_RE.pattern})|P((?:{_BLANK}+{_INT_RE.pattern})+)))?{_BLANK}*(?:#[^{_LINE_BREAKS}]*)?"
-    rf"|([^{_LINE_BREAKS}]+))(?:\r\n|[{_LINE_BREAKS}]|\Z)"
-)
-_INDEX, _DELTA, _OTHER, _REJECTED = itemgetter(0), itemgetter(1), itemgetter(2), itemgetter(5)
+def _entry_columns(run: list[list[str]]) -> tuple[list[int], list[int]]:
+    """The index and delta columns of a run of 'E <index> <delta>' rows; a
+    ValueError if int() refuses an argument or an index is below 1."""
+    _, indices, deltas = zip(*run)
+    indices = list(map(int, indices))
+    if min(indices) < 1:
+        raise ValueError("entry index is 1-based")
+    return indices, list(map(int, deltas))
 
 
 def parse_certificate(text: str) -> Sequence[Step]:
-    """Read a certificate in one findall of _STEP_RE, a row per line.  Each
-    run of E rows becomes the index and delta columns of a run of
-    EntryShifts; a G or P row becomes its step.  Only a text that fails is
-    read again, by _explain_certificate, to name its first offending line.
-    The result is read-only and equals the list of its steps.
+    """Read a certificate a row per line: splitlines(), comments cut, one
+    split() per line.  Each run of E rows becomes the index and delta
+    columns of a run of EntryShifts; a G or P row becomes its step.  Only a
+    text that fails is read again, by _explain_certificate, to name its
+    first offending line.  The result is read-only and equals the list of
+    its steps.
 
     >>> parse_certificate("G 2  # align\\nE 3 -4\\n")
     [GlobalShift(delta=2), EntryShift(index=3, delta=-4)]
     """
-    rows = _STEP_RE.findall(text)
-    if any(map(_REJECTED, rows)):
+    lines = text.splitlines()
+    rows = (line.partition("#")[0].split() for line in lines) if "#" in text else map(str.split, lines)
+    rows = list(filter(None, rows))
+    # of what split() leaves, int() reads beyond [+-]?[0-9]+ only '_' and Unicode digits
+    fields = "".join(map("".join, rows))
+    if not fields.isascii() or "_" in fields:
         _explain_certificate(text)
     steps = _Certificate()
-    start = 0
+    run: list[list[str]] = []  # the E rows since the last G or P row
     try:
-        # the G and P rows split the E rows into runs
-        for stop in [*compress(range(len(rows)), map(_OTHER, rows)), len(rows)]:
-            entries = list(filter(_DELTA, rows[start:stop]))
-            if entries:
-                indices = list(map(int, map(_INDEX, entries)))
-                deltas = list(map(int, map(_DELTA, entries)))
-                if min(indices) < 1:
-                    _explain_certificate(text)
-                steps._add_entries(indices, deltas)
-            if stop < len(rows):
-                _, _, _, shift, image, _ = rows[stop]
-                steps._add(GlobalShift(int(shift)) if shift else Permute(tuple(map(int, image.split()))))
-            start = stop + 1
-    except ValueError:  # Permute's check, or more digits than int() converts
+        for row in rows:
+            if len(row) == 3 and row[0] == "E":
+                run.append(row)
+                continue
+            if run:
+                steps._add_entries(*_entry_columns(run))
+                run = []
+            if row[0] == "G" and len(row) == 2:
+                steps._add(GlobalShift(int(row[1])))
+            elif row[0] == "P" and len(row) > 1:
+                steps._add(Permute(tuple(map(int, row[1:]))))
+            else:
+                raise ValueError("unknown certificate step")
+        if run:
+            steps._add_entries(*_entry_columns(run))
+    except ValueError:  # a refused row, Permute's check, or more digits than int() converts
         _explain_certificate(text)
     return steps
 

@@ -502,7 +502,7 @@ def random_realizable_summand(rng: random.Random) -> ShiftedMatrixAlgebra:
     return ShiftedMatrixAlgebra.from_shifts(base, tuple(s + delta for s in shifts))
 
 
-# --- the token-by-token parsers, as references for the regex readers ---
+# --- the token-by-token parsers, as references for the bulk readers ---
 
 _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _MAX_SHIFT = 2**31
@@ -522,7 +522,8 @@ def _tokenize_graph_line(line: str, lineno: int) -> list[tuple[str, int]]:
 
 
 def naive_parse_graph(text: str) -> DirectedGraph:
-    """The token-by-token graph parser that the statement regex replaced."""
+    """The token-by-token graph parser, a reference for parse_graph's split
+    reader."""
     vertices: list[str] = []
     known: set[str] = set()
     declared: set[str] = set()
@@ -689,7 +690,8 @@ _INT_RE = re.compile(r"[+-]?[0-9]+")
 
 
 def naive_parse_certificate(text: str) -> list:
-    """The line-by-line certificate reader that the one-regex reader replaced."""
+    """The line-by-line certificate reader, a reference for parse_certificate's
+    split reader."""
     steps: list = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()

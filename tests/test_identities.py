@@ -1,12 +1,15 @@
 """The paper's path identities, checked where no walk oracle reaches.
 
-Two exact identities between representations need no oracle:
+Three exact identities between representations need no oracle:
 
   (a) adding a new source w with one edge w -> v adds to each summand its
       part of corner_by_vertices(g, [v]), every shift raised by 1;
   (b) for disjoint vertex sets A and B, each summand of the corner at A | B
       is the multiset union of its corners at A and at B, and the corner at
-      every vertex is represent(g).sum.
+      every vertex is represent(g).sum;
+  (c) renaming every vertex and reordering the lines of a graph's text
+      leaves the multiset of the summands' class keys and canonical forms
+      unchanged.
 
 They are checked on the benchmark's families at their large sizes (a star of
 1,600 sinks, 800 loop-comets, the 16,000-vertex line) and on a chain of 60
@@ -27,7 +30,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import comet_edges, diamond_chain, naive_summand_counts, random_no_exit_graph
-from gradedlpa import DirectedGraph, classify, corner_by_vertices, represent
+from gradedlpa import DirectedGraph, canonical_form, classify, corner_by_vertices, format_graph, parse_graph, represent
+from gradedlpa.algebras import _class_key
 from gradedlpa.graphs import _summand_counts
 
 
@@ -105,6 +109,33 @@ def check_corner_union(g: DirectedGraph, reach, a: set, b: set):
     assert union == [x + y for x, y in zip(left, right)]
 
 
+def _classes(g: DirectedGraph) -> Counter:
+    """The multiset of the summands' class keys and canonical forms."""
+    return Counter((_class_key(a), str(canonical_form(a))) for a in represent(g).sum.summands)
+
+
+def _renamed_and_reordered(g: DirectedGraph, rng: random.Random) -> str:
+    """g's text with every vertex given a fresh name, in scrambled name
+    order, and its declaration and edge lines shuffled."""
+    labels = rng.sample(range(10 * len(g.vertices)), len(g.vertices))
+    name = {v: f"r{label}" for v, label in zip(g.vertices, labels)}
+    lines = []
+    for row in map(str.split, format_graph(g).splitlines()):
+        if len(row) == 2:  # vertex <id>
+            lines.append(f"vertex {name[row[1]]}")
+        else:  # <src> -> <dst> <id>
+            lines.append(f"{name[row[0]]} -> {name[row[2]]} {row[3]}")
+    rng.shuffle(lines)
+    return "\n".join(lines)
+
+
+def check_renaming(g: DirectedGraph, rng: random.Random):
+    """Identity (c)."""
+    h = parse_graph(_renamed_and_reordered(g, rng))
+    assert len(h.vertices) == len(g.vertices) and set(h.vertices).isdisjoint(g.vertices)
+    assert _classes(h) == _classes(g)
+
+
 def _star(sinks: int) -> DirectedGraph:
     return DirectedGraph.from_edges([("hub", f"s{i}") for i in range(sinks)])
 
@@ -157,6 +188,11 @@ def test_corner_of_a_union_is_the_union_of_corners(large):
         check_corner_union(g, reach, set(names[:third]), set(names[third : 2 * third]))
 
 
+def test_renaming_and_reordering_keep_the_summand_classes(large):
+    g, _, _ = large
+    check_renaming(g, random.Random(31))
+
+
 def test_scrambled_diamonds_count_every_path():
     g = _scrambled_diamonds(60)
     (whole,) = represent(g).sum.summands
@@ -172,6 +208,7 @@ def test_identities_on_random_graphs(seed, data):
     a = set(data.draw(st.lists(st.sampled_from(g.vertices), max_size=4)))
     b = set(data.draw(st.lists(st.sampled_from(g.vertices), max_size=4))) - a
     check_corner_union(g, reach, a, b)
+    check_renaming(g, random.Random(seed))
 
 
 @settings(max_examples=150)

@@ -479,14 +479,18 @@ def test_parse_graph_matches_token_parser(text):
 
 @settings(max_examples=500)
 @given(graph_lines())
-def test_explain_graph_line_raises_on_every_rejected_line(line):
-    if parsing._STATEMENT_RE.fullmatch(line) is None:
+def test_graph_tokens_split_every_accepted_line_and_explain_every_rejected_one(line):
+    try:
+        parse_graph(line)
+    except ParseError:
         with pytest.raises(ParseError) as err:
-            parsing._explain_graph_line(line, 7)
+            parsing._graph_tokens(line, 7)
         assert err.value.line == 7
         assert _outcome(naive_parse_graph, line)[0] == str(err.value).replace("line 7", "line 1", 1)
     else:
-        naive_parse_graph(line)  # the token parser accepts it too
+        tokens = parsing._graph_tokens(line, 7)
+        assert [token for token, _ in tokens] == line.replace("->", " -> ").split()
+        assert all(line.startswith(token, col - 1) for token, col in tokens)
 
 
 # values int() reads but the grammar rejects, or the grammar reads but int() rejects
@@ -629,6 +633,15 @@ def _entry_run(line_2000=None, breaks=("\n",)):
 @example("P 2 \u0661")
 @example("E 1 -\uff12")
 @example("G 1\rE 1 2\x0bP 1\x0cG 2\x1dG 3\x1eG 4\x85G 5\u2028G 6\u2029G 7")
+# where one split() per line and the row checks could disagree with the line reader
+@example("E 1 2#c")
+@example("E\u30001\u30002")
+@example("E 1\x1f2")
+@example("G\x0c1")
+@example("E 1 2 3")
+@example("E +1 -0")
+@example("E 1_0 2")
+@example("G 1 # \u0663 _")
 def test_parse_certificate_matches_line_reader(text):
     assert _outcome(parse_certificate, text) == _outcome(naive_parse_certificate, text)
 
@@ -638,7 +651,7 @@ def test_well_formed_certificates_skip_the_line_reader(monkeypatch):
     explain = parsing._explain_certificate
     monkeypatch.setattr(parsing, "_explain_certificate", lambda text: explained.append(text) or explain(text))
     steps = [Permute(tuple(range(4000, 0, -1))), GlobalShift(-7)] + [EntryShift(i, 5 * i) for i in range(1, 4001)]
-    text = "# certificate\n" + format_certificate(steps).replace("E 9 ", "\tE\u3000 9 ").replace("\n", "  # x\r\n", 3)
+    text = "# certificate\n" + format_certificate(steps).replace("E 9 ", "\tE\u3000 9 ").replace("\n", "  # x \u0663 _\r\n", 3)
     assert parse_certificate(text) == steps and explained == []
     with pytest.raises(ParseError, match="line 3, column 1: entry index is 1-based"):
         parse_certificate("G 1\n\nE 0 2\nX\n")
@@ -646,7 +659,7 @@ def test_well_formed_certificates_skip_the_line_reader(monkeypatch):
 
 
 class _CountingRegex:
-    """Stands in for a compiled regex and counts its match and fullmatch calls."""
+    """Stands in for a compiled regex and counts its match and finditer calls."""
 
     def __init__(self, regex):
         self.regex, self.calls = regex, 0
@@ -655,31 +668,31 @@ class _CountingRegex:
         self.calls += 1
         return self.regex.match(*args)
 
-    def fullmatch(self, *args):
+    def finditer(self, *args):
         self.calls += 1
-        return self.regex.fullmatch(*args)
+        return self.regex.finditer(*args)
 
 
 def test_well_formed_graph_lines_skip_the_token_scanner(monkeypatch):
-    # a silent fall-back to the statement regex or the token scanner fails
-    # here, not only in the benchmark
+    # a silent fall-back to the token scanner fails here, not only in the
+    # benchmark
     explained, walked = [], []
-    explain_line, walk = parsing._explain_graph_line, parsing._explain_graph
-    monkeypatch.setattr(parsing, "_explain_graph_line", lambda *args: explained.append(args) or explain_line(*args))
+    tokens, walk = parsing._graph_tokens, parsing._explain_graph
+    monkeypatch.setattr(parsing, "_graph_tokens", lambda *args: explained.append(args) or tokens(*args))
     monkeypatch.setattr(parsing, "_explain_graph", lambda text: walked.append(text) or walk(text))
-    statements = _CountingRegex(parsing._STATEMENT_RE)
-    monkeypatch.setattr(parsing, "_STATEMENT_RE", statements)
+    scanner = _CountingRegex(parsing._GRAPH_TOKEN_RE)
+    monkeypatch.setattr(parsing, "_GRAPH_TOKEN_RE", scanner)
     lines = []
     for i in range(2500):
         lines += [f"vertex v{i}", f"v{i} -> v{i + 1}", f"  v{i}->w{i} f{i}  # side edge -> w", ""]
     lines += ["vertex\t->\u00a0v0", "vertex vertex", "# a comment -> only"]
     g = parse_graph("\n".join(lines))
-    # read straight into the id columns: no walk, no regex match, and no Edge tuple yet
-    assert explained == walked == [] and statements.calls == 0 and "edges" not in vars(g)
+    # read straight into the id columns: no walk, no token scan, and no Edge tuple yet
+    assert explained == walked == [] and scanner.calls == 0 and "edges" not in vars(g)
     assert len(lines) == 10_003 and len(g.edges) == 5001 and g.vertices[-1] == "vertex"
     with pytest.raises(ParseError, match="line 2, column 3: unexpected character '='"):
         parse_graph("a -> b\na => b # c\n")
-    assert explained == [("a => b ", 2)] and walked == ["a -> b\na => b # c\n"] and statements.calls == 2
+    assert explained == [("a -> b", 1), ("a => b ", 2)] and walked == ["a -> b\na => b # c\n"] and scanner.calls == 2
 
 
 def test_plain_shift_runs_skip_the_token_cursor(monkeypatch):
