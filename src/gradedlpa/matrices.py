@@ -1,9 +1,7 @@
 """Concrete graded matrices over K or K[x^m, x^-m], with exact integer
-arithmetic.  This is the verification layer: certificate steps claimed to be
-graded isomorphisms are replayed here on actual matrices, and
-`cli._certificate_failure` checks that each replayed step moves homogeneous
-components degree to degree.  Steps are checked by `apply_certificate`, not
-here.
+arithmetic.  Certificate steps are replayed here on actual matrices, where
+each step moves homogeneous components degree to degree.  Steps are checked
+by `apply_certificate`, not here.
 """
 
 from __future__ import annotations
@@ -220,8 +218,8 @@ def conjugate_by_step(matrix: GradedMatrix, step: Step) -> GradedMatrix:
 
 
 def conjugate_by_certificate(matrix: GradedMatrix, steps) -> GradedMatrix:
-    """conjugate_by_step once per step.  The CLI replays step by step; this
-    stays public while the benchmark's tracer wraps it by name."""
+    """conjugate_by_step once per step.  This stays public while the
+    benchmark's tracer wraps it by name."""
     for step in steps:
         matrix = conjugate_by_step(matrix, step)
     return matrix

@@ -18,6 +18,11 @@ on up to three vertices, built once per session; its names sort in the
 reverse of their mention order, so a pass that takes mention order for
 name order shows on it.  `inverse_step` and `matrix_unit` build certificate
 steps and matrices that only tests need.
+
+`replay_failure` is the reference oracle for `conjugate_by_step`: it replays
+a certificate on seeded sample matrices whose terms each carry a tag of
+their own, and names the first step that moves a term off its degree.  It
+takes the conjugation as a parameter, so tests hand it forgeries directly.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ from gradedlpa import (
     ShiftedMatrixAlgebra,
     TrivialForm,
     VertexNotOnCycleError,
+    conjugate_by_step,
 )
 from gradedlpa.algebras import Step
 from gradedlpa.matrices import _as_element, _checked_terms
@@ -448,6 +454,43 @@ def naive_conjugate(matrix: GradedMatrix, step) -> GradedMatrix:
     shifts = list(matrix.shifts)
     shifts[i0] += d
     return GradedMatrix(matrix.base, tuple(shifts), tuple(tuple(r) for r in rows))
+
+
+def replay_failure(a: ShiftedMatrixAlgebra, b: ShiftedMatrixAlgebra, steps, conjugate=conjugate_by_step):
+    """Why replaying the certificate `steps`, which applies to a, with
+    `conjugate` on three seeded sample matrices of a breaks a graded
+    isomorphism onto b, or None when it does not.  Each term of a sample has
+    a tag of its own for coefficient; after every step each tag must appear
+    once, at its old degree, and the last step must land on b's shifts."""
+    n, period = a.n, a.base.period or 1
+    rng = random.Random(20_000 + n)
+
+    def sample_degrees():
+        """The degrees of one sample entry's nonzero terms, ascending."""
+        if a.base.is_laurent:
+            cell = {period * rng.randint(-3, 3): rng.randint(-9, 9) for _ in range(rng.randint(0, 2))}
+            return sorted(d for d, c in cell.items() if c)
+        return (0,) if rng.randint(-9, 9) else ()
+
+    def tag_degrees(matrix):
+        shifts = matrix.shifts
+        return {c: e + shifts[i] - shifts[j] for (i, j, e), c in matrix._terms.items()}
+
+    for _ in range(3):
+        terms = {}
+        for i in range(n):
+            for j in range(n):
+                for e in sample_degrees():
+                    terms[i, j, e] = len(terms) + 1
+        matrix = GradedMatrix._from_terms(a.base, a.shifts, terms)
+        degree_of = tag_degrees(matrix)
+        for step in steps:
+            matrix = conjugate(matrix, step)
+            if len(matrix._terms) != len(degree_of) or tag_degrees(matrix) != degree_of:
+                return "a step moved a homogeneous component off its degree"
+        if matrix.shifts != b.shifts:
+            return "matrix conjugation does not land on the target shifts"
+    return None
 
 
 def random_certificate(rng: random.Random, base: GradedBase, n: int, length=None):

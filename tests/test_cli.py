@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import random
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import diamond_chain, random_base, random_certificate
+from conftest import diamond_chain, random_base, random_certificate, replay_failure
 from gradedlpa import (
     EntryShift,
     GlobalShift,
@@ -15,12 +16,15 @@ from gradedlpa import (
     ShiftedMatrixAlgebra,
     apply_certificate,
     cli,
+    conjugate_by_step,
+    format_certificate,
     format_graph,
     parse_algebra,
     parse_certificate,
 )
 from gradedlpa.cli import main
 
+CLI_SOURCE = Path(__file__).resolve().parent.parent / "src" / "gradedlpa" / "cli.py"
 COMET = "vertex t\nt -> u\nu -> v\nv -> u\n"
 LINE = "u -> v\nv -> w\n"
 
@@ -186,32 +190,40 @@ def test_verify_cert(tmp_path, capsys):
     assert "reason:" in capsys.readouterr().out
 
 
-def test_verify_cert_rejects_a_step_that_moves_a_component(tmp_path, monkeypatch, capsys):
+MOVED = "a step moved a homogeneous component off its degree"
+
+
+def _replays(left, right, text, forged):
+    """The replay oracle's verdicts on the certificate `text` from left to
+    right: with the real conjugation, and with `forged`."""
+    a, b = (parse_algebra(expr).summands[0] for expr in (left, right))
+    steps = parse_certificate(text)
+    return replay_failure(a, b, steps), replay_failure(a, b, steps, forged)
+
+
+def test_verify_cert_rejects_a_step_that_moves_a_component(tmp_path, capsys):
     # a forged conjugation that transposes the true result: on M2(K)(0,1)
     # the degree set {-1, 0, 1} survives, but the components of degree -1
-    # and 1 trade places
-    real = cli.conjugate_by_step
-
+    # and 1 trade places; the replay oracle refutes it on a certificate that
+    # verify-cert verifies
     def transposed(matrix, step):
-        out = real(matrix, step)
+        out = conjugate_by_step(matrix, step)
         return GradedMatrix(out.base, out.shifts, tuple(zip(*out.entries)))
 
-    monkeypatch.setattr(cli, "conjugate_by_step", transposed)
     cert = tmp_path / "c.cert"
     cert.write_text("G 1\n")
-    assert main(["verify-cert", "M2(K)(0,1)", "M2(K)(1,2)", str(cert)]) == 1
-    assert "reason: a step moved a homogeneous component off its degree" in capsys.readouterr().out
+    assert main(["verify-cert", "M2(K)(0,1)", "M2(K)(1,2)", str(cert)]) == 0
+    assert _replays("M2(K)(0,1)", "M2(K)(1,2)", "G 1\n", transposed) == (None, MOVED)
 
 
 @pytest.mark.parametrize("forgery", ["shift_exponent", "drop_term", "copy_term"])
-def test_verify_cert_rejects_a_step_that_moves_or_loses_a_term(tmp_path, monkeypatch, capsys, forgery):
+def test_verify_cert_rejects_a_step_that_moves_or_loses_a_term(tmp_path, capsys, forgery):
     # a forged conjugation that moves the last term of the true result up by
     # x^2, drops it, or also copies it to a free entry of the same degree (all
-    # shifts are equal); the shifts stay right
-    real = cli.conjugate_by_step
-
+    # shifts are equal); the shifts stay right, and the replay oracle refutes
+    # it on a certificate that verify-cert verifies
     def forged(matrix, step):
-        out = real(matrix, step)
+        out = conjugate_by_step(matrix, step)
         terms = dict(out._terms)
         if terms:
             (i, j, e), c = terms.popitem()
@@ -222,11 +234,10 @@ def test_verify_cert_rejects_a_step_that_moves_or_loses_a_term(tmp_path, monkeyp
                 terms.update({(i, j, e): c, (*free, e): c})
         return GradedMatrix._from_terms(out.base, out.shifts, terms)
 
-    monkeypatch.setattr(cli, "conjugate_by_step", forged)
     cert = tmp_path / "c.cert"
     cert.write_text("G 1\n")
-    assert main(["verify-cert", "M3(K[x^2])(0,0,0)", "M3(K[x^2])(1,1,1)", str(cert)]) == 1
-    assert "reason: a step moved a homogeneous component off its degree" in capsys.readouterr().out
+    assert main(["verify-cert", "M3(K[x^2])(0,0,0)", "M3(K[x^2])(1,1,1)", str(cert)]) == 0
+    assert _replays("M3(K[x^2])(0,0,0)", "M3(K[x^2])(1,1,1)", "G 1\n", forged) == (None, MOVED)
 
 
 def _near(rng, steps, base, n):
@@ -267,12 +278,14 @@ def _certificate_verdict(a, b, steps):
     return None if final == b.shifts else f"certificate lands on {final}, not on {b.shifts}"
 
 
-def test_verify_cert_replay_matches_certificate_definition(capsys):
+def test_verify_cert_replay_matches_certificate_definition(tmp_path, capsys):
     # iso --certificate certificates between scrambled pairs, and certificates
-    # close to them: the replay verifies exactly the certificates whose steps
-    # all apply and land on the target shifts, and names why the others fail
+    # close to them: verify-cert verifies exactly the certificates whose steps
+    # all apply and land on the target shifts, and names why the others fail;
+    # the replay oracle refutes none of those it verifies
     rng = random.Random(606)
     kinds = set()
+    cert = tmp_path / "c.cert"
     for _ in range(120):
         base = random_base(rng)
         n = rng.randint(1, 8)
@@ -284,17 +297,14 @@ def test_verify_cert_replay_matches_certificate_definition(capsys):
         a, b = (parse_algebra(text).summands[0] for text in texts)
         for candidate in [steps] + [_near(rng, steps, base, n) for _ in range(4)]:
             want = _certificate_verdict(a, b, candidate)
-            assert _outcome(cli._certificate_failure, a, b, candidate) == ("ok", want)
+            cert.write_text(format_certificate(candidate))
+            assert main(["--json", "verify-cert", *texts, str(cert)]) == (0 if want is None else 1)
+            assert json.loads(capsys.readouterr().out) == ({"verified": True} if want is None else {"verified": False, "reason": want})
+            if want is None:
+                assert replay_failure(a, b, candidate) is None
             kinds.add(want and want.split()[0])
-    # replayed and verified, refuted by the shifts, refuted as an invalid step
+    # verified, refuted by the shifts, refuted as an invalid step
     assert kinds == {None, "certificate", "invalid"}
-
-
-def _outcome(f, *args):
-    try:
-        return "ok", f(*args)
-    except ValueError as exc:  # compared by class and message
-        return type(exc).__name__, str(exc)
 
 
 def test_verify_cert_invalid_step(tmp_path, capsys):
@@ -328,55 +338,41 @@ def test_single_algebra_commands_reject_sums(json_flag, argv, message, tmp_path,
     assert captured.err == f"error: {message}\n"
 
 
-def test_verify_cert_sample_limit(tmp_path, monkeypatch, capsys):
-    # the replay draws three n x n samples; past 1,000,000 entries it refuses
-    # before drawing
+def test_verify_cert_sample_limit(tmp_path, capsys):
+    # verify-cert draws no sample matrix and replays no step, so neither the
+    # size n nor the number of steps has a limit of its own: n = 1001, n = 161
+    # with 159 steps and n = 1 with 235,295 steps all verify
     cert = tmp_path / "c.cert"
+    for left, right, text in (
+        ("M1001(K)(1001(0))", "M1001(K)(1001(1))", "G 1\n"),
+        ("M161(K)(161(0))", "M161(K)(161(1))", "G 1\n" + "G 0\n" * 158),
+        ("M1(K)(0)", "M1(K)(0)", "G 0\n" * 235_295),
+    ):
+        cert.write_text(text)
+        assert main(["verify-cert", left, right, str(cert)]) == 0
+        assert capsys.readouterr() == ("verified\n", "")
+    # a certificate that misses the target is refuted
     cert.write_text("G 1\n")
-    assert main(["verify-cert", "M1001(K)(1001(0))", "M1001(K)(1001(1))", str(cert)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: a 1001x1001 sample matrix has 1002001 entries, "
-        "too many to list one by one (limit 1000000)\n"
-    )
-    # the limit counts entries: n * n at the limit still replays
-    monkeypatch.setattr(cli, "_MAX_LISTED", 9)
-    assert main(["verify-cert", "M3(K)(0,1,2)", "M3(K)(1,2,3)", str(cert)]) == 0
-    assert main(["verify-cert", "M4(K)(0,1,2,3)", "M4(K)(1,2,3,4)", str(cert)]) == 2
-    limit = "a 4x4 sample matrix has 16 entries, too many to list one by one (limit 9)\n"
-    assert capsys.readouterr().err.endswith(limit)
-    # the replay's work has its own limit, checked after the sample limit and
-    # before drawing: each step moves n * n entries and costs as much again as
-    # moving 16 more
-    assert (cli._MAX_REPLAYED, cli._STEP_COST) == (4_000_000, 16)
-    monkeypatch.setattr(cli, "_MAX_REPLAYED", 50)
-    cert.write_text("G 1\nG 0\n")
-    assert main(["verify-cert", "M3(K)(0,1,2)", "M3(K)(1,2,3)", str(cert)]) == 0
-    assert capsys.readouterr().out == "verified\n"
-    cert.write_text("G 1\nG 0\nG 0\n")
-    assert main(["verify-cert", "M3(K)(0,1,2)", "M3(K)(1,2,3)", str(cert)]) == 2
-    assert main(["verify-cert", "M4(K)(0,1,2,3)", "M4(K)(1,2,3,4)", str(cert)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: replaying 3 steps on a 3x3 sample matrix costs 75 entry moves (9 + 16 per step), "
-        "too many to replay (limit 50)\n"
-        "error: " + limit
-    )
-    # the per-step cost bounds a long certificate on a small matrix: at n = 1
-    # the real limit admits 235,294 steps, not 4,000,000
-    monkeypatch.undo()
-    cert.write_text("G 0\n" * 235_295)
-    assert main(["verify-cert", "M1(K)(0)", "M1(K)(0)", str(cert)]) == 2
-    assert capsys.readouterr().err == (
-        "error: replaying 235295 steps on a 1x1 sample matrix costs 4000015 entry moves (1 + 16 per step), "
-        "too many to replay (limit 4000000)\n"
-    )
-    monkeypatch.setattr(cli, "_MAX_REPLAYED", 50)
-    cert.write_text("G 1\nG 0\nG 0\n")
-    # a certificate that does not land on the target is refuted without a replay
-    assert main(["verify-cert", "M3(K)(0,1,2)", "M3(K)(2,3,4)", str(cert)]) == 1
+    assert main(["verify-cert", "M1(K)(0)", "M1(K)(2)", str(cert)]) == 1
+    assert capsys.readouterr() == ("no\nreason: certificate lands on (1,), not on (2,)\n", "")
+    # the one size limit left is the listing limit of the shift lists
+    assert main(["verify-cert", "M1000001(K)(1000001(0))", "M1000001(K)(1000001(1))", str(cert)]) == 2
+    assert capsys.readouterr() == ("", "error: 1000001 shifts or paths are too many to list one by one (limit 1000000)\n")
+
+
+def test_cli_draws_no_sample_matrix():
+    # verify-cert decides by the certificate's moves alone: the CLI imports
+    # no random source and nothing of the matrix layer
+    tree = ast.parse(CLI_SOURCE.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            # `from . import matrices` names the module as an alias
+            imported.update([module] + [f"{module.rstrip('.')}.{alias.name}" for alias in node.names])
+    assert not imported & {"random", ".matrices", "gradedlpa.matrices"}
 
 
 def test_realizable(capsys):
