@@ -194,11 +194,8 @@ class ShiftedMatrixAlgebra:
 
         Over K: start is the least shift, keys the distinct shifts minus
         start in increasing order and counts their multiplicities.  Over
-        K[x^m]: each occupied residue is encoded as -gap from the previous
-        occupied residue and its count; the columns are the least rotation
-        of that sequence of pairs, which orders like the least rotation of
-        the dense residue counts, and start is the residue where its leading
-        gap begins.
+        K[x^m]: `_least_rotation` of the occupied residues and their counts,
+        the one routine that also decides CyclicForm's check.
         """
         m, shifts, counts = self.base.period, self._run_shifts, self._run_counts
         if m is None and all(map(lt, shifts, islice(shifts, 1, None))):
@@ -214,10 +211,7 @@ class ShiftedMatrixAlgebra:
         keys = sorted(tally)
         if m is None:
             return keys[0], tuple(map(keys[0].__rsub__, keys)), tuple(map(tally.__getitem__, keys))
-        gaps, counts = _neg_gaps(keys, m), list(map(tally.__getitem__, keys))
-        # the rotation compares (-gap, count) pairs, one per occupied residue
-        r = _least_rotation_index(list(zip(gaps, counts))) if len(keys) > 1 else 0
-        return (keys[r - 1] + 1) % m, tuple(gaps[r:] + gaps[:r]), tuple(counts[r:] + counts[:r])
+        return _least_rotation(keys, list(map(tally.__getitem__, keys)), m)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -281,8 +275,6 @@ class TrivialForm:
             raise ValueError("mults must list l_0..l_k")
         if self.mults[0] < 1 or self.mults[-1] < 1 or any(c < 0 for c in self.mults):
             raise ValueError("l_0 and l_k must be positive, all counts nonnegative")
-        if sum(self.mults) < 1:
-            raise ValueError("empty multiplicity vector")
 
     def __str__(self):
         return f"trivial k={self.k} mults=({','.join(str(c) for c in self.mults)})"
@@ -302,12 +294,10 @@ class CyclicForm:
             raise ValueError("mults must list l_0..l_{m-1}")
         if any(c < 0 for c in self.mults) or sum(self.mults) < 1:
             raise ValueError("counts must be nonnegative and not all zero")
-        # the dense vector is at its least rotation iff it ends in a nonzero count
-        # and its gap encoding, from its first occupied residue, is at its own
+        # the dense vector is at its least rotation iff its class form starts at
+        # residue 0: it ends in a nonzero count and its pairs are at their own
         occupied = [r for r, c in enumerate(self.mults) if c]
-        encoded = list(zip(_neg_gaps(occupied, self.period), map(self.mults.__getitem__, occupied)))
-        r = _least_rotation_index(encoded)
-        if self.mults[-1] == 0 or encoded[r:] + encoded[:r] != encoded:
+        if _least_rotation(occupied, [self.mults[r] for r in occupied], self.period)[0]:
             raise ValueError("mults must be stored at their least rotation")
 
     def __str__(self):
@@ -323,7 +313,10 @@ def _least_rotation_index(seq: Sequence) -> int:
     class form.
 
     A least rotation starts at a least item, so when that item occurs once
-    its index is the answer; otherwise Booth's algorithm finds it.
+    its index is the answer.  Otherwise a two-pointer minimal-rotation scan
+    over candidate starts i and j finds it in O(n) time and O(1) extra space:
+    where the rotations at i and j first differ, k items in, neither the
+    larger one's start nor its next k items can start a least one.
 
     >>> _least_rotation_index((2, 1))
     1
@@ -333,34 +326,41 @@ def _least_rotation_index(seq: Sequence) -> int:
     2
     """
     s = tuple(seq)
-    if len(s) < 2:
+    n = len(s)
+    if n < 2:
         return 0
     least = min(s)
     if s.count(least) == 1:
         return s.index(least)
-    doubled = s + s
-    fail = [-1] * len(doubled)
-    k = 0
-    for j in range(1, len(doubled)):
-        sj = doubled[j]
-        i = fail[j - k - 1]
-        while i != -1 and sj != doubled[k + i + 1]:
-            if sj < doubled[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if sj != doubled[k + i + 1]:
-            if sj < doubled[k]:
-                k = j
-            fail[j - k] = -1
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = s[(i + k) % n], s[(j + k) % n]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
         else:
-            fail[j - k] = i + 1
-    return k
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    return min(i, j)
 
 
-def _neg_gaps(occupied: list[int], m: int) -> list[int]:
-    """Minus the gap from the previous occupied residue, for each residue in
-    the ascending list `occupied`, cyclically modulo m."""
-    return list(map(sub, [occupied[-1] - m, *occupied], occupied))
+def _least_rotation(residues: list[int], counts: list[int], m: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """The class form (start, gaps, counts) over K[x^m] of the ascending
+    occupied residues and their counts: the first least rotation of the pairs
+    (minus the gap from the previous occupied residue, count), which orders
+    like the least rotation of the dense counts, and the residue where its
+    leading gap begins.  A dense vector is at its least rotation iff start is 0.
+
+    >>> _least_rotation([0, 1, 2, 3], [2, 1, 2, 1], 4)
+    (1, (-1, -1, -1, -1), (1, 2, 1, 2))
+    """
+    gaps = list(map(sub, [residues[-1] - m, *residues], residues))
+    r = _least_rotation_index(list(zip(gaps, counts))) if len(residues) > 1 else 0
+    return (residues[r - 1] + 1) % m, tuple(gaps[r:] + gaps[:r]), tuple(counts[r:] + counts[:r])
 
 
 def _nonzero_mults(a: ShiftedMatrixAlgebra) -> tuple[tuple[int, ...], tuple[int, ...]]:

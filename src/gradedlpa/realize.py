@@ -12,13 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 
-from .algebras import (
-    CyclicForm,
-    DirectSumAlgebra,
-    ShiftedMatrixAlgebra,
-    _require_listable,
-    canonical_form,
-)
+from .algebras import DirectSumAlgebra, ShiftedMatrixAlgebra, _require_listable
 from .errors import NotRealizableError
 from .graphs import DirectedGraph
 
@@ -110,7 +104,7 @@ def is_realizable_sum(r: DirectSumAlgebra) -> SumVerdict:
 def synthesize(a: ShiftedMatrixAlgebra) -> DirectedGraph:
     """A finite no-exit graph whose Leavitt path algebra represents `a`.
 
-    Built from the canonical form, so graded isomorphic inputs synthesize the
+    Built from the class form, so graded isomorphic inputs synthesize the
     same graph, straight into its id columns.  Raises NotRealizableError
     (with the Verdict) otherwise, and ValueError past 1,000,000 shifts, one
     vertex each.
@@ -137,9 +131,12 @@ def _witness_graph(parts: list[tuple[ShiftedMatrixAlgebra, str]]) -> DirectedGra
     one's ids prefixed with its prefix, built straight into the graph's id
     columns.
 
-    Each witness is named once per vertex, in the order its edge list
-    mentions them, with edges e1, e2, ... in that list's order.  A witness
-    with no edge, the one vertex of M1(K), follows every other vertex.
+    Each witness reads its algebra's sparse class form: a realizable algebra
+    has no zero multiplicity, so the form's counts are the whole canonical
+    vector, in its order.  Each witness is named once per vertex, in the
+    order its edge list mentions them, with edges e1, e2, ... in that list's
+    order.  A witness with no edge, the one vertex of M1(K), follows every
+    other vertex.
     """
     names: list[str] = []
     eids: list[str] = []
@@ -148,10 +145,9 @@ def _witness_graph(parts: list[tuple[ShiftedMatrixAlgebra, str]]) -> DirectedGra
     lone: list[str] = []
     for a, p in parts:
         _require_listable(a.n)
-        form = canonical_form(a)
+        mults, m = a._class_form[2], a.base.period
         base, first_edge = len(names), len(sources)
-        if isinstance(form, CyclicForm):
-            m, mults = form.period, form.mults
+        if m is not None:
             # the cycle v0 <- v1 <- ... <- v_{m-1} <- v0, walked toward v0,
             # mentions v1, v0, v2, ..., v_{m-1}; that order is its own
             # inverse, so v_i's id is ids[i]
@@ -167,12 +163,12 @@ def _witness_graph(parts: list[tuple[ShiftedMatrixAlgebra, str]]) -> DirectedGra
             names += [f"{p}v{i}_{j}" for i in residues for j in range(1, mults[i])]
             ranges += chain.from_iterable(map(repeat, ids, [mults[i] - 1 for i in residues]))
             sources += range(base + m, len(names))
-        elif form.k == 0:
+        elif len(mults) == 1:
             lone.append(f"{p}v0_1")
         else:
             # over K: a layered tree onto the single sink v0_1, whose edges
             # mention v1_1, v0_1, then the other layer vertices in order
-            k, mults = form.k, form.mults
+            k = len(mults) - 1
             layers = [f"{p}v{i}_{j}" for i in range(1, k + 1) for j in range(1, mults[i] + 1)]
             layers.insert(1, f"{p}v0_1")
             names += layers

@@ -2,6 +2,7 @@ import itertools
 import pickle
 import random
 from collections import Counter
+from contextlib import nullcontext
 from functools import cached_property
 
 import pytest
@@ -20,15 +21,19 @@ from conftest import (
     random_realizable_summand,
 )
 from gradedlpa import (
+    CycleDescriptor,
     CyclicForm,
     DirectSumAlgebra,
     EntryShift,
     GlobalShift,
     GradedBase,
+    GradedMatrix,
     InvalidStepError,
+    LaurentElement,
     NotIsomorphicError,
     Permute,
     ShiftedMatrixAlgebra,
+    SumVerdict,
     TrivialForm,
     apply_certificate,
     canonical_form,
@@ -41,6 +46,7 @@ from gradedlpa import (
     iso_certificate,
     parse_algebra,
     parse_certificate,
+    parse_graph,
 )
 from gradedlpa.algebras import _Certificate, _class_key, _least_rotation_index
 
@@ -167,6 +173,33 @@ def test_least_rotation_of_gap_pairs_fixed():
         [(-3, 2), (-3, 1), (-3, 2), (-3, 1)],  # periodic: the first least rotation
         [(-2, 1)] * 5,
     ]:
+        assert _least_rotation_index(seq) == naive_least_rotation(seq)
+
+
+def test_least_rotation_of_long_sequences():
+    # 1,000 items, periodic or with a repeated least pair, where the scan
+    # compares far past the first candidates before the answer is decided
+    rng = random.Random(1000)
+    block = [(-1, 1)] + [(-1, 3)] * 99
+    seqs = [
+        [(-1, 1)] * 1000,
+        [(-1, 1), (-2, 1)] * 500,
+        block * 6 + block[:-1] + [(-1, 2)] + block * 3,  # decided 99 items in
+        [0, 1] * 499 + [0, 0],  # the least rotation starts 998 items in
+        [rng.randint(0, 1) for _ in range(1000)],
+    ]
+    for size in (4, 8, 40, 125, 250, 500):
+        unit = [(-rng.randint(1, 2), rng.randint(1, 2)) for _ in range(size)]
+        r = rng.randrange(1000)
+        seq = unit * (1000 // size)
+        seqs.append(seq[r:] + seq[:r])
+    for copies in (2, 30, 300):
+        seq = [(-rng.randint(1, 4), rng.randint(1, 3)) for _ in range(1000 - copies)]
+        for _ in range(copies):
+            seq.insert(rng.randrange(len(seq) + 1), _LEAST_PAIR)
+        seqs.append(seq)
+    for seq in seqs:
+        assert len(seq) == 1000
         assert _least_rotation_index(seq) == naive_least_rotation(seq)
 
 
@@ -718,3 +751,35 @@ def test_cached_class_form_leaves_identity_alone():
             # the pickle holds (base, runs, n) and loads into the run columns, no cached property
             assert a.__getstate__() == {"base": a.base, "runs": a.runs, "n": a.n}
             assert sorted(vars(loaded)) == ["_run_counts", "_run_shifts", "base", "n"]
+
+
+# Checks that only a direct call reaches: each constructor or operator refuses
+# what its message names, and a comparison with a foreign type is left to the
+# other side, so == is False.
+_FOREIGN = object()
+_ANSWERS = nullcontext()
+
+
+@pytest.mark.parametrize(
+    "check, outcome, result",
+    [
+        pytest.param(lambda: GradedBase.laurent(None), pytest.raises(ValueError, match="Laurent period must be a positive"), None, id="laurent-of-none"),
+        pytest.param(lambda: CycleDescriptor(("a", "b"), ("e1",)), pytest.raises(ValueError, match="equally many vertices and edges"), None, id="cycle-counts-differ"),
+        pytest.param(lambda: CycleDescriptor(("a", "a"), ("e1", "e2")), pytest.raises(ValueError, match="vertices must be distinct"), None, id="cycle-repeats-a-vertex"),
+        pytest.param(lambda: GradedMatrix(K, (0,), [[1.5]]), pytest.raises(ValueError, match="cannot use 1.5 as a matrix entry"), None, id="matrix-entry-a-float"),
+        pytest.param(lambda: GradedMatrix.zero(K, ()), pytest.raises(ValueError, match="matrix size must be positive"), None, id="zero-matrix-of-no-shifts"),
+        pytest.param(lambda: GradedMatrix.zero(K, (0,)) + 1, pytest.raises(TypeError), None, id="matrix-plus-an-int"),
+        pytest.param(lambda: _Certificate([GlobalShift(1), EntryShift(1, 2)])[2], pytest.raises(IndexError), None, id="certificate-past-its-end"),
+        pytest.param(lambda: _Certificate([GlobalShift(1), EntryShift(1, 2)])[-3], pytest.raises(IndexError), None, id="certificate-before-its-start"),
+        pytest.param(lambda: alg(K, 0).__eq__(_FOREIGN), _ANSWERS, NotImplemented, id="algebra-eq-foreign"),
+        pytest.param(lambda: alg(K, 0) == _FOREIGN, _ANSWERS, False, id="algebra-equals-foreign"),
+        pytest.param(lambda: parse_graph("u -> v").__eq__(_FOREIGN), _ANSWERS, NotImplemented, id="graph-eq-foreign"),
+        pytest.param(lambda: parse_graph("u -> v") == _FOREIGN, _ANSWERS, False, id="graph-equals-foreign"),
+        pytest.param(lambda: LaurentElement.monomial(0).__eq__(0), _ANSWERS, NotImplemented, id="laurent-element-eq-foreign"),
+        pytest.param(lambda: LaurentElement.monomial(0) == _FOREIGN, _ANSWERS, False, id="laurent-element-equals-foreign"),
+        pytest.param(lambda: str(SumVerdict(True)), _ANSWERS, "yes", id="realizable-sum-prints-yes"),
+    ],
+)
+def test_checks_only_a_direct_call_reaches(check, outcome, result):
+    with outcome:
+        assert check() == result

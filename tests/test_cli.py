@@ -685,9 +685,10 @@ def test_synthesize_bytes(argv, code, out, err, written, tmp_path, monkeypatch, 
 
 
 # The console pins: one row per invocation, with its input files, its exact
-# exit code, stdout and stderr, the exact text of each file it writes and, where
-# the name does not say it, a note on what it pins.  The CI workflow runs the
-# same table through the installed gradedlpa script.
+# exit code, stdout and stderr, the exact text of each file it writes (and no
+# other file is left: a refused -o writes nothing) and, where the name does not
+# say it, a note on what it pins.  The CI workflow runs the same table through
+# the installed gradedlpa script.
 PINS = json.loads(Path(__file__).with_name("cli_pins.json").read_text())
 
 
@@ -699,6 +700,7 @@ def test_console_pins(row, tmp_path, monkeypatch, capsys):
     assert main(row["argv"]) == row["exit"]
     assert capsys.readouterr() == (row["stdout"], row["stderr"])
     assert {name: (tmp_path / name).read_text() for name in row["written"]} == row["written"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted({*row["files"], *row["written"]})
 
 
 def test_emit_dot(comet_file, capsys):
