@@ -271,6 +271,7 @@ class TrivialForm:
 
     def __post_init__(self):
         object.__setattr__(self, "mults", tuple(self.mults))
+        _require_ints("a form's k or count", (self.k, *self.mults))
         if self.k < 0 or len(self.mults) != self.k + 1:
             raise ValueError("mults must list l_0..l_k")
         if self.mults[0] < 1 or self.mults[-1] < 1 or any(c < 0 for c in self.mults):
@@ -290,6 +291,7 @@ class CyclicForm:
 
     def __post_init__(self):
         object.__setattr__(self, "mults", tuple(self.mults))
+        _require_ints("a form's period or count", (self.period, *self.mults))
         if self.period < 1 or len(self.mults) != self.period:
             raise ValueError("mults must list l_0..l_{m-1}")
         if any(c < 0 for c in self.mults) or sum(self.mults) < 1:

@@ -27,7 +27,7 @@ from .errors import (
     VertexNotOnCycleError,
 )
 from .parsing import (
-    _INT_RE,
+    _ints,
     format_certificate,
     format_graph,
     graph_to_dot,
@@ -268,12 +268,9 @@ def cmd_corner(args) -> Report:
         total = parse_algebra(args.input)
         if len(total.summands) != 1:
             raise ValueError("corner --indices works on a single matrix algebra")
-        items = _parse_csv(args.indices, "indices")
-        if not all(map(_INT_RE.fullmatch, items)):  # ASCII digits, as in certificates
-            raise ParseError("--indices expects integers")
         try:
-            indices = [int(x) for x in items]
-        except ValueError:  # more digits than int() converts
+            indices = _ints(_parse_csv(args.indices, "indices"))  # read as certificate arguments are
+        except ValueError:
             raise ParseError("--indices expects integers") from None
         result = DirectSumAlgebra((corner_by_indices(total.summands[0], indices),))
     return 0, str(result) + "\n", {"summands": [str(a) for a in result.summands]}

@@ -11,6 +11,7 @@ All types are immutable and all operations are pure functions of their inputs.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, starmap
@@ -573,8 +574,7 @@ def _summand_counts(g: DirectedGraph, base_choice: Mapping[CycleDescriptor, str]
     """The path counts behind each summand of g's representation: sinks
     first, with cycle None and the sink as end, then cycles, with their base
     vertex from `base_choice` or else their smallest vertex.  Raises
-    EmptyGraphError, NotNoExitError, ValueError for a choice keyed by a
-    foreign cycle, then VertexNotOnCycleError, in that order.
+    EmptyGraphError, NotNoExitError, then what _require_bases raises.
 
     The counts at default bases are the graph's own, shared; a choice that
     moves a base counts every summand anew in one _path_counts pass.
@@ -584,12 +584,7 @@ def _summand_counts(g: DirectedGraph, base_choice: Mapping[CycleDescriptor, str]
     _require_no_exit(g)
     if not base_choice:  # no cycle to hash
         return g._default_counts
-    known = set(g._analysis.cycles)
-    for key in base_choice:
-        if key not in known:
-            raise ValueError(f"base choice keyed by a cycle not in this graph: {key}")
-    for cycle, base in base_choice.items():
-        _require_on_cycle(cycle, base)
+    _require_bases(g, base_choice)
     cycles, bases, ends = _summands(g)
     # a sink's cycle is None, never a key
     chosen = tuple(map(base_choice.get, cycles, ends))
@@ -615,31 +610,28 @@ def paths_to_sink(g: DirectedGraph, sink: str) -> list[tuple[str, int]]:
 def paths_to_cycle_vertex(
     g: DirectedGraph, cycle: CycleDescriptor, base: str
 ) -> list[tuple[str, int]]:
-    """All paths ending at `base` that do not contain `cycle`.
-
-    A path contains the cycle exactly when it visits `base` more than once, so
-    the reverse walk simply never extends through `base`.  Includes the trivial
-    path (base, 0); sorted by length then source name.
+    """All paths ending at `base` that do not contain `cycle`, one of g's own
+    cycles as classify returns them; sorted by length then source name, the
+    trivial path (base, 0) first.  A path contains the cycle exactly when it
+    visits `base` more than once, so the reverse walk never extends through it.
     """
     _require_no_exit(g)
-    _validate_cycle(g, cycle)
-    _require_on_cycle(cycle, base)
+    _require_bases(g, {cycle: base})
     lengths, sources, counts, _ = _path_counts(g, [g._id_of[base]], [cycle])
     return _expand(lengths, sources, counts)
 
 
-def _require_on_cycle(cycle: CycleDescriptor, base: str):
-    if base not in cycle.vertices:
-        raise VertexNotOnCycleError(f"vertex {base!r} is not on the cycle {cycle.vertices}")
-
-
-def _validate_cycle(g: DirectedGraph, cycle: CycleDescriptor):
-    out, head, id_of = g._index.out, g._ranges, g._id_of
-    ids = [id_of.get(v) for v in cycle.vertices]
-    for i, eid in enumerate(cycle.edges):
-        source, range_ = ids[i], ids[(i + 1) % cycle.length]
-        if source is None or not any(head[pos] == range_ and g._eid(pos) == eid for pos in out[source]):
-            raise ValueError(f"descriptor edge {eid!r} is not a cycle edge of this graph")
+def _require_bases(g: DirectedGraph, base_choice: Mapping[CycleDescriptor, str]):
+    """Raise ValueError unless each key is one of g's own cycles, as classify
+    returns them, then VertexNotOnCycleError for a base vertex off its cycle."""
+    own = g._analysis.cycles  # each starts at its least vertex, in that vertex's order
+    for cycle in base_choice:
+        at = bisect_left(own, cycle.vertices[0], key=lambda c: c.vertices[0])
+        if own[at : at + 1] != (cycle,):
+            raise ValueError(f"not one of this graph's cycles as classify returns them: {cycle}")
+    for cycle, base in base_choice.items():
+        if base not in cycle.vertices:
+            raise VertexNotOnCycleError(f"vertex {base!r} is not on the cycle {cycle.vertices}")
 
 
 def build_line(n: int) -> DirectedGraph:

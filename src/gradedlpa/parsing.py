@@ -6,6 +6,7 @@ Graph files hold one statement per line; '#' starts a comment.
     vertex <id>              declare an isolated vertex
     <src> -> <dst> [<id>]    declare an edge; unnamed edges get e1, e2, ...
 
+An id is an ASCII identifier (_all_ids), in graph text and in DOT output.
 A line 'vertex -> ...' is an edge whose source is the vertex named 'vertex'.
 Each line is read by one str.split(), after every '->' is spaced apart and
 any comment cut off, straight into the graph's id columns; the names are
@@ -38,10 +39,11 @@ Certificate files hold one step per line; '#' starts a comment.
     G <delta>                add delta to every shift
     E <index> <delta>        add delta to one shift
 
-Every argument is an ASCII integer [+-]?[0-9]+.  Each line is read by one
-str.split(), as graph text is; a run of E lines becomes two int columns, and
-a G or P step's constructor checks it.  Only a text that fails is read
-again, line by line, to name its first offending line.
+Every argument is an ASCII integer [+-]?[0-9]+, read by _ints, as corner
+--indices is.  Each line is read by one str.split(), as graph text is; a run
+of E lines becomes two int columns, and a G or P step's constructor checks
+it.  Only a text that fails is read again, line by line, to name its first
+offending line.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ from .algebras import (
 from .errors import ParseError
 from .graphs import _UNNAMED, DirectedGraph, _distinct_eids
 
-_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _MAX_SHIFT = 2**31
 
 
@@ -79,7 +80,7 @@ def _graph_tokens(line: str, lineno: int) -> list[tuple[str, int]]:
     for match in _GRAPH_TOKEN_RE.finditer(line):
         text = match.group()
         col = match.start() + 1
-        if text != "->" and not _ID_RE.fullmatch(text):
+        if text != "->" and not _all_ids((text,)):
             raise ParseError(f"unexpected character {text!r}", lineno, col)
         tokens.append((text, col))
     if not tokens:
@@ -196,7 +197,7 @@ def format_graph(g: DirectedGraph) -> str:
         except TypeError:  # an id that is not a string
             writable = False
         if not writable:
-            name = next(name for name in column if not (isinstance(name, str) and _ID_RE.fullmatch(name)))
+            name = next(name for name in column if not (isinstance(name, str) and _all_ids((name,))))
             raise ValueError(f"id {name!r} cannot be written in the graph text format")
     lines = [f"vertex {v}" for v in g.vertices]
     lines += [f"{source} -> {range_} {eid}" for source, range_, eid in zip(sources, ranges, eids)]
@@ -356,8 +357,6 @@ def parse_algebra(text: str) -> DirectSumAlgebra:
 
 # --- certificates ---
 
-_INT_RE = re.compile(r"[+-]?[0-9]+")
-
 
 def format_certificate(steps: Iterable[Step]) -> str:
     """One step per line: 'P <image>', 'G <delta>' or 'E <index> <delta>',
@@ -428,6 +427,18 @@ def parse_certificate(text: str) -> Sequence[Step]:
     return steps
 
 
+def _ints(tokens: Sequence[str]) -> list[int]:
+    """The values of ASCII integer tokens, [+-]?[0-9]+; else a ValueError worded
+    for certificate arguments, or as parse_algebra words too many digits."""
+    unsigned = (token[1:] if token[:1] in ("+", "-") else token for token in tokens)
+    if not all(map(str.isdecimal, unsigned)) or not "".join(tokens).isascii():
+        raise ValueError("certificate arguments must be integers")
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        raise ValueError(f"a number has more than {sys.get_int_max_str_digits()} digits") from None
+
+
 def _explain_certificate(text: str):
     """Raise the ParseError for the first offending line of a certificate
     that parse_certificate rejects."""
@@ -435,12 +446,9 @@ def _explain_certificate(text: str):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        fields = line.split()
-        kind, args = fields[0], fields[1:]
-        if not all(map(_INT_RE.fullmatch, args)):
-            raise ParseError("certificate arguments must be integers", lineno, 1)
+        kind, *args = line.split()
         try:
-            numbers = [int(x) for x in args]
+            numbers = _ints(args)
             if kind == "P" and numbers:
                 Permute(tuple(numbers))
             elif kind == "G" and len(numbers) == 1:
@@ -460,7 +468,7 @@ _DOT_KEYWORDS = {"graph", "digraph", "subgraph", "node", "edge", "strict"}
 
 
 def _dot_id(name: str) -> str:
-    if _ID_RE.fullmatch(name) and name.lower() not in _DOT_KEYWORDS:
+    if _all_ids((name,)) and name.lower() not in _DOT_KEYWORDS:
         return name
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 

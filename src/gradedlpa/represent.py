@@ -88,11 +88,11 @@ def represent_at(
 ) -> RepresentationReport:
     """Representation with caller-chosen base vertices for some or all cycles.
 
-    Keys of `base_choice` must be cycles of g; any cycle not mentioned uses
-    its lexicographically smallest vertex.  Every summand and provenance
-    entry is cut from the shared columns of _summand_counts, one slice per
-    summand: the rows ascend by length, so _from_columns merges a level of
-    several sources into one run.
+    Keys of `base_choice` must be g's own cycles, as classify returns them;
+    any cycle not mentioned uses its lexicographically smallest vertex.
+    Every summand and provenance entry is cut from the shared columns of
+    _summand_counts, one slice per summand: the rows ascend by length, so
+    _from_columns merges a level of several sources into one run.
     """
     counts = _summand_counts(g, base_choice)
     spans = list(map(slice, counts.offsets, counts.offsets[1:]))

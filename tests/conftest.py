@@ -746,6 +746,9 @@ def naive_parse_certificate(text: str) -> list:
             raise ParseError("certificate arguments must be integers", lineno, 1)
         try:
             numbers = [int(x) for x in args]
+        except ValueError:  # more digits than int() converts, worded as parse_algebra words it
+            raise ParseError(f"a number has more than {sys.get_int_max_str_digits()} digits", lineno, 1) from None
+        try:
             if kind == "P" and numbers:
                 steps.append(Permute(tuple(numbers)))
             elif kind == "G" and len(numbers) == 1:
@@ -863,7 +866,7 @@ def naive_summand_counts(g: DirectedGraph, base_choice, cycles=None):
         raise NotNoExitError(f"cycle vertex {v!r} emits {degree[v]} edges")
     for key in base_choice:
         if key not in cycles:
-            raise ValueError(f"base choice keyed by a cycle not in this graph: {key}")
+            raise ValueError(f"not one of this graph's cycles as classify returns them: {key}")
     sinks = sorted(v for v in g.vertices if degree[v] == 0)
     out = [(None, sink, naive_path_counts(g, sink)) for sink in sinks]
     for cycle in cycles:

@@ -220,6 +220,25 @@ def test_form_validation():
         CyclicForm(3, (0, 1))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: CyclicForm(2.0, (0, 1)), "a form's period or count must be an int, not 2.0"),
+        (lambda: CyclicForm(True, (1,)), "a form's period or count must be an int, not True"),
+        (lambda: CyclicForm(2, (0, 1.0)), "a form's period or count must be an int, not 1.0"),
+        (lambda: TrivialForm(True, (1, 1)), "a form's k or count must be an int, not True"),
+        (lambda: TrivialForm(1.0, (1, 1)), "a form's k or count must be an int, not 1.0"),
+        (lambda: TrivialForm(1, (1, True)), "a form's k or count must be an int, not True"),
+    ],
+    ids=["cyclic-float-period", "cyclic-bool-period", "cyclic-float-count", "trivial-bool-k", "trivial-float-k", "trivial-bool-count"],
+)
+def test_forms_refuse_fields_that_are_not_ints(build, message):
+    # as every other constructor does, through _require_ints
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_cyclic_form_validation_matches_naive_least_rotation():
     # every residue vector with period <= 7 and counts <= 2
     checked = 0

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import pins
 from conftest import diamond_chain, random_base, random_certificate, replay_failure
 from gradedlpa import (
     EntryShift,
@@ -684,23 +685,11 @@ def test_synthesize_bytes(argv, code, out, err, written, tmp_path, monkeypatch, 
     assert (target.read_text() if target and target.exists() else None) == written
 
 
-# The console pins: one row per invocation, with its input files, its exact
-# exit code, stdout and stderr, the exact text of each file it writes (and no
-# other file is left: a refused -o writes nothing) and, where the name does not
-# say it, a note on what it pins.  The CI workflow runs the same table through
-# the installed gradedlpa script.
-PINS = json.loads(Path(__file__).with_name("cli_pins.json").read_text())
-
-
-@pytest.mark.parametrize("row", PINS, ids=[row["name"] for row in PINS])
-def test_console_pins(row, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    for name, text in row["files"].items():
-        (tmp_path / name).write_text(text)
-    assert main(row["argv"]) == row["exit"]
-    assert capsys.readouterr() == (row["stdout"], row["stderr"])
-    assert {name: (tmp_path / name).read_text() for name in row["written"]} == row["written"]
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted({*row["files"], *row["written"]})
+# The console pins (tests/pins.py): each row through cli.main in a fresh
+# directory; the CI workflow runs the same rows through the installed script.
+@pytest.mark.parametrize("row", pins.ROWS, ids=[row["name"] for row in pins.ROWS])
+def test_console_pins(row):
+    assert pins.run(row) == pins.expected(row)
 
 
 def test_emit_dot(comet_file, capsys):
