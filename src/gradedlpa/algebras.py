@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import index, lt, ne, sub
@@ -49,19 +48,64 @@ def _require_ints(what: str, values: Sequence) -> None:
                 raise ValueError(f"{what} must be an int, not {value!r}")
 
 
-@dataclass(frozen=True)
-class GradedBase:
+class _Record:
+    """An immutable record: the fields its class's __match_args__ names,
+    held in the instance dict, where each subclass's __init__ writes them
+    after its checks and where _unchecked, cached_property and unpickling
+    write too.  Equality (same class only), hashing and repr are those of
+    the field tuple, as a frozen dataclass's are, and no field can be
+    assigned or deleted.  Fields are read as attributes, so a
+    cached_property can stand for one until it is first read.
+
+    >>> GlobalShift(2), GlobalShift(2) == GlobalShift(2), hash(GlobalShift(2)) == hash((2,))
+    (GlobalShift(delta=2), True, True)
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__match_args__))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self.__match_args__, self._fields())
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _unchecked(cls, **fields):
+    """An instance of the record class cls holding `fields`, built without
+    running its constructor's checks."""
+    obj = cls.__new__(cls)
+    vars(obj).update(fields)
+    return obj
+
+
+class GradedBase(_Record):
     """The graded coefficient ring: the field K (period None) or the Laurent
     ring K[x^m, x^-m] whose support is the multiples of m."""
 
-    period: int | None = None
+    __match_args__ = ("period",)
 
-    def __post_init__(self):
-        if self.period is not None:
-            if type(self.period) is not int:
-                _require_ints("a Laurent period", (self.period,))
-            if self.period < 1:
+    def __init__(self, period: int | None = None):
+        if period is not None:
+            if type(period) is not int:
+                _require_ints("a Laurent period", (period,))
+            if period < 1:
                 raise ValueError("Laurent period must be a positive integer")
+        vars(self)["period"] = period
 
     @classmethod
     def trivial(cls) -> "GradedBase":
@@ -89,16 +133,7 @@ class GradedBase:
 _K = GradedBase(None)
 
 
-def _unchecked(cls, **fields):
-    """An instance of the frozen dataclass cls holding `fields`, built
-    without running its constructor's checks."""
-    obj = cls.__new__(cls)
-    vars(obj).update(fields)
-    return obj
-
-
-@dataclass(frozen=True, init=False, eq=False, repr=False)
-class ShiftedMatrixAlgebra:
+class ShiftedMatrixAlgebra(_Record):
     """M_n(base) with suspension shifts g_1..g_n attached to the rows, held
     as runs like the expression syntax count(shift): two parallel int
     columns, each run's shift and its count.  Runs are normalised (positive
@@ -119,6 +154,7 @@ class ShiftedMatrixAlgebra:
     'M1000001(K[x^2])(1(0),1000000(1))'
     """
 
+    __match_args__ = ("base", "n")
     base: GradedBase
     n: int
 
@@ -240,16 +276,16 @@ class ShiftedMatrixAlgebra:
         return f"M{self.n}({self.base})({','.join(map(str, items))})"
 
 
-@dataclass(frozen=True)
-class DirectSumAlgebra:
+class DirectSumAlgebra(_Record):
     """A finite, nonempty direct sum of shifted matrix algebras."""
 
-    summands: tuple[ShiftedMatrixAlgebra, ...]
+    __match_args__ = ("summands",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "summands", tuple(self.summands))
-        if not self.summands:
+    def __init__(self, summands: Iterable[ShiftedMatrixAlgebra]):
+        summands = tuple(summands)
+        if not summands:
             raise ValueError("a direct sum needs at least one summand")
+        vars(self)["summands"] = summands
 
     def __str__(self):
         return " (+) ".join(str(a) for a in self.summands)
@@ -258,49 +294,47 @@ class DirectSumAlgebra:
 # --- canonical forms ---
 
 
-@dataclass(frozen=True)
-class TrivialForm:
+class TrivialForm(_Record):
     """Canonical form over K: shifts normalized to start at 0 and sorted.
 
     k is the largest normalized shift; mults[i] counts occurrences of i, so
     mults has k+1 entries with mults[0] >= 1 and mults[k] >= 1.
     """
 
-    k: int
-    mults: tuple[int, ...]
+    __match_args__ = ("k", "mults")
 
-    def __post_init__(self):
-        object.__setattr__(self, "mults", tuple(self.mults))
-        _require_ints("a form's k or count", (self.k, *self.mults))
-        if self.k < 0 or len(self.mults) != self.k + 1:
+    def __init__(self, k: int, mults: Iterable[int]):
+        mults = tuple(mults)
+        _require_ints("a form's k or count", (k, *mults))
+        if k < 0 or len(mults) != k + 1:
             raise ValueError("mults must list l_0..l_k")
-        if self.mults[0] < 1 or self.mults[-1] < 1 or any(c < 0 for c in self.mults):
+        if mults[0] < 1 or mults[-1] < 1 or any(c < 0 for c in mults):
             raise ValueError("l_0 and l_k must be positive, all counts nonnegative")
+        vars(self).update(k=k, mults=mults)
 
     def __str__(self):
         return f"trivial k={self.k} mults=({','.join(str(c) for c in self.mults)})"
 
 
-@dataclass(frozen=True)
-class CyclicForm:
+class CyclicForm(_Record):
     """Canonical form over K[x^m, x^-m]: residue multiplicities mod m, stored
     at their lexicographically least rotation."""
 
-    period: int
-    mults: tuple[int, ...]
+    __match_args__ = ("period", "mults")
 
-    def __post_init__(self):
-        object.__setattr__(self, "mults", tuple(self.mults))
-        _require_ints("a form's period or count", (self.period, *self.mults))
-        if self.period < 1 or len(self.mults) != self.period:
+    def __init__(self, period: int, mults: Iterable[int]):
+        mults = tuple(mults)
+        _require_ints("a form's period or count", (period, *mults))
+        if period < 1 or len(mults) != period:
             raise ValueError("mults must list l_0..l_{m-1}")
-        if any(c < 0 for c in self.mults) or sum(self.mults) < 1:
+        if any(c < 0 for c in mults) or sum(mults) < 1:
             raise ValueError("counts must be nonnegative and not all zero")
         # the dense vector is at its least rotation iff its class form starts at
         # residue 0: it ends in a nonzero count and its pairs are at their own
-        occupied = [r for r, c in enumerate(self.mults) if c]
-        if _least_rotation(occupied, [self.mults[r] for r in occupied], self.period)[0]:
+        occupied = [r for r, c in enumerate(mults) if c]
+        if _least_rotation(occupied, [mults[r] for r in occupied], period)[0]:
             raise ValueError("mults must be stored at their least rotation")
+        vars(self).update(period=period, mults=mults)
 
     def __str__(self):
         return f"cyclic m={self.period} mults=({','.join(str(c) for c in self.mults)})"
@@ -408,39 +442,44 @@ def canonical_form(a: ShiftedMatrixAlgebra) -> CanonicalForm:
 # --- certificate steps ---
 
 
-@dataclass(frozen=True)
-class Permute:
+class Permute(_Record):
     """new_shifts[i] = old_shifts[image[i]], with 1-based positions."""
 
-    image: tuple[int, ...]
+    __match_args__ = ("image",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "image", tuple(self.image))
-        _require_ints("a permutation entry", self.image)
-        if sorted(self.image) != list(range(1, len(self.image) + 1)):
+    def __init__(self, image: Iterable[int]):
+        image = tuple(image)
+        _require_ints("a permutation entry", image)
+        # n distinct ints in 1..n are a permutation of 1..n
+        n = len(image)
+        if image and (min(image) < 1 or max(image) > n or len(set(image)) != n):
             raise ValueError("image must be a permutation of 1..n")
+        vars(self)["image"] = image
 
 
-@dataclass(frozen=True)
-class GlobalShift:
-    delta: int
+class GlobalShift(_Record):
+    """Add delta to every shift."""
 
-    def __post_init__(self):
-        if type(self.delta) is not int:
-            _require_ints("a global shift", (self.delta,))
+    __match_args__ = ("delta",)
+
+    def __init__(self, delta: int):
+        if type(delta) is not int:
+            _require_ints("a global shift", (delta,))
+        vars(self)["delta"] = delta
 
 
-@dataclass(frozen=True)
-class EntryShift:
-    index: int
-    delta: int
+class EntryShift(_Record):
+    """Add delta to the shift at the 1-based position index."""
 
-    def __post_init__(self):
-        if type(self.index) is not int or type(self.delta) is not int:
-            _require_ints("an entry index", (self.index,))
-            _require_ints("an entry shift's degree", (self.delta,))
-        if self.index < 1:
+    __match_args__ = ("index", "delta")
+
+    def __init__(self, index: int, delta: int):
+        if type(index) is not int or type(delta) is not int:
+            _require_ints("an entry index", (index,))
+            _require_ints("an entry shift's degree", (delta,))
+        if index < 1:
             raise ValueError("entry index is 1-based")
+        vars(self).update(index=index, delta=delta)
 
 
 Step = Union[Permute, GlobalShift, EntryShift]

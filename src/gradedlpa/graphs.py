@@ -12,13 +12,12 @@ All types are immutable and all operations are pure functions of their inputs.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, starmap
 from operator import not_
 from typing import Iterable, Mapping, NamedTuple
 
-from .algebras import GradedBase, _require_listable, _unchecked
+from .algebras import GradedBase, _Record, _require_listable, _unchecked
 from .errors import (
     EmptyGraphError,
     NotASinkError,
@@ -40,8 +39,7 @@ class Edge(NamedTuple):
     range: str
 
 
-@dataclass(frozen=True, init=False, eq=False, repr=False)
-class DirectedGraph:
+class DirectedGraph(_Record):
     """A finite directed multigraph with ordered vertices and edges.
 
     Every construction ends in the same id columns.  A vertex's id is its
@@ -55,6 +53,7 @@ class DirectedGraph:
     the id columns; repr is that of the pair.
     """
 
+    __match_args__ = ("vertices",)
     vertices: tuple[str, ...]
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple]):
@@ -222,24 +221,22 @@ def _distinct_eids(eids: list) -> bool:
     return len(set(named)) == len(named)
 
 
-@dataclass(frozen=True)
-class CycleDescriptor:
+class CycleDescriptor(_Record):
     """A cycle, stored once, starting at its lexicographically smallest vertex.
 
     Edge i runs from vertices[i] to vertices[(i+1) % length]; all sources are
     distinct, so the cycle is determined by its edge list up to rotation.
     """
 
-    vertices: tuple[str, ...]
-    edges: tuple[str, ...]
+    __match_args__ = ("vertices", "edges")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", tuple(self.edges))
-        if not self.edges or len(self.vertices) != len(self.edges):
+    def __init__(self, vertices: Iterable[str], edges: Iterable[str]):
+        vertices, edges = tuple(vertices), tuple(edges)
+        if not edges or len(vertices) != len(edges):
             raise ValueError("a cycle has equally many vertices and edges, at least one each")
-        if len(set(self.vertices)) != len(self.vertices):
+        if len(set(vertices)) != len(vertices):
             raise ValueError("cycle vertices must be distinct")
+        vars(self).update(vertices=vertices, edges=edges)
 
     @property
     def length(self) -> int:
@@ -271,14 +268,23 @@ class _Analysis(NamedTuple):
     cycles: tuple[CycleDescriptor, ...]  # in find_cycles order; empty unless no-exit
 
 
-@dataclass(frozen=True)
-class GraphClassification:
-    acyclic: bool
-    no_exit: bool
-    comet_per_component: bool
-    sinks: tuple[str, ...]
-    regular: tuple[str, ...]
-    cycles: tuple[CycleDescriptor, ...]
+class GraphClassification(_Record):
+    """What classify reports: the flags, the sorted sinks and regular
+    vertices, and the cycles."""
+
+    __match_args__ = ("acyclic", "no_exit", "comet_per_component", "sinks", "regular", "cycles")
+
+    def __init__(
+        self,
+        acyclic: bool,
+        no_exit: bool,
+        comet_per_component: bool,
+        sinks: tuple[str, ...],
+        regular: tuple[str, ...],
+        cycles: tuple[CycleDescriptor, ...],
+    ):
+        vars(self).update(acyclic=acyclic, no_exit=no_exit, comet_per_component=comet_per_component)
+        vars(self).update(sinks=sinks, regular=regular, cycles=cycles)
 
 
 def strongly_connected_components(g: DirectedGraph) -> list[tuple[str, ...]]:

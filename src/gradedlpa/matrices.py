@@ -6,11 +6,10 @@ by `apply_certificate`, not here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping
 
-from .algebras import EntryShift, GradedBase, Permute, Step, apply_certificate
+from .algebras import EntryShift, GradedBase, Permute, Step, _Record, apply_certificate
 from .errors import ShapeMismatchError
 
 
@@ -72,16 +71,17 @@ def _as_element(value) -> LaurentElement:
     raise ValueError(f"cannot use {value!r} as a matrix entry")
 
 
-@dataclass(frozen=True, init=False)
-class GradedMatrix:
+class GradedMatrix(_Record):
     """A square matrix over the base ring, graded through its shift list.
 
     Stored as its nonzero terms {(i, j, e): c}: the monomial c*x^e at entry
     (i, j), homogeneous of degree e + g_i - g_j.  Entries are 0-based
     internally; certificate steps keep their 1-based indices.  `entries`
-    lists the rows of LaurentElements on request.
+    lists the rows of LaurentElements on request.  Equality and repr are
+    those of the fields; the hash reads the terms as a frozenset.
     """
 
+    __match_args__ = ("base", "shifts", "_terms")
     base: GradedBase
     shifts: tuple[int, ...]
     _terms: dict[tuple[int, int, int], int]

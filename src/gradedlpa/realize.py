@@ -9,16 +9,14 @@ disjoint union of the witness graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 
-from .algebras import DirectSumAlgebra, ShiftedMatrixAlgebra, _require_listable
+from .algebras import DirectSumAlgebra, ShiftedMatrixAlgebra, _Record, _require_listable
 from .errors import NotRealizableError
 from .graphs import DirectedGraph
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Record):
     """Outcome of a realizability test on a single matrix algebra.
 
     On failure, failing_index is the first violated position in the natural
@@ -26,9 +24,10 @@ class Verdict:
     a Laurent base.
     """
 
-    ok: bool
-    failing_index: int | None = None
-    reason: str | None = None
+    __match_args__ = ("ok", "failing_index", "reason")
+
+    def __init__(self, ok: bool, failing_index: int | None = None, reason: str | None = None):
+        vars(self).update(ok=ok, failing_index=failing_index, reason=reason)
 
     def __bool__(self):
         return self.ok
@@ -40,12 +39,13 @@ class Verdict:
 _YES = Verdict(True)
 
 
-@dataclass(frozen=True)
-class SumVerdict:
+class SumVerdict(_Record):
     """Outcome for a direct sum; failures list (1-based summand, verdict)."""
 
-    ok: bool
-    failures: tuple[tuple[int, Verdict], ...] = ()
+    __match_args__ = ("ok", "failures")
+
+    def __init__(self, ok: bool, failures: tuple[tuple[int, Verdict], ...] = ()):
+        vars(self).update(ok=ok, failures=failures)
 
     def __bool__(self):
         return self.ok

@@ -10,14 +10,14 @@ base vertices change the shift lists but never the graded isomorphism class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Union
 
-from .algebras import DirectSumAlgebra, ShiftedMatrixAlgebra, _unchecked
+from .algebras import DirectSumAlgebra, ShiftedMatrixAlgebra, _Record, _unchecked
 from .graphs import CycleDescriptor, DirectedGraph, _expand, _summand_counts
 
 
-class _CountedPaths:
+class _CountedPaths(_Record):
     """Paths kept as the three _path_counts columns, ascending by length,
     then source: lengths, source names and counts.  `rows` and `paths` are
     built on each call, for callers that list them; no library pass reads
@@ -34,42 +34,63 @@ class _CountedPaths:
         return tuple(_expand(self.lengths, self.sources, self.counts))
 
 
-@dataclass(frozen=True)
 class SinkSummand(_CountedPaths):
     """Provenance of one summand over K: the sink and its incoming paths."""
 
-    sink: str
-    lengths: tuple[int, ...]
-    sources: tuple[str, ...]
-    counts: tuple[int, ...]
+    __match_args__ = ("sink", "lengths", "sources", "counts")
+
+    def __init__(self, sink: str, lengths: tuple[int, ...], sources: tuple[str, ...], counts: tuple[int, ...]):
+        vars(self).update(sink=sink, lengths=lengths, sources=sources, counts=counts)
 
 
-@dataclass(frozen=True)
 class CycleSummand(_CountedPaths):
     """Provenance of one Laurent summand: the cycle, the base vertex on it,
     and the paths ending there that do not contain the cycle."""
 
-    cycle: CycleDescriptor
-    base_vertex: str
-    lengths: tuple[int, ...]
-    sources: tuple[str, ...]
-    counts: tuple[int, ...]
+    __match_args__ = ("cycle", "base_vertex", "lengths", "sources", "counts")
+
+    def __init__(
+        self,
+        cycle: CycleDescriptor,
+        base_vertex: str,
+        lengths: tuple[int, ...],
+        sources: tuple[str, ...],
+        counts: tuple[int, ...],
+    ):
+        vars(self).update(cycle=cycle, base_vertex=base_vertex, lengths=lengths, sources=sources, counts=counts)
 
 
 Provenance = Union[SinkSummand, CycleSummand]
 
 
-@dataclass(frozen=True)
-class RepresentationReport:
+class RepresentationReport(_Record):
     """The represented direct sum plus, per summand, where it came from.
 
     Summand i of `sum` corresponds to provenance entry i; path j of a summand
     corresponds to the diagonal unit e_jj (1-based), and shifts[j] is its
     length.  A vertex maps to the sum of the units of the paths it sources.
+
+    A report from represent_at keeps its _summand_counts and cuts the
+    provenance from them on first access; it compares, hashes, prints and
+    pickles as one built with its provenance.
     """
 
-    sum: DirectSumAlgebra
-    provenance: tuple[Provenance, ...]
+    __match_args__ = ("sum", "provenance")
+
+    def __init__(self, sum: DirectSumAlgebra, provenance: tuple[Provenance, ...]):
+        vars(self).update(sum=sum, provenance=provenance)
+
+    @cached_property
+    def provenance(self) -> tuple[Provenance, ...]:
+        counts = self._counts
+        spans = list(map(slice, counts.offsets, counts.offsets[1:]))
+        columns = (counts.lengths, counts.sources, counts.counts)
+        lengths, sources, tallies = (map(column.__getitem__, spans) for column in columns)
+        return tuple(map(_provenance, counts.cycles, counts.ends, lengths, sources, tallies))
+
+    def __getstate__(self):
+        # the fields only, not the counts the provenance is cut from
+        return {"sum": self.sum, "provenance": self.provenance}
 
 
 def represent(g: DirectedGraph) -> RepresentationReport:
@@ -90,22 +111,21 @@ def represent_at(
 
     Keys of `base_choice` must be g's own cycles, as classify returns them;
     any cycle not mentioned uses its lexicographically smallest vertex.
-    Every summand and provenance entry is cut from the shared columns of
-    _summand_counts, one slice per summand: the rows ascend by length, so
-    _from_columns merges a level of several sources into one run.
+    Every summand, and on first access every provenance entry, is cut from
+    the shared columns of _summand_counts, one slice per summand: the rows
+    ascend by length, so _from_columns merges a level of several sources
+    into one run.
     """
     counts = _summand_counts(g, base_choice)
     spans = list(map(slice, counts.offsets, counts.offsets[1:]))
-    lengths = list(map(counts.lengths.__getitem__, spans))
-    tallies = list(map(counts.counts.__getitem__, spans))
-    sources = map(counts.sources.__getitem__, spans)
+    lengths = map(counts.lengths.__getitem__, spans)
+    tallies = map(counts.counts.__getitem__, spans)
     summands = tuple(map(ShiftedMatrixAlgebra._from_columns, counts.bases, lengths, tallies))
-    provenance = tuple(map(_provenance, counts.cycles, counts.ends, lengths, sources, tallies))
-    return RepresentationReport(DirectSumAlgebra(summands), provenance)
+    return _unchecked(RepresentationReport, sum=DirectSumAlgebra(summands), _counts=counts)
 
 
 def _provenance(cycle, end, lengths, sources, counts) -> Provenance:
-    # columns cut from valid counts, so the dataclass constructor is skipped
+    # columns cut from valid counts, so the record constructor is skipped
     if cycle is None:
         return _unchecked(SinkSummand, sink=end, lengths=lengths, sources=sources, counts=counts)
     return _unchecked(CycleSummand, cycle=cycle, base_vertex=end, lengths=lengths, sources=sources, counts=counts)

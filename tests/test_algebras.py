@@ -374,6 +374,40 @@ def test_permute_refuses_what_is_not_an_int(kind):
     assert str(err.value) == f"a permutation entry must be an int, not {bad!r}"
 
 
+def _sorted_permute_outcome(image):
+    """What Permute(image) did when it checked a permutation by sorting: the
+    error message, or None when it accepted the image."""
+    for value in image:
+        if not isinstance(value, int) or isinstance(value, bool):
+            return f"a permutation entry must be an int, not {value!r}"
+    if sorted(image) != list(range(1, len(image) + 1)):
+        return "image must be a permutation of 1..n"
+    return None
+
+
+def test_permute_check_matches_the_sorted_definition():
+    # random images near a permutation: duplicates, 0, n + 1 and bools among them
+    rng = random.Random(34)
+    images = [(), (1,), (0,), (2,), (True,), (1, True), (2, 1, 3, 3)]
+    for _ in range(3000):
+        n = rng.randint(1, 9)
+        image = rng.sample(range(1, n + 1), n)
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            image[rng.randrange(n)] = rng.choice((0, n + 1, n + 2, -1, True, False, rng.randint(1, n)))
+        images.append(tuple(image))
+    outcomes = Counter()
+    for image in images:
+        expected = _sorted_permute_outcome(image)
+        try:
+            step = Permute(image)
+        except ValueError as err:
+            assert str(err) == expected, image
+        else:
+            assert expected is None and step.image == image, image
+        outcomes[expected is None] += 1
+    assert min(outcomes.values()) > 500
+
+
 @pytest.mark.parametrize("kind", STEP_KINDS)
 def test_global_shift_refuses_what_is_not_an_int(kind):
     bad = BAD_INTS[kind]
