@@ -29,8 +29,19 @@ from .errors import (
 
 DEFAULT_CYCLE_CAP = 10_000
 
+
+class _Unnamed:
+    """The type of _UNNAMED, whose one instance pickle and copy keep: it
+    reduces to its module-level name."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return "_UNNAMED"
+
+
 # marks an unnamed edge in an edge-id column; its id is e<position>
-_UNNAMED = object()
+_UNNAMED = _Unnamed()
 
 
 class Edge(NamedTuple):
@@ -182,13 +193,16 @@ class DirectedGraph(_Record):
         return f"e{pos + 1}" if self._eids[pos] is _UNNAMED else self._eids[pos]
 
     def _cycles(self, walks: list[list[int]]) -> list["CycleDescriptor"]:
-        """The cycle through the edges at the positions of each walk, in order."""
-        eid = {pos: self._eid(pos) for pos in set(chain.from_iterable(walks))}.__getitem__
-        name, source = self.vertices.__getitem__, self._sources.__getitem__
+        """The cycle through the edges at the positions of each walk, in order,
+        named from source-name and edge-id columns cut for the positions some
+        walk uses."""
+        used = set(chain.from_iterable(walks))
+        names, sources = self.vertices, self._sources
+        name = {pos: names[sources[pos]] for pos in used}.__getitem__
+        eid = {pos: self._eid(pos) for pos in used}.__getitem__
         # valid by construction, so the descriptor's checks are skipped
         return [
-            _unchecked(CycleDescriptor, vertices=tuple(map(name, map(source, walk))), edges=tuple(map(eid, walk)))
-            for walk in walks
+            _unchecked(CycleDescriptor, vertices=tuple(map(name, walk)), edges=tuple(map(eid, walk))) for walk in walks
         ]
 
     @cached_property
@@ -383,7 +397,13 @@ def find_cycles(g: DirectedGraph) -> list[CycleDescriptor]:
 
     Cyclic SCC by cyclic SCC, by least name, a depth-first search from each
     anchor in name order walks edge positions through vertices named >= the
-    anchor.  Raises TooManyCyclesError past DEFAULT_CYCLE_CAP cycles.
+    anchor.  Each component's out-edges are listed once, per vertex, as
+    (rank of head, position) pairs, where a rank is a place in name order
+    and an edge leaving the component is left out; the search compares the
+    ranks in those pairs with the anchor's and marks its path in a list by
+    rank, so no edge it looks at costs a dictionary lookup.  The walks are
+    named once the search is done.  Raises TooManyCyclesError when the
+    cycle past DEFAULT_CYCLE_CAP closes.
     classify lists the cycles of a graph that is not no-exit through it, and
     the graph_families benchmark checks those counts on K_5 to K_7.
     """
@@ -393,29 +413,28 @@ def find_cycles(g: DirectedGraph) -> list[CycleDescriptor]:
     for comp in g._analysis.cyclic_components:
         ids = list(map(g._id_of.__getitem__, comp))
         rank = dict(zip(ids, range(len(ids))))  # an id's place in name order; none outside comp
-        for least, anchor in enumerate(ids):
-            # per vertex on the path its pending out-edge positions; path: those taken
-            pending = [iter(out[anchor])]
-            path: list[int] = []
-            on_path = {anchor}
+        # per rank, its out-edges inside comp as (rank of head, position), in edge order
+        edges = [[(rank[head[pos]], pos) for pos in out[v] if head[pos] in rank] for v in ids]
+        on_path = [False] * len(ids)  # per rank, whether the search's path holds it
+        for least in range(len(ids)):
+            pending = [iter(edges[least])]  # per vertex on the path its pending edges
+            path: list[int] = []  # the positions taken
             while pending:
-                for pos in pending[-1]:
-                    w = head[pos]
-                    if rank.get(w, -1) < least:
-                        continue
-                    if w == anchor:
+                for r, pos in pending[-1]:
+                    if r > least:
+                        if not on_path[r]:
+                            pending.append(iter(edges[r]))
+                            path.append(pos)
+                            on_path[r] = True
+                            break
+                    elif r == least:
                         if len(walks) >= DEFAULT_CYCLE_CAP:
                             raise TooManyCyclesError(f"more than {DEFAULT_CYCLE_CAP} cycles")
                         walks.append(path + [pos])
-                    elif w not in on_path:
-                        pending.append(iter(out[w]))
-                        path.append(pos)
-                        on_path.add(w)
-                        break
                 else:
                     pending.pop()
                     if path:
-                        on_path.discard(head[path.pop()])
+                        on_path[rank[head[path.pop()]]] = False
     return g._cycles(walks)
 
 

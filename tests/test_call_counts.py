@@ -2,21 +2,31 @@
 
 cProfile's total_calls for one op is the same on every run.  For each op
 below, counted at three or four sizes, the calls per unit of size (a sink, a
-loop-comet, a vertex of the line, a shift) at the largest size are at most
-those at the smallest plus MARGIN: the op does linear work in calls.  An op
-that counted the whole graph again once per summand would make that ratio
-grow with the size.
+loop-comet, a vertex of the line, a diamond, a cycle of a complete digraph, a
+shift) at the largest size are at most those at the smallest plus MARGIN:
+the op does linear work in calls.  An op that counted the whole graph again
+once per summand would make that ratio grow with the size.  On K_7 the
+cycle listing must also stay within COMPLETE_BOUND calls per cycle.
 
 Counts see calls only, not the work inside one builtin or inside a loop
 that calls nothing; they add to the timed benchmark and replace no speed
-claim.  A table of the exact counts is left for later.
+claim.  A table of the exact counts is left for later;
+
+    PYTHONPATH=src python tests/test_call_counts.py
+
+prints the calls per unit of every op at each of its sizes as one JSON
+object.
 """
 
 import contextlib
 import cProfile
 import io
+import json
+import math
 import pstats
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +65,15 @@ def _line(n):
     return names, list(zip(names, names[1:]))
 
 
+def _diamonds(k):
+    # j0 -> {a1, b1} -> j1 -> ... -> jk: 2^k paths from j0 to the one sink
+    names = [f"j{i}" for i in range(k + 1)] + [f"{x}{i}" for i in range(1, k + 1) for x in "ab"]
+    edges = []
+    for i in range(1, k + 1):
+        edges += [(f"j{i - 1}", f"a{i}"), (f"j{i - 1}", f"b{i}"), (f"a{i}", f"j{i}"), (f"b{i}", f"j{i}")]
+    return names, edges
+
+
 def _graph_op(family, size):
     """An op like the graph_families benchmark's: parse, classify, represent,
     a canonical form per summand, the realizability verdict, and the corner
@@ -73,6 +92,20 @@ def _graph_op(family, size):
         G.corner_by_vertices(g, names[::3])
 
     return op
+
+
+def _complete_op(n, _):
+    """classify of the complete digraph on n vertices, parsed from text: it is
+    not no-exit, so classify lists every cycle."""
+    names = [f"v{i}" for i in range(n)]
+    edges = [(x, y) for x in names for y in names if x != y]
+    random.Random(n).shuffle(edges)
+    text = "".join(f"{x} -> {y}\n" for x, y in edges)
+    return lambda: G.classify(G.parse_graph(text))
+
+
+def _cycles_of_complete(n):
+    return sum(math.comb(n, k) * math.factorial(k - 1) for k in range(2, n + 1))
 
 
 def _isomorphic_pair(n, m=5):
@@ -106,16 +139,42 @@ def _verify_op(n, tmp_path):
     return op
 
 
+def _same(size):
+    return size
+
+
+# per op: its builder, its sizes, and the units of work at a size
 OPS = {
-    "star": (lambda size, _: _graph_op(_star, size), (100, 200, 400, 1600)),
-    "comets": (lambda size, _: _graph_op(_comets, size), (50, 100, 200, 800)),
-    "line": (lambda size, _: _graph_op(_line, size), (1000, 4000, 16000)),
-    "iso_certificate": (_iso_op, (1000, 4000, 16000)),
-    "verify-cert": (_verify_op, (1000, 4000, 16000)),
+    "star": (lambda size, _: _graph_op(_star, size), (100, 200, 400, 1600), _same),
+    "comets": (lambda size, _: _graph_op(_comets, size), (50, 100, 200, 800), _same),
+    "line": (lambda size, _: _graph_op(_line, size), (1000, 4000, 16000), _same),
+    "diamond": (lambda size, _: _graph_op(_diamonds, size), (10, 20, 40, 160), _same),
+    "complete": (_complete_op, (5, 6, 7), _cycles_of_complete),
+    "iso_certificate": (_iso_op, (1000, 4000, 16000), _same),
+    "verify-cert": (_verify_op, (1000, 4000, 16000), _same),
 }
+# calls per listed cycle on K_7, where listing a cycle makes no call per edge
+COMPLETE_BOUND = 14
 
 
-@pytest.mark.parametrize("build, sizes", OPS.values(), ids=OPS)
-def test_calls_per_unit_do_not_grow(build, sizes, tmp_path):
-    per_unit = [_calls(build(size, tmp_path)) / size for size in sizes]
+def _per_unit(name, tmp_path) -> list[float]:
+    build, sizes, units = OPS[name]
+    return [_calls(build(size, tmp_path)) / units(size) for size in sizes]
+
+
+@pytest.mark.parametrize("name", OPS)
+def test_calls_per_unit_do_not_grow(name, tmp_path):
+    per_unit = _per_unit(name, tmp_path)
     assert per_unit[-1] <= per_unit[0] * (1 + MARGIN), per_unit
+
+
+def test_complete_graph_lists_cycles_in_few_calls(tmp_path):
+    assert _cycles_of_complete(7) == 2365
+    assert _per_unit("complete", tmp_path)[-1] <= COMPLETE_BOUND
+
+
+if __name__ == "__main__":
+    # calls per unit of every op at each of its sizes, as one JSON object
+    with tempfile.TemporaryDirectory() as tmp:
+        counts = {name: dict(zip(map(str, OPS[name][1]), _per_unit(name, Path(tmp)))) for name in OPS}
+    print(json.dumps({name: {size: round(v, 3) for size, v in row.items()} for name, row in counts.items()}))

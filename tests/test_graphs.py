@@ -293,6 +293,40 @@ def test_classify_cycle_cap_boundary():
         classify(g)
 
 
+def _loops_and_k7(loops):
+    """Vertex a with `loops` parallel loops, then the complete digraph on b to
+    h, whose 2,365 cycles the search lists after a's."""
+    k7 = "bcdefgh"
+    return DirectedGraph.from_edges([("a", "a")] * loops + [(x, y) for x in k7 for y in k7 if x != y])
+
+
+def test_cycle_cap_reached_inside_a_dense_component():
+    g = _loops_and_k7(7_635)  # 7,635 + 2,365: exactly the cap
+    cycles = find_cycles(g)
+    assert len(cycles) == 10_000 and cycles == brute_cycles(g)
+    assert cycles[-1] == brute_cycles(g)[-1] and classify(g).cycles == tuple(cycles)
+    # one loop more: the 10,001st cycle closes in the search of K_7
+    g = _loops_and_k7(7_636)
+    for call in (find_cycles, classify):
+        with pytest.raises(TooManyCyclesError, match="^more than 10000 cycles$"):
+            call(g)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_find_cycles_on_dense_multigraphs(n):
+    # K_n in shuffled edge order, with a parallel edge and a loop added and
+    # some edges named
+    for seed in range(4):
+        rng = random.Random(100 * n + seed)
+        names = rng.sample(ID_NAMES, n)
+        pairs = [(x, y) for x in names for y in names if x != y]
+        pairs += [rng.choice(pairs), (rng.choice(names),) * 2]
+        rng.shuffle(pairs)
+        edges = [pair + ((f"n{pos}",) if rng.random() < 0.3 else ()) for pos, pair in enumerate(pairs)]
+        g = DirectedGraph.from_edges(edges)
+        assert find_cycles(g) == brute_cycles(g)
+
+
 @st.composite
 def multigraphs_with_ids(draw):
     """Multigraphs of up to 6 vertices with loops and parallel edges.  Some

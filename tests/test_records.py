@@ -1,8 +1,9 @@
 """The library's immutable records behave as the frozen dataclasses they
 replace: one table row per class pins construction, equality, hashing,
 repr, immutability, pickling, copying and positional `match`.  A report's
-lazily cut provenance is checked against an eagerly built one, and a CLI
-process is checked to import neither `dataclasses` nor `inspect`."""
+lazily cut provenance is checked against an eagerly built one, a graph
+with unnamed edges keeps them through pickle and copy, and a CLI process is
+checked to import neither `dataclasses` nor `inspect`."""
 
 import copy
 import os
@@ -31,10 +32,12 @@ from gradedlpa import (
     SumVerdict,
     TrivialForm,
     Verdict,
+    classify,
+    format_graph,
     represent,
     represent_at,
 )
-from gradedlpa.graphs import GraphClassification
+from gradedlpa.graphs import _UNNAMED, GraphClassification
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -243,6 +246,23 @@ def test_lazy_provenance_is_the_eager_report():
     moved = represent_at(g, {g._analysis.cycles[1]: "v"})
     assert [p.base_vertex for p in moved.provenance[1:]] == ["p", "v"]
     assert copy.copy(moved) == moved and moved != eager
+
+
+def test_unnamed_edges_survive_pickle_and_copy():
+    # unnamed edges among named ones, with an exit, so classify lists the cycles
+    g = DirectedGraph.from_edges([("a", "b"), ("b", "a", "back"), ("b", "c"), ("c", "a"), ("c", "c", "e9")])
+    assert g._eids.count(_UNNAMED) == 3 and len(classify(g).cycles) == 3
+    text, cycles = format_graph(g), classify(g).cycles
+    for twin in (
+        pickle.loads(pickle.dumps(g, protocol=2)),
+        pickle.loads(pickle.dumps(g, protocol=4)),
+        copy.copy(g),
+        copy.deepcopy(g),
+    ):
+        assert twin._eids.count(_UNNAMED) == 3
+        assert twin == g and hash(twin) == hash(g) and repr(twin) == repr(g)
+        assert format_graph(twin) == text and classify(twin).cycles == cycles
+    assert copy.copy(_UNNAMED) is copy.deepcopy(_UNNAMED) is pickle.loads(pickle.dumps(_UNNAMED)) is _UNNAMED
 
 
 def test_cli_process_imports_no_dataclasses_or_inspect():
