@@ -12,10 +12,11 @@ All types are immutable and all operations are pure functions of their inputs.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from functools import cached_property
 from itertools import chain, compress, starmap
 from operator import not_
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 from .algebras import GradedBase, _Record, _require_listable, _unchecked
 from .errors import (
@@ -44,10 +45,9 @@ class _Unnamed:
 _UNNAMED = _Unnamed()
 
 
-class Edge(NamedTuple):
-    eid: str
-    source: str
-    range: str
+# an edge's id, source name and range name; a plain namedtuple, like the
+# private tuples below, so that no field annotation is evaluated on import
+Edge = namedtuple("Edge", ("eid", "source", "range"))
 
 
 class DirectedGraph(_Record):
@@ -57,9 +57,13 @@ class DirectedGraph(_Record):
     position in `vertices`, which is in first-mention order, and the one id
     the graph passes use; per edge there is an edge id (_UNNAMED for an
     unnamed edge, whose id is e<position>), a source id and a range id.
-    Names are sorted only where an output lists them.  `edges` (Edge tuples)
-    is built on first use, for repr and for callers that ask for Edge
-    tuples; no library pass, writer, comparison or CLI command builds it.
+    Names are sorted only where an output lists them.  The whole-graph
+    passes read per id its in-edges' sources and its out-degree (`_index`),
+    built on first use; the out-edge table (`_out`) is built only when some
+    vertex reaches a cycle, so an acyclic graph is settled from its in-edges
+    alone.  `edges` (Edge tuples) is built on first use, for repr and for
+    callers that ask for Edge tuples; no library pass, writer, comparison or
+    CLI command builds it.
     Equality and hashing are those of the pair (vertices, edges), read off
     the id columns; repr is that of the pair.
     """
@@ -159,26 +163,38 @@ class DirectedGraph(_Record):
 
     @cached_property
     def _index(self) -> "_Index":
-        out: list[list[int]] = [[] for _ in self.vertices]
         pred: list[list[int]] = [[] for _ in self.vertices]
-        for pos, s, r in zip(range(len(self._ranges)), self._sources, self._ranges):
-            out[s].append(pos)
+        for s, r in zip(self._sources, self._ranges):
             pred[r].append(s)
-        return _Index(out, pred)
+        outdeg = [0] * len(pred)
+        for s in self._sources:
+            outdeg[s] += 1
+        return _Index(pred, outdeg)
+
+    @cached_property
+    def _out(self) -> list[list[int]]:
+        """Per id, the positions of its out-edges in edge order.  The SCC
+        pass builds it only once some vertex reaches a cycle; the cycle walk
+        and find_cycles read it after that pass."""
+        out: list[list[int]] = [[] for _ in self.vertices]
+        for pos, s in enumerate(self._sources):
+            out[s].append(pos)
+        return out
 
     @cached_property
     def _analysis(self) -> "_Analysis":
-        names, out, head = self.vertices, self._index.out, self._ranges
+        names, (pred, outdeg), head = self.vertices, self._index, self._ranges
         # a component of two or more vertices is cyclic, a singleton iff it has a loop
-        cyclic = [c for c in _scc_pass(self) if len(c) > 1 or c[0] in map(head.__getitem__, out[c[0]])]
-        sinks = tuple(sorted(compress(names, map(not_, out))))
-        exits = [names[v] for comp in cyclic for v in comp if len(out[v]) != 1]
+        cyclic = [c for c in _scc_pass(self) if len(c) > 1 or c[0] in pred[c[0]]]
+        sinks = tuple(sorted(compress(names, map(not_, outdeg))))
+        exits = [names[v] for comp in cyclic for v in comp if outdeg[v] != 1]
         # each component's names sorted, the components by their least name
         components = tuple(sorted(tuple(sorted(map(names.__getitem__, comp))) for comp in cyclic))
-        if exits:
-            return _Analysis(components, min(exits), sinks, ())
+        if exits or not components:  # an acyclic graph never builds the out-edge table
+            return _Analysis(components, min(exits, default=None), sinks, ())
         # in a no-exit graph a cyclic SCC is one cycle: follow the unique out-edges
         # from its least vertex, where its CycleDescriptor starts
+        out = self._out
         walks = []
         for comp in components:
             start = self._id_of[comp[0]]
@@ -257,29 +273,30 @@ class CycleDescriptor(_Record):
         return len(self.edges)
 
 
-class _Index(NamedTuple):
-    """The adjacency the whole-graph passes walk, over the graph's vertex ids,
-    built by one pass over its source and range columns.
+class _Index(namedtuple("_Index", ("pred", "outdeg"))):
+    """What every whole-graph pass reads, over the graph's vertex ids:
+    `pred`, per id the source ids of its in-edges in edge order, filled by
+    one pass over the source and range columns, and `outdeg`, per id its
+    number of out-edges, filled by one pass over the source column.
 
-    `out` and the range column are the graph's one out-adjacency: every walk
-    follows out-edge positions through the range column (`head` in the
-    passes) and reads an edge id by position only to describe a cycle.  The
-    path counts read `pred`."""
+    The sink-first peel and the path counts walk `pred`; the sink, exit and
+    regular checks read `outdeg`.  The out-edge positions that a walk along
+    out-edges follows through the range column (`head` in the passes) are
+    DirectedGraph._out, built only when some vertex reaches a cycle."""
 
-    out: list[list[int]]  # per id, the positions of its out-edges in edge order
-    pred: list[list[int]]  # per id, the source ids of its in-edges in edge order
+    __slots__ = ()
 
 
-class _Analysis(NamedTuple):
-    """What one SCC pass tells about a graph, by vertex name.  Only the
-    cyclic components are kept: every other component is a single vertex,
-    and the cycles, the exit check, find_cycles and
+class _Analysis(namedtuple("_Analysis", ("cyclic_components", "exit_vertex", "sinks", "cycles"))):
+    """What one SCC pass tells about a graph, by vertex name: the cyclic
+    components, each sorted, ordered by their least name; the least cycle
+    vertex not emitting exactly one edge, or None; the sorted sinks; and
+    the cycles in find_cycles order, empty unless the graph is no-exit.
+    Only the cyclic components are kept: every other component is a single
+    vertex, and the cycles, the exit check, find_cycles and
     strongly_connected_components read nothing else."""
 
-    cyclic_components: tuple[tuple[str, ...], ...]  # each sorted, ordered by least name
-    exit_vertex: str | None  # least cycle vertex not emitting exactly one edge
-    sinks: tuple[str, ...]  # sorted
-    cycles: tuple[CycleDescriptor, ...]  # in find_cycles order; empty unless no-exit
+    __slots__ = ()
 
 
 class GraphClassification(_Record):
@@ -315,26 +332,29 @@ def strongly_connected_components(g: DirectedGraph) -> list[tuple[str, ...]]:
 
 
 def _scc_pass(g: DirectedGraph) -> list[list[int]]:
-    """The SCC pass: the components of the vertices that some cycle reaches,
-    as id lists.
+    """The SCC pass: every component that holds a cycle, as id lists, and
+    some acyclic singletons.
 
-    An in-degree peel first removes every vertex that no cycle reaches; each
-    of those is a component of its own and is not listed.  No edge leads from
-    a vertex left behind to a peeled one, so an iterative Tarjan over the ids
-    left splits them without looking at the peeled ones.  In a no-exit graph
-    it sees the cycle vertices alone, and an acyclic graph costs the peel.
+    _peel first settles every vertex that reaches no cycle and peels every
+    other vertex that no cycle reaches; each of those is a component of its
+    own.  An acyclic graph ends there, with no out-edge table built.  No
+    edge leads from a vertex left behind to a peeled one, so an iterative
+    Tarjan over the ids left splits them without looking at the peeled
+    ones.  In a no-exit graph it sees the cycle vertices alone; below an
+    exit it also walks the settled vertices reached, and lists each of them
+    as a component of its own.
     """
-    (out, pred), head = g._index, g._ranges
-    peeled = _peel(out, head, pred)
-    if len(peeled) == len(out):
+    settled, peeled = _peel(g)
+    done = len(g.vertices)  # the index of a vertex already placed in a component
+    if len(settled) + len(peeled) == done:
         return []
-    done = len(out)  # the index of a vertex already placed in a component
+    out, head = g._out, g._ranges
     index = [-1] * done
     low = [0] * done
     stack: list[int] = []
     comps: list[list[int]] = []
     counter = 0
-    for root in set(range(done)).difference(peeled):
+    for root in set(range(done)).difference(settled, peeled):
         if index[root] >= 0:
             continue
         index[root] = low[root] = counter
@@ -371,11 +391,34 @@ def _scc_pass(g: DirectedGraph) -> list[list[int]]:
     return comps
 
 
-def _peel(out: list[list[int]], head: list[int], pred: list[list[int]]) -> list[int]:
-    """The vertices that no cycle reaches, each after its predecessors:
-    Kahn's in-degree peel, one decrement per edge, so a loop or a parallel
-    edge from a vertex left behind keeps its range behind too."""
+def _peel(g: DirectedGraph) -> tuple[list[int], list[int]]:
+    """Two lists of vertex ids: those that reach no cycle, each after its
+    successors, and of the rest those that no cycle reaches, each after its
+    predecessors.
+
+    Each is Kahn's peel, one decrement per edge, so a loop or a parallel
+    edge keeps its endpoint behind.  The sink-first peel is Kahn's on the
+    reversed graph: it starts at the sinks and decrements out-degrees
+    through `pred`, and a graph with no sink skips it.  Only when it leaves
+    a vertex behind is the out-edge table built, and the forward peel runs
+    over in-degrees, with every settled vertex's in-degree set to -1 so that
+    no decrement brings it to 0 and the peel never walks it again.
+    """
+    pred, outdeg = g._index
+    settled = list(compress(range(len(outdeg)), map(not_, outdeg)))
+    if settled:
+        outdeg = outdeg.copy()
+        for v in settled:  # the list grows as the loop reads it
+            for u in pred[v]:
+                outdeg[u] -= 1
+                if not outdeg[u]:
+                    settled.append(u)
+    if len(settled) == len(outdeg):
+        return settled, []
+    out, head = g._out, g._ranges
     indeg = list(map(len, pred))
+    for v in settled:
+        indeg[v] = -1
     peeled = list(compress(range(len(indeg)), map(not_, indeg)))
     for v in peeled:  # the list grows as the loop reads it
         for pos in out[v]:
@@ -383,13 +426,13 @@ def _peel(out: list[list[int]], head: list[int], pred: list[list[int]]) -> list[
             indeg[w] -= 1
             if not indeg[w]:
                 peeled.append(w)
-    return peeled
+    return settled, peeled
 
 
 def _require_no_exit(g: DirectedGraph):
     v = g._analysis.exit_vertex
     if v is not None:
-        raise NotNoExitError(f"cycle vertex {v!r} emits {len(g._index.out[g._id_of[v]])} edges")
+        raise NotNoExitError(f"cycle vertex {v!r} emits {g._index.outdeg[g._id_of[v]]} edges")
 
 
 def find_cycles(g: DirectedGraph) -> list[CycleDescriptor]:
@@ -407,10 +450,11 @@ def find_cycles(g: DirectedGraph) -> list[CycleDescriptor]:
     classify lists the cycles of a graph that is not no-exit through it, and
     the graph_families benchmark checks those counts on K_5 to K_7.
     """
-    out, head = g._index.out, g._ranges
+    head = g._ranges
     walks: list[list[int]] = []  # each cycle's edge positions, named at the end
     # a cycle lies inside one cyclic component, whose names come sorted
     for comp in g._analysis.cyclic_components:
+        out = g._out  # read only here, so an acyclic graph never builds it
         ids = list(map(g._id_of.__getitem__, comp))
         rank = dict(zip(ids, range(len(ids))))  # an id's place in name order; none outside comp
         # per rank, its out-edges inside comp as (rank of head, position), in edge order
@@ -477,24 +521,20 @@ def classify(g: DirectedGraph) -> GraphClassification:
         no_exit=exit_vertex is None,
         comet_per_component=comet,
         sinks=sinks,
-        regular=tuple(sorted(compress(g.vertices, g._index.out))),
+        regular=tuple(sorted(compress(g.vertices, g._index.outdeg))),
         cycles=cycles,
     )
 
 
-class _SummandCounts(NamedTuple):
-    """The path counts behind each summand of a representation: per summand
-    its cycle (None for a sink), its base ring (K for a sink, K[x^m] for a
-    cycle of length m) and its sink or base vertex, then the _path_counts
-    columns that hold its rows."""
+class _SummandCounts(
+    namedtuple("_SummandCounts", ("cycles", "bases", "ends", "lengths", "sources", "counts", "offsets"))
+):
+    """The path counts behind each summand of a representation, as tuples:
+    per summand its cycle (None for a sink), its base ring, a GradedBase (K
+    for a sink, K[x^m] for a cycle of length m) and its sink or base vertex
+    name, then the four _path_counts columns that hold its rows."""
 
-    cycles: tuple[CycleDescriptor | None, ...]
-    bases: tuple[GradedBase, ...]
-    ends: tuple[str, ...]
-    lengths: tuple[int, ...]
-    sources: tuple[str, ...]
-    counts: tuple[int, ...]
-    offsets: tuple[int, ...]
+    __slots__ = ()
 
 
 def _path_counts(g: DirectedGraph, ends: Iterable[int], cycles: Iterable[CycleDescriptor | None]):
@@ -626,7 +666,7 @@ def paths_to_sink(g: DirectedGraph, sink: str) -> list[tuple[str, int]]:
     """
     v = g.require_vertex(sink)
     _require_no_exit(g)
-    if g._index.out[v]:
+    if g._index.outdeg[v]:
         raise NotASinkError(f"vertex {sink!r} emits edges")
     lengths, sources, counts, _ = _path_counts(g, [v], [None])
     return _expand(lengths, sources, counts)

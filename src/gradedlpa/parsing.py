@@ -177,7 +177,9 @@ def parse_graph(text: str) -> DirectedGraph:
         add_eid(eid)
     if not (_all_ids(id_of) and _all_ids(named)):
         _explain_graph(text)
-    if not _distinct_eids(eids):
+    # a column of named edges alone is checked as it stands; a mixed one with
+    # every unnamed id filled in, so that a named e2 collides with unnamed edge 2
+    if not (len(set(named)) == len(named) if len(named) == len(eids) else _distinct_eids(eids)):
         _explain_graph(text)
     return DirectedGraph._from_columns(id_of, eids, sources, ranges)
 

@@ -65,6 +65,27 @@ def _line(n):
     return names, list(zip(names, names[1:]))
 
 
+def _line_named(shuffled):
+    """The line L_n on zero-padded names, whose name order is the line's
+    order, or with those names dealt out at random."""
+
+    def family(n):
+        names = [f"v{i:05}" for i in range(n)]
+        if shuffled:
+            random.Random(n).shuffle(names)
+        return names, list(zip(names, names[1:]))
+
+    return family
+
+
+def _witness(k):
+    """The synthesize_sum witness of k summands, alternating K and K[x^3],
+    twenty shifts each: sink trees and loop-comets side by side in one graph."""
+    forms = ["M20(K)(0,1,1,2,2,2,3,3,3,3,4,4,4,4,4,5,5,5,5,5)", "M20(K[x^3])(0,1,2,0,1,2,3,4,5,6,7,8,9,1,2,3,4,5,6,7)"]
+    g = G.synthesize_sum(G.parse_algebra(" (+) ".join(forms[j % 2] for j in range(k))))
+    return list(g.vertices), [(e.source, e.range) for e in g.edges]
+
+
 def _diamonds(k):
     # j0 -> {a1, b1} -> j1 -> ... -> jk: 2^k paths from j0 to the one sink
     names = [f"j{i}" for i in range(k + 1)] + [f"{x}{i}" for i in range(1, k + 1) for x in "ab"]
@@ -148,6 +169,9 @@ OPS = {
     "star": (lambda size, _: _graph_op(_star, size), (100, 200, 400, 1600), _same),
     "comets": (lambda size, _: _graph_op(_comets, size), (50, 100, 200, 800), _same),
     "line": (lambda size, _: _graph_op(_line, size), (1000, 4000, 16000), _same),
+    "line_named_in_order": (lambda size, _: _graph_op(_line_named(False), size), (1000, 4000, 16000), _same),
+    "line_named_shuffled": (lambda size, _: _graph_op(_line_named(True), size), (1000, 4000, 16000), _same),
+    "witness": (lambda size, _: _graph_op(_witness, size), (10, 40, 160), _same),
     "diamond": (lambda size, _: _graph_op(_diamonds, size), (10, 20, 40, 160), _same),
     "complete": (_complete_op, (5, 6, 7), _cycles_of_complete),
     "iso_certificate": (_iso_op, (1000, 4000, 16000), _same),
@@ -166,6 +190,13 @@ def _per_unit(name, tmp_path) -> list[float]:
 def test_calls_per_unit_do_not_grow(name, tmp_path):
     per_unit = _per_unit(name, tmp_path)
     assert per_unit[-1] <= per_unit[0] * (1 + MARGIN), per_unit
+
+
+def test_line_calls_do_not_depend_on_naming_order(tmp_path):
+    in_order = _per_unit("line_named_in_order", tmp_path)
+    shuffled = _per_unit("line_named_shuffled", tmp_path)
+    for a, b in zip(in_order, shuffled):
+        assert abs(a - b) <= a * MARGIN, (in_order, shuffled)
 
 
 def test_complete_graph_lists_cycles_in_few_calls(tmp_path):

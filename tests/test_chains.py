@@ -248,7 +248,9 @@ def test_a_graph_that_mostly_peels():
 
 
 def test_acyclic_singletons_below_a_cycle_are_left_to_tarjan():
-    # a <-> b feeds c, which feeds d and e; the peel removes only p above
+    # a <-> b feeds c, which feeds d and e; the forward peel removes only p
+    # above, and Tarjan walks c, d and e below the exit b, which the
+    # sink-first peel settled
     g = DirectedGraph.from_edges([("p", "a"), ("a", "b"), ("b", "a"), ("b", "c"), ("c", "d"), ("c", "e")])
     assert _names(g, _scc_pass(g)) == [["a", "b"], ["c"], ["d"], ["e"]]
     assert g._analysis.cyclic_components == (("a", "b"),)

@@ -1,4 +1,5 @@
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -41,7 +42,7 @@ from gradedlpa import (
     represent_at,
     strongly_connected_components,
 )
-from gradedlpa.graphs import _UNNAMED, _distinct_eids, _path_counts, _peel
+from gradedlpa.graphs import _UNNAMED, _distinct_eids, _path_counts, _peel, _scc_pass
 
 
 def _path_rows(g, end, cycle=None):
@@ -169,30 +170,47 @@ def test_scc_against_brute_force():
         assert got == brute_scc(g)
 
 
-def _reached_from_a_cycle(g, sccs):
-    """Vertices on a cycle or downstream of one, by brute force: a cycle
-    vertex shares its mutual-reachability class (one of `sccs`) with an
-    edge's range."""
+def _reached_from_a_cycle(g, sccs, backward=False):
+    """Vertices on a cycle or downstream of one (upstream with `backward`),
+    by brute force: a cycle vertex shares its mutual-reachability class (one
+    of `sccs`) with an edge's range."""
     comp_of = {v: comp for comp in sccs for v in comp}
     reached = {e.source for e in g.edges if e.range in comp_of[e.source]}
+    arcs = [(e.range, e.source) if backward else (e.source, e.range) for e in g.edges]
     frontier = list(reached)
     while frontier:
         v = frontier.pop()
-        for e in g.edges:
-            if e.source == v and e.range not in reached:
-                reached.add(e.range)
-                frontier.append(e.range)
+        for tail, head in arcs:
+            if tail == v and head not in reached:
+                reached.add(head)
+                frontier.append(head)
     return reached
 
 
 def _check_peel_and_sccs(g):
-    out, pred = g._index
-    peeled = _peel(out, g._ranges, pred)
+    settled, peeled = _peel(g)
     sccs = brute_scc(g)
-    # the peel takes every vertex no cycle reaches, once each, after its predecessors
-    assert sorted(g.vertices[v] for v in peeled) == sorted(set(g.vertices) - _reached_from_a_cycle(g, sccs))
+    reach_one = _reached_from_a_cycle(g, sccs, backward=True)
+    # the sink-first peel takes every vertex that reaches no cycle, the forward
+    # peel every other one that no cycle reaches, once each
+    assert sorted(g.vertices[v] for v in settled) == sorted(set(g.vertices) - reach_one)
+    assert sorted(g.vertices[v] for v in peeled) == sorted(reach_one - _reached_from_a_cycle(g, sccs))
+    # a settled vertex after its successors, a peeled one after its predecessors
+    edges = list(zip(g._sources, g._ranges))
+    position = {v: i for i, v in enumerate(settled)}
+    assert all(position[r] < position[s] for s, r in edges if s in position)
     position = {v: i for i, v in enumerate(peeled)}
-    assert all(position[u] < position[v] for v in peeled for u in pred[v])
+    assert all(position[s] < position[r] for s, r in edges if r in position)
+    # the out-edge table is built iff some vertex reaches a cycle
+    assert ("_out" in vars(g)) == bool(reach_one)
+    # Tarjan splits the vertices that both peels leave, and walks a settled
+    # vertex only below an exit, as a component of its own
+    left = set(range(len(g.vertices))).difference(settled, peeled)
+    comps = _scc_pass(g)
+    below = [comp for comp in comps if not left.issuperset(comp)]
+    assert sorted(chain.from_iterable(comps)) == sorted(chain(left, chain.from_iterable(below)))
+    assert all(len(comp) == 1 and comp[0] in settled for comp in below)
+    assert not below or g._analysis.exit_vertex is not None
     # the components are the mutual-reachability classes, each sorted, in sorted order
     comps = strongly_connected_components(g)
     assert {frozenset(comp) for comp in comps} == sccs
@@ -249,6 +267,42 @@ def cycles_with_tails(draw):
 @given(cycles_with_tails())
 def test_peel_and_sccs_on_cycles_with_tails(g):
     _check_peel_and_sccs(g)
+
+
+@st.composite
+def sink_trees_and_cycles(draw):
+    """Sink trees, cycles with tails, some with an exit into a tree, and
+    vertices above them that feed one to three earlier vertices, so that
+    some reach both a sink and a cycle; with parallel edges."""
+    n = draw(st.integers(1, 10))
+    pairs = []
+    for i in range(1, n):  # each tree vertex drains into earlier ones or is a sink
+        pairs += [(i, t) for t in draw(st.lists(st.integers(0, i - 1), max_size=2))]
+    trees = n
+    for _ in range(draw(st.integers(0, 3))):
+        ring = list(range(n, n + draw(st.integers(1, 3))))
+        pairs += zip(ring, ring[1:] + ring[:1])
+        tail = list(range(n + len(ring), n + len(ring) + draw(st.integers(0, 3))))
+        pairs += zip(tail, tail[1:] + [draw(st.sampled_from(ring))])
+        if draw(st.booleans()):
+            pairs.append((draw(st.sampled_from(ring)), draw(st.integers(0, trees - 1))))
+        n += len(ring) + len(tail)
+    top = draw(st.integers(0, 8))
+    for k in range(n, n + top):
+        pairs += [(k, t) for t in draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=3))]
+    n += top
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=4))
+    names = draw(st.permutations(ID_NAMES))[:n]
+    pairs = draw(st.permutations(pairs))
+    return DirectedGraph.from_edges([(names[a], names[b]) for a, b in pairs], isolated=names)
+
+
+@settings(max_examples=300)
+@given(sink_trees_and_cycles())
+def test_peel_and_sccs_on_sink_trees_and_cycles(g):
+    _check_peel_and_sccs(g)
+    assert classify(g) == naive_classify(g)
 
 
 def test_scc_component_order():

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -192,6 +193,40 @@ def test_whole_graph_passes_build_no_edge(monkeypatch, shape, build):
     # equality and hashing read the id columns
     assert g == copy and hash(g) == hash(copy)
     assert "edges" not in vars(g) and "edges" not in vars(copy)
+
+
+@pytest.mark.parametrize("shape", ["line", "star", "looped_line"])
+def test_out_edge_table_is_built_only_when_a_vertex_reaches_a_cycle(monkeypatch, shape):
+    built = []
+    real_out = DirectedGraph._out.func
+
+    def out(g):
+        built.append(g)
+        return real_out(g)
+
+    lazy = functools.cached_property(out)
+    lazy.__set_name__(DirectedGraph, "_out")
+    monkeypatch.setattr(DirectedGraph, "_out", lazy)
+    line = [(f"v{i}", f"v{i + 1}") for i in range(1, 10_000)]
+    # pairs, vertices for a corner, a sink or cycle vertex, the paths ending there
+    pairs, chosen, end, paths = {
+        "line": (line, ["v1", "v5000"], "v10000", 10_000),
+        "star": ([("c", f"s{i}") for i in range(400)], ["c", "s7"], "s7", 2),
+        "looped_line": (line + [("v10000", "v10000")], ["v1", "v5000"], "v10000", 10_000),
+    }[shape]
+    g = DirectedGraph.from_edges(pairs)
+    info = classify(g)
+    represent(g)
+    assert corner_by_vertices(g, chosen).summands
+    if info.cycles:
+        (cycle,) = info.cycles
+        assert len(paths_to_cycle_vertex(g, cycle, end)) == paths
+        assert find_cycles(g) == [cycle]
+        assert built == [g]
+    else:
+        assert len(paths_to_sink(g, end)) == paths
+        assert find_cycles(g) == []
+        assert built == []
 
 
 def test_write_path_builds_no_edge(monkeypatch, tmp_path):
