@@ -27,16 +27,13 @@ from typing import Union
 
 from .errors import InvalidStepError, NotIsomorphicError
 
-# canonical_form alone materializes dense multiplicity vectors; it refuses one
-# of more than this many entries (over K, a spread of this or more)
-_MAX_DENSE_MULTS = 5_000_000
-# the one limit on anything that holds an object per shift or per path
+# the one limit on anything that holds an object per shift, path or vector entry
 _MAX_LISTED = 1_000_000
 
 
-def _require_listable(n: int):
+def _require_listable(n: int, what: str = "shifts or paths"):
     if n > _MAX_LISTED:
-        raise ValueError(f"{n} shifts or paths are too many to list one by one (limit {_MAX_LISTED})")
+        raise ValueError(f"{n} {what} are too many to list one by one (limit {_MAX_LISTED})")
 
 
 def _require_ints(what: str, values: Sequence) -> None:
@@ -294,7 +291,42 @@ class DirectSumAlgebra(_Record):
 # --- canonical forms ---
 
 
-class TrivialForm(_Record):
+class _Form(_Record):
+    """A canonical form held as two int columns: the positions of its
+    vector's nonzero entries, increasing, the last at the vector's end, and
+    those entries.  Up to 1,000,000 entries, `mults` lists the vector and
+    equality, hashing, repr and str are those of (k | period, mults); past
+    that, `mults` raises ValueError and the rest read the (position, count)
+    pairs, which str prints as position:count."""
+
+    @property
+    def _listable(self) -> bool:
+        return self._positions[-1] < _MAX_LISTED
+
+    @property
+    def mults(self) -> tuple[int, ...]:
+        """The dense multiplicity vector; raises ValueError past 1,000,000 entries."""
+        size = self._positions[-1] + 1
+        _require_listable(size, "multiplicities")
+        if len(self._counts) == size:  # no zero entry
+            return self._counts
+        dense = [0] * size
+        for position, count in zip(self._positions, self._counts):
+            dense[position] = count
+        return tuple(dense)
+
+    def _fields(self) -> tuple:
+        mults = self.mults if self._listable else tuple(zip(self._positions, self._counts))
+        return vars(self)[self.__match_args__[0]], mults
+
+    def __str__(self):
+        size, mults = self._fields()
+        if self._listable:
+            return f"{self._head}={size} mults=({','.join(map(repr, mults))})"
+        return f"{self._head}={size} mults={{{','.join(map('{}:{}'.format, self._positions, self._counts))}}}"
+
+
+class TrivialForm(_Form):
     """Canonical form over K: shifts normalized to start at 0 and sorted.
 
     k is the largest normalized shift; mults[i] counts occurrences of i, so
@@ -302,6 +334,7 @@ class TrivialForm(_Record):
     """
 
     __match_args__ = ("k", "mults")
+    _head = "trivial k"
 
     def __init__(self, k: int, mults: Iterable[int]):
         mults = tuple(mults)
@@ -310,17 +343,19 @@ class TrivialForm(_Record):
             raise ValueError("mults must list l_0..l_k")
         if mults[0] < 1 or mults[-1] < 1 or any(c < 0 for c in mults):
             raise ValueError("l_0 and l_k must be positive, all counts nonnegative")
-        vars(self).update(k=k, mults=mults)
-
-    def __str__(self):
-        return f"trivial k={self.k} mults=({','.join(str(c) for c in self.mults)})"
+        vars(self).update(k=k, _positions=tuple(compress(range(k + 1), mults)), _counts=tuple(filter(None, mults)))
 
 
-class CyclicForm(_Record):
+class CyclicForm(_Form):
     """Canonical form over K[x^m, x^-m]: residue multiplicities mod m, stored
-    at their lexicographically least rotation."""
+    at their lexicographically least rotation, which ends in a nonzero count.
+
+    >>> str(CyclicForm(4, (0, 1, 2, 1))), str(CyclicForm(2_000_000, (*[0] * 1_999_998, 2, 1)))
+    ('cyclic m=4 mults=(0,1,2,1)', 'cyclic m=2000000 mults={1999998:2,1999999:1}')
+    """
 
     __match_args__ = ("period", "mults")
+    _head = "cyclic m"
 
     def __init__(self, period: int, mults: Iterable[int]):
         mults = tuple(mults)
@@ -334,13 +369,7 @@ class CyclicForm(_Record):
         occupied = [r for r, c in enumerate(mults) if c]
         if _least_rotation(occupied, [mults[r] for r in occupied], period)[0]:
             raise ValueError("mults must be stored at their least rotation")
-        vars(self).update(period=period, mults=mults)
-
-    def __str__(self):
-        return f"cyclic m={self.period} mults=({','.join(str(c) for c in self.mults)})"
-
-
-CanonicalForm = Union[TrivialForm, CyclicForm]
+        vars(self).update(period=period, _positions=tuple(occupied), _counts=tuple(filter(None, mults)))
 
 
 def _least_rotation_index(seq: Sequence) -> int:
@@ -399,44 +428,24 @@ def _least_rotation(residues: list[int], counts: list[int], m: int) -> tuple[int
     return (residues[r - 1] + 1) % m, tuple(gaps[r:] + gaps[:r]), tuple(counts[r:] + counts[:r])
 
 
-def _nonzero_mults(a: ShiftedMatrixAlgebra) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The positions of the nonzero entries of a's canonical multiplicity
-    vector, increasing, and those entries: two parallel columns."""
-    _, keys, counts = a._class_form
-    if a.base.is_trivial:
-        return keys, counts
-    # each key is minus the gap from the previous position, starting at -1
-    return tuple(accumulate(keys, sub, initial=-1))[1:], counts
-
-
-def canonical_form(a: ShiftedMatrixAlgebra) -> CanonicalForm:
-    """The canonical multiplicity form, expanded from the sparse class form.
-
-    The one dense path: raises ValueError when the vector would have more than
-    5,000,000 entries, which is a shift spread of 5,000,000 or more over K, or
-    a period past 5,000,000.  Isomorphism, summand keys and certificates have
-    no such limit.
+def canonical_form(a: ShiftedMatrixAlgebra) -> TrivialForm | CyclicForm:
+    """The canonical multiplicity form, read off the sparse class form in
+    time linear in its columns, at any shift spread or period.
 
     >>> str(canonical_form(ShiftedMatrixAlgebra.from_shifts(GradedBase.trivial(), (3, 1, 2, 1))))
     'trivial k=2 mults=(2,1,1)'
     >>> str(canonical_form(ShiftedMatrixAlgebra.from_shifts(GradedBase.laurent(2), (0, 1, 2))))
     'cyclic m=2 mults=(1,2)'
+    >>> str(canonical_form(ShiftedMatrixAlgebra.from_shifts(GradedBase.trivial(), (0, 2**32))))
+    'trivial k=4294967296 mults={0:1,4294967296:1}'
     """
-    trivial = a.base.is_trivial
-    positions, counts = _nonzero_mults(a)
-    size = positions[-1] + 1 if trivial else a.base.period
-    if size > _MAX_DENSE_MULTS:
-        what = "shift spread" if trivial else "period"
-        raise ValueError(f"{what} too large to materialize a multiplicity vector")
-    if len(counts) < size:  # some entry is zero
-        dense = [0] * size
-        for position, count in zip(positions, counts):
-            dense[position] = count
-        counts = tuple(dense)
+    _, keys, counts = a._class_form
     # the class form makes a valid form, so its checks are skipped
-    if trivial:
-        return _unchecked(TrivialForm, k=size - 1, mults=counts)
-    return _unchecked(CyclicForm, period=size, mults=counts)
+    if a.base.is_trivial:
+        return _unchecked(TrivialForm, k=keys[-1], _positions=keys, _counts=counts)
+    # each key is minus the gap from the previous position, starting at -1
+    positions = tuple(accumulate(keys, sub, initial=-1))[1:]
+    return _unchecked(CyclicForm, period=a.base.period, _positions=positions, _counts=counts)
 
 
 # --- certificate steps ---

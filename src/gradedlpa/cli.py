@@ -15,7 +15,7 @@ import functools
 import json
 import sys
 
-from .algebras import DirectSumAlgebra, _nonzero_mults, apply_certificate, canonical_form
+from .algebras import DirectSumAlgebra, TrivialForm, apply_certificate, canonical_form
 from .algebras import direct_sum_iso, is_graded_isomorphic, iso_certificate
 from .corners import corner_by_indices, corner_by_vertices
 from .errors import (
@@ -35,7 +35,7 @@ from .parsing import (
     parse_certificate,
     parse_graph,
 )
-from .realize import is_realizable_sum, synthesize, synthesize_sum
+from .realize import SumVerdict, is_realizable_sum, synthesize, synthesize_sum
 from .represent import CycleSummand, represent_at
 from .graphs import _require_no_exit, classify
 
@@ -142,15 +142,17 @@ def cmd_canonical(args) -> Report:
     total = parse_algebra(args.expr)
     forms = [canonical_form(a) for a in total.summands]
     if args.json:
-        payload = [
-            {"kind": "trivial", "k": f.k, "mults": list(f.mults)}
-            if hasattr(f, "k")
-            else {"kind": "cyclic", "m": f.period, "mults": list(f.mults)}
-            for f in forms
-        ]
-        return 0, "", {"forms": payload}
+        return 0, "", {"forms": list(map(_form_payload, forms))}
     lines = [f"{a}: {form}" for a, form in zip(total.summands, forms)]
     return 0, "\n".join(lines) + "\n", {}
+
+
+def _form_payload(f) -> dict:
+    """The form's kind and size, and its "mults" where its text lists them, else its "positions" and "counts"."""
+    head = {"kind": "trivial", "k": f.k} if isinstance(f, TrivialForm) else {"kind": "cyclic", "m": f.period}
+    if f._listable:
+        return {**head, "mults": list(f.mults)}
+    return {**head, "positions": list(f._positions), "counts": list(f._counts)}
 
 
 def cmd_iso(args) -> Report:
@@ -183,18 +185,7 @@ def _iso_failure_reason(a, b) -> str:
         return f"bases differ: {a.base} vs {b.base}"
     if a.n != b.n:
         return f"sizes differ: {a.n} vs {b.n}"
-    return f"canonical forms differ: {_form_text(a)} vs {_form_text(b)}"
-
-
-def _form_text(a) -> str:
-    """The canonical form as `canonical` prints it or, past its dense limit,
-    the nonzero multiplicities as position:count."""
-    try:
-        return str(canonical_form(a))
-    except ValueError:
-        positions, counts = _nonzero_mults(a)
-        head = f"trivial k={positions[-1]}" if a.base.is_trivial else f"cyclic m={a.base.period}"
-        return f"{head} mults={{{','.join(map('{}:{}'.format, positions, counts))}}}"
+    return f"canonical forms differ: {canonical_form(a)} vs {canonical_form(b)}"
 
 
 def cmd_verify_cert(args) -> Report:
@@ -237,20 +228,20 @@ def cmd_realizable(args) -> Report:
 
 def cmd_synthesize(args) -> Report:
     total = parse_algebra(args.expr)
+    single = len(total.summands) == 1
     try:
-        if len(total.summands) == 1:
-            g = synthesize(total.summands[0])
-        else:
-            g = synthesize_sum(total)
+        g = synthesize(total.summands[0]) if single else synthesize_sum(total)
     except NotRealizableError as exc:
-        reason = str(exc.verdict)
+        reason = str(SumVerdict(False, ((1, exc.verdict),)) if single else exc.verdict)
         return _no({"ok": False, "reason": reason}, reason)
+    if args.json and not (args.dot or args.output):
+        return 0, "", _graph_payload(g)
     text = graph_to_dot(g) if args.dot else format_graph(g)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
         return 0, "", {"written": args.output, **_graph_payload(g)}
-    return 0, text, {"dot": text} if args.dot else _graph_payload(g)
+    return 0, text, {"dot": text} if args.dot else {}
 
 
 def _parse_csv(raw: str, what: str) -> list[str]:

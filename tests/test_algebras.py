@@ -48,6 +48,7 @@ from gradedlpa import (
     parse_certificate,
     parse_graph,
 )
+from gradedlpa import algebras
 from gradedlpa.algebras import _Certificate, _class_key, _least_rotation_index
 
 
@@ -285,16 +286,35 @@ def test_canonical_form_cyclic_rotation():
     assert form.mults == (0, 1, 2, 1)
 
 
+def _assert_past_the_listing_limit(form, text):
+    """A form of more than 1,000,000 entries: str prints its nonzero entries
+    as position:count, the dense view raises, and equality, hashing, repr and
+    pickling read the (position, count) pairs."""
+    assert str(form) == text
+    with pytest.raises(ValueError, match=r"^\d+ multiplicities are too many to list one by one \(limit 1000000\)$"):
+        form.mults
+    pairs = tuple(zip(form._positions, form._counts))
+    assert form._fields() == (form.k if isinstance(form, TrivialForm) else form.period, pairs)
+    assert hash(form) == hash(form._fields()) and repr(form).endswith(f", mults={pairs!r})")
+    twin = pickle.loads(pickle.dumps(form))
+    assert twin == form and hash(twin) == hash(form) and str(twin) == text
+
+
 def test_canonical_form_dense_limit_boundary():
-    # at most 5,000,000 entries: a spread of 4,999,999 over K, a period of 5,000,000
-    form = canonical_form(alg(K, 0, 4_999_999))
-    assert form.k == 4_999_999 and form.mults[::4_999_999] == (1, 1) and sum(form.mults) == 2
-    form = canonical_form(alg(L(5_000_000), 0))
-    assert form.period == 5_000_000 and form.mults[-1] == 1 and sum(form.mults) == 1
-    with pytest.raises(ValueError, match="^shift spread too large to materialize a multiplicity vector$"):
-        canonical_form(alg(K, 0, 5_000_000))
-    with pytest.raises(ValueError, match="^period too large to materialize a multiplicity vector$"):
-        canonical_form(alg(L(5_000_001), 0))
+    # the edges of the dense limit that canonical_form once had: a spread of
+    # 4,999,999 / 5,000,000 over K, a period of 5,000,000 / 5,000,001; every
+    # one is answered from the class form's columns
+    cases = [
+        (alg(K, 0, 4_999_999), "trivial k=4999999 mults={0:1,4999999:1}"),
+        (alg(K, 0, 5_000_000), "trivial k=5000000 mults={0:1,5000000:1}"),
+        (alg(L(5_000_000), 0), "cyclic m=5000000 mults={4999999:1}"),
+        (alg(L(5_000_001), 0, 0, 3), "cyclic m=5000001 mults={4999997:2,5000000:1}"),
+    ]
+    for a, text in cases:
+        _assert_past_the_listing_limit(canonical_form(a), text)
+    # the form is one of the class: a moved copy has it, a narrower one does not
+    assert canonical_form(alg(K, 7, 5_000_007)) == canonical_form(cases[1][0]) != canonical_form(cases[0][0])
+    assert hash(canonical_form(alg(L(5_000_000), 12))) == hash(canonical_form(cases[2][0]))
 
 
 @st.composite
@@ -330,10 +350,56 @@ def test_sparse_class_form_matches_dense_definition(pair):
 
 
 def test_canonical_form_dense_guard():
-    with pytest.raises(ValueError):
-        canonical_form(alg(K, 0, 2**31))
-    with pytest.raises(ValueError):
-        canonical_form(alg(L(10_000_000), 0))
+    # only the dense view is guarded, by the listing limit: a spread of 2^31
+    # and a period of 10^7 have forms, and at 1,000,000 entries str is dense
+    _assert_past_the_listing_limit(canonical_form(alg(K, 0, 2**31)), "trivial k=2147483648 mults={0:1,2147483648:1}")
+    _assert_past_the_listing_limit(
+        canonical_form(alg(L(10_000_000), 0, 1)), "cyclic m=10000000 mults={9999998:1,9999999:1}"
+    )
+    _assert_past_the_listing_limit(canonical_form(alg(K, 0, 1_000_000)), "trivial k=1000000 mults={0:1,1000000:1}")
+    edge = canonical_form(alg(K, 0, 999_999))
+    assert edge.mults == (1, *[0] * 999_998, 1) and str(edge) == f"trivial k=999999 mults=(1,{'0,' * 999_998}1)"
+    assert edge == TrivialForm(999_999, edge.mults) and hash(edge) == hash((999_999, edge.mults))
+
+
+@st.composite
+def forms_around_a_low_limit(draw):
+    """An algebra over K or K[x^m], m <= 14, of up to 8 runs whose shifts
+    are in [-12, 12] and whose counts are in 1..3: with the listing limit at
+    8, its form is listable or not."""
+    base = draw(st.one_of(st.just(K), st.integers(1, 14).map(L)))
+    runs = draw(st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 3)), min_size=1, max_size=8))
+    return ShiftedMatrixAlgebra(base, runs)
+
+
+@settings(max_examples=400)
+@given(forms_around_a_low_limit(), st.integers(-30, 30))
+def test_form_columns_match_the_checked_form(a, delta):
+    # the checked twin of canonical_form's unchecked build, with the listing
+    # limit patched to 8 entries so that forms fall on both sides of it
+    naive = naive_canonical_form(a)
+    first, dense = naive._fields()
+    pairs = tuple((p, c) for p, c in enumerate(dense) if c)
+    moved = ShiftedMatrixAlgebra(a.base, [(s + delta, c) for s, c in a.runs])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algebras, "_MAX_LISTED", 8)
+        form, checked = canonical_form(a), type(naive)(first, dense)
+        assert vars(form) == vars(naive) == vars(checked)
+        assert canonical_form(moved) == form == checked == naive
+        assert hash(canonical_form(moved)) == hash(form) == hash(checked)
+        twin = pickle.loads(pickle.dumps(form))
+        assert (twin, hash(twin), repr(twin), str(twin)) == (form, hash(form), repr(form), str(form))
+        if len(dense) <= 8:
+            assert form.mults == dense and hash(form) == hash((first, dense))
+            assert str(form) == f"{form._head}={first} mults=({','.join(map(str, dense))})"
+        else:
+            with pytest.raises(ValueError, match="too many to list one by one"):
+                form.mults
+            assert form._fields() == (first, pairs) and hash(form) == hash((first, pairs))
+            assert str(form) == f"{form._head}={first} mults={{{','.join(map('{}:{}'.format, *zip(*pairs)))}}}"
+            assert repr(form) == f"{type(form).__name__}({form.__match_args__[0]}={first}, mults={pairs!r})"
+    # back at the real limit every such form is listable again
+    assert form.mults == dense and form == naive and hash(form) == hash((first, dense))
 
 
 def test_apply_step_permute():

@@ -160,6 +160,18 @@ def _verify_op(n, tmp_path):
     return op
 
 
+def _canonical_op(size, _):
+    """canonical_form and its str for two-shift algebras of a fresh class
+    form: a spread of size over K, and over K[x^size]."""
+
+    def op():
+        for base, shifts in ((G.GradedBase.trivial(), (0, size)), (G.GradedBase.laurent(size), (0, 1))):
+            str(G.canonical_form(G.ShiftedMatrixAlgebra.from_shifts(base, shifts)))
+
+    op()  # the first Counter of a process fills the ABC subclass caches
+    return op
+
+
 def _same(size):
     return size
 
@@ -176,6 +188,8 @@ OPS = {
     "complete": (_complete_op, (5, 6, 7), _cycles_of_complete),
     "iso_certificate": (_iso_op, (1000, 4000, 16000), _same),
     "verify-cert": (_verify_op, (1000, 4000, 16000), _same),
+    # one op: its calls do not grow with the spread or period, dense str or sparse
+    "canonical": (_canonical_op, (10**3, 10**6, 10**9), lambda size: 1),
 }
 # calls per listed cycle on K_7, where listing a cycle makes no call per edge
 COMPLETE_BOUND = 14

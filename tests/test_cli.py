@@ -151,14 +151,32 @@ def test_iso_no_past_the_dense_limit(capsys):
     assert "cyclic m=10000000 mults={9999998:1,9999999:1} vs" in capsys.readouterr().out
 
 
+def test_iso_reason_prints_the_forms_canonical_prints(capsys):
+    # one printer on both sides of the listing limit, over K and K[x^m]
+    pairs = [
+        ("M2(K)(0,1)", "M2(K)(0,2)"),
+        ("M2(K)(0,2000000000)", "M2(K)(0,1999999999)"),
+        ("M2(K[x^10000000])(0,1)", "M2(K[x^10000000])(0,2)"),
+    ]
+    for left, right in pairs:
+        assert main(["canonical", f"{left} (+) {right}"]) == 0
+        forms = [line.split(": ", 1)[1] for line in capsys.readouterr().out.splitlines()]
+        assert main(["iso", left, right]) == 1
+        assert capsys.readouterr().out == f"no\nreason: canonical forms differ: {forms[0]} vs {forms[1]}\n"
+
+
 def test_iso_yes_past_the_dense_limit(capsys):
     wide = "M2(K)(0,2000000000)"
     assert main(["iso", f"{wide} (+) M1(K)(0)", f"M1(K)(0) (+) {wide}"]) == 0
     assert main(["iso", "M1(K[x^10000000])(0)", "M1(K[x^10000000])(5)"]) == 0
     assert capsys.readouterr().out == "yes\nyes\n"
-    # the dense display keeps its documented limit
-    assert main(["canonical", wide]) == 2
-    assert "shift spread too large" in capsys.readouterr().err
+    # canonical answers past the old dense limit, with the form iso prints
+    assert main(["canonical", wide]) == 0
+    assert capsys.readouterr().out == f"{wide}: trivial k=2000000000 mults={{0:1,2000000000:1}}\n"
+    assert main(["--json", "canonical", "M1(K[x^10000000])(0)"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "forms": [{"kind": "cyclic", "m": 10000000, "positions": [9999999], "counts": [1]}]
+    }
 
 
 def test_iso_base_mismatch(capsys):
@@ -662,8 +680,8 @@ WITNESSES = {"one.graph": ONE, "mix.graph": MIX, "middle.graph": MIDDLE}
         (["--json", "synthesize", "--dot", "-o", "witness.dot", MIX], 0, '{"written": "witness.dot", "vertices": ["s2_v0", "s2_v0_1", "s2_v0_2", "s3_v1_1", "s3_v0_1", "s3_v1_2", "s3_v2_1", "s1_v0_1"], "edges": [["s2_e1", "s2_v0", "s2_v0"], ["s2_e2", "s2_v0_1", "s2_v0"], ["s2_e3", "s2_v0_2", "s2_v0"], ["s3_e1", "s3_v1_1", "s3_v0_1"], ["s3_e2", "s3_v1_2", "s3_v0_1"], ["s3_e3", "s3_v2_1", "s3_v1_1"]]}\n', "", "digraph {\n  s1_v0_1;\n  s2_v0 -> s2_v0;\n  s2_v0_1 -> s2_v0;\n  s2_v0_2 -> s2_v0;\n  s3_v1_1 -> s3_v0_1;\n  s3_v1_2 -> s3_v0_1;\n  s3_v2_1 -> s3_v1_1;\n}\n"),
         (["synthesize", NO], 1, "no\nreason: summand 1: l_1 = 0: a path of length 2 to the sink forces one of length 1\n", "", None),
         (["--json", "synthesize", NO], 1, '{"ok": false, "reason": "summand 1: l_1 = 0: a path of length 2 to the sink forces one of length 1"}\n', "", None),
-        (["synthesize", "-o", "witness.graph", NO1], 1, "no\nreason: no: l_1 = 0: no path of length = 1 (mod 2)\n", "", None),
-        (["--json", "synthesize", NO1], 1, '{"ok": false, "reason": "no: l_1 = 0: no path of length = 1 (mod 2)"}\n', "", None),
+        (["synthesize", "-o", "witness.graph", NO1], 1, "no\nreason: summand 1: l_1 = 0: no path of length = 1 (mod 2)\n", "", None),
+        (["--json", "synthesize", NO1], 1, '{"ok": false, "reason": "summand 1: l_1 = 0: no path of length = 1 (mod 2)"}\n', "", None),
         (["synthesize", BIG], 2, "", "error: 1000002 shifts or paths are too many to list one by one (limit 1000000)\n", None),
         (["--json", "synthesize", "-o", "witness.graph", BIG], 2, "", "error: 1000002 shifts or paths are too many to list one by one (limit 1000000)\n", None),
         (["emit-dot", "one.graph"], 0, "digraph {\n  v0_1;\n}\n", "", None),
