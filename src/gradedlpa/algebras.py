@@ -267,10 +267,10 @@ class ShiftedMatrixAlgebra(_Record):
 
     def __str__(self):
         if self.n <= _MAX_LISTED:
-            items = self.shifts
+            items = map(repr, self.shifts)  # the str of an int is its repr
         else:
             items = map("{1}({0})".format, self._run_shifts, self._run_counts)
-        return f"M{self.n}({self.base})({','.join(map(str, items))})"
+        return f"M{self.n}({self.base})({','.join(items)})"
 
 
 class DirectSumAlgebra(_Record):

@@ -301,7 +301,12 @@ class _Analysis(namedtuple("_Analysis", ("cyclic_components", "exit_vertex", "si
 
 class GraphClassification(_Record):
     """What classify reports: the flags, the sorted sinks and regular
-    vertices, and the cycles."""
+    vertices, and the cycles.
+
+    A record from classify keeps the graph's vertex names and out-degrees
+    and sorts the regular names on first access; it compares, hashes,
+    prints and pickles as one built with its regular vertices.
+    """
 
     __match_args__ = ("acyclic", "no_exit", "comet_per_component", "sinks", "regular", "cycles")
 
@@ -316,6 +321,14 @@ class GraphClassification(_Record):
     ):
         vars(self).update(acyclic=acyclic, no_exit=no_exit, comet_per_component=comet_per_component)
         vars(self).update(sinks=sinks, regular=regular, cycles=cycles)
+
+    @cached_property
+    def regular(self) -> tuple[str, ...]:
+        return tuple(sorted(compress(self._names, self._outdeg)))
+
+    def __getstate__(self):
+        # the fields only, not the columns the regular names are read from
+        return dict(zip(self.__match_args__, self._fields()))
 
 
 def strongly_connected_components(g: DirectedGraph) -> list[tuple[str, ...]]:
@@ -510,19 +523,22 @@ def classify(g: DirectedGraph) -> GraphClassification:
     every component is one iff there is no exit and no vertex reaches two
     cycles.  Only a graph that is not no-exit lists its cycles through
     find_cycles, which raises TooManyCyclesError past DEFAULT_CYCLE_CAP
-    (10,000) cycles.
+    (10,000) cycles.  The regular vertices are sorted only when first read:
+    no library pass reads them.
     """
     _, exit_vertex, sinks, cycles = g._analysis
     if exit_vertex is not None:
         cycles = tuple(find_cycles(g))
     comet = not sinks and exit_vertex is None and _one_cycle_reached(g)
-    return GraphClassification(
+    return _unchecked(
+        GraphClassification,
         acyclic=not cycles,
         no_exit=exit_vertex is None,
         comet_per_component=comet,
         sinks=sinks,
-        regular=tuple(sorted(compress(g.vertices, g._index.outdeg))),
         cycles=cycles,
+        _names=g.vertices,
+        _outdeg=g._index.outdeg,
     )
 
 

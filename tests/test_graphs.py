@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import chain
 
@@ -25,6 +27,7 @@ from gradedlpa import (
     DirectedGraph,
     Edge,
     GradedBase,
+    GraphClassification,
     ShiftedMatrixAlgebra,
     NotASinkError,
     NotNoExitError,
@@ -39,9 +42,11 @@ from gradedlpa import (
     find_cycles,
     paths_to_cycle_vertex,
     paths_to_sink,
+    represent,
     represent_at,
     strongly_connected_components,
 )
+from gradedlpa import graphs
 from gradedlpa.graphs import _UNNAMED, _distinct_eids, _path_counts, _peel, _scc_pass
 
 
@@ -699,3 +704,79 @@ def test_id_passes_match_definitions(g, data):
     for _ in range(3):
         vs = data.draw(st.lists(st.sampled_from(g.vertices + ("nope",)), max_size=6))
         assert _outcome(lambda: str(corner_by_vertices(g, vs))) == _outcome(_naive_corner, g, vs)
+
+
+FIELDS = GraphClassification.__match_args__
+
+
+def _check_classification(g):
+    """classify(g) against naive_classify and against its checked twin, the
+    record the public constructor builds from classify's six fields: equal
+    field by field, and with the same hash, repr, pickle, copy and deepcopy
+    whether or not `regular` was read first.  No state holds the columns
+    the regular names are read from."""
+    naive = naive_classify(g)
+    for read_first in (False, True):
+        info = classify(g)
+        if read_first:
+            assert info.regular == naive.regular
+        assert ("regular" in vars(info)) == read_first
+        data = pickle.dumps(info)
+        assert b"_names" not in data and b"_outdeg" not in data
+        copies = (pickle.loads(data), copy.copy(info), copy.deepcopy(info))
+        twin = GraphClassification(*map(info.__getattribute__, FIELDS))
+        for other in (info, naive, *copies):
+            assert type(other) is GraphClassification
+            assert tuple(map(other.__getattribute__, FIELDS)) == tuple(map(twin.__getattribute__, FIELDS))
+            assert other == twin and hash(other) == hash(twin) and repr(other) == repr(twin)
+        for other in copies:
+            assert sorted(vars(other)) == sorted(FIELDS)
+
+
+def test_classification_matches_its_checked_twin_on_small_multigraphs(small_multigraphs):
+    # every eighth graph of the grid, whose every graph the classify test
+    # above already holds to naive_classify: the copies cost about 1.5 ms a graph
+    for g in small_multigraphs[::8]:
+        _check_classification(g)
+
+
+@settings(max_examples=200)
+@given(named_multigraphs())
+def test_classification_matches_its_checked_twin(g):
+    _check_classification(g)
+
+
+def _shuffled_line(n):
+    names = [f"v{i:05}" for i in range(n)]
+    random.Random(n).shuffle(names)
+    return names, DirectedGraph.from_edges(list(zip(names, names[1:])))
+
+
+def _shuffled_star(sinks):
+    names = [f"v{i:03}" for i in range(sinks + 1)]
+    random.Random(sinks).shuffle(names)
+    return names, DirectedGraph.from_edges([(names[0], sink) for sink in names[1:]])
+
+
+@pytest.mark.parametrize("build, size", [(_shuffled_line, 4000), (_shuffled_star, 400)])
+def test_classify_sorts_no_name_it_is_not_asked_for(build, size, monkeypatch):
+    # every sort of the graph layer, recorded by input size: classify,
+    # represent and a corner sort no list longer than the sinks, and the
+    # regular names are sorted once, when first read
+    sizes = []
+
+    def recording_sorted(items, **kw):
+        items = list(items)
+        sizes.append(len(items))
+        return sorted(items, **kw)
+
+    names, g = build(size)
+    monkeypatch.setattr(graphs, "sorted", recording_sorted, raising=False)
+    info = classify(g)
+    represent(g)
+    corner_by_vertices(g, names[::3])
+    assert sizes and max(sizes) <= len(info.sinks)
+    sizes.clear()
+    regular = info.regular
+    assert info.regular is regular and sizes == [len(names) - len(info.sinks)]
+    assert regular == tuple(sorted(v for v in names if v not in info.sinks))
