@@ -23,7 +23,6 @@ from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import index, lt, ne, sub
-from typing import Union
 
 from .errors import InvalidStepError, NotIsomorphicError
 
@@ -36,13 +35,15 @@ def _require_listable(n: int, what: str = "shifts or paths"):
         raise ValueError(f"{n} {what} are too many to list one by one (limit {_MAX_LISTED})")
 
 
-def _require_ints(what: str, values: Sequence) -> None:
-    """Raise ValueError naming the first of `values` that is not an int, or
-    is a bool."""
-    if not set(map(type, values)) <= {int}:
-        for value in values:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{what} must be an int, not {value!r}")
+def _require_ints(what: str, values: Sequence) -> Sequence[int]:
+    """`values` as exact ints, each int subclass read through operator.index;
+    raises ValueError naming the first that is not an int, or is a bool."""
+    if set(map(type, values)) <= {int}:
+        return values
+    for value in values:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{what} must be an int, not {value!r}")
+    return tuple(map(index, values))
 
 
 class _Record:
@@ -52,7 +53,8 @@ class _Record:
     write too.  Equality (same class only), hashing and repr are those of
     the field tuple, as a frozen dataclass's are, and no field can be
     assigned or deleted.  Fields are read as attributes, so a
-    cached_property can stand for one until it is first read.
+    cached_property can stand for one until it is first read.  Pickle and
+    copy carry the fields alone, never what a cached_property holds.
 
     >>> GlobalShift(2), GlobalShift(2) == GlobalShift(2), hash(GlobalShift(2)) == hash((2,))
     (GlobalShift(delta=2), True, True)
@@ -74,6 +76,9 @@ class _Record:
     def __repr__(self):
         fields = map("{}={!r}".format, self.__match_args__, self._fields())
         return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __getstate__(self):
+        return dict(zip(self.__match_args__, self._fields()))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -98,8 +103,7 @@ class GradedBase(_Record):
 
     def __init__(self, period: int | None = None):
         if period is not None:
-            if type(period) is not int:
-                _require_ints("a Laurent period", (period,))
+            (period,) = _require_ints("a Laurent period", (period,))
             if period < 1:
                 raise ValueError("Laurent period must be a positive integer")
         vars(self)["period"] = period
@@ -160,8 +164,8 @@ class ShiftedMatrixAlgebra(_Record):
         if not columns:
             raise ValueError("an algebra needs at least one run")
         shifts, counts = columns
-        _require_ints("a run's shift", shifts)
-        _require_ints("a run's count", counts)
+        shifts = _require_ints("a run's shift", shifts)
+        counts = _require_ints("a run's count", counts)
         if min(counts) < 1:
             raise ValueError("every run needs a positive count")
         vars(self).update(vars(self._from_columns(base, shifts, counts)))
@@ -203,7 +207,7 @@ class ShiftedMatrixAlgebra(_Record):
         shifts = tuple(shifts)
         if not shifts:
             raise ValueError("an algebra needs at least one run")
-        _require_ints("a shift", shifts)
+        shifts = _require_ints("a shift", shifts)
         return cls._from_columns(base, shifts, (1,) * len(shifts))
 
     @property
@@ -319,6 +323,10 @@ class _Form(_Record):
         mults = self.mults if self._listable else tuple(zip(self._positions, self._counts))
         return vars(self)[self.__match_args__[0]], mults
 
+    def __getstate__(self):
+        # the two columns, as mults raises past the listing limit
+        return vars(self)
+
     def __str__(self):
         size, mults = self._fields()
         if self._listable:
@@ -337,8 +345,7 @@ class TrivialForm(_Form):
     _head = "trivial k"
 
     def __init__(self, k: int, mults: Iterable[int]):
-        mults = tuple(mults)
-        _require_ints("a form's k or count", (k, *mults))
+        k, *mults = _require_ints("a form's k or count", (k, *mults))
         if k < 0 or len(mults) != k + 1:
             raise ValueError("mults must list l_0..l_k")
         if mults[0] < 1 or mults[-1] < 1 or any(c < 0 for c in mults):
@@ -358,8 +365,7 @@ class CyclicForm(_Form):
     _head = "cyclic m"
 
     def __init__(self, period: int, mults: Iterable[int]):
-        mults = tuple(mults)
-        _require_ints("a form's period or count", (period, *mults))
+        period, *mults = _require_ints("a form's period or count", (period, *mults))
         if period < 1 or len(mults) != period:
             raise ValueError("mults must list l_0..l_{m-1}")
         if any(c < 0 for c in mults) or sum(mults) < 1:
@@ -457,8 +463,7 @@ class Permute(_Record):
     __match_args__ = ("image",)
 
     def __init__(self, image: Iterable[int]):
-        image = tuple(image)
-        _require_ints("a permutation entry", image)
+        image = _require_ints("a permutation entry", tuple(image))
         # n distinct ints in 1..n are a permutation of 1..n
         n = len(image)
         if image and (min(image) < 1 or max(image) > n or len(set(image)) != n):
@@ -472,8 +477,7 @@ class GlobalShift(_Record):
     __match_args__ = ("delta",)
 
     def __init__(self, delta: int):
-        if type(delta) is not int:
-            _require_ints("a global shift", (delta,))
+        (delta,) = _require_ints("a global shift", (delta,))
         vars(self)["delta"] = delta
 
 
@@ -483,15 +487,14 @@ class EntryShift(_Record):
     __match_args__ = ("index", "delta")
 
     def __init__(self, index: int, delta: int):
-        if type(index) is not int or type(delta) is not int:
-            _require_ints("an entry index", (index,))
-            _require_ints("an entry shift's degree", (delta,))
+        (index,) = _require_ints("an entry index", (index,))
+        (delta,) = _require_ints("an entry shift's degree", (delta,))
         if index < 1:
             raise ValueError("entry index is 1-based")
         vars(self).update(index=index, delta=delta)
 
 
-Step = Union[Permute, GlobalShift, EntryShift]
+Step = Permute | GlobalShift | EntryShift
 
 
 class _Certificate(Sequence):

@@ -10,9 +10,9 @@ realizable on its own.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterable
 from itertools import accumulate, compress, islice
 from operator import ne
-from typing import Iterable
 
 from .algebras import DirectSumAlgebra, ShiftedMatrixAlgebra, _require_ints
 from .errors import (
@@ -27,9 +27,7 @@ from .realize import SumVerdict, is_realizable_sum
 
 def corner_by_indices(a: ShiftedMatrixAlgebra, idx: Iterable[int]) -> ShiftedMatrixAlgebra:
     """The corner eMe for e the sum of the units e_ii with i in idx (1-based)."""
-    chosen = list(idx)
-    _require_ints("a corner index", chosen)
-    chosen = sorted(set(chosen))
+    chosen = sorted(set(_require_ints("a corner index", list(idx))))
     if not chosen:
         raise EmptyIndexSetError("a corner needs at least one index")
     if chosen[0] < 1 or chosen[-1] > a.n:

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from functools import cached_property
 from itertools import chain, compress, starmap
 from operator import not_
-from typing import Iterable, Mapping
 
 from .algebras import GradedBase, _Record, _require_listable, _unchecked
 from .errors import (
@@ -160,6 +160,10 @@ class DirectedGraph(_Record):
 
     def __repr__(self):
         return f"{type(self).__qualname__}(vertices={self.vertices!r}, edges={self.edges!r})"
+
+    def __getstate__(self):
+        # the id columns, not the index, analysis, counts or Edge tuples built from them
+        return {name: vars(self)[name] for name in ("vertices", "_id_of", "_eids", "_sources", "_ranges")}
 
     @cached_property
     def _index(self) -> "_Index":
@@ -325,10 +329,6 @@ class GraphClassification(_Record):
     @cached_property
     def regular(self) -> tuple[str, ...]:
         return tuple(sorted(compress(self._names, self._outdeg)))
-
-    def __getstate__(self):
-        # the fields only, not the columns the regular names are read from
-        return dict(zip(self.__match_args__, self._fields()))
 
 
 def strongly_connected_components(g: DirectedGraph) -> list[tuple[str, ...]]:

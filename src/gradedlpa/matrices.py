@@ -6,8 +6,8 @@ by `apply_certificate`, not here.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from itertools import chain
-from typing import Mapping
 
 from .algebras import EntryShift, GradedBase, Permute, Step, _Record, apply_certificate
 from .errors import ShapeMismatchError

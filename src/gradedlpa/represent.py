@@ -10,8 +10,8 @@ base vertices change the shift lists but never the graded isomorphism class.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import cached_property
-from typing import Mapping, Union
 
 from .algebras import DirectSumAlgebra, ShiftedMatrixAlgebra, _Record, _unchecked
 from .graphs import CycleDescriptor, DirectedGraph, _expand, _summand_counts
@@ -60,7 +60,7 @@ class CycleSummand(_CountedPaths):
         vars(self).update(cycle=cycle, base_vertex=base_vertex, lengths=lengths, sources=sources, counts=counts)
 
 
-Provenance = Union[SinkSummand, CycleSummand]
+Provenance = SinkSummand | CycleSummand
 
 
 class RepresentationReport(_Record):
@@ -87,10 +87,6 @@ class RepresentationReport(_Record):
         columns = (counts.lengths, counts.sources, counts.counts)
         lengths, sources, tallies = (map(column.__getitem__, spans) for column in columns)
         return tuple(map(_provenance, counts.cycles, counts.ends, lengths, sources, tallies))
-
-    def __getstate__(self):
-        # the fields only, not the counts the provenance is cut from
-        return {"sum": self.sum, "provenance": self.provenance}
 
 
 def represent(g: DirectedGraph) -> RepresentationReport:

@@ -15,6 +15,11 @@ With gradedlpa importable (PYTHONPATH=src, or installed):
     python tests/pins.py --write      record every row's outputs from cli.main
                                       again, and name the rows that changed
 
+This table is the one place where exact CLI bytes are written down.  A row
+is added as a skeleton, its name, its input files and its argv (and a note
+where the name does not say what it pins), appended to cli_pins.json; --write
+then records its exit code, stdout, stderr and written files.
+
 tests/test_cli.py::test_console_pins runs each row through cli.main.
 """
 
@@ -81,7 +86,7 @@ def write() -> list[str]:
     for row in ROWS:
         code, out, err, left = run(row)
         written = {name: text for name, text in sorted(left.items()) if row["files"].get(name) != text}
-        if (code, out, err, written) != (row["exit"], row["stdout"], row["stderr"], row["written"]):
+        if (code, out, err, written) != tuple(map(row.get, ("exit", "stdout", "stderr", "written"))):
             row.update(exit=code, stdout=out, stderr=err, written=written)
             changed.append(row["name"])
     TABLE.write_text(json.dumps(ROWS, indent=1) + "\n", encoding="utf-8")

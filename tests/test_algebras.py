@@ -240,6 +240,42 @@ def test_forms_refuse_fields_that_are_not_ints(build, message):
     assert str(info.value) == message
 
 
+class _Int(int):
+    """An int subclass whose repr is not its value's."""
+
+    def __repr__(self):
+        return "I"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda i: GradedBase(i(2)),
+        lambda i: ShiftedMatrixAlgebra(L(2), [(i(1), i(2)), (i(-3), 1)]),
+        lambda i: ShiftedMatrixAlgebra.from_shifts(K, (i(1), 2, i(1))),
+        lambda i: TrivialForm(i(2), (i(1), 0, i(3))),
+        lambda i: CyclicForm(i(3), (0, i(1), i(2))),
+        lambda i: Permute((i(2), 1, i(3))),
+        lambda i: GlobalShift(i(-3)),
+        lambda i: EntryShift(i(2), i(-4)),
+        lambda i: corner_by_indices(alg(K, 0, 1, 2), (i(3), i(1))),
+    ],
+    ids=["base", "runs", "from-shifts", "trivial-form", "cyclic-form", "permute", "global-shift", "entry-shift", "corner"],
+)
+def test_int_subclass_values_are_stored_as_ints(build):
+    # a record built from int subclasses is its plain-int twin in every view
+    got, twin = build(_Int), build(int)
+    assert got == twin and hash(got) == hash(twin)
+    assert (str(got), repr(got), pickle.dumps(got)) == (str(twin), repr(twin), pickle.dumps(twin))
+
+
+def test_certificate_of_int_subclass_steps_reads_back():
+    steps = [GlobalShift(_Int(3)), Permute((_Int(1),)), EntryShift(_Int(1), _Int(2))]
+    text = format_certificate(steps)
+    assert text == "G 3\nP 1\nE 1 2\n"
+    assert parse_certificate(text) == steps
+
+
 def test_cyclic_form_validation_matches_naive_least_rotation():
     # every residue vector with period <= 7 and counts <= 2
     checked = 0

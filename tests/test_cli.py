@@ -44,14 +44,6 @@ def line_file(tmp_path):
     return str(p)
 
 
-def test_classify_text(comet_file, capsys):
-    assert main(["classify", comet_file]) == 0
-    out = capsys.readouterr().out
-    assert "no-exit: yes" in out
-    assert "comet-per-component: yes" in out
-    assert "cycle: u v (length 2)" in out
-
-
 def test_classify_json(comet_file, capsys):
     assert main(["--json", "classify", comet_file]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -68,13 +60,6 @@ def test_classify_stdin(monkeypatch, capsys):
 def test_represent(comet_file, capsys):
     assert main(["represent", comet_file]) == 0
     assert capsys.readouterr().out.strip() == "M3(K[x^2])(0,1,1)"
-
-
-def test_represent_with_base_and_provenance(comet_file, capsys):
-    assert main(["represent", "--base", "v=v", "--provenance", comet_file]) == 0
-    out = capsys.readouterr().out
-    assert "M3(K[x^2])(0,1,2)" in out
-    assert "t --(2)--> v" in out
 
 
 def test_represent_json(comet_file, capsys):
@@ -132,12 +117,6 @@ def test_iso_yes_with_certificate(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "yes"
     assert all(line[0] in "PGE" for line in lines[1:])
-
-
-def test_iso_no(capsys):
-    assert main(["iso", "M2(K)(0,1)", "M2(K)(0,2)"]) == 1
-    out = capsys.readouterr().out
-    assert out == "no\nreason: canonical forms differ: trivial k=1 mults=(1,1) vs trivial k=2 mults=(1,0,1)\n"
 
 
 def test_iso_no_past_the_dense_limit(capsys):
@@ -431,11 +410,6 @@ def test_corner_vertices(line_file, capsys):
     assert capsys.readouterr().out.strip() == "M2(K)(0,2)"
 
 
-def test_corner_indices(capsys):
-    assert main(["corner", "M3(K)(0,1,2)", "--indices", "1,3"]) == 0
-    assert capsys.readouterr().out.strip() == "M2(K)(0,2)"
-
-
 def test_corner_errors(line_file, capsys):
     assert main(["corner", line_file, "--vertices", "bogus"]) == 3
     assert main(["corner", "M3(K)(0,1,2)", "--indices", "9"]) == 3
@@ -491,218 +465,6 @@ def test_consecutive_main_calls_share_no_state(comet_file, line_file, capsys):
     assert "not allowed with argument" in alone[8][2] and "one of the arguments" in alone[9][2]
 
 
-@pytest.mark.parametrize(
-    "argv, code, out, err",
-    [
-        (["iso", "M1(K)(0)", "M2(K)(0,1)"], 1, "no\nreason: sizes differ: 1 vs 2\n", ""),
-        (["--json", "iso", "M1(K)(0)", "M2(K)(0,1)"], 1, '{"isomorphic": false, "reason": "sizes differ: 1 vs 2"}\n', ""),
-        (["verify-cert", "M1(K)(0)", "M1(K[x^1])(0)", "g1.cert"], 1, "no\nreason: bases differ: K vs K[x^1]\n", ""),
-        (
-            ["--json", "verify-cert", "M1(K)(0)", "M1(K[x^1])(0)", "g1.cert"],
-            1,
-            '{"verified": false, "reason": "bases differ: K vs K[x^1]"}\n',
-            "",
-        ),
-        (
-            ["synthesize", "M1(K)(0) (+) M2(K[x^2])(0,1)"],
-            0,
-            "vertex s2_v1\nvertex s2_v0\nvertex s1_v0_1\ns2_v1 -> s2_v0 s2_e1\ns2_v0 -> s2_v1 s2_e2\n",
-            "",
-        ),
-        (
-            ["--json", "synthesize", "M1(K)(0) (+) M2(K[x^2])(0,1)"],
-            0,
-            '{"vertices": ["s2_v1", "s2_v0", "s1_v0_1"], "edges": [["s2_e1", "s2_v1", "s2_v0"], ["s2_e2", "s2_v0", "s2_v1"]]}\n',
-            "",
-        ),
-        (
-            ["--json", "synthesize", "M2(K)(0,1)", "-o", "w.graph"],
-            0,
-            '{"written": "w.graph", "vertices": ["v1_1", "v0_1"], "edges": [["e1", "v1_1", "v0_1"]]}\n',
-            "",
-        ),
-        (
-            ["--json", "represent", "line.graph"],
-            0,
-            '{"sum": "M3(K)(0,1,2)", "provenance": [{"algebra": "M3(K)(0,1,2)", "kind": "sink", "sink": "w", "paths": '
-            '[{"source": "w", "length": 0}, {"source": "v", "length": 1}, {"source": "u", "length": 2}]}]}\n',
-            "",
-        ),
-        (
-            ["corner", "line.graph", "--vertices", " , "],
-            2,
-            "",
-            "error: line 1, column 1: --vertices needs a nonempty comma-separated list\n",
-        ),
-    ],
-)
-def test_report_bytes(argv, code, out, err, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "line.graph").write_text(LINE)
-    (tmp_path / "g1.cert").write_text("G 1\n")
-    assert main(argv) == code
-    assert capsys.readouterr() == (out, err)
-    if "-o" in argv:
-        assert (tmp_path / "w.graph").read_text() == "vertex v1_1\nvertex v0_1\nv1_1 -> v0_1 e1\n"
-
-
-# Certificates with runs of E steps, valid and forged, and the bytes that
-# `iso --certificate` and `verify-cert` print for them, text and --json.
-A6, B6 = "M6(K[x^2])(0,1,1,2,3,5)", "M6(K[x^2])(4,1,-1,6,3,-3)"
-A8, B8 = "M8(K[x^3])(0,5,1,9,2,2,7,-4)", "M8(K[x^3])(2,3,1,3,3,8,19,3)"
-AK, BK = "M4(K)(0,3,1,1)", "M4(K)(3,5,2,3)"
-RUN_CERTS = {
-    "runs.cert": "E 1 4\nE 3 -2\nE 4 4\nE 6 -8\n",
-    "long.cert": "G 1\nP 3 2 1 5 6 7 4 8\nE 2 -3\nE 7 9\nE 8 6\n",
-    "off_period.cert": "E 1 4\nE 3 1\nE 4 4\nE 6 -8\n",
-    "past_n.cert": "E 1 4\nE 3 -2\nE 7 4\nE 6 -8\n",
-    "two_offenders.cert": "E 1 4\nE 3 1\nE 9 4\nE 6 -8\n",
-    "short_p.cert": "E 1 4\nE 3 -2\nP 2 1 3\nE 4 4\nE 6 -8\n",
-    "malformed.cert": "E 1 4\nE 3 -2\nE 4 x\nE 6 -8\n",
-    "zero_index.cert": "# runs\nE 1 4\nE 3 -2\nE 0 5\nE 6 -8\n",
-    "k_entry.cert": "G 3\nE 2 0\n",
-}
-_OFF_PERIOD = "invalid step: EntryShift degree 1 is not a multiple of the period 2"
-_PAST_N = "invalid step: entry index 7 out of range 1..6"
-_SHORT_P = "invalid step: permutation of 3 entries applied to 6 shifts"
-_K_ENTRY = "invalid step: EntryShift needs an invertible element of nonzero degree; K has none"
-_LANDS = "certificate lands on (4, 1, -1, 6, 3, -3), not on (4, 1, -1, 6, 3, -1)"
-_MALFORMED = "error: line 3, column 1: certificate arguments must be integers\n"
-_ZERO_INDEX = "error: line 4, column 1: entry index is 1-based\n"
-
-
-@pytest.mark.parametrize(
-    "argv, code, out, err",
-    [
-        (["iso", "--certificate", A6, B6], 0, "yes\nE 1 4\nE 3 -2\nE 4 4\nE 6 -8\n", ""),
-        (["--json", "iso", "--certificate", A6, B6], 0, '{"isomorphic": true, "certificate": ["E 1 4", "E 3 -2", "E 4 4", "E 6 -8"]}\n', ""),
-        (["iso", "--certificate", A8, B8], 0, "yes\nG 1\nP 3 2 1 5 6 7 4 8\nE 2 -3\nE 7 9\nE 8 6\n", ""),
-        (
-            ["--json", "iso", "--certificate", A8, B8],
-            0,
-            '{"isomorphic": true, "certificate": ["G 1", "P 3 2 1 5 6 7 4 8", "E 2 -3", "E 7 9", "E 8 6"]}\n',
-            "",
-        ),
-        (["iso", "--certificate", AK, BK], 0, "yes\nG 2\nP 3 2 1 4\n", ""),
-        (["--json", "iso", "--certificate", AK, BK], 0, '{"isomorphic": true, "certificate": ["G 2", "P 3 2 1 4"]}\n', ""),
-        (["verify-cert", A6, B6, "runs.cert"], 0, "verified\n", ""),
-        (["--json", "verify-cert", A6, B6, "runs.cert"], 0, '{"verified": true}\n', ""),
-        (["verify-cert", A8, B8, "long.cert"], 0, "verified\n", ""),
-        (["--json", "verify-cert", A8, B8, "long.cert"], 0, '{"verified": true}\n', ""),
-        (["verify-cert", A6, "M6(K[x^2])(4,1,-1,6,3,-1)", "runs.cert"], 1, f"no\nreason: {_LANDS}\n", ""),
-        (["--json", "verify-cert", A6, "M6(K[x^2])(4,1,-1,6,3,-1)", "runs.cert"], 1, f'{{"verified": false, "reason": "{_LANDS}"}}\n', ""),
-        (["verify-cert", A6, B6, "off_period.cert"], 1, f"no\nreason: {_OFF_PERIOD}\n", ""),
-        (["--json", "verify-cert", A6, B6, "off_period.cert"], 1, f'{{"verified": false, "reason": "{_OFF_PERIOD}"}}\n', ""),
-        (["verify-cert", A6, B6, "past_n.cert"], 1, f"no\nreason: {_PAST_N}\n", ""),
-        (["--json", "verify-cert", A6, B6, "past_n.cert"], 1, f'{{"verified": false, "reason": "{_PAST_N}"}}\n', ""),
-        (["verify-cert", A6, B6, "two_offenders.cert"], 1, f"no\nreason: {_OFF_PERIOD}\n", ""),
-        (["--json", "verify-cert", A6, B6, "two_offenders.cert"], 1, f'{{"verified": false, "reason": "{_OFF_PERIOD}"}}\n', ""),
-        (["verify-cert", A6, B6, "short_p.cert"], 1, f"no\nreason: {_SHORT_P}\n", ""),
-        (["--json", "verify-cert", A6, B6, "short_p.cert"], 1, f'{{"verified": false, "reason": "{_SHORT_P}"}}\n', ""),
-        (["verify-cert", A6, B6, "malformed.cert"], 2, "", _MALFORMED),
-        (["--json", "verify-cert", A6, B6, "malformed.cert"], 2, "", _MALFORMED),
-        (["verify-cert", A6, B6, "zero_index.cert"], 2, "", _ZERO_INDEX),
-        (["--json", "verify-cert", A6, B6, "zero_index.cert"], 2, "", _ZERO_INDEX),
-        (["verify-cert", AK, BK, "k_entry.cert"], 1, f"no\nreason: {_K_ENTRY}\n", ""),
-        (["--json", "verify-cert", AK, BK, "k_entry.cert"], 1, f'{{"verified": false, "reason": "{_K_ENTRY}"}}\n', ""),
-    ],
-)
-def test_certificate_run_bytes(argv, code, out, err, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    for name, text in RUN_CERTS.items():
-        (tmp_path / name).write_text(text)
-    assert main(argv) == code
-    assert capsys.readouterr() == (out, err)
-
-
-# Witness expressions: one vertex alone; K with k = 3 and a layer of one;
-# periods 1, 2, 3 and 5, with branches on residue 0 and on others, on
-# residue 0 alone and on others alone; sums with M1(K) first, in the middle
-# and last, whose lone vertex follows every vertex an edge mentions.
-ONE = "M1(K)(0)"
-KDEEP = "M7(K)(0,1,1,2,3,3,3)"
-P1 = "M3(K[x^1])(0,0,0)"
-P2 = "M4(K[x^2])(0,0,1,1)"
-P3 = "M7(K[x^3])(0,3,1,4,-2,2,5)"
-P3R = "M6(K[x^3])(4,2,2,7,0,5)"
-P5 = "M6(K[x^5])(0,1,2,3,4,9)"
-MIX = "M1(K)(0) (+) M3(K[x^1])(0,0,0) (+) M4(K)(0,1,1,2)"
-MIDDLE = "M2(K)(0,1) (+) M1(K)(0) (+) M3(K[x^3])(0,1,2) (+) M1(K)(5)"
-NO = "M2(K)(0,2) (+) M1(K)(0)"
-NO1 = "M2(K[x^2])(0,0)"
-BIG = "M1(K)(0) (+) M1000002(K)(0,1000001(1))"
-# each graph file an emit-dot row reads, written first by synthesize -o
-WITNESSES = {"one.graph": ONE, "mix.graph": MIX, "middle.graph": MIDDLE}
-
-
-@pytest.mark.parametrize(
-    "argv, code, out, err, written",
-    [
-        (["synthesize", ONE], 0, "vertex v0_1\n", "", None),
-        (["--json", "synthesize", ONE], 0, '{"vertices": ["v0_1"], "edges": []}\n', "", None),
-        (["synthesize", "--dot", ONE], 0, "digraph {\n  v0_1;\n}\n", "", None),
-        (["synthesize", KDEEP], 0, "vertex v1_1\nvertex v0_1\nvertex v1_2\nvertex v2_1\nvertex v3_1\nvertex v3_2\nvertex v3_3\nv1_1 -> v0_1 e1\nv1_2 -> v0_1 e2\nv2_1 -> v1_1 e3\nv3_1 -> v2_1 e4\nv3_2 -> v2_1 e5\nv3_3 -> v2_1 e6\n", "", None),
-        (["--json", "synthesize", KDEEP], 0, '{"vertices": ["v1_1", "v0_1", "v1_2", "v2_1", "v3_1", "v3_2", "v3_3"], "edges": [["e1", "v1_1", "v0_1"], ["e2", "v1_2", "v0_1"], ["e3", "v2_1", "v1_1"], ["e4", "v3_1", "v2_1"], ["e5", "v3_2", "v2_1"], ["e6", "v3_3", "v2_1"]]}\n', "", None),
-        (["synthesize", "--dot", KDEEP], 0, "digraph {\n  v1_1 -> v0_1;\n  v1_2 -> v0_1;\n  v2_1 -> v1_1;\n  v3_1 -> v2_1;\n  v3_2 -> v2_1;\n  v3_3 -> v2_1;\n}\n", "", None),
-        (["synthesize", P1], 0, "vertex v0\nvertex v0_1\nvertex v0_2\nv0 -> v0 e1\nv0_1 -> v0 e2\nv0_2 -> v0 e3\n", "", None),
-        (["--json", "synthesize", P1], 0, '{"vertices": ["v0", "v0_1", "v0_2"], "edges": [["e1", "v0", "v0"], ["e2", "v0_1", "v0"], ["e3", "v0_2", "v0"]]}\n', "", None),
-        (["synthesize", "--dot", P1], 0, "digraph {\n  v0 -> v0;\n  v0_1 -> v0;\n  v0_2 -> v0;\n}\n", "", None),
-        (["synthesize", P2], 0, "vertex v1\nvertex v0\nvertex v1_1\nvertex v0_1\nv1 -> v0 e1\nv0 -> v1 e2\nv1_1 -> v0 e3\nv0_1 -> v1 e4\n", "", None),
-        (["--json", "synthesize", P2], 0, '{"vertices": ["v1", "v0", "v1_1", "v0_1"], "edges": [["e1", "v1", "v0"], ["e2", "v0", "v1"], ["e3", "v1_1", "v0"], ["e4", "v0_1", "v1"]]}\n', "", None),
-        (["synthesize", "--dot", P2], 0, "digraph {\n  v1 -> v0;\n  v0 -> v1;\n  v1_1 -> v0;\n  v0_1 -> v1;\n}\n", "", None),
-        (["synthesize", P3], 0, "vertex v1\nvertex v0\nvertex v2\nvertex v1_1\nvertex v2_1\nvertex v2_2\nvertex v0_1\nv1 -> v0 e1\nv2 -> v1 e2\nv0 -> v2 e3\nv1_1 -> v0 e4\nv2_1 -> v1 e5\nv2_2 -> v1 e6\nv0_1 -> v2 e7\n", "", None),
-        (["--json", "synthesize", P3], 0, '{"vertices": ["v1", "v0", "v2", "v1_1", "v2_1", "v2_2", "v0_1"], "edges": [["e1", "v1", "v0"], ["e2", "v2", "v1"], ["e3", "v0", "v2"], ["e4", "v1_1", "v0"], ["e5", "v2_1", "v1"], ["e6", "v2_2", "v1"], ["e7", "v0_1", "v2"]]}\n', "", None),
-        (["synthesize", "--dot", P3], 0, "digraph {\n  v1 -> v0;\n  v2 -> v1;\n  v0 -> v2;\n  v1_1 -> v0;\n  v2_1 -> v1;\n  v2_2 -> v1;\n  v0_1 -> v2;\n}\n", "", None),
-        (["synthesize", P3R], 0, "vertex v1\nvertex v0\nvertex v2\nvertex v1_1\nvertex v2_1\nvertex v2_2\nv1 -> v0 e1\nv2 -> v1 e2\nv0 -> v2 e3\nv1_1 -> v0 e4\nv2_1 -> v1 e5\nv2_2 -> v1 e6\n", "", None),
-        (["--json", "synthesize", P3R], 0, '{"vertices": ["v1", "v0", "v2", "v1_1", "v2_1", "v2_2"], "edges": [["e1", "v1", "v0"], ["e2", "v2", "v1"], ["e3", "v0", "v2"], ["e4", "v1_1", "v0"], ["e5", "v2_1", "v1"], ["e6", "v2_2", "v1"]]}\n', "", None),
-        (["synthesize", "--dot", P3R], 0, "digraph {\n  v1 -> v0;\n  v2 -> v1;\n  v0 -> v2;\n  v1_1 -> v0;\n  v2_1 -> v1;\n  v2_2 -> v1;\n}\n", "", None),
-        (["synthesize", P5], 0, "vertex v1\nvertex v0\nvertex v2\nvertex v3\nvertex v4\nvertex v4_1\nv1 -> v0 e1\nv2 -> v1 e2\nv3 -> v2 e3\nv4 -> v3 e4\nv0 -> v4 e5\nv4_1 -> v3 e6\n", "", None),
-        (["--json", "synthesize", P5], 0, '{"vertices": ["v1", "v0", "v2", "v3", "v4", "v4_1"], "edges": [["e1", "v1", "v0"], ["e2", "v2", "v1"], ["e3", "v3", "v2"], ["e4", "v4", "v3"], ["e5", "v0", "v4"], ["e6", "v4_1", "v3"]]}\n', "", None),
-        (["synthesize", "--dot", P5], 0, "digraph {\n  v1 -> v0;\n  v2 -> v1;\n  v3 -> v2;\n  v4 -> v3;\n  v0 -> v4;\n  v4_1 -> v3;\n}\n", "", None),
-        (["synthesize", MIX], 0, "vertex s2_v0\nvertex s2_v0_1\nvertex s2_v0_2\nvertex s3_v1_1\nvertex s3_v0_1\nvertex s3_v1_2\nvertex s3_v2_1\nvertex s1_v0_1\ns2_v0 -> s2_v0 s2_e1\ns2_v0_1 -> s2_v0 s2_e2\ns2_v0_2 -> s2_v0 s2_e3\ns3_v1_1 -> s3_v0_1 s3_e1\ns3_v1_2 -> s3_v0_1 s3_e2\ns3_v2_1 -> s3_v1_1 s3_e3\n", "", None),
-        (["--json", "synthesize", MIX], 0, '{"vertices": ["s2_v0", "s2_v0_1", "s2_v0_2", "s3_v1_1", "s3_v0_1", "s3_v1_2", "s3_v2_1", "s1_v0_1"], "edges": [["s2_e1", "s2_v0", "s2_v0"], ["s2_e2", "s2_v0_1", "s2_v0"], ["s2_e3", "s2_v0_2", "s2_v0"], ["s3_e1", "s3_v1_1", "s3_v0_1"], ["s3_e2", "s3_v1_2", "s3_v0_1"], ["s3_e3", "s3_v2_1", "s3_v1_1"]]}\n', "", None),
-        (["synthesize", "--dot", MIX], 0, "digraph {\n  s1_v0_1;\n  s2_v0 -> s2_v0;\n  s2_v0_1 -> s2_v0;\n  s2_v0_2 -> s2_v0;\n  s3_v1_1 -> s3_v0_1;\n  s3_v1_2 -> s3_v0_1;\n  s3_v2_1 -> s3_v1_1;\n}\n", "", None),
-        (["synthesize", MIDDLE], 0, "vertex s1_v1_1\nvertex s1_v0_1\nvertex s3_v1\nvertex s3_v0\nvertex s3_v2\nvertex s2_v0_1\nvertex s4_v0_1\ns1_v1_1 -> s1_v0_1 s1_e1\ns3_v1 -> s3_v0 s3_e1\ns3_v2 -> s3_v1 s3_e2\ns3_v0 -> s3_v2 s3_e3\n", "", None),
-        (["--json", "synthesize", MIDDLE], 0, '{"vertices": ["s1_v1_1", "s1_v0_1", "s3_v1", "s3_v0", "s3_v2", "s2_v0_1", "s4_v0_1"], "edges": [["s1_e1", "s1_v1_1", "s1_v0_1"], ["s3_e1", "s3_v1", "s3_v0"], ["s3_e2", "s3_v2", "s3_v1"], ["s3_e3", "s3_v0", "s3_v2"]]}\n', "", None),
-        (["synthesize", "--dot", MIDDLE], 0, "digraph {\n  s2_v0_1;\n  s4_v0_1;\n  s1_v1_1 -> s1_v0_1;\n  s3_v1 -> s3_v0;\n  s3_v2 -> s3_v1;\n  s3_v0 -> s3_v2;\n}\n", "", None),
-        (["synthesize", "-o", "witness.graph", ONE], 0, "", "", "vertex v0_1\n"),
-        (["--json", "synthesize", "-o", "witness.graph", ONE], 0, '{"written": "witness.graph", "vertices": ["v0_1"], "edges": []}\n', "", "vertex v0_1\n"),
-        (["synthesize", "-o", "witness.graph", KDEEP], 0, "", "", "vertex v1_1\nvertex v0_1\nvertex v1_2\nvertex v2_1\nvertex v3_1\nvertex v3_2\nvertex v3_3\nv1_1 -> v0_1 e1\nv1_2 -> v0_1 e2\nv2_1 -> v1_1 e3\nv3_1 -> v2_1 e4\nv3_2 -> v2_1 e5\nv3_3 -> v2_1 e6\n"),
-        (["--json", "synthesize", "-o", "witness.graph", KDEEP], 0, '{"written": "witness.graph", "vertices": ["v1_1", "v0_1", "v1_2", "v2_1", "v3_1", "v3_2", "v3_3"], "edges": [["e1", "v1_1", "v0_1"], ["e2", "v1_2", "v0_1"], ["e3", "v2_1", "v1_1"], ["e4", "v3_1", "v2_1"], ["e5", "v3_2", "v2_1"], ["e6", "v3_3", "v2_1"]]}\n', "", "vertex v1_1\nvertex v0_1\nvertex v1_2\nvertex v2_1\nvertex v3_1\nvertex v3_2\nvertex v3_3\nv1_1 -> v0_1 e1\nv1_2 -> v0_1 e2\nv2_1 -> v1_1 e3\nv3_1 -> v2_1 e4\nv3_2 -> v2_1 e5\nv3_3 -> v2_1 e6\n"),
-        (["synthesize", "-o", "witness.graph", P3], 0, "", "", "vertex v1\nvertex v0\nvertex v2\nvertex v1_1\nvertex v2_1\nvertex v2_2\nvertex v0_1\nv1 -> v0 e1\nv2 -> v1 e2\nv0 -> v2 e3\nv1_1 -> v0 e4\nv2_1 -> v1 e5\nv2_2 -> v1 e6\nv0_1 -> v2 e7\n"),
-        (["--json", "synthesize", "-o", "witness.graph", P3], 0, '{"written": "witness.graph", "vertices": ["v1", "v0", "v2", "v1_1", "v2_1", "v2_2", "v0_1"], "edges": [["e1", "v1", "v0"], ["e2", "v2", "v1"], ["e3", "v0", "v2"], ["e4", "v1_1", "v0"], ["e5", "v2_1", "v1"], ["e6", "v2_2", "v1"], ["e7", "v0_1", "v2"]]}\n', "", "vertex v1\nvertex v0\nvertex v2\nvertex v1_1\nvertex v2_1\nvertex v2_2\nvertex v0_1\nv1 -> v0 e1\nv2 -> v1 e2\nv0 -> v2 e3\nv1_1 -> v0 e4\nv2_1 -> v1 e5\nv2_2 -> v1 e6\nv0_1 -> v2 e7\n"),
-        (["synthesize", "-o", "witness.graph", MIX], 0, "", "", "vertex s2_v0\nvertex s2_v0_1\nvertex s2_v0_2\nvertex s3_v1_1\nvertex s3_v0_1\nvertex s3_v1_2\nvertex s3_v2_1\nvertex s1_v0_1\ns2_v0 -> s2_v0 s2_e1\ns2_v0_1 -> s2_v0 s2_e2\ns2_v0_2 -> s2_v0 s2_e3\ns3_v1_1 -> s3_v0_1 s3_e1\ns3_v1_2 -> s3_v0_1 s3_e2\ns3_v2_1 -> s3_v1_1 s3_e3\n"),
-        (["--json", "synthesize", "-o", "witness.graph", MIX], 0, '{"written": "witness.graph", "vertices": ["s2_v0", "s2_v0_1", "s2_v0_2", "s3_v1_1", "s3_v0_1", "s3_v1_2", "s3_v2_1", "s1_v0_1"], "edges": [["s2_e1", "s2_v0", "s2_v0"], ["s2_e2", "s2_v0_1", "s2_v0"], ["s2_e3", "s2_v0_2", "s2_v0"], ["s3_e1", "s3_v1_1", "s3_v0_1"], ["s3_e2", "s3_v1_2", "s3_v0_1"], ["s3_e3", "s3_v2_1", "s3_v1_1"]]}\n', "", "vertex s2_v0\nvertex s2_v0_1\nvertex s2_v0_2\nvertex s3_v1_1\nvertex s3_v0_1\nvertex s3_v1_2\nvertex s3_v2_1\nvertex s1_v0_1\ns2_v0 -> s2_v0 s2_e1\ns2_v0_1 -> s2_v0 s2_e2\ns2_v0_2 -> s2_v0 s2_e3\ns3_v1_1 -> s3_v0_1 s3_e1\ns3_v1_2 -> s3_v0_1 s3_e2\ns3_v2_1 -> s3_v1_1 s3_e3\n"),
-        (["synthesize", "-o", "witness.graph", MIDDLE], 0, "", "", "vertex s1_v1_1\nvertex s1_v0_1\nvertex s3_v1\nvertex s3_v0\nvertex s3_v2\nvertex s2_v0_1\nvertex s4_v0_1\ns1_v1_1 -> s1_v0_1 s1_e1\ns3_v1 -> s3_v0 s3_e1\ns3_v2 -> s3_v1 s3_e2\ns3_v0 -> s3_v2 s3_e3\n"),
-        (["--json", "synthesize", "-o", "witness.graph", MIDDLE], 0, '{"written": "witness.graph", "vertices": ["s1_v1_1", "s1_v0_1", "s3_v1", "s3_v0", "s3_v2", "s2_v0_1", "s4_v0_1"], "edges": [["s1_e1", "s1_v1_1", "s1_v0_1"], ["s3_e1", "s3_v1", "s3_v0"], ["s3_e2", "s3_v2", "s3_v1"], ["s3_e3", "s3_v0", "s3_v2"]]}\n', "", "vertex s1_v1_1\nvertex s1_v0_1\nvertex s3_v1\nvertex s3_v0\nvertex s3_v2\nvertex s2_v0_1\nvertex s4_v0_1\ns1_v1_1 -> s1_v0_1 s1_e1\ns3_v1 -> s3_v0 s3_e1\ns3_v2 -> s3_v1 s3_e2\ns3_v0 -> s3_v2 s3_e3\n"),
-        (["synthesize", "--dot", "-o", "witness.dot", P2], 0, "", "", "digraph {\n  v1 -> v0;\n  v0 -> v1;\n  v1_1 -> v0;\n  v0_1 -> v1;\n}\n"),
-        (["--json", "synthesize", "--dot", P2], 0, '{"dot": "digraph {\\n  v1 -> v0;\\n  v0 -> v1;\\n  v1_1 -> v0;\\n  v0_1 -> v1;\\n}\\n"}\n', "", None),
-        (["--json", "synthesize", "--dot", "-o", "witness.dot", MIX], 0, '{"written": "witness.dot", "vertices": ["s2_v0", "s2_v0_1", "s2_v0_2", "s3_v1_1", "s3_v0_1", "s3_v1_2", "s3_v2_1", "s1_v0_1"], "edges": [["s2_e1", "s2_v0", "s2_v0"], ["s2_e2", "s2_v0_1", "s2_v0"], ["s2_e3", "s2_v0_2", "s2_v0"], ["s3_e1", "s3_v1_1", "s3_v0_1"], ["s3_e2", "s3_v1_2", "s3_v0_1"], ["s3_e3", "s3_v2_1", "s3_v1_1"]]}\n', "", "digraph {\n  s1_v0_1;\n  s2_v0 -> s2_v0;\n  s2_v0_1 -> s2_v0;\n  s2_v0_2 -> s2_v0;\n  s3_v1_1 -> s3_v0_1;\n  s3_v1_2 -> s3_v0_1;\n  s3_v2_1 -> s3_v1_1;\n}\n"),
-        (["synthesize", NO], 1, "no\nreason: summand 1: l_1 = 0: a path of length 2 to the sink forces one of length 1\n", "", None),
-        (["--json", "synthesize", NO], 1, '{"ok": false, "reason": "summand 1: l_1 = 0: a path of length 2 to the sink forces one of length 1"}\n', "", None),
-        (["synthesize", "-o", "witness.graph", NO1], 1, "no\nreason: summand 1: l_1 = 0: no path of length = 1 (mod 2)\n", "", None),
-        (["--json", "synthesize", NO1], 1, '{"ok": false, "reason": "summand 1: l_1 = 0: no path of length = 1 (mod 2)"}\n', "", None),
-        (["synthesize", BIG], 2, "", "error: 1000002 shifts or paths are too many to list one by one (limit 1000000)\n", None),
-        (["--json", "synthesize", "-o", "witness.graph", BIG], 2, "", "error: 1000002 shifts or paths are too many to list one by one (limit 1000000)\n", None),
-        (["emit-dot", "one.graph"], 0, "digraph {\n  v0_1;\n}\n", "", None),
-        (["--json", "emit-dot", "one.graph"], 0, '{"dot": "digraph {\\n  v0_1;\\n}\\n"}\n', "", None),
-        (["emit-dot", "mix.graph"], 0, "digraph {\n  s1_v0_1;\n  s2_v0 -> s2_v0;\n  s2_v0_1 -> s2_v0;\n  s2_v0_2 -> s2_v0;\n  s3_v1_1 -> s3_v0_1;\n  s3_v1_2 -> s3_v0_1;\n  s3_v2_1 -> s3_v1_1;\n}\n", "", None),
-        (["--json", "emit-dot", "mix.graph"], 0, '{"dot": "digraph {\\n  s1_v0_1;\\n  s2_v0 -> s2_v0;\\n  s2_v0_1 -> s2_v0;\\n  s2_v0_2 -> s2_v0;\\n  s3_v1_1 -> s3_v0_1;\\n  s3_v1_2 -> s3_v0_1;\\n  s3_v2_1 -> s3_v1_1;\\n}\\n"}\n', "", None),
-        (["emit-dot", "middle.graph"], 0, "digraph {\n  s2_v0_1;\n  s4_v0_1;\n  s1_v1_1 -> s1_v0_1;\n  s3_v1 -> s3_v0;\n  s3_v2 -> s3_v1;\n  s3_v0 -> s3_v2;\n}\n", "", None),
-        (["--json", "emit-dot", "middle.graph"], 0, '{"dot": "digraph {\\n  s2_v0_1;\\n  s4_v0_1;\\n  s1_v1_1 -> s1_v0_1;\\n  s3_v1 -> s3_v0;\\n  s3_v2 -> s3_v1;\\n  s3_v0 -> s3_v2;\\n}\\n"}\n', "", None),
-    ],
-)
-def test_synthesize_bytes(argv, code, out, err, written, tmp_path, monkeypatch, capsys):
-    # the exact exit code, stdout, stderr and -o file of each invocation
-    monkeypatch.chdir(tmp_path)
-    if "emit-dot" in argv:
-        assert main(["synthesize", "-o", argv[-1], WITNESSES[argv[-1]]]) == 0
-    assert main(argv) == code
-    assert capsys.readouterr() == (out, err)
-    target = tmp_path / argv[argv.index("-o") + 1] if "-o" in argv else None
-    assert (target.read_text() if target and target.exists() else None) == written
-
-
 # The console pins (tests/pins.py): each row through cli.main in a fresh
 # directory; the CI workflow runs the same rows through the installed script.
 @pytest.mark.parametrize("row", pins.ROWS, ids=[row["name"] for row in pins.ROWS])
@@ -710,10 +472,20 @@ def test_console_pins(row):
     assert pins.run(row) == pins.expected(row)
 
 
-def test_emit_dot(comet_file, capsys):
-    assert main(["emit-dot", comet_file]) == 0
-    out = capsys.readouterr().out
-    assert "t -> u;" in out
+def test_pinned_text_and_json_exit_alike():
+    # rows that differ only in --json answer with the same exit code, and a
+    # refused call (exit 2) with the same error line
+    groups = {}
+    for row in pins.ROWS:
+        argv = tuple(arg for arg in row["argv"] if arg != "--json")
+        key = argv, tuple(sorted(row["files"].items()))
+        groups.setdefault(key, ([], []))["--json" in row["argv"]].append(row)
+    pairs = [(text, js) for texts, jsons in groups.values() for text in texts for js in jsons]
+    assert len(pairs) >= 49 and len({text["argv"][0] for text, _ in pairs}) >= 8
+    for text, js in pairs:
+        assert text["exit"] == js["exit"], (text["name"], js["name"])
+        if text["exit"] == 2:
+            assert text["stderr"] == js["stderr"], (text["name"], js["name"])
 
 
 def test_parse_errors_exit_2(tmp_path, capsys):

@@ -2,8 +2,9 @@
 replace: one table row per class pins construction, equality, hashing,
 repr, immutability, pickling, copying and positional `match`.  A report's
 lazily cut provenance is checked against an eagerly built one, a graph
-with unnamed edges keeps them through pickle and copy, and a CLI process is
-checked to import neither `dataclasses` nor `inspect`."""
+with unnamed edges keeps them through pickle and copy, a graph pickles
+alike before and after it is analysed, and a CLI process is checked to
+import neither `dataclasses`, `inspect` nor `typing`."""
 
 import copy
 import os
@@ -265,9 +266,22 @@ def test_unnamed_edges_survive_pickle_and_copy():
     assert copy.copy(_UNNAMED) is copy.deepcopy(_UNNAMED) is pickle.loads(pickle.dumps(_UNNAMED)) is _UNNAMED
 
 
+def test_a_graph_pickles_as_its_id_columns():
+    # a comet: whatever classify, represent and .edges cache on the graph,
+    # pickle and copy carry its id columns alone
+    g = DirectedGraph.from_edges([("a", "b"), ("b", "c"), ("c", "b")])
+    fresh = pickle.dumps(g)
+    classify(g), represent(g), g.edges
+    assert {"_index", "_out", "_analysis", "_default_counts", "edges"} <= set(vars(g))
+    assert pickle.dumps(g) == fresh
+    columns = {"vertices", "_id_of", "_eids", "_sources", "_ranges"}
+    for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(fresh)):
+        assert set(vars(twin)) == columns and twin == g and repr(twin) == repr(g)
+
+
 def test_cli_process_imports_no_dataclasses_or_inspect():
     # `python -S`: no site-packages hook may load these modules first
-    code = "import sys, gradedlpa.cli; print(*sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))"
+    code = "import sys, gradedlpa.cli; print(*sorted({'dataclasses', 'inspect', 'ast', 'dis', 'typing'} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stderr, done.stdout) == (0, "", "\n")
