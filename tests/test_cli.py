@@ -13,6 +13,7 @@ from gradedlpa import (
     GlobalShift,
     GradedMatrix,
     InvalidStepError,
+    ParseError,
     Permute,
     ShiftedMatrixAlgebra,
     apply_certificate,
@@ -44,6 +45,14 @@ def line_file(tmp_path):
     return str(p)
 
 
+def test_classify_text(comet_file, capsys):
+    assert main(["classify", comet_file]) == 0
+    out = capsys.readouterr().out
+    assert "no-exit: yes" in out
+    assert "comet-per-component: yes" in out
+    assert "cycle: u v (length 2)" in out
+
+
 def test_classify_json(comet_file, capsys):
     assert main(["--json", "classify", comet_file]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -60,6 +69,13 @@ def test_classify_stdin(monkeypatch, capsys):
 def test_represent(comet_file, capsys):
     assert main(["represent", comet_file]) == 0
     assert capsys.readouterr().out.strip() == "M3(K[x^2])(0,1,1)"
+
+
+def test_represent_with_base_and_provenance(comet_file, capsys):
+    assert main(["represent", "--base", "v=v", "--provenance", comet_file]) == 0
+    out = capsys.readouterr().out
+    assert "M3(K[x^2])(0,1,2)" in out
+    assert "t --(2)--> v" in out
 
 
 def test_represent_json(comet_file, capsys):
@@ -117,6 +133,12 @@ def test_iso_yes_with_certificate(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "yes"
     assert all(line[0] in "PGE" for line in lines[1:])
+
+
+def test_iso_no(capsys):
+    assert main(["iso", "M2(K)(0,1)", "M2(K)(0,2)"]) == 1
+    out = capsys.readouterr().out
+    assert out == "no\nreason: canonical forms differ: trivial k=1 mults=(1,1) vs trivial k=2 mults=(1,0,1)\n"
 
 
 def test_iso_no_past_the_dense_limit(capsys):
@@ -410,6 +432,11 @@ def test_corner_vertices(line_file, capsys):
     assert capsys.readouterr().out.strip() == "M2(K)(0,2)"
 
 
+def test_corner_indices(capsys):
+    assert main(["corner", "M3(K)(0,1,2)", "--indices", "1,3"]) == 0
+    assert capsys.readouterr().out.strip() == "M2(K)(0,2)"
+
+
 def test_corner_errors(line_file, capsys):
     assert main(["corner", line_file, "--vertices", "bogus"]) == 3
     assert main(["corner", "M3(K)(0,1,2)", "--indices", "9"]) == 3
@@ -486,6 +513,67 @@ def test_pinned_text_and_json_exit_alike():
         assert text["exit"] == js["exit"], (text["name"], js["name"])
         if text["exit"] == 2:
             assert text["stderr"] == js["stderr"], (text["name"], js["name"])
+
+
+# Certificates with runs of E steps, valid and forged: the pin rows of
+# `iso --certificate` and `verify-cert`, text and --json, whose bytes live in
+# the pin table alone.  Each call's verdict must also be the library's.
+RUN_CERT_PINS = {row["name"]: row for row in pins.ROWS}
+RUN_CERT_ROWS = [
+    RUN_CERT_PINS[f"{command}{json_flag}-{case}"]
+    for command, case in [
+        ("iso-certificate", "over-k-x-2"),
+        ("iso-certificate", "over-k-x-3"),
+        ("iso-certificate", "over-k"),
+        ("verify-cert", "runs-cert-over-k-x-2"),
+        ("verify-cert", "long-cert-over-k-x-3"),
+        ("verify-cert", "runs-cert-over-k-x-2-onto-a-shift-list-it-misses"),
+        ("verify-cert", "off-period-cert-over-k-x-2"),
+        ("verify-cert", "past-n-cert-over-k-x-2"),
+        ("verify-cert", "two-offenders-cert-over-k-x-2"),
+        ("verify-cert", "short-p-cert-over-k-x-2"),
+        ("verify-cert", "malformed-cert-over-k-x-2"),
+        ("verify-cert", "zero-index-cert-over-k-x-2"),
+        ("verify-cert", "k-entry-cert-over-k"),
+    ]
+    for json_flag in ("", "-json")
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [(row["argv"], row["exit"], row["stdout"], row["stderr"]) for row in RUN_CERT_ROWS],
+)
+def test_certificate_run_bytes(argv, code, out, err, tmp_path, monkeypatch, capsys):
+    row = next(row for row in RUN_CERT_ROWS if row["argv"] == argv)
+    monkeypatch.chdir(tmp_path)
+    for name, text in row["files"].items():
+        (tmp_path / name).write_text(text)
+    assert main(argv) == code
+    assert capsys.readouterr() == (out, err)
+    # the library replays the certificate the call printed or read to the
+    # same verdict: a parse error exits 2, a refused step or a miss exits 1
+    if "iso" in argv:
+        a, b = (parse_algebra(expr).summands[0] for expr in argv[-2:])
+        lines = json.loads(out)["certificate"] if "--json" in argv else out.splitlines()[1:]
+        cert = "".join(line + "\n" for line in lines)
+    else:
+        a, b = (parse_algebra(expr).summands[0] for expr in argv[-3:-1])
+        cert = row["files"][argv[-1]]
+    try:
+        final = apply_certificate(a.shifts, parse_certificate(cert), a.base)
+    except ParseError as exc:
+        assert (code, err) == (2, f"error: {exc}\n")
+    except InvalidStepError as exc:
+        assert code == 1 and f"invalid step: {exc}" in out
+    else:
+        assert code == (0 if final == b.shifts else 1)
+
+
+def test_emit_dot(comet_file, capsys):
+    assert main(["emit-dot", comet_file]) == 0
+    out = capsys.readouterr().out
+    assert "t -> u;" in out
 
 
 def test_parse_errors_exit_2(tmp_path, capsys):
