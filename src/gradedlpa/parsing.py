@@ -27,11 +27,14 @@ shift list (0,0,0,0,1,1,1,2,2).  Digits are ASCII.  Whitespace may appear
 between any two tokens, but not inside a number or the separator "(+)".
 A shift magnitude and a period are at most 2^31.  A size or a repeat count
 has no limit, but no number may have more digits than int() converts
-(sys.get_int_max_str_digits(), 4300 by default).  Each shift list is read
-in bulk, repeat items included: one split(","), one int() per shift and per
-repeat count, then again with each whitespace run made one space and each
-sign joined to its digits if int() refused it.  Only a list that fails both
-goes to the token cursor, which names its offending item.
+(sys.get_int_max_str_digits(), 4300 by default).  Valid text is read in
+bulk and never by the token cursor.  Each summand's header is one regex
+match, its size and period then checked by value.  Each shift list, repeat
+items included, is one split(","), one int() per shift and per repeat
+count, then again with each whitespace run made one space and each sign
+joined to its digits if int() refused it.  The separator, or the end of the
+text, is one more match.  Only a header, a list or the text after a list
+that fails goes to the token cursor, which names its offending token.
 
 Certificate files hold one step per line; '#' starts a comment.
 
@@ -212,10 +215,22 @@ def format_graph(g: DirectedGraph) -> str:
 # One token at the cursor: a run of ASCII digits or any other single
 # character, after whitespace.  The empty token marks the end of the text.
 _TOKEN_RE = re.compile(r"\s*([0-9]+|\S?)")
+# A summand's header, the tokens 'M' n '(' 'K' ['[' 'x' '^' m ']'] ')' '(',
+# each after the whitespace the cursor skips: the digits of n and of m.
+_HEADER_RE = re.compile(r"\s*M\s*([0-9]+)\s*\(\s*K\s*(?:\[\s*x\s*\^\s*([0-9]+)\s*\]\s*)?\)\s*\(")
+# What follows a shift list: the separator "(+)", or the end of the text.
+_AFTER_RE = re.compile(r"\s*(?:(\(\+\))|\Z)")
 
 
 def parse_algebra(text: str) -> DirectSumAlgebra:
     """Parse an algebra expression, possibly a direct sum.
+
+    Each summand is one match of _HEADER_RE, its size and period checked by
+    value, then its shift list read in bulk, then one match of _AFTER_RE
+    for the separator or the end of the text.  Summands share one
+    GradedBase per period.  Only what fails, a header, a shift list or the
+    text after one, is read again by the token cursor, which names its
+    offending token.
 
     >>> str(parse_algebra("M9(K)(4(0),3(1),2(2))").summands[0])
     'M9(K)(0,0,0,0,1,1,1,2,2)'
@@ -257,16 +272,18 @@ def parse_algebra(text: str) -> DirectSumAlgebra:
     # Size, period and shift-count errors, and a repeated shift's magnitude,
     # point just after the 'M', '^' or '(' before them; the others point at
     # the token or the shift item they concern.
-    def summand():
+    def explain_header(pos):
+        """Raise the ParseError for the summand header at pos that _HEADER_RE
+        or the checks on its numbers refused."""
         nonlocal end
+        end = pos
+        advance()
         size_pos = at + 1
         expect("M")
-        n = nat("a matrix size")
-        if n < 1:
+        if nat("a matrix size") < 1:
             fail("the matrix size must be positive", size_pos)
         expect("(")
         expect("K")
-        base = GradedBase.trivial()
         if tok == "[":
             advance()
             expect("x")
@@ -278,11 +295,28 @@ def parse_algebra(text: str) -> DirectSumAlgebra:
             if m > _MAX_SHIFT:
                 fail("the Laurent period exceeds 2^31", period_pos)
             expect("]")
-            base = GradedBase.laurent(m)
         expect(")")
-        list_pos = end  # just after the '(' that opens the shift list
-        if tok != "(":
-            fail("expected '('", at)
+        expect("(")
+        raise AssertionError("the summand header has no offending token")
+
+    summands = []
+    bases = {}  # one GradedBase per period, None for K
+    pos = 0  # where the next summand's header starts, whitespace included
+    while True:
+        header = _HEADER_RE.match(text, pos)
+        n = 0
+        if header:
+            try:
+                n, period = int(header[1]), header[2] and int(header[2])
+            except ValueError:  # more digits than int() converts; n stays 0
+                pass
+        if n < 1 or period is not None and not 0 < period <= _MAX_SHIFT:
+            explain_header(pos)
+        try:
+            base = bases[period]
+        except KeyError:
+            base = bases[period] = GradedBase.trivial() if period is None else GradedBase.laurent(period)
+        list_pos = header.end()  # just after the '(' that opens the shift list
         # the list ends at the first ')' that closes no repeat item
         stop, close = list_pos, text.find(")", list_pos)
         while close >= 0 and text.find("(", stop, close) >= 0:
@@ -336,25 +370,21 @@ def parse_algebra(text: str) -> DirectSumAlgebra:
             expect(")")
             raise AssertionError("the shift list has no offending item")
         total = len(values) if counts is None else sum(counts)
-        end = close + 1
-        advance()
         if total != n:
             try:
                 listed = f"{total} shifts"
             except ValueError:  # more digits than str() converts
                 listed = f"a number of shifts with more than {sys.get_int_max_str_digits()} digits"
             fail(f"summand declares n={n} but lists {listed}", list_pos)
-        return ShiftedMatrixAlgebra._from_columns(base, values, counts or (1,) * total)
-
-    advance()
-    summands = [summand()]
-    while tok == "(" and text.startswith("(+)", at):
-        end = at + 3
-        advance()
-        summands.append(summand())
-    if tok:
-        fail("unexpected trailing input", at)
-    return DirectSumAlgebra(tuple(summands))
+        summands.append(ShiftedMatrixAlgebra._from_columns(base, values, counts or (1,) * total))
+        after = _AFTER_RE.match(text, close + 1)
+        if after is None:
+            end = close + 1
+            advance()
+            fail("unexpected trailing input", at)
+        if after[1] is None:
+            return DirectSumAlgebra(tuple(summands))
+        pos = after.end()
 
 
 # --- certificates ---

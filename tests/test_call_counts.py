@@ -6,7 +6,8 @@ loop-comet, a vertex of the line, a diamond, a cycle of a complete digraph, a
 shift) at the largest size are at most those at the smallest plus MARGIN:
 the op does linear work in calls.  An op that counted the whole graph again
 once per summand would make that ratio grow with the size.  On K_7 the
-cycle listing must also stay within COMPLETE_BOUND calls per cycle.
+cycle listing must also stay within COMPLETE_BOUND calls per cycle, and
+parse_algebra within PARSE_BOUND calls per summand.
 
 Counts see calls only, not the work inside one builtin or inside a loop
 that calls nothing; they add to the timed benchmark and replace no speed
@@ -172,6 +173,12 @@ def _canonical_op(size, _):
     return op
 
 
+def _parse_op(summands, _):
+    """parse_algebra of a sum of alternating K[x^5] and K summands."""
+    text = " (+) ".join(("M3(K[x^5])(1,2,3)", "M2(K)(0,4)")[j % 2] for j in range(summands))
+    return lambda: G.parse_algebra(text)
+
+
 def _same(size):
     return size
 
@@ -188,11 +195,14 @@ OPS = {
     "complete": (_complete_op, (5, 6, 7), _cycles_of_complete),
     "iso_certificate": (_iso_op, (1000, 4000, 16000), _same),
     "verify-cert": (_verify_op, (1000, 4000, 16000), _same),
+    "parse_sum": (_parse_op, (10, 100, 1000), _same),
     # one op: its calls do not grow with the spread or period, dense str or sparse
     "canonical": (_canonical_op, (10**3, 10**6, 10**9), lambda size: 1),
 }
 # calls per listed cycle on K_7, where listing a cycle makes no call per edge
 COMPLETE_BOUND = 14
+# calls per summand of parse_sum, which reads each header in one match
+PARSE_BOUND = 30
 
 
 def _per_unit(name, tmp_path) -> list[float]:
@@ -216,6 +226,10 @@ def test_line_calls_do_not_depend_on_naming_order(tmp_path):
 def test_complete_graph_lists_cycles_in_few_calls(tmp_path):
     assert _cycles_of_complete(7) == 2365
     assert _per_unit("complete", tmp_path)[-1] <= COMPLETE_BOUND
+
+
+def test_parse_reads_a_summand_in_few_calls(tmp_path):
+    assert max(_per_unit("parse_sum", tmp_path)) <= PARSE_BOUND
 
 
 if __name__ == "__main__":

@@ -45,14 +45,6 @@ def line_file(tmp_path):
     return str(p)
 
 
-def test_classify_text(comet_file, capsys):
-    assert main(["classify", comet_file]) == 0
-    out = capsys.readouterr().out
-    assert "no-exit: yes" in out
-    assert "comet-per-component: yes" in out
-    assert "cycle: u v (length 2)" in out
-
-
 def test_classify_json(comet_file, capsys):
     assert main(["--json", "classify", comet_file]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -69,13 +61,6 @@ def test_classify_stdin(monkeypatch, capsys):
 def test_represent(comet_file, capsys):
     assert main(["represent", comet_file]) == 0
     assert capsys.readouterr().out.strip() == "M3(K[x^2])(0,1,1)"
-
-
-def test_represent_with_base_and_provenance(comet_file, capsys):
-    assert main(["represent", "--base", "v=v", "--provenance", comet_file]) == 0
-    out = capsys.readouterr().out
-    assert "M3(K[x^2])(0,1,2)" in out
-    assert "t --(2)--> v" in out
 
 
 def test_represent_json(comet_file, capsys):
@@ -133,12 +118,6 @@ def test_iso_yes_with_certificate(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "yes"
     assert all(line[0] in "PGE" for line in lines[1:])
-
-
-def test_iso_no(capsys):
-    assert main(["iso", "M2(K)(0,1)", "M2(K)(0,2)"]) == 1
-    out = capsys.readouterr().out
-    assert out == "no\nreason: canonical forms differ: trivial k=1 mults=(1,1) vs trivial k=2 mults=(1,0,1)\n"
 
 
 def test_iso_no_past_the_dense_limit(capsys):
@@ -432,11 +411,6 @@ def test_corner_vertices(line_file, capsys):
     assert capsys.readouterr().out.strip() == "M2(K)(0,2)"
 
 
-def test_corner_indices(capsys):
-    assert main(["corner", "M3(K)(0,1,2)", "--indices", "1,3"]) == 0
-    assert capsys.readouterr().out.strip() == "M2(K)(0,2)"
-
-
 def test_corner_errors(line_file, capsys):
     assert main(["corner", line_file, "--vertices", "bogus"]) == 3
     assert main(["corner", "M3(K)(0,1,2)", "--indices", "9"]) == 3
@@ -568,12 +542,6 @@ def test_certificate_run_bytes(argv, code, out, err, tmp_path, monkeypatch, caps
         assert code == 1 and f"invalid step: {exc}" in out
     else:
         assert code == (0 if final == b.shifts else 1)
-
-
-def test_emit_dot(comet_file, capsys):
-    assert main(["emit-dot", comet_file]) == 0
-    out = capsys.readouterr().out
-    assert "t -> u;" in out
 
 
 def test_parse_errors_exit_2(tmp_path, capsys):
