@@ -121,7 +121,6 @@ def represent_at(
 
 
 def _provenance(cycle, end, lengths, sources, counts) -> Provenance:
-    # columns cut from valid counts, so the record constructor is skipped
     if cycle is None:
-        return _unchecked(SinkSummand, sink=end, lengths=lengths, sources=sources, counts=counts)
-    return _unchecked(CycleSummand, cycle=cycle, base_vertex=end, lengths=lengths, sources=sources, counts=counts)
+        return SinkSummand(end, lengths, sources, counts)
+    return CycleSummand(cycle, end, lengths, sources, counts)

@@ -4,6 +4,24 @@ Each criterion prints one pass/fail line; all checks are exact integer
 comparisons with zero tolerance.  Reachability, rotation minimisation and
 graph enumeration on the oracle side are implemented here from scratch so
 the library is compared against independent references.
+
+1. comet example regression: the representation at both base vertices, the
+   isomorphism between them, and certificate verification at shift and
+   matrix level
+2. gap verdict regression: M2(K)(0,2) is not realizable, failing index 1
+3. line corner regression: the corner of u -> v -> w at {u, w} is
+   M2(K)(0,2), which is not realizable
+4. the L_n and C_n families for n = 1..8
+5. oracle equivalence: the isomorphism decider against move-graph
+   reachability on the exhaustive grid n <= 4, shifts in {0..3}, bases K and
+   K[x^m] for m = 1..4, bound 8
+6. canonical form invariance under 10,000 random certificates
+7. synthesize/represent round trip for 1,000 random realizable algebras and
+   200 random direct sums
+8. exhaustive small-graph classification: the canonical forms achieved by
+   all single-sink acyclic graphs and comets within size 5 equal the
+   predicted sets, both inclusions
+9. degree preservation of conjugation on 1,000 random graded matrices
 """
 
 import itertools

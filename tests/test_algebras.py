@@ -1,3 +1,28 @@
+"""Shifted matrix algebras, class forms, the three moves and graded
+isomorphism, each checked against a definition or a brute-force oracle:
+
+- `_least_rotation_index` against the rotation-by-rotation minimum, on every
+  short vector and on periodic and repeated-least sequences of 1,000 items
+- `CyclicForm`'s least-rotation check against conftest's naive rotation
+- `canonical_form` against the dense definition and against the form the
+  checking constructor builds from `(k | period, mults)`, with the listing
+  limit patched down to 8 entries, on both sides of it
+- `apply_certificate` against applying one step at a time by each move's
+  definition, on drawn runs of up to 60 `EntryShift`s with invalid entries
+- `Permute`'s check against the sorted definition, on near-permutations with
+  duplicates, 0, n + 1 and bools
+- `is_graded_isomorphic` and `iso_certificate` against move-graph search
+  (conftest's `oracle_iso`)
+- `direct_sum_iso` against a matching of summands under move-graph search,
+  and `is_realizable_sum` against its summands, on drawn sums
+- an algebra's runs against its expanded shift list
+- each constructor's refusal of a period, shift, count, degree or index that
+  is not an int, or is a bool, and its storing an int subclass as the int
+- the checks only a direct call reaches, such as `GradedBase.laurent(None)`,
+  a malformed `CycleDescriptor` or `GradedMatrix`, a certificate indexed past
+  its end, and equality with a foreign type
+"""
+
 import itertools
 import pickle
 import random

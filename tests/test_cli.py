@@ -1,7 +1,25 @@
+"""The command line, checked through cli.main:
+
+- each pin row of tests/cli_pins.json (tests/pins.py): exit code, stdout,
+  stderr and written files, byte for byte
+- each text pin row against its --json twin: the same exit code, the same
+  error line, and the same answer read off the text and off the payload
+- `verify-cert` against the definition of a certificate, whose steps all
+  apply and land on the target's shifts
+- `conjugate_by_step` on those certificates against a replay on sample
+  matrices whose terms carry distinct tags, which also refutes forged
+  conjugations
+- the certificate-run pin rows against the library's replay of the
+  certificate each call printed or read
+- in-process calls of `main` in any order against the same calls alone
+- exit 2 for a parse error, an unreadable path and the listing limit
+"""
+
 import ast
 import io
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -9,6 +27,7 @@ import pytest
 import pins
 from conftest import diamond_chain, random_base, random_certificate, replay_failure
 from gradedlpa import (
+    DirectedGraph,
     EntryShift,
     GlobalShift,
     GradedMatrix,
@@ -23,6 +42,7 @@ from gradedlpa import (
     format_graph,
     parse_algebra,
     parse_certificate,
+    parse_graph,
 )
 from gradedlpa.cli import main
 
@@ -473,9 +493,75 @@ def test_console_pins(row):
     assert pins.run(row) == pins.expected(row)
 
 
+def _form_from_text(text: str) -> dict:
+    """A canonical form's text, `trivial k=1 mults=(1,1)` or `cyclic m=4
+    mults={0:1,3:2}`, as its --json payload lists it."""
+    kind, letter, size, mults = re.fullmatch(r"(trivial|cyclic) ([km])=(\d+) mults=(.+)", text).groups()
+    form = {"kind": kind, letter: int(size)}
+    if mults.startswith("("):
+        return {**form, "mults": [int(count) for count in mults[1:-1].split(",")]}
+    pairs = [tuple(map(int, item.split(":"))) for item in mults[1:-1].split(",")]
+    return {**form, "positions": [p for p, _ in pairs], "counts": [c for _, c in pairs]}
+
+
+def _names(text: str) -> list[str]:
+    return [] if text == "(none)" else text.split(", ")
+
+
+def _answers(text: dict, js: dict) -> tuple:
+    """The answer of a text pin row that exits 0 or 1, read off its output,
+    and the answer of its --json twin, read off the payload."""
+    argv, out = text["argv"], text["stdout"]
+    lines, payload = out.splitlines(), json.loads(js["stdout"])
+    command = argv[0]
+    reason = [f"reason: {payload['reason']}"] if "reason" in payload else []
+    if command == "iso":
+        return lines, ["yes" if payload["isomorphic"] else "no", *payload.get("certificate", ()), *reason]
+    if command == "verify-cert":
+        return lines, ["verified" if payload["verified"] else "no", *reason]
+    if command == "synthesize" and reason:
+        return lines, ["yes" if payload["ok"] else "no", *reason]
+    if command == "realizable":
+        reasons = [f"reason: summand {f['summand']}: {f['reason']}" for f in payload["failures"]]
+        return lines, ["yes" if payload["ok"] else "no", *reasons]
+    if command == "corner":
+        return out, " (+) ".join(payload["summands"]) + "\n"
+    if command == "emit-dot":
+        return out, payload["dot"]
+    if command == "represent":
+        listed = [payload["sum"]]
+        for entry in payload["provenance"] if "--provenance" in argv else ():
+            if entry["kind"] == "cycle":
+                end = entry["base"]
+                listed.append(f"# cycle {' '.join(entry['cycle']['vertices'])} (base {end})")
+            else:
+                end = entry["sink"]
+                listed.append(f"# sink {end}")
+            listed += [f"{path['source']} --({path['length']})--> {end}" for path in entry["paths"]]
+        return lines, listed
+    if command == "canonical":
+        return [_form_from_text(line.split(": ", 1)[1]) for line in lines], payload["forms"]
+    if command == "classify":
+        flags = dict(line.split(": ", 1) for line in lines if not line.startswith("cycle: "))
+        yes_no = {"yes": True, "no": False}
+        read = {key.replace("-", "_"): _names(value) if key in ("sinks", "regular") else yes_no[value] for key, value in flags.items()}
+        cycles = [line for line in lines if line.startswith("cycle: ")]
+        listed = [f"cycle: {' '.join(c['vertices'])} (length {c['length']})" for c in payload["cycles"]]
+        return (read, cycles), ({key: payload[key] for key in payload if key != "cycles"}, listed)
+    if command == "synthesize":
+        written = argv[argv.index("-o") + 1] if "-o" in argv else None
+        graph_text = text["written"][written] if written else out
+        if "--dot" in argv:
+            return (text["written"], graph_text), (js["written"], payload["dot"])
+        graph = DirectedGraph(payload["vertices"], payload["edges"])
+        return (text["written"], written, parse_graph(graph_text)), (js["written"], payload.get("written"), graph)
+    raise AssertionError(f"no rule reads the answer of {command}")
+
+
 def test_pinned_text_and_json_exit_alike():
-    # rows that differ only in --json answer with the same exit code, and a
-    # refused call (exit 2) with the same error line
+    # rows that differ only in --json answer with the same exit code, a
+    # refused call (exit 2) with the same error line, and a decided call
+    # (exit 0 or 1) with the same answer
     groups = {}
     for row in pins.ROWS:
         argv = tuple(arg for arg in row["argv"] if arg != "--json")
@@ -487,6 +573,10 @@ def test_pinned_text_and_json_exit_alike():
         assert text["exit"] == js["exit"], (text["name"], js["name"])
         if text["exit"] == 2:
             assert text["stderr"] == js["stderr"], (text["name"], js["name"])
+        else:
+            assert text["stderr"] == js["stderr"] == "", (text["name"], js["name"])
+            from_text, from_json = _answers(text, js)
+            assert from_text == from_json, (text["name"], js["name"])
 
 
 # Certificates with runs of E steps, valid and forged: the pin rows of

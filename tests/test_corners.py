@@ -1,3 +1,15 @@
+"""Corners by indices and by vertices:
+
+- `corner_by_indices` against keeping the chosen diagonal entries, and two
+  corners in a row against one
+- `corner_by_vertices` against `corner_by_indices` of each summand at the
+  indices of the paths the chosen vertices start
+- the corner at every vertex against `represent`, and each single-vertex
+  corner of random no-exit graphs against zero
+- `corner_realizable` on the subsets of a line's vertices
+- the errors each corner raises, and which it raises first
+"""
+
 import random
 
 import pytest

@@ -1,3 +1,33 @@
+"""Directed graphs, their analysis and their paths, against brute force:
+
+- the SCCs against mutual reachability, `find_cycles` against simple-path
+  enumeration and the comet flag against backward reachability, on every
+  multigraph with at most 3 vertices and edge multiplicity at most 2
+  (conftest's grid, on names whose sorted order reverses their mention
+  order), on drawn multigraphs, and on drawn mixes of sink trees, cycles
+  with tails and exits, and vertices that reach both a sink and a cycle
+- the two peels of the SCC pass in peel order: the sink-first peel against
+  reachability of a cycle, the in-degree peel against reachability from
+  one, and the out-edge table built exactly when some vertex reaches a cycle
+- `find_cycles` against the enumeration on K_2 to K_6 in shuffled edge
+  order, with a parallel edge, a loop and some named edges
+- the cycle cap at its boundary: 10,000 parallel loops listed and 10,001
+  refused, and the cap reached inside a dense component (7,635 loops and
+  the 2,365 cycles of K_7)
+- `classify`, `find_cycles`, the SCCs, path counts, `represent_at` and the
+  corners on drawn multigraphs of up to 40 vertices, against the same
+  definitions
+- the `GraphClassification` that `classify` builds against `naive_classify`
+  and against the record its constructor builds, field by field and in
+  hash, repr, pickle and copy, before and after `regular` is read
+- every sort the graph layer makes, on a shuffled 4,000-vertex line and a
+  400-sink star
+- graph equality and hashing against those of `(vertices, edges)`, and the
+  constructors against a construction from edge tuples, which names the
+  first offender of a ValueError
+- `paths_to_sink` and `paths_to_cycle_vertex` against walk enumeration
+"""
+
 import copy
 import pickle
 import random

@@ -1,3 +1,14 @@
+"""Graded matrices and the replay of certificate steps:
+
+- homogeneous components against the dense per-degree split (conftest's
+  `naive_components`), and against the matrix they sum to
+- `conjugate_by_step` against conjugation by the dense permutation or
+  diagonal matrix (conftest's `naive_conjugate`)
+- conjugation against multiplication: it is multiplicative, keeps the
+  identity, and moves each component degree to degree
+- the term storage against the dense oracles, touching only stored terms
+"""
+
 import random
 import tracemalloc
 

@@ -1,3 +1,16 @@
+"""The three text formats and DOT:
+
+- parse and format round trips of graphs, algebras and certificates
+- the parser contract: any text parses or raises ParseError at a line and
+  column inside the text
+- the graph reader against the token-by-token scanner, the algebra reader
+  against the token cursor, and the certificate reader against the
+  line-by-line reader (conftest's `naive_parse_*`), on drawn and hand-made
+  texts: the same result, or the same error at the same line and column
+- that valid text never reaches those slower readers
+- the size and digit limits of algebra text, and DOT quoting
+"""
+
 import random
 from unittest import mock
 

@@ -1,3 +1,13 @@
+"""Realizability and witness graphs:
+
+- `is_realizable` against the multiplicity rules over K and over K[x^m],
+  and its invariance under random certificates
+- `is_realizable_sum` against its summands, with the failing positions
+- `synthesize` and `synthesize_sum` round trips: the witness represents as
+  an algebra graded isomorphic to the input, on small and random inputs
+- the witness shapes, their disjoint vertex names, and the listing limit
+"""
+
 import random
 
 import pytest

@@ -1,3 +1,17 @@
+"""Representations of no-exit graphs:
+
+- summands and provenance against walk enumeration (conftest's
+  `naive_paths_to_sink` and `naive_paths_to_cycle`), and the counted
+  representation against the walk oracle on drawn graphs
+- `represent` of a disjoint union against its parts' representations, and
+  its realizability, on drawn no-exit graphs whose names interleave
+- base-vertex choices against the isomorphism class they keep
+- one SCC pass and one path count per graph, and no Edge tuple built, on a
+  10,000-vertex line, a 400-sink star and loop-comets; the out-edge table
+  only when a vertex reaches a cycle
+- the 60-diamond chain's 2^62 - 3 paths as 121 runs, refused when listed
+"""
+
 import functools
 import random
 
