@@ -662,10 +662,9 @@ def iso_certificate(a: ShiftedMatrixAlgebra, b: ShiftedMatrixAlgebra) -> Sequenc
     The sequence is read-only and equals the list of its steps; its
     EntryShifts are held as one run of index and delta columns.
     """
-    (start_a, *form_a), (start_b, *form_b) = a._class_form, b._class_form
-    if (a.base, a.n, form_a) != (b.base, b.n, form_b):
+    if _class_key(a) != _class_key(b):
         raise NotIsomorphicError(f"{a} and {b} are not graded isomorphic")
-    m = a.base.period
+    m, start_a, start_b = a.base.period, a._class_form[0], b._class_form[0]
     delta = start_b - start_a if m is None else (start_b - start_a) % m
     moved = [s + delta for s in a.shifts]
     if m is None:

@@ -16,7 +16,7 @@ import json
 import sys
 
 from .algebras import DirectSumAlgebra, TrivialForm, apply_certificate, canonical_form
-from .algebras import direct_sum_iso, is_graded_isomorphic, iso_certificate
+from .algebras import direct_sum_iso, iso_certificate
 from .corners import corner_by_indices, corner_by_vertices
 from .errors import (
     AlgebraError,
@@ -60,6 +60,14 @@ def _no(payload: dict, *reasons: str) -> Report:
     return 1, "no\n" + "".join(f"reason: {reason}\n" for reason in reasons), payload
 
 
+def _singles(refusal: str, *totals) -> list:
+    """The one summand of each parsed expression; a sum among them is
+    refused with ValueError(refusal)."""
+    if any(len(total.summands) != 1 for total in totals):
+        raise ValueError(refusal)
+    return [total.summands[0] for total in totals]
+
+
 def _graph_payload(g) -> dict:
     """The vertex names, and per edge [id, source, range], from the id columns."""
     return {"vertices": list(g.vertices), "edges": list(map(list, zip(*g._edge_columns())))}
@@ -71,7 +79,7 @@ def _cycle_payload(c) -> dict:
 
 def cmd_classify(args) -> Report:
     info = classify(_load_graph(args.graph))
-    flags = {
+    payload = {
         "finite": True,
         "acyclic": info.acyclic,
         "no_exit": info.no_exit,
@@ -80,35 +88,28 @@ def cmd_classify(args) -> Report:
         "regular": list(info.regular),
         "cycles": [_cycle_payload(c) for c in info.cycles],
     }
-    lines = [
-        "finite: yes",
-        f"acyclic: {'yes' if info.acyclic else 'no'}",
-        f"no-exit: {'yes' if info.no_exit else 'no'}",
-        f"comet-per-component: {'yes' if info.comet_per_component else 'no'}",
-        f"sinks: {', '.join(info.sinks) if info.sinks else '(none)'}",
-        f"regular: {', '.join(info.regular) if info.regular else '(none)'}",
-    ]
-    for c in info.cycles:
-        lines.append(f"cycle: {' '.join(c.vertices)} (length {c.length})")
-    return 0, "\n".join(lines) + "\n", flags
+    flags = ("finite", "acyclic", "no_exit", "comet_per_component")
+    lines = [f"{key.replace('_', '-')}: {'yes' if payload[key] else 'no'}" for key in flags]
+    lines += [f"{key}: {', '.join(payload[key]) if payload[key] else '(none)'}" for key in ("sinks", "regular")]
+    lines += [f"cycle: {' '.join(c['vertices'])} (length {c['length']})" for c in payload["cycles"]]
+    return 0, "\n".join(lines) + "\n", payload
 
 
 def _resolve_bases(g, choices):
     if not choices:
         return {}
     _require_no_exit(g)
-    cycles = g._analysis.cycles
+    owner = {v: c for c in g._analysis.cycles for v in c.vertices}  # no-exit: the cycles are disjoint
     resolved = {}
     for spec in choices:
         name, _, base = spec.partition("=")
         if not name or not base:
             raise ParseError(f"--base expects cycle-vertex=base-vertex, got {spec!r}")
-        owners = [c for c in cycles if name in c.vertices]
-        if not owners:
+        if name not in owner:
             raise VertexNotOnCycleError(f"vertex {name!r} does not lie on any cycle")
-        if owners[0] in resolved:
+        if owner[name] in resolved:
             raise ParseError(f"--base chooses a second base vertex for the cycle through {name!r}")
-        resolved[owners[0]] = base
+        resolved[owner[name]] = base
     return resolved
 
 
@@ -158,29 +159,23 @@ def _form_payload(f) -> dict:
 def cmd_iso(args) -> Report:
     left = parse_algebra(args.expr1)
     right = parse_algebra(args.expr2)
-    single = len(left.summands) == 1 and len(right.summands) == 1
-    if args.certificate and not single:
-        raise ValueError("certificates are only produced for single matrix algebras")
-    if single:
-        a, b = left.summands[0], right.summands[0]
-        if is_graded_isomorphic(a, b):
-            payload = {"isomorphic": True}
-            lines = ["yes"]
-            if args.certificate:
-                cert = iso_certificate(a, b)
-                text = format_certificate(cert)
-                payload["certificate"] = text.splitlines()
-                lines.extend(text.splitlines())
-            return 0, "\n".join(lines) + "\n", payload
-        reason = _iso_failure_reason(a, b)
-    else:
-        if direct_sum_iso(left, right):
-            return 0, "yes\n", {"isomorphic": True}
-        reason = "no bijection of summands matches canonical forms"
-    return _no({"isomorphic": False, "reason": reason}, reason)
+    if args.certificate:
+        a, b = _singles("certificates are only produced for single matrix algebras", left, right)
+    if not direct_sum_iso(left, right):
+        reason = _iso_failure_reason(left, right)
+        return _no({"isomorphic": False, "reason": reason}, reason)
+    if not args.certificate:
+        return 0, "yes\n", {"isomorphic": True}
+    text = format_certificate(iso_certificate(a, b))
+    return 0, "yes\n" + text, {"isomorphic": True, "certificate": text.splitlines()}
 
 
-def _iso_failure_reason(a, b) -> str:
+def _iso_failure_reason(left, right) -> str:
+    """Why two expressions are not graded isomorphic: for two single
+    algebras the bases, the sizes or the canonical forms that differ."""
+    if len(left.summands) != 1 or len(right.summands) != 1:
+        return "no bijection of summands matches canonical forms"
+    (a,), (b,) = left.summands, right.summands
     if a.base != b.base:
         return f"bases differ: {a.base} vs {b.base}"
     if a.n != b.n:
@@ -191,9 +186,7 @@ def _iso_failure_reason(a, b) -> str:
 def cmd_verify_cert(args) -> Report:
     left = parse_algebra(args.expr1)
     right = parse_algebra(args.expr2)
-    if len(left.summands) != 1 or len(right.summands) != 1:
-        raise ValueError("verify-cert works on single matrix algebras")
-    a, b = left.summands[0], right.summands[0]
+    a, b = _singles("verify-cert works on single matrix algebras", left, right)
     steps = parse_certificate(_read_text(args.certfile))
     # each valid step is a graded isomorphism, so the certificate holds
     # exactly when every step applies and the shifts land on b's
@@ -211,19 +204,12 @@ def cmd_verify_cert(args) -> Report:
 
 
 def cmd_realizable(args) -> Report:
-    total = parse_algebra(args.expr)
-    verdict = is_realizable_sum(total)
+    verdict = is_realizable_sum(parse_algebra(args.expr))
+    failures = [{"summand": pos, "failing_index": v.failing_index, "reason": v.reason} for pos, v in verdict.failures]
+    payload = {"ok": verdict.ok, "failures": failures}
     if verdict.ok:
-        return 0, "yes\n", {"ok": True, "failures": []}
-    reasons = [f"summand {pos}: {v.reason}" for pos, v in verdict.failures]
-    payload = {
-        "ok": False,
-        "failures": [
-            {"summand": pos, "failing_index": v.failing_index, "reason": v.reason}
-            for pos, v in verdict.failures
-        ],
-    }
-    return _no(payload, *reasons)
+        return 0, "yes\n", payload
+    return _no(payload, *(f"summand {f['summand']}: {f['reason']}" for f in failures))
 
 
 def cmd_synthesize(args) -> Report:
@@ -256,14 +242,12 @@ def cmd_corner(args) -> Report:
         g = _load_graph(args.input)
         result = corner_by_vertices(g, _parse_csv(args.vertices, "vertices"))
     else:
-        total = parse_algebra(args.input)
-        if len(total.summands) != 1:
-            raise ValueError("corner --indices works on a single matrix algebra")
+        (summand,) = _singles("corner --indices works on a single matrix algebra", parse_algebra(args.input))
         try:
             indices = _ints(_parse_csv(args.indices, "indices"))  # read as certificate arguments are
         except ValueError:
             raise ParseError("--indices expects integers") from None
-        result = DirectSumAlgebra((corner_by_indices(total.summands[0], indices),))
+        result = DirectSumAlgebra((corner_by_indices(summand, indices),))
     return 0, str(result) + "\n", {"summands": [str(a) for a in result.summands]}
 
 
