@@ -191,7 +191,7 @@ def cmd_verify_cert(args) -> Report:
     # each valid step is a graded isomorphism, so the certificate holds
     # exactly when every step applies and the shifts land on b's
     if a.base != b.base:
-        reason = f"bases differ: {a.base} vs {b.base}"
+        reason = _iso_failure_reason(left, right)
     else:
         try:
             final = apply_certificate(a.shifts, steps, a.base)

@@ -43,9 +43,10 @@ Certificate files hold one step per line; '#' starts a comment.
     E <index> <delta>        add delta to one shift
 
 Every argument is an ASCII integer [+-]?[0-9]+, read by _ints, as corner
---indices is.  Each line is read by one str.split(), as graph text is; a run
-of E lines becomes two int columns, and a G or P step's constructor checks
-it.  Only a text that fails is read again, line by line, to name its first
+--indices is.  Each stretch of lines whose first token starts with E is read
+by one str.split() over the stretch, straight into two int columns; each
+other line by one str.split(), and a G or P step's constructor checks it.
+Only a text that fails is read again, line by line, to name its first
 offending line.
 """
 
@@ -392,69 +393,78 @@ def parse_algebra(text: str) -> DirectSumAlgebra:
 
 def format_certificate(steps: Iterable[Step]) -> str:
     """One step per line: 'P <image>', 'G <delta>' or 'E <index> <delta>',
-    for any iterable of steps.  A run of EntryShifts is written from its
-    columns in one join.  Steps are told apart by their exact class, as
-    apply_certificate does: anything else, a subclass too, is a TypeError."""
+    for any iterable of steps.  A run of k EntryShifts is written from its
+    columns, interleaved, through one "E %d %d\\n" * k template.  Steps are
+    told apart by their exact class, as apply_certificate does: anything
+    else, a subclass too, is a TypeError."""
     lines = []
     for kind, step in _Certificate.of(steps).runs:
         if kind is EntryShift:
-            lines.append("\n".join(map("E {} {}".format, *step)))
+            indices, deltas = step
+            row = [0] * (2 * len(indices))
+            row[::2], row[1::2] = indices, deltas
+            lines.append("E %d %d\n" * len(indices) % tuple(row))
         elif kind is Permute:
-            lines.append("P " + " ".join(map(str, step.image)))
+            lines.append("P " + " ".join(map(str, step.image)) + "\n")
         elif kind is GlobalShift:
-            lines.append(f"G {step.delta}")
+            lines.append(f"G {step.delta}\n")
         else:
             raise TypeError(f"not a certificate step: {step!r}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(lines)
 
 
-def _entry_columns(run: list[list[str]]) -> tuple[list[int], list[int]]:
-    """The index and delta columns of a run of 'E <index> <delta>' rows; a
-    ValueError if int() refuses an argument or an index is below 1."""
-    _, indices, deltas = zip(*run)
-    indices = list(map(int, indices))
-    if min(indices) < 1:
-        raise ValueError("entry index is 1-based")
-    return indices, list(map(int, deltas))
+# A stretch of lines whose first token starts with 'E', a stretch of blank
+# lines, or any other line, read off the first character of each line.
+_STRETCH_RE = re.compile(r"E+| +|[^E ]")
 
 
 def parse_certificate(text: str) -> Sequence[Step]:
-    """Read a certificate a row per line: splitlines(), comments cut, one
-    split() per line.  Each run of E rows becomes the index and delta
-    columns of a run of EntryShifts; a G or P row becomes its step.  Only a
-    text that fails is read again, by _explain_certificate, to name its
-    first offending line.  The result is read-only and equals the list of
-    its steps.
+    """Read a certificate a stretch of lines at a time: splitlines(),
+    comments cut, then each line's first character after whitespace.
+
+    A stretch of k lines whose first token starts with 'E' is one split()
+    over the stretch, accepted only as 3k tokens with 'E' at every third,
+    its index and delta columns read with one map(int, ...) each, every
+    index at least 1.  As int() refuses a token that starts with 'E', each
+    of those lines is then exactly 'E <index> <delta>'.  Any other line is
+    one split(), a G or P row that becomes its step.  Only a text that fails
+    is read again, by _explain_certificate, to name its first offending
+    line.  The result is read-only and equals the list of its steps.
 
     >>> parse_certificate("G 2  # align\\nE 3 -4\\n")
     [GlobalShift(delta=2), EntryShift(index=3, delta=-4)]
     """
     lines = text.splitlines()
-    rows = (line.partition("#")[0].split() for line in lines) if "#" in text else map(str.split, lines)
-    rows = list(filter(None, rows))
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
     # of what split() leaves, int() reads beyond [+-]?[0-9]+ only '_' and Unicode digits
-    fields = "".join(map("".join, rows))
-    if not fields.isascii() or "_" in fields:
+    fields = "".join(lines)
+    if not (fields.isascii() or "".join(fields.split()).isascii()) or "_" in fields:
         _explain_certificate(text)
+    heads = "".join([line.lstrip()[:1] or " " for line in lines])
     steps = _Certificate()
-    run: list[list[str]] = []  # the E rows since the last G or P row
+    at = 0  # the first line of the stretch
     try:
-        for row in rows:
-            if len(row) == 3 and row[0] == "E":
-                run.append(row)
-                continue
-            if run:
-                steps._add_entries(*_entry_columns(run))
-                run = []
-            if row[0] == "G" and len(row) == 2:
-                steps._add(GlobalShift(int(row[1])))
-            elif row[0] == "P" and len(row) > 1:
-                steps._add(Permute(tuple(map(int, row[1:]))))
-            else:
-                raise ValueError("unknown certificate step")
-        if run:
-            steps._add_entries(*_entry_columns(run))
-    except ValueError:  # a refused row, Permute's check, or more digits than int() converts
+        for stretch in _STRETCH_RE.findall(heads):
+            k = len(stretch)
+            if stretch[0] == "E":
+                tokens = " ".join(lines[at : at + k]).split()
+                if len(tokens) != 3 * k or tokens[::3].count("E") != k:
+                    raise ValueError
+                indices = list(map(int, tokens[1::3]))
+                if min(indices) < 1:
+                    raise ValueError
+                steps._add_entries(indices, list(map(int, tokens[2::3])))
+            elif stretch[0] != " ":
+                kind, *args = lines[at].split()
+                if kind == "G" and len(args) == 1:
+                    steps._add(GlobalShift(int(args[0])))
+                elif kind == "P" and args:
+                    steps._add(Permute(tuple(map(int, args))))
+                else:
+                    raise ValueError
+            at += k
+    except ValueError:  # a refused line, Permute's check, or more digits than int() converts
         _explain_certificate(text)
     return steps
 

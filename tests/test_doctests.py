@@ -8,8 +8,8 @@
   and every file the row reads is the one a `$ cat` line showed, or an
   earlier row wrote
 - README.md's limits table against the constants it names
-- tests/pins.py and the module doctests under every other CPython 3.10 or
-  later that pyenv holds
+- tests/pins.py, the module doctests and tests/call_counts.py --check under
+  every other CPython 3.10 or later that pyenv holds
 """
 
 import argparse
@@ -167,7 +167,9 @@ def test_pins_and_doctests_under_other_interpreters():
         pytest.skip("no other CPython 3.10 or later under pyenv")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     for version, python in pythons:
-        for argv in ([python, "tests/pins.py"], [python, "-c", DOCTESTS, *MODULES]):
+        # call_counts.py --check exits 1 when a count differs from the version's entry in work_pins.json
+        checks = ([python, "tests/pins.py"], [python, "-c", DOCTESTS, *MODULES], [python, "tests/call_counts.py", "--check"])
+        for argv in checks:
             done = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
             assert done.returncode == 0, (version, argv[1], done.stdout[-2000:], done.stderr[-2000:])
-    print("pins and doctests passed under", ", ".join(version for version, _ in pythons))
+    print("pins, doctests and call counts passed under", ", ".join(version for version, _ in pythons))

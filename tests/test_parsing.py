@@ -670,6 +670,25 @@ def _entry_run(line_2000=None, breaks=("\n",)):
 @example("E +1 -0")
 @example("E 1_0 2")
 @example("G 1 # \u0663 _")
+# the edges of a stretch of lines whose first token starts with E, read by
+# one split(): rows of 2 and 4 tokens that add up to 3k, a first token that
+# starts with E but is not E, whitespace before the E, a blank, comment-only
+# or G line between two runs, and a run that ends the text with no line break
+@example("E 1\nE 2 3 4\n")
+@example("E 1 2 E\nE 3\n")
+@example("E 1 2\nE 3 4 E\nE 5\n")
+@example("EE 1 2")
+@example("E1 2 3")
+@example("E 1 2\nEE 3 4\n")
+@example("E 1 2\n\tE 2 3\n\u3000E 3 4\n")
+@example("\u3000E 1 2\n\tE 0 3\n")
+@example("E 1 2\n\nE 2 3\n")
+@example("E 1 2\n  # a comment\nE 2 3\n")
+@example("E 1 2\nG 1\nE 2 3\n")
+@example("E 1 2\n\nE 0 3\n")
+@example("E 1 2\n# x\nE 2\nG 1\n")
+@example("G 1\nE 1 2\nE 2 -3")
+@example("G 1\nE 1 2\nE 2 x")
 def test_parse_certificate_matches_line_reader(text):
     assert _outcome(parse_certificate, text) == _outcome(naive_parse_certificate, text)
 
